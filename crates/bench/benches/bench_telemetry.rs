@@ -39,11 +39,11 @@ fn bench_primitives(c: &mut Criterion) {
         b.iter(|| telemetry().count(black_box(Counter::DispatchAnalytic), 1))
     });
     group.bench_function("span_enabled", |b| {
-        b.iter(|| span(black_box(Stage::SweepTask)))
+        b.iter(|| span(black_box(Stage::SweepBand)))
     });
     telemetry().set_enabled(false);
     group.bench_function("span_disabled", |b| {
-        b.iter(|| span(black_box(Stage::SweepTask)))
+        b.iter(|| span(black_box(Stage::SweepBand)))
     });
     group.finish();
 }

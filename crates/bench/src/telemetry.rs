@@ -132,22 +132,3 @@ pub fn measure_telemetry(
         parity: results_match && counters_ok && overhead_ok,
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_measures_and_serializes() {
-        let baseline = measure_telemetry(8, 64, 1).unwrap();
-        assert_eq!(baseline.runs, 64);
-        assert_eq!(baseline.dispatch_total, 64);
-        assert!(baseline.off_ms > 0.0 && baseline.on_ms > 0.0);
-        assert!(baseline.parity, "off/on sweeps must agree: {baseline:?}");
-        let json = baseline.to_json_value();
-        assert_eq!(json.get("runs").unwrap().as_u64(), Some(64));
-        assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));
-        assert!(json.get("overhead_ratio").unwrap().as_f64().unwrap() > 0.0);
-        assert_eq!(json.get("dispatch_total").unwrap().as_u64(), Some(64));
-    }
-}

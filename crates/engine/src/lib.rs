@@ -46,7 +46,8 @@
 //!    identity coupling.
 //! 6. Batched sweeps — [`SweepSpec`] / [`run_sweep`] fan whole parameter grids
 //!    (windows × loads × retry budgets × seeds) across all cores through the
-//!    artifact pipeline (≥5× over sequential reference runs on the 64-run
+//!    artifact pipeline and one work-stealing band executor, which schedule
+//!    search shares (≥5× over sequential reference runs on the 64-run
 //!    acceptance grid even cold; warm repeats skip every compile and report
 //!    per-tier hit/miss counters in the [`SweepReport`]; `engine-cli sweep`
 //!    serves specs from JSON).

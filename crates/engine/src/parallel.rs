@@ -1,20 +1,20 @@
 //! A small scoped-thread fork-join executor.
 //!
 //! The build environment is offline, so instead of `rayon` the engine parallelizes
-//! with `std::thread::scope`: an output slice is split into one contiguous chunk
-//! per worker and each chunk is filled on its own thread. For the engine's
-//! embarrassingly parallel workloads (one independent table lookup per output
-//! element, or one independent simulation run per sweep grid point) this
-//! captures all the available speedup without a work-stealing runtime.
+//! with `std::thread::scope`: an output slice is split into chunks and each
+//! chunk is filled on a worker thread. For the engine's embarrassingly
+//! parallel workloads (independent table lookups, independent simulation
+//! runs) this captures all the available speedup without a runtime.
 //!
-//! Fine-grained element fills keep that static split ([`fill_chunks`] /
-//! [`fill_chunks_min`]): per-element costs are uniform, so equal chunks
-//! balance and the zero-coordination split is fastest. Coarse-grained batches
-//! with *heterogeneous* element costs — sweep grids mixing analytic-path,
-//! loop-path and lane-batch runs — use [`steal_chunks`] instead: workers
-//! claim fixed-size index ranges from one atomic counter, so a worker that
-//! drew cheap elements pulls more work instead of idling behind the slowest
-//! static chunk.
+//! Fine-grained element fills use a static split ([`fill_chunks`] /
+//! [`fill_chunks_min`]): per-element costs are uniform, so one equal chunk
+//! per worker balances and the zero-coordination split is fastest.
+//! [`steal_chunks`] serves the one coarse-grained fan-out with
+//! *heterogeneous* costs — the sweep engine's band executor behind both
+//! [`crate::run_sweep`] and [`crate::run_search`], whose bands mix
+//! analytic-path, loop-path and lane-batch runs: workers claim elements from
+//! one atomic counter, so a worker that drew cheap bands pulls more work
+//! instead of idling behind the slowest static chunk.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -111,12 +111,12 @@ unsafe impl<T: Send> Sync for SlicePtr<T> {}
 ///
 /// Where the static split hands each worker one `len / threads` chunk up
 /// front, here a worker that finishes a claim immediately claims the next
-/// `chunk_len` range, so heterogeneous element costs (a sweep grid mixing
+/// `chunk_len` range, so heterogeneous element costs (sweep bands mixing
 /// closed-form analytic runs with slot-loop runs) load-balance instead of
 /// letting the slowest static chunk dominate wall-clock. Claim order is
 /// nondeterministic, but chunk *contents* are not: element `i` is always
-/// filled as element `i`, so any output-indexed merge (grid-order flattening,
-/// band-order monoid folds) is bit-exact regardless of interleave.
+/// filled as element `i`, so any output-indexed merge (band-order
+/// concatenation or monoid folds) is bit-exact regardless of interleave.
 ///
 /// Slices shorter than `min_parallel` (or single-threaded processes) fill on
 /// the calling thread, exactly like [`fill_chunks_min`].

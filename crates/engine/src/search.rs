@@ -28,10 +28,12 @@
 //!   the engine's grid node order, so a coloring *is* a slot assignment.
 //!
 //! Every candidate compiles through the shared [`SweepCaches`] tiers
-//! (schedule → adjacency → plan → trace), then the whole evaluation grid
-//! (`candidates × traffic × retries × seeds`) fans across all cores and folds
-//! online into one [`OnlineFold`] per candidate (dense [`GroupFolds`]
-//! accumulators, merged in band order — bit-for-bit deterministic).
+//! (schedule → adjacency → plan → trace). The evaluation grid (`candidates ×
+//! traffic × retries × seeds`) is a sweep grid whose outer axis is the
+//! candidates instead of the windows, so it runs through the sweep engine's
+//! one band executor and folds online into one [`OnlineFold`] per candidate:
+//! one dense [`crate::GroupFolds`] per band, merged in band order, so the
+//! outcome is bit-for-bit deterministic.
 //!
 //! The outcome itself is content-addressed: tier 5,
 //! [`crate::cache::SearchCache`], keys the ranked [`SearchOutcome`] by a
@@ -43,15 +45,13 @@
 //! `families`, `budget`, `top`); [`builtin_search`] is the paper's Figure 2
 //! Moore scenario.
 
-use crate::aggregate::{GroupFolds, OnlineFold};
+use crate::aggregate::OnlineFold;
 use crate::compiled::CompiledSchedule;
 use crate::error::{EngineError, Result};
 use crate::frames::fingerprint_words;
-use crate::parallel::{fill_chunks_min, worker_threads};
 use crate::scenario::{get_u64, invalid, ShapeSpec};
-use crate::simkernel::{run_frames, KernelConfig, KernelMac, KernelTraffic, TrafficTrace};
-use crate::store::StoreStats;
-use crate::sweep::{SeedAxis, SweepCacheStats, SweepCaches, SweepTraffic};
+use crate::simkernel::KernelMac;
+use crate::sweep::{GridContext, SeedAxis, SweepCacheStats, SweepCaches, SweepTraffic};
 use crate::telemetry::{span, telemetry, Stage, TelemetrySnapshot};
 use crate::FramePlan;
 use latsched_coloring::{
@@ -62,7 +62,6 @@ use latsched_core::{optimality, theorem1, Deployment};
 use latsched_lattice::BoxRegion;
 use latsched_tiling::{sublattice_search, Prototile, Tiling};
 use serde_json::Value;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -689,16 +688,10 @@ fn execute_search(
     tally: &mut SweepCacheStats,
 ) -> Result<SearchOutcome> {
     let _span = span(Stage::SearchCompile);
-    let note = |stats: &mut StoreStats, hit: bool| {
-        if hit {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
-        }
-    };
     let region = BoxRegion::square_window(spec.shape.dim(), spec.window)?;
-    let (adjacency, hit) = caches.adjacencies.get_or_build_tracked(&region, shape)?;
-    note(&mut tally.adjacencies, hit);
+    let adjacency = tally
+        .adjacencies
+        .count(caches.adjacencies.get_or_build_tracked(&region, shape))?;
     let nodes = adjacency.num_nodes();
     let deployment = Deployment::Homogeneous(shape.clone());
     let lower_bound = optimality::slot_lower_bound(&deployment);
@@ -718,9 +711,9 @@ fn execute_search(
             // (`find_tiling` takes the first), so candidate 0 shares the
             // cached table; later witnesses are per-search artifacts.
             let compiled = if i == 0 {
-                let (compiled, hit) = caches.schedules.get_or_compile_tracked(shape)?;
-                note(&mut tally.schedules, hit);
-                compiled
+                tally
+                    .schedules
+                    .count(caches.schedules.get_or_compile_tracked(shape))?
             } else {
                 Arc::new(CompiledSchedule::compile(&schedule)?)
             };
@@ -730,10 +723,10 @@ fn execute_search(
                 .map(usize::from)
                 .collect();
             let period = compiled.num_slots();
-            let (plan, hit) = caches
+            let lookup = caches
                 .plans
-                .get_or_build_tracked(&assignment, period, &adjacency)?;
-            note(&mut tally.plans, hit);
+                .get_or_build_tracked(&assignment, period, &adjacency);
+            let plan = tally.plans.count(lookup)?;
             candidates.push(Candidate {
                 family: SearchFamily::Lattice,
                 generator,
@@ -752,11 +745,10 @@ fn execute_search(
         let conflicts = graph.conflict_graph();
         for (name, coloring) in coloring_candidates(&conflicts, budget)? {
             let period = coloring.colors_used.max(1);
-            let (plan, hit) =
-                caches
-                    .plans
-                    .get_or_build_tracked(&coloring.colors, period, &adjacency)?;
-            note(&mut tally.plans, hit);
+            let lookup = caches
+                .plans
+                .get_or_build_tracked(&coloring.colors, period, &adjacency);
+            let plan = tally.plans.count(lookup)?;
             candidates.push(Candidate {
                 family: SearchFamily::Coloring,
                 generator: name.to_string(),
@@ -773,81 +765,20 @@ fn execute_search(
         return Err(invalid("search enumerated no candidates"));
     }
 
-    // Precompile the Bernoulli traces through tier 4 (shared across the
-    // retry axis here, and across searches/sweeps reusing the same caches).
-    let mut traces: HashMap<(usize, u64, u64), Arc<TrafficTrace>> = HashMap::new();
-    if let SweepTraffic::Bernoulli(loads) = &spec.traffic {
-        for (c, candidate) in candidates.iter().enumerate() {
-            for &p in loads {
-                for seed in spec.seeds.iter() {
-                    let (trace, hit) =
-                        caches
-                            .traces
-                            .get_or_build_tracked(&candidate.plan, seed, p, spec.slots)?;
-                    note(&mut tally.traces, hit);
-                    traces.insert((c, seed, p.to_bits()), trace);
-                }
-            }
-        }
-    }
-
-    // Evaluate the whole grid (candidates × traffic × retries × seeds),
-    // folding each run online into its candidate's accumulator — the same
-    // banded monoid merge as streaming sweeps, so the outcome is bit-for-bit
-    // deterministic regardless of thread interleaving.
+    // Evaluate the whole grid (candidates × traffic × retries × seeds) on the
+    // sweep engine's run grid, folding each run into its candidate's
+    // accumulator: one candidate per group.
     let rpc = spec.runs_per_candidate();
-    let num_runs = candidates.len() * rpc;
-    let s = spec.seeds.len();
-    let r = spec.retries.len();
-    let bands = worker_threads().min(num_runs).max(1);
-    let per_band = num_runs.div_ceil(bands);
-    let mut band_folds: Vec<Option<Result<GroupFolds>>> = Vec::new();
-    band_folds.resize_with(bands, || None);
-    {
-        let candidates = &candidates;
-        let traces = &traces;
-        fill_chunks_min(&mut band_folds, 2, |offset, chunk| {
-            for (b, out) in chunk.iter_mut().enumerate() {
-                let start = (offset + b) * per_band;
-                let end = (start + per_band).min(num_runs);
-                let mut folds = GroupFolds::new(candidates.len());
-                let run_band = || -> Result<GroupFolds> {
-                    for run in start..end {
-                        let c = run / rpc;
-                        let within = run % rpc;
-                        let (ti, ri, si) = (within / (r * s), within / s % r, within % s);
-                        let seed = spec.seeds.get(si);
-                        let traffic = match &spec.traffic {
-                            SweepTraffic::Bernoulli(loads) => KernelTraffic::Trace(Arc::clone(
-                                &traces[&(c, seed, loads[ti].to_bits())],
-                            )),
-                            SweepTraffic::Periodic(periods) => KernelTraffic::Periodic {
-                                period: periods[ti],
-                            },
-                            SweepTraffic::Staggered(periods) => KernelTraffic::Staggered {
-                                period: periods[ti],
-                            },
-                        };
-                        let config = KernelConfig {
-                            slots: spec.slots,
-                            traffic,
-                            mac: KernelMac::Scheduled,
-                            max_retries: spec.retries[ri],
-                            seed,
-                        };
-                        let counts = run_frames(&candidates[c].plan, &config)?;
-                        folds.observe(c, &counts);
-                    }
-                    Ok(folds)
-                };
-                *out = Some(run_band());
-            }
-        });
-    }
-    let mut folds = vec![OnlineFold::new(); candidates.len()];
-    for band in band_folds {
-        band.expect("every band is filled")?.merge_into(&mut folds);
-    }
+    let mut grid = GridContext::new(
+        candidates.iter().map(|c| Arc::clone(&c.plan)).collect(),
+        spec.slots,
+        &spec.traffic,
+        &spec.retries,
+        &spec.seeds,
+        KernelMac::Scheduled,
+    );
+    grid.fetch_traces(&caches.traces, &mut tally.traces)?;
+    let folds = grid.fold_groups(Stage::SearchCompile, candidates.len(), |run| run / rpc)?;
 
     // Score and rank.
     let lattice_candidates = candidates
@@ -911,30 +842,21 @@ pub fn run_search(spec: &SearchSpec, caches: &SweepCaches) -> Result<SearchRepor
         return Err(invalid("search evaluation grid is empty"));
     }
     let (scenario, objective) = spec.fingerprints(&shape);
-    let (outcome, hit) = caches
+    let lookup = caches
         .searches
         .get_or_build_tracked(scenario, objective, || {
             execute_search(spec, &shape, caches, &mut tally)
-        })?;
-    if hit {
-        tally.searches.hits += 1;
-    } else {
-        tally.searches.misses += 1;
-    }
-    let levels = caches.stats();
-    tally.schedules.entries = levels.schedules.entries;
-    tally.adjacencies.entries = levels.adjacencies.entries;
-    tally.plans.entries = levels.plans.entries;
-    tally.traces.entries = levels.traces.entries;
-    tally.searches.entries = levels.searches.entries;
+        });
+    let outcome = tally.searches.count(lookup)?;
+    let from_cache = tally.searches.hits > 0;
     Ok(SearchReport {
         name: spec.name.clone(),
         objective: spec.objective,
         window: spec.window,
         slots: spec.slots,
-        from_cache: hit,
+        from_cache,
         seconds: start.elapsed().as_secs_f64(),
-        caches: tally,
+        caches: tally.with_entries(caches),
         outcome,
         telemetry: telemetry_before.map(|before| telemetry().snapshot().since(&before)),
     })

@@ -67,6 +67,17 @@ impl StoreStats {
             entries: self.entries,
         }
     }
+
+    /// Unwraps one tracked lookup (`(value, hit)`), counting its hit or miss.
+    pub(crate) fn count<T>(&mut self, lookup: Result<(T, bool)>) -> Result<T> {
+        let (value, hit) = lookup?;
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        Ok(value)
+    }
 }
 
 impl std::fmt::Display for StoreStats {

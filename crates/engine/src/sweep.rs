@@ -25,12 +25,16 @@
 //!    structure, bit-identical to scalar per-seed runs (lane-dispatched
 //!    Bernoulli grids skip trace prefetch entirely: the lane kernel draws
 //!    generation bits inline, bit-identical to trace replay);
-//! 5. fans the expanded grid (scalar runs or lane batches) across all cores
-//!    with the engine's work-stealing executor
-//!    ([`crate::parallel::steal_chunks`]) — heterogeneous run costs (analytic
-//!    vs loop vs lane batches) load-balance via atomic chunk claims — and
-//!    aggregates the per-run [`KernelCounts`] into a [`SweepReport`],
-//!    including per-tier cache hit/miss/entry counters ([`SweepCacheStats`]).
+//! 5. executes the grid's work items (scalar runs or lane batches) through
+//!    one band executor, shared with [`crate::run_search`]: the items are cut
+//!    into about four contiguous bands per worker, workers steal whole bands
+//!    ([`crate::parallel::steal_chunks`]) so heterogeneous run costs
+//!    (analytic vs loop vs lane batches) balance, and each band folds its
+//!    runs into its own accumulator — run-order [`KernelCounts`] in full
+//!    mode, per-group folds in streaming mode — merged in band order, so the
+//!    [`SweepReport`] does not depend on which worker ran which band. The
+//!    report also carries per-tier cache hit/miss/entry counters
+//!    ([`SweepCacheStats`]).
 //!
 //! Because all three tiers are content-addressed, a *warm* repeat of a sweep
 //! (same [`SweepCaches`]) skips schedule compilation, plan fusion and trace
@@ -62,10 +66,11 @@
 //! default, or `"streaming"`) and `"group_by"` (an array over `"window"`,
 //! `"traffic"`/`"load"`, `"retries"`, `"seed"`; implies streaming when given
 //! alone). A streaming sweep folds every run online into per-axis group
-//! accumulators ([`crate::aggregate::OnlineFold`]) — exact integer monoids
-//! merged at the fan-out barrier — so its report is O(groups) instead of
-//! O(runs) and the `per_run` section is never allocated, which is what makes
-//! million-run grids feasible (see [`crate::aggregate`]).
+//! accumulators ([`crate::aggregate::OnlineFold`]) — exact integer monoids,
+//! one set per band, merged at the fan-out barrier — so its report is
+//! O(groups) instead of O(runs) and the `per_run` section is never
+//! allocated, which is what makes million-run grids feasible (see
+//! [`crate::aggregate`]).
 //!
 //! Node ids reproduce the sensor-network simulator's exactly (positions in
 //! lexicographic window order, neighbours `p + N \ {p}`), so every run's
@@ -604,6 +609,18 @@ impl SweepCacheStats {
         }
     }
 
+    /// This tally's hit/miss counts beside the caches' current entry counts
+    /// (entries are levels, not flows, so they come from the shared caches).
+    pub(crate) fn with_entries(mut self, caches: &SweepCaches) -> SweepCacheStats {
+        let levels = caches.stats();
+        self.schedules.entries = levels.schedules.entries;
+        self.adjacencies.entries = levels.adjacencies.entries;
+        self.plans.entries = levels.plans.entries;
+        self.traces.entries = levels.traces.entries;
+        self.searches.entries = levels.searches.entries;
+        self
+    }
+
     /// The stats as a JSON object (one `{hits, misses, entries}` object per
     /// tier).
     pub fn to_json_value(&self) -> Value {
@@ -788,59 +805,119 @@ impl fmt::Display for SweepReport {
     }
 }
 
-/// The shared artifacts and axis metadata of one sweep grid: any run index
-/// (in expansion order, windows × traffic × retries × seeds) resolves to a
-/// ready-to-execute kernel configuration in O(1), so streaming sweeps never
-/// materialize an O(runs) work list.
-struct GridContext<'a> {
-    spec: &'a SweepSpec,
-    /// Per-window shared artifacts: (window side, node count, fused plan).
-    plans: Vec<(i64, usize, Arc<FramePlan>)>,
-    /// One label per traffic-axis value (shared, never cloned per run).
-    labels: Vec<String>,
-    /// Per-(window index, seed, load bits) compiled traffic traces.
-    traces: HashMap<(usize, u64, u64), Arc<TrafficTrace>>,
-    /// Per-(window index, seed) compiled ALOHA MAC decision bitmaps (empty
-    /// unless the sweep replays Bernoulli traffic under ALOHA access).
-    mac_traces: HashMap<(usize, u64), Arc<TrafficTrace>>,
+/// The run grid behind both [`run_sweep`] and [`crate::run_search`]: an outer
+/// axis of fused plans (a sweep's windows or a search's candidates) crossed
+/// with the traffic × retries × seeds axes, expanded in that order. Any run
+/// index resolves to its kernel configuration in O(1), so no O(runs) work
+/// list is ever materialized, and [`GridContext::run_bands`] is the one
+/// fan-out that executes the grid.
+pub(crate) struct GridContext<'a> {
+    /// One fused plan per outer-axis value.
+    plans: Vec<Arc<FramePlan>>,
+    slots: u64,
+    traffic: &'a SweepTraffic,
+    retries: &'a [u32],
+    seeds: &'a SeedAxis,
     mac: KernelMac,
+    /// Whether a work item is a lane batch of up to 64 seeds of one
+    /// `(outer, traffic, retries)` point instead of one scalar run.
+    lanes: bool,
+    /// Per-(outer index, seed, load bits) compiled traffic traces.
+    traces: HashMap<(usize, u64, u64), Arc<TrafficTrace>>,
+    /// Per-(outer index, seed) compiled ALOHA MAC decision bitmaps.
+    mac_traces: HashMap<(usize, u64), Arc<TrafficTrace>>,
 }
 
-/// One resolved grid point.
-struct RunPoint<'a> {
-    window: i64,
-    nodes: usize,
-    seed: u64,
-    traffic_index: usize,
-    retries: u32,
-    plan: &'a Arc<FramePlan>,
-    config: KernelConfig,
-}
+impl<'a> GridContext<'a> {
+    /// The grid `plans × traffic × retries × seeds` under `mac`, with no
+    /// traces fetched yet.
+    ///
+    /// ALOHA grids with a multi-seed axis run as lane batches: their runs need
+    /// the slot loop (the MAC is stochastic), differ only in seed within one
+    /// `(outer, traffic, retries)` point, and the seed axis is innermost, so
+    /// every batch of up to 64 seeds is a contiguous run range. Scheduled
+    /// grids keep scalar runs, whose clean runs replay analytically.
+    pub(crate) fn new(
+        plans: Vec<Arc<FramePlan>>,
+        slots: u64,
+        traffic: &'a SweepTraffic,
+        retries: &'a [u32],
+        seeds: &'a SeedAxis,
+        mac: KernelMac,
+    ) -> Self {
+        GridContext {
+            lanes: matches!(mac, KernelMac::Aloha { .. }) && seeds.len() > 1,
+            plans,
+            slots,
+            traffic,
+            retries,
+            seeds,
+            mac,
+            traces: HashMap::new(),
+            mac_traces: HashMap::new(),
+        }
+    }
 
-impl GridContext<'_> {
-    /// The (window, traffic, retries, seed) coordinate indices of a run index.
+    /// Fetches the compiled traces the grid's scalar runs replay through the
+    /// trace tier, counting every lookup in `tally`: one Bernoulli generation
+    /// trace per (outer, load, seed), shared across the retry axis, and under
+    /// ALOHA one MAC decision bitmap per (outer, seed), shared across the load
+    /// and retry axes (plans past the trace size cap keep inline MAC draws).
+    /// Warm repeats over the same caches skip every draw compilation. Lane
+    /// grids fetch nothing: the lane kernel's inline draws are bit-identical
+    /// to replaying traces.
+    pub(crate) fn fetch_traces(
+        &mut self,
+        cache: &TraceCache,
+        tally: &mut StoreStats,
+    ) -> Result<()> {
+        let SweepTraffic::Bernoulli(loads) = self.traffic else {
+            return Ok(());
+        };
+        if self.lanes {
+            return Ok(());
+        }
+        for (o, plan) in self.plans.iter().enumerate() {
+            for &p in loads {
+                for seed in self.seeds.iter() {
+                    let trace =
+                        tally.count(cache.get_or_build_tracked(plan, seed, p, self.slots))?;
+                    self.traces.insert((o, seed, p.to_bits()), trace);
+                }
+            }
+        }
+        if let KernelMac::Aloha { p } = self.mac {
+            for (o, plan) in self.plans.iter().enumerate() {
+                if plan.num_nodes().div_ceil(64) as u64 * self.slots > TRACE_WORD_LIMIT {
+                    continue;
+                }
+                for seed in self.seeds.iter() {
+                    let trace =
+                        tally.count(cache.get_or_build_mac_tracked(plan, seed, p, self.slots))?;
+                    self.mac_traces.insert((o, seed), trace);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The (outer, traffic, retries, seed) coordinate indices of a run index.
     #[inline]
     fn coords(&self, run: usize) -> (usize, usize, usize, usize) {
-        let s = self.spec.seeds.len();
-        let r = self.spec.retries.len();
-        let t = self.spec.traffic.len();
+        let s = self.seeds.len();
+        let r = self.retries.len();
+        let t = self.traffic.len();
         (run / (s * r * t), run / (s * r) % t, run / s % r, run % s)
     }
 
-    /// Resolves one run index to its grid point and kernel configuration.
-    fn point(&self, run: usize) -> RunPoint<'_> {
-        let (w, ti, ri, si) = self.coords(run);
-        let (window, nodes, plan) = &self.plans[w];
-        let seed = self.spec.seeds.get(si);
-        let retries = self.spec.retries[ri];
-        let traffic = match &self.spec.traffic {
+    /// The plan and kernel configuration of one run; fetched traces replace
+    /// inline Bernoulli and ALOHA draws, bit-identically.
+    fn run_config(&self, run: usize) -> (&FramePlan, KernelConfig) {
+        let (o, ti, ri, si) = self.coords(run);
+        let seed = self.seeds.get(si);
+        let traffic = match self.traffic {
             SweepTraffic::Bernoulli(loads) => {
-                // Lane-dispatched grids prefetch no traces: the lane kernel
-                // draws generation bits inline from the counter RNG, which is
-                // bit-identical to replaying a compiled trace of the same
-                // (seed, p) — so the fallback changes dispatch, not results.
-                let key = (w, seed, loads[ti].to_bits());
-                match self.traces.get(&key) {
+                match self.traces.get(&(o, seed, loads[ti].to_bits())) {
                     Some(trace) => KernelTraffic::Trace(Arc::clone(trace)),
                     None => KernelTraffic::Bernoulli { p: loads[ti] },
                 }
@@ -852,118 +929,109 @@ impl GridContext<'_> {
                 period: periods[ti],
             },
         };
-        // A prefetched MAC decision bitmap replaces inline ALOHA draws for
-        // this (window, seed); windows past the trace size cap have no entry
-        // and keep the inline MAC.
-        let mac = match self.mac_traces.get(&(w, seed)) {
+        let mac = match self.mac_traces.get(&(o, seed)) {
             Some(trace) => KernelMac::AlohaTrace(Arc::clone(trace)),
             None => self.mac.clone(),
         };
-        RunPoint {
-            window: *window,
-            nodes: *nodes,
+        let config = KernelConfig {
+            slots: self.slots,
+            traffic,
+            mac,
+            max_retries: self.retries[ri],
             seed,
-            traffic_index: ti,
-            retries,
-            plan,
-            config: KernelConfig {
-                slots: self.spec.slots,
-                traffic,
-                mac,
-                max_retries: retries,
-                seed,
-            },
+        };
+        (&self.plans[o], config)
+    }
+
+    /// The number of work items: lane batches, or runs.
+    fn items(&self) -> usize {
+        let s = self.seeds.len();
+        let runs = self.plans.len() * self.traffic.len() * self.retries.len() * s;
+        if self.lanes {
+            runs / s * s.div_ceil(64)
+        } else {
+            runs
         }
     }
 
-    /// Executes one lane batch — `lanes` consecutive runs, the seed sub-range
-    /// of one `(window, traffic, retries)` grid point — through the
-    /// bit-sliced kernel, returning per-run counts in grid order.
-    fn lane_batch(&self, first: usize, lanes: usize) -> Result<Vec<KernelCounts>> {
-        let si = self.coords(first).3;
-        let point = self.point(first);
-        let seeds: Vec<u64> = (0..lanes).map(|l| self.spec.seeds.get(si + l)).collect();
-        run_frames_lanes(point.plan, &point.config, &seeds)
-    }
-
-    /// Materializes one run's full-mode report from its counts.
-    fn run_report(&self, run: usize, counts: KernelCounts) -> SweepRunReport {
-        let point = self.point(run);
-        SweepRunReport {
-            window: point.window,
-            nodes: point.nodes,
-            seed: point.seed,
-            traffic: self.labels[point.traffic_index].clone(),
-            retries: point.retries,
-            counts,
+    /// Executes one work item, handing `emit` each of its runs' index and
+    /// counters in run order. Lane batch `k` of a grid point covers seeds
+    /// `64k..` of it, so its run range is plain index arithmetic.
+    fn run_item(&self, item: usize, mut emit: impl FnMut(usize, &KernelCounts)) -> Result<()> {
+        if !self.lanes {
+            let (plan, config) = self.run_config(item);
+            emit(item, &run_frames(plan, &config)?);
+            return Ok(());
         }
-    }
-}
-
-/// The lane batches of a grid, if its seed axis is lane-dispatchable:
-/// `(first run index, lane count)` pairs covering every run, in grid order.
-///
-/// Lane dispatch applies to ALOHA access over periodic, staggered or
-/// Bernoulli traffic with a multi-seed axis: those runs need the slot loop
-/// (the MAC is stochastic), differ only in seed within one `(window, traffic,
-/// retries)` grid point, and the seed axis is innermost in run order — so
-/// every batch of up to 64 seeds is a contiguous run range. Bernoulli grids
-/// became eligible when the lane kernel grew bit-planed backlog counters:
-/// batched `bernoulli_lanes` draws replace per-seed traffic traces (and the
-/// per-(window, seed) MAC decision bitmaps with them), bit-identically.
-/// Tiling grids keep the scalar path (clean scheduled runs replay
-/// analytically, faster than any loop).
-fn lane_tasks(spec: &SweepSpec) -> Option<Vec<(usize, usize)>> {
-    let eligible = matches!(spec.mac, SweepMac::Aloha { .. }) && spec.seeds.len() > 1;
-    if !eligible {
-        return None;
-    }
-    let s = spec.seeds.len();
-    let points = spec.num_runs() / s;
-    let mut tasks = Vec::with_capacity(points * s.div_ceil(64));
-    for point in 0..points {
-        let mut si = 0;
-        while si < s {
-            let lanes = (s - si).min(64);
-            tasks.push((point * s + si, lanes));
-            si += lanes;
+        let s = self.seeds.len();
+        let batches = s.div_ceil(64);
+        let si = item % batches * 64;
+        let first = item / batches * s + si;
+        let seeds: Vec<u64> = (si..s.min(si + 64)).map(|i| self.seeds.get(i)).collect();
+        let (plan, config) = self.run_config(first);
+        for (lane, counts) in run_frames_lanes(plan, &config, &seeds)?.iter().enumerate() {
+            emit(first + lane, counts);
         }
+        Ok(())
     }
-    Some(tasks)
-}
 
-/// One worker's locally folded share of a streaming grid: dense per-group
-/// accumulators with a touched-list ([`GroupFolds`] — O(1) array indexing per
-/// fold, fold storage proportional to the groups the band actually saw) plus
-/// the band's aggregate.
-struct BandFold {
-    folds: GroupFolds,
-    aggregate: KernelCounts,
-}
+    /// Executes the whole grid across the worker pool. The work items are cut
+    /// into `⌈items / per_band⌉` contiguous bands of `per_band = ⌈items /
+    /// (4·workers)⌉` items, so stealing has slack to balance heterogeneous
+    /// costs (analytic replays, slot loops, lane batches); each band folds its
+    /// runs, in run order, into a fresh accumulator from `new` via `observe`.
+    /// The accumulators come back in band order, so an in-order merge does
+    /// not depend on which worker ran which band. `parent` is the stage the
+    /// workers' band spans nest under.
+    fn run_bands<A: Send>(
+        &self,
+        parent: Stage,
+        new: impl Fn() -> A + Sync,
+        observe: impl Fn(&mut A, usize, &KernelCounts) + Sync,
+    ) -> Result<Vec<A>> {
+        let items = self.items();
+        let per_band = items.div_ceil(4 * worker_threads()).max(1);
+        let mut bands: Vec<Option<Result<A>>> = Vec::new();
+        bands.resize_with(items.div_ceil(per_band), || None);
+        steal_chunks(&mut bands, 2, 1, |offset, chunk| {
+            for (b, out) in chunk.iter_mut().enumerate() {
+                let _span = span_within(&[parent], Stage::SweepBand);
+                let start = (offset + b) * per_band;
+                let mut acc = new();
+                let done = (start..items.min(start + per_band)).try_for_each(|item| {
+                    self.run_item(item, |run, counts| observe(&mut acc, run, counts))
+                });
+                *out = Some(done.map(|()| acc));
+            }
+        });
+        bands
+            .into_iter()
+            .map(|band| band.expect("every band is filled"))
+            .collect()
+    }
 
-impl BandFold {
-    fn new(num_groups: usize) -> Self {
-        BandFold {
-            folds: GroupFolds::new(num_groups),
-            aggregate: KernelCounts::default(),
+    /// Executes the grid folding every run into group `group_of(run)`: one
+    /// dense [`GroupFolds`] per band, merged in band order. The folds are
+    /// exact-integer monoids, so the result equals the sequential fold bit
+    /// for bit whatever the interleave.
+    pub(crate) fn fold_groups(
+        &self,
+        parent: Stage,
+        num_groups: usize,
+        group_of: impl Fn(usize) -> usize + Sync,
+    ) -> Result<Vec<OnlineFold>> {
+        let bands = self.run_bands(
+            parent,
+            || GroupFolds::new(num_groups),
+            |folds, run, counts| folds.observe(group_of(run), counts),
+        )?;
+        let _span = span(Stage::FoldMerge);
+        let mut folds = vec![OnlineFold::new(); num_groups];
+        for band in &bands {
+            band.merge_into(&mut folds);
         }
+        Ok(folds)
     }
-}
-
-/// Merges worker bands — in band order, so the result is deterministic — into
-/// the sweep's aggregate and per-group folds.
-fn merge_bands(
-    slots: Vec<Option<Result<BandFold>>>,
-    num_groups: usize,
-) -> Result<(KernelCounts, Vec<OnlineFold>)> {
-    let mut aggregate = KernelCounts::default();
-    let mut folds = vec![OnlineFold::new(); num_groups];
-    for slot in slots {
-        let band = slot.expect("every band is filled")?;
-        aggregate.accumulate(&band.aggregate);
-        band.folds.merge_into(&mut folds);
-    }
-    Ok((aggregate, folds))
 }
 
 /// Runs one sweep: compile every shared artifact once (through the caches),
@@ -975,17 +1043,9 @@ fn merge_bands(
 ///
 /// Propagates compilation, trace and kernel errors.
 pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> {
-    // Per-lookup tally: every cache access below records its own hit/miss
-    // outcome here, so the report's counters belong to this sweep alone
-    // (entry levels are filled in from the shared caches at the end).
+    // Per-lookup tally: every cache access below counts its own hit/miss
+    // outcome here, so the report's counters belong to this sweep alone.
     let mut tally = SweepCacheStats::default();
-    let note = |stats: &mut StoreStats, hit: bool| {
-        if hit {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
-        }
-    };
     let telemetry_before = telemetry().enabled().then(|| telemetry().snapshot());
     let setup_start = Instant::now();
     let setup_span = span(Stage::SweepSetup);
@@ -994,16 +1054,17 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
     // Per-window shared artifacts: adjacency (through the content-addressed
     // adjacency tier, so warm sweeps skip the window walk), slot assignment,
     // fused plan.
-    let mut plans: Vec<(i64, usize, Arc<FramePlan>)> = Vec::with_capacity(spec.windows.len());
+    let mut plans = Vec::with_capacity(spec.windows.len());
     for &window in &spec.windows {
         let region = BoxRegion::square_window(spec.shape.dim(), window)?;
-        let (adjacency, hit) = caches.adjacencies.get_or_build_tracked(&region, &shape)?;
-        note(&mut tally.adjacencies, hit);
-        let nodes = adjacency.num_nodes();
+        let adjacency = tally
+            .adjacencies
+            .count(caches.adjacencies.get_or_build_tracked(&region, &shape))?;
         let (assignment, period) = match spec.mac {
             SweepMac::Tiling => {
-                let (compiled, hit) = caches.schedules.get_or_compile_tracked(&shape)?;
-                note(&mut tally.schedules, hit);
+                let compiled = tally
+                    .schedules
+                    .count(caches.schedules.get_or_compile_tracked(&shape))?;
                 let slots = compiled.slots_of_region(&region)?;
                 (
                     slots.into_iter().map(usize::from).collect::<Vec<usize>>(),
@@ -1012,80 +1073,26 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
             }
             // ALOHA has no frame structure: every node is a candidate in a
             // 1-slot frame and the MAC thins candidates stochastically.
-            SweepMac::Aloha { .. } => (vec![0usize; nodes], 1),
+            SweepMac::Aloha { .. } => (vec![0usize; adjacency.num_nodes()], 1),
         };
-        let (plan, hit) = caches
+        let lookup = caches
             .plans
-            .get_or_build_tracked(&assignment, period, &adjacency)?;
-        note(&mut tally.plans, hit);
-        plans.push((window, nodes, plan));
+            .get_or_build_tracked(&assignment, period, &adjacency);
+        plans.push(tally.plans.count(lookup)?);
     }
     let mac = match spec.mac {
         SweepMac::Tiling => KernelMac::Scheduled,
         SweepMac::Aloha { p } => KernelMac::Aloha { p },
     };
-
-    // The lane plan decides prefetch: lane-dispatched grids draw generation
-    // and MAC bits inline inside the bit-sliced kernel, so compiling per-seed
-    // traces for them would be pure setup waste.
-    let lanes = lane_tasks(spec);
-
-    // Per-(window, seed, load) compiled traffic traces, fetched through the
-    // content-addressed trace tier: shared across the retry axis of the grid
-    // within this sweep, and across sweeps reusing the same caches (warm
-    // sweeps skip the `n × slots` draw compilation entirely).
-    let mut traces: HashMap<(usize, u64, u64), Arc<TrafficTrace>> = HashMap::new();
-    if let (SweepTraffic::Bernoulli(loads), None) = (&spec.traffic, &lanes) {
-        for (w, (_, _, plan)) in plans.iter().enumerate() {
-            for &p in loads {
-                for seed in spec.seeds.iter() {
-                    let (trace, hit) = caches
-                        .traces
-                        .get_or_build_tracked(plan, seed, p, spec.slots)?;
-                    note(&mut tally.traces, hit);
-                    traces.insert((w, seed, p.to_bits()), trace);
-                }
-            }
-        }
-    }
-
-    // Per-(window, seed) compiled ALOHA MAC decision bitmaps, through the
-    // same stream-tagged trace tier: when ALOHA runs replay compiled
-    // Bernoulli traffic (the scalar path), the MAC's per-(node, slot)
-    // transmission draws are hashed once per (window, seed) and shared across
-    // the load and retry axes — and across warm sweeps. Lane-dispatched
-    // grids (any multi-seed ALOHA grid) skip this: the lane kernel batches
-    // MAC draws directly.
-    let mut mac_traces: HashMap<(usize, u64), Arc<TrafficTrace>> = HashMap::new();
-    if let (SweepMac::Aloha { p }, SweepTraffic::Bernoulli(_), None) =
-        (spec.mac, &spec.traffic, &lanes)
-    {
-        for (w, (_, nodes, plan)) in plans.iter().enumerate() {
-            // Windows past the trace size cap keep inline per-slot MAC draws.
-            if nodes.div_ceil(64) as u64 * spec.slots > TRACE_WORD_LIMIT {
-                continue;
-            }
-            for seed in spec.seeds.iter() {
-                let (trace, hit) = caches
-                    .traces
-                    .get_or_build_mac_tracked(plan, seed, p, spec.slots)?;
-                note(&mut tally.traces, hit);
-                mac_traces.insert((w, seed), trace);
-            }
-        }
-    }
-
-    let ctx = GridContext {
-        spec,
+    let mut grid = GridContext::new(
         plans,
-        labels: (0..spec.traffic.len())
-            .map(|ti| spec.traffic.label(ti))
-            .collect(),
-        traces,
-        mac_traces,
+        spec.slots,
+        &spec.traffic,
+        &spec.retries,
+        &spec.seeds,
         mac,
-    };
-    let num_runs = spec.num_runs();
+    );
+    grid.fetch_traces(&caches.traces, &mut tally.traces)?;
     // Resolve the grouping before the timed run phase so misconfigured specs
     // fail fast and bookkeeping counts as setup.
     let grouping = match &spec.mode {
@@ -1095,153 +1102,53 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
     drop(setup_span);
     let setup_seconds = setup_start.elapsed().as_secs_f64();
 
-    // Execute the grid: one independent kernel run (or 64-seed lane batch)
-    // per work item, fanned across worker threads with work-stealing claims —
-    // run costs are heterogeneous (analytic replays vs slot loops vs lane
-    // batches), so workers that draw cheap items pull more instead of idling.
     let run_start = Instant::now();
     let run_span = span(Stage::SweepRun);
-    let (aggregate, groups, per_run) = match (&grouping, &lanes) {
-        (None, None) => {
-            // Full mode: collect every run's counters, then materialize the
-            // per-run reports.
-            let mut results: Vec<Option<Result<KernelCounts>>> = Vec::new();
-            results.resize_with(num_runs, || None);
-            {
-                let ctx = &ctx;
-                steal_chunks(&mut results, 2, 1, |offset, chunk| {
-                    // Worker threads start with an empty span path, so the
-                    // task span re-parents itself under the sweep's run span.
-                    let _span = span_within(&[Stage::SweepRun], Stage::SweepTask);
-                    for (i, out) in chunk.iter_mut().enumerate() {
-                        let point = ctx.point(offset + i);
-                        *out = Some(run_frames(point.plan, &point.config));
-                    }
-                });
-            }
-            let mut aggregate = KernelCounts::default();
-            let mut per_run = Vec::with_capacity(num_runs);
-            for (run, result) in results.into_iter().enumerate() {
-                let counts = result.expect("every chunk is filled")?;
-                aggregate.accumulate(&counts);
-                per_run.push(ctx.run_report(run, counts));
-            }
-            (aggregate, Vec::new(), per_run)
-        }
-        (None, Some(tasks)) => {
-            // Full mode, lane-dispatched: fan whole batches; each batch's
-            // counts come back in seed order and land on a contiguous run
-            // range, so flattening the batches in task order reproduces grid
-            // order exactly.
-            let mut results: Vec<Option<Result<Vec<KernelCounts>>>> = Vec::new();
-            results.resize_with(tasks.len(), || None);
-            {
-                let ctx = &ctx;
-                steal_chunks(&mut results, 2, 1, |offset, chunk| {
-                    let _span = span_within(&[Stage::SweepRun], Stage::SweepTask);
-                    for (i, out) in chunk.iter_mut().enumerate() {
-                        let (first, lanes) = tasks[offset + i];
-                        *out = Some(ctx.lane_batch(first, lanes));
-                    }
-                });
-            }
-            let mut aggregate = KernelCounts::default();
-            let mut per_run = Vec::with_capacity(num_runs);
-            for result in results {
-                for counts in result.expect("every chunk is filled")? {
+    let mut aggregate = KernelCounts::default();
+    let (groups, per_run) = match &grouping {
+        // Full mode: every band collects its runs' counters in run order, so
+        // the bands laid end to end are the grid in order.
+        None => {
+            let labels: Vec<String> = (0..spec.traffic.len())
+                .map(|ti| spec.traffic.label(ti))
+                .collect();
+            let bands = grid.run_bands(Stage::SweepRun, Vec::new, |runs, _, counts| {
+                runs.push(*counts)
+            })?;
+            let per_run = bands
+                .into_iter()
+                .flatten()
+                .enumerate()
+                .map(|(run, counts)| {
                     aggregate.accumulate(&counts);
-                    per_run.push(ctx.run_report(per_run.len(), counts));
-                }
-            }
-            (aggregate, Vec::new(), per_run)
-        }
-        (Some(grouping), None) => {
-            // Streaming mode: each worker band folds its contiguous run range
-            // into local per-group accumulators; the folds are commutative
-            // monoids over exact integers, so the barrier merge (in band
-            // order) reproduces the sequential fold bit for bit regardless of
-            // which worker stole which band. Bands oversubscribe the workers
-            // 4× so stealing has slack to balance heterogeneous band costs.
-            let bands = (worker_threads() * 4).min(num_runs).max(1);
-            let per_band = num_runs.div_ceil(bands);
-            let mut slots: Vec<Option<Result<BandFold>>> = Vec::new();
-            slots.resize_with(bands, || None);
-            {
-                let ctx = &ctx;
-                steal_chunks(&mut slots, 2, 1, |offset, chunk| {
-                    let _span = span_within(&[Stage::SweepRun], Stage::SweepBand);
-                    for (b, out) in chunk.iter_mut().enumerate() {
-                        let start = (offset + b) * per_band;
-                        let end = (start + per_band).min(num_runs);
-                        let mut band = BandFold::new(grouping.num_groups());
-                        let run_band = || -> Result<BandFold> {
-                            for run in start..end {
-                                let point = ctx.point(run);
-                                let counts = run_frames(point.plan, &point.config)?;
-                                band.aggregate.accumulate(&counts);
-                                band.folds.observe(grouping.group_of_run(run), &counts);
-                            }
-                            Ok(band)
-                        };
-                        *out = Some(run_band());
+                    let (w, ti, ri, si) = grid.coords(run);
+                    SweepRunReport {
+                        window: spec.windows[w],
+                        nodes: grid.plans[w].num_nodes(),
+                        seed: spec.seeds.get(si),
+                        traffic: labels[ti].clone(),
+                        retries: spec.retries[ri],
+                        counts,
                     }
-                });
-            }
-            let merge_span = span(Stage::FoldMerge);
-            let (aggregate, folds) = merge_bands(slots, grouping.num_groups())?;
-            drop(merge_span);
-            (aggregate, grouping.reports(spec, folds), Vec::new())
+                })
+                .collect();
+            (Vec::new(), per_run)
         }
-        (Some(grouping), Some(tasks)) => {
-            // Streaming mode, lane-dispatched: bands cover contiguous *task*
-            // ranges; every lane's counts fold at its own run index (`first +
-            // lane`), and the folds stay commutative monoids, so the barrier
-            // merge is as bit-exact as the scalar streaming path. Bands
-            // oversubscribe the workers 4× for stealing slack.
-            let bands = (worker_threads() * 4).min(tasks.len()).max(1);
-            let per_band = tasks.len().div_ceil(bands);
-            let mut slots: Vec<Option<Result<BandFold>>> = Vec::new();
-            slots.resize_with(bands, || None);
-            {
-                let ctx = &ctx;
-                steal_chunks(&mut slots, 2, 1, |offset, chunk| {
-                    let _span = span_within(&[Stage::SweepRun], Stage::SweepBand);
-                    for (b, out) in chunk.iter_mut().enumerate() {
-                        let start = (offset + b) * per_band;
-                        let end = (start + per_band).min(tasks.len());
-                        let mut band = BandFold::new(grouping.num_groups());
-                        let run_band = || -> Result<BandFold> {
-                            for &(first, lanes) in &tasks[start..end] {
-                                for (l, counts) in ctx.lane_batch(first, lanes)?.iter().enumerate()
-                                {
-                                    band.aggregate.accumulate(counts);
-                                    band.folds.observe(grouping.group_of_run(first + l), counts);
-                                }
-                            }
-                            Ok(band)
-                        };
-                        *out = Some(run_band());
-                    }
-                });
+        // Streaming mode: the aggregate is the sum of the group sums.
+        Some(grouping) => {
+            let folds = grid.fold_groups(Stage::SweepRun, grouping.num_groups(), |run| {
+                grouping.group_of_run(run)
+            })?;
+            for fold in &folds {
+                aggregate.accumulate(&fold.sums());
             }
-            let merge_span = span(Stage::FoldMerge);
-            let (aggregate, folds) = merge_bands(slots, grouping.num_groups())?;
-            drop(merge_span);
-            (aggregate, grouping.reports(spec, folds), Vec::new())
+            (grouping.reports(spec, folds), Vec::new())
         }
     };
     drop(run_span);
     let run_seconds = run_start.elapsed().as_secs_f64();
 
-    // Entry counts are levels, not flows: report where the shared caches
-    // stand now, next to this sweep's own hit/miss tallies.
-    let levels = caches.stats();
-    tally.schedules.entries = levels.schedules.entries;
-    tally.adjacencies.entries = levels.adjacencies.entries;
-    tally.plans.entries = levels.plans.entries;
-    tally.traces.entries = levels.traces.entries;
-    tally.searches.entries = levels.searches.entries;
-
+    let num_runs = spec.num_runs();
     Ok(SweepReport {
         name: spec.name.clone(),
         mac: spec.mac.to_string(),
@@ -1250,7 +1157,7 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
         setup_seconds,
         run_seconds,
         runs_per_second: num_runs as f64 / run_seconds.max(1e-12),
-        caches: tally,
+        caches: tally.with_entries(caches),
         aggregate,
         mode: spec.mode.clone(),
         groups,
@@ -1676,6 +1583,46 @@ mod tests {
     }
 
     #[test]
+    fn lane_batches_past_64_seeds_land_on_their_runs() {
+        // 130 seeds make three lane batches per grid point (64 + 64 + 2), so
+        // later batches' run ranges come from index arithmetic past the first
+        // 64 seeds; seeds on every batch boundary must match scalar sweeps.
+        let spec = SweepSpec {
+            windows: vec![4],
+            slots: 32,
+            mac: SweepMac::Aloha { p: 0.4 },
+            traffic: SweepTraffic::Staggered(vec![3]),
+            seeds: SeedAxis::Range { start: 1, end: 130 },
+            retries: vec![0, 2],
+            ..tiny_spec()
+        };
+        let caches = SweepCaches::new();
+        let laned = run_sweep(&spec, &caches).unwrap();
+        assert_eq!(laned.per_run.len(), 260);
+        for (i, run) in laned.per_run.iter().enumerate() {
+            assert_eq!(run.seed, 1 + (i % 130) as u64);
+        }
+        for si in [0usize, 63, 64, 127, 128, 129] {
+            let single = SweepSpec {
+                seeds: vec![spec.seeds.get(si)].into(),
+                ..spec.clone()
+            };
+            let scalar = run_sweep(&single, &caches).unwrap();
+            for (j, run) in scalar.per_run.iter().enumerate() {
+                assert_eq!(laned.per_run[j * 130 + si], *run, "seed index {si}");
+            }
+        }
+        let streaming = SweepSpec {
+            mode: SweepMode::Streaming(GroupSpec::default()),
+            ..spec
+        };
+        assert_eq!(
+            run_sweep(&streaming, &caches).unwrap().aggregate,
+            laned.aggregate
+        );
+    }
+
+    #[test]
     fn mac_decision_bitmaps_are_cached_for_bernoulli_aloha_sweeps() {
         // A *single-seed* ALOHA × Bernoulli grid keeps the scalar trace path:
         // one traffic trace and one MAC decision bitmap for the seed, both
@@ -1719,10 +1666,6 @@ mod tests {
             retries: vec![1, 4],
             ..tiny_spec()
         };
-        assert!(
-            lane_tasks(&spec).is_some(),
-            "multi-seed grids lane-dispatch"
-        );
         let caches = SweepCaches::new();
         let laned = run_sweep(&spec, &caches).unwrap();
         assert_eq!(laned.runs, 12);

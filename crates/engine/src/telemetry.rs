@@ -21,7 +21,7 @@
 //! * **Stage spans** ([`StageSpan`], from [`span`] / [`span_within`]) — RAII
 //!   guards that record into the stage histogram *and* into a nested
 //!   stage-time tree keyed by the thread-local span path, so a profile shows
-//!   `sweep_run → sweep_task` nesting with per-node counts and totals.
+//!   `sweep_run → sweep_band` nesting with per-node counts and totals.
 //!   Worker threads have an empty span path of their own; [`span_within`]
 //!   seeds the ancestor path so their spans still nest under the right
 //!   parent in the tree.
@@ -255,11 +255,10 @@ pub enum Stage {
     SweepSetup,
     /// The parallel execution phase of a sweep.
     SweepRun,
-    /// One stolen chunk of full-mode sweep runs on a worker.
-    SweepTask,
-    /// One stolen streaming band (runs folded into band accumulators).
+    /// One stolen band of sweep or search grid work, folded into its own
+    /// accumulator.
     SweepBand,
-    /// The merge of per-band streaming folds at the fan-in barrier.
+    /// The merge of per-band group folds at the fan-in barrier.
     FoldMerge,
     /// One `FrameKernel` backend run from `latsched-sensornet`.
     FrameSimRun,
@@ -267,7 +266,7 @@ pub enum Stage {
 
 /// Every stage, in declaration order (the dense index order of the registry's
 /// histogram array).
-pub const STAGES: [Stage; 11] = [
+pub const STAGES: [Stage; 10] = [
     Stage::ScheduleCompile,
     Stage::AdjacencyBuild,
     Stage::PlanFuse,
@@ -275,7 +274,6 @@ pub const STAGES: [Stage; 11] = [
     Stage::SearchCompile,
     Stage::SweepSetup,
     Stage::SweepRun,
-    Stage::SweepTask,
     Stage::SweepBand,
     Stage::FoldMerge,
     Stage::FrameSimRun,
@@ -292,7 +290,6 @@ impl Stage {
             Stage::SearchCompile => "search_compile",
             Stage::SweepSetup => "sweep_setup",
             Stage::SweepRun => "sweep_run",
-            Stage::SweepTask => "sweep_task",
             Stage::SweepBand => "sweep_band",
             Stage::FoldMerge => "fold_merge",
             Stage::FrameSimRun => "framesim_run",
@@ -523,7 +520,7 @@ pub fn span(stage: Stage) -> StageSpan {
 /// Opens a stage span, seeding `ancestors` as the span path first **if this
 /// thread has no open spans**. Worker threads spawned inside a parallel stage
 /// have fresh (empty) span paths; seeding lets their spans nest under the
-/// logical parent (e.g. a `sweep_task` under `sweep_run`) instead of
+/// logical parent (e.g. a `sweep_band` under `sweep_run`) instead of
 /// appearing as roots. On threads that already have open spans the ancestors
 /// are ignored and the span nests normally.
 #[inline]
@@ -872,36 +869,36 @@ mod tests {
         registry.count(Counter::DispatchGeneralLoop, 4);
         registry.count(Counter::StealClaims, 2);
         registry.record_span(&[Stage::SweepRun], 3000);
-        registry.record_span(&[Stage::SweepRun, Stage::SweepTask], 2000);
+        registry.record_span(&[Stage::SweepRun, Stage::SweepBand], 2000);
         let delta = registry.snapshot().since(&before);
         assert_eq!(delta.counter(Counter::DispatchGeneralLoop), 4);
         assert_eq!(delta.counter(Counter::StealClaims), 2);
         assert_eq!(delta.dispatch_total(), 4);
         assert_eq!(delta.stage(Stage::SweepRun).count, 1);
         assert_eq!(delta.stage(Stage::SweepRun).total_ns, 3000);
-        assert_eq!(delta.stage(Stage::SweepTask).count, 1);
+        assert_eq!(delta.stage(Stage::SweepBand).count, 1);
         // The tree delta keeps only the window's activity, nested.
         let run = delta.tree.children.get(&Stage::SweepRun).expect("node");
         assert_eq!((run.count, run.total_ns), (1, 3000));
-        let task = run.children.get(&Stage::SweepTask).expect("nested");
-        assert_eq!((task.count, task.total_ns), (1, 2000));
+        let band = run.children.get(&Stage::SweepBand).expect("nested");
+        assert_eq!((band.count, band.total_ns), (1, 2000));
     }
 
     #[test]
     fn span_tree_nests_by_thread_local_path() {
         let registry = TelemetryRegistry::new();
-        // Simulate what spans record: a sweep_run containing two tasks, one
+        // Simulate what spans record: a sweep_run containing two bands, one
         // of which compiled a trace.
-        registry.record_span(&[Stage::SweepRun, Stage::SweepTask], 10);
-        registry.record_span(&[Stage::SweepRun, Stage::SweepTask, Stage::TraceCompile], 4);
-        registry.record_span(&[Stage::SweepRun, Stage::SweepTask], 20);
+        registry.record_span(&[Stage::SweepRun, Stage::SweepBand], 10);
+        registry.record_span(&[Stage::SweepRun, Stage::SweepBand, Stage::TraceCompile], 4);
+        registry.record_span(&[Stage::SweepRun, Stage::SweepBand], 20);
         registry.record_span(&[Stage::SweepRun], 50);
         let snap = registry.snapshot();
         let run = snap.tree.children.get(&Stage::SweepRun).expect("root");
         assert_eq!((run.count, run.total_ns), (1, 50));
-        let task = run.children.get(&Stage::SweepTask).expect("child");
-        assert_eq!((task.count, task.total_ns), (2, 30));
-        let compile = task.children.get(&Stage::TraceCompile).expect("leaf");
+        let band = run.children.get(&Stage::SweepBand).expect("child");
+        assert_eq!((band.count, band.total_ns), (2, 30));
+        let compile = band.children.get(&Stage::TraceCompile).expect("leaf");
         assert_eq!((compile.count, compile.total_ns), (1, 4));
     }
 
@@ -987,7 +984,7 @@ mod tests {
         assert!(!telemetry().enabled());
         {
             let _outer = span(Stage::SweepRun);
-            let _inner = span_within(&[Stage::SweepRun], Stage::SweepTask);
+            let _inner = span_within(&[Stage::SweepRun], Stage::SweepBand);
         }
         SPAN_PATH.with(|p| assert!(p.borrow().is_empty()));
     }

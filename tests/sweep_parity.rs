@@ -303,6 +303,18 @@ proptest! {
 }
 
 #[test]
+fn streaming_parity_holds_on_the_twenty_lane_batch_aloha_grid() {
+    // 20 grid points × 40 seeds = 20 lane batches, folded by traffic: a band
+    // plan of `min(4·workers, batches)` bands starts trailing bands past the
+    // end of the batch list (and panics) whenever 2 or more workers run.
+    let spec = &SweepSpec::parse_spec(include_str!("specs/aloha_20_batches.json")).unwrap()[0];
+    let SweepMode::Streaming(group_spec) = &spec.mode else {
+        panic!("the spec groups by traffic, so it streams");
+    };
+    assert_streaming_matches_full(spec, group_spec);
+}
+
+#[test]
 fn streaming_parity_holds_on_the_degenerate_one_run_per_group_grid() {
     // Grouping by every axis puts exactly one run in every group, so the
     // streaming report carries full per-run information in fold form — the

@@ -5,7 +5,7 @@
 //! that legitimately depends on the worker count (claims only happen when 2+
 //! workers run), which is why they are not part of the pinned profile here —
 //! the CI smoke step makes the same exclusion when it diffs `--threads 1`
-//! against default-thread metrics.
+//! against `--threads 3` metrics.
 //!
 //! This lives in its own integration-test binary because `LATSCHED_THREADS`
 //! is read once per process, before any sweep queries the worker pool.
