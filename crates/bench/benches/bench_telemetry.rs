@@ -1,14 +1,15 @@
 //! Micro-benchmarks of the telemetry subsystem: the warm acceptance sweep
-//! with the registry disabled vs enabled (the macro view the committed
+//! unprofiled vs profiled (the macro view the committed
 //! `BENCH_telemetry.json` baseline gates), plus the raw counter-bump and
-//! stage-span primitives so a hot-path regression in the instrumentation
-//! itself shows up without sweep noise. Ends with an asserted overhead check:
-//! enabling telemetry may not triple the warm sweep.
+//! stage-span primitives outside and inside a request, so a hot-path
+//! regression in the instrumentation itself shows up without sweep noise.
+//! Ends with an asserted overhead check: enabling telemetry may not triple
+//! the warm sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use latsched_bench::measure_telemetry;
 use latsched_bench::sweep::sweep_spec;
-use latsched_engine::telemetry::{span, telemetry, Counter, Stage};
+use latsched_engine::telemetry::{count, request, span, telemetry, Counter, Stage};
 use latsched_engine::{run_sweep, SweepCaches};
 
 fn bench_sweep_off_vs_on(c: &mut Criterion) {
@@ -30,21 +31,24 @@ fn bench_sweep_off_vs_on(c: &mut Criterion) {
 
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_primitives");
+    // Outside any request a counter bump finds no recorder.
+    group.bench_function("count_outside_request", |b| {
+        b.iter(|| count(black_box(Counter::DispatchAnalytic), 1))
+    });
+    // Inside a request counters always record; spans read the clock only
+    // when the request is profiled.
+    for (profiled, label) in [(false, "unprofiled"), (true, "profiled")] {
+        telemetry().set_enabled(profiled);
+        request(|| {
+            group.bench_function(format!("count_{label}_request"), |b| {
+                b.iter(|| count(black_box(Counter::DispatchAnalytic), 1))
+            });
+            group.bench_function(format!("span_{label}_request"), |b| {
+                b.iter(|| span(black_box(Stage::SweepBand)))
+            });
+        });
+    }
     telemetry().set_enabled(false);
-    group.bench_function("count_disabled", |b| {
-        b.iter(|| telemetry().count(black_box(Counter::DispatchAnalytic), 1))
-    });
-    telemetry().set_enabled(true);
-    group.bench_function("count_enabled", |b| {
-        b.iter(|| telemetry().count(black_box(Counter::DispatchAnalytic), 1))
-    });
-    group.bench_function("span_enabled", |b| {
-        b.iter(|| span(black_box(Stage::SweepBand)))
-    });
-    telemetry().set_enabled(false);
-    group.bench_function("span_disabled", |b| {
-        b.iter(|| span(black_box(Stage::SweepBand)))
-    });
     group.finish();
 }
 

@@ -2,16 +2,17 @@
 //! (`benches/bench_telemetry.rs`) and the harness's `--bench-telemetry`
 //! baseline emitter so both always measure exactly the same thing: the warm
 //! 64-run acceptance sweep (`sweep_spec`) executed through
-//! `latsched_engine::run_sweep` with telemetry **disabled** and again with
-//! telemetry **enabled** (dispatch counters, per-tier cache counters, and
-//! stage spans all live), reporting the off/on wall-clock ratio.
+//! `latsched_engine::run_sweep` with telemetry **disabled** (the sweep's
+//! recorder counts dispatches and cache lookups, spans read no clock) and
+//! again with telemetry **enabled** (stage spans timed too), reporting the
+//! off/on wall-clock ratio.
 //!
 //! The committed gate is `overhead_ratio = off_ms / on_ms`: ~1.0 when the
 //! instrumentation is cheap, dropping below 1.0 as the enabled-path cost
 //! grows, so `perf_gate --metric overhead_ratio` can treat it as a plain
 //! higher-is-better metric. The disabled path is additionally sanity-checked
 //! in-measure: with telemetry off the sweep must cost no more than a small
-//! multiple of the enabled run (the relaxed-load fast checks must not have
+//! multiple of the enabled run (the unprofiled span checks must not have
 //! turned into real work), the enabled run must attach a snapshot whose
 //! dispatch counters sum to exactly the grid size, and both runs must produce
 //! bit-identical per-run metrics. All of that folds into the baseline's
@@ -72,7 +73,7 @@ impl TelemetryBaseline {
 ///
 /// The shared caches are warmed once up front so both sides time the
 /// steady-state grid execution (the compile/setup tier would otherwise
-/// dominate and mask any counting overhead). The global registry is restored
+/// dominate and mask any counting overhead). The process-wide flag is restored
 /// to its prior enabled state before returning.
 pub fn measure_telemetry(
     window: i64,

@@ -1,7 +1,7 @@
 //! The telemetry-overhead baseline in its own test binary: the measurement
-//! windows the process-global telemetry registry with a before/after
-//! snapshot, so a sweep run concurrently by another test of the same binary
-//! would leak into its dispatch total.
+//! toggles the process-wide telemetry flag off and on, and a test sharing
+//! the binary would have its profiled requests unprofiled mid-run (or its
+//! unprofiled ones profiled).
 
 use latsched_bench::measure_telemetry;
 

@@ -18,7 +18,7 @@
 //!   collision-free for a deployment; [`optimality`] checks the matching lower
 //!   bounds and reproduces the Figure 5 phenomenon that without respectability the
 //!   optimum depends on the chosen tiling.
-//! * [`restriction`] restricts schedules to finite deployments and checks the
+//! * [`FiniteDeployment`] restricts schedules to finite deployments and checks the
 //!   paper's `N₁ + N₁` condition for the restriction to stay optimal.
 //! * [`mobile`] extends the scheme to mobile sensors by assigning slots to Voronoi
 //!   cells of lattice points (the paper's concluding construction).

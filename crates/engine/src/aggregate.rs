@@ -183,13 +183,6 @@ impl Log2Histogram {
         (64 - v.leading_zeros()) as usize
     }
 
-    /// A histogram from a raw bucket array (the layout [`Log2Histogram`]
-    /// itself stores) — used by the telemetry registry, which accumulates
-    /// buckets in atomics and freezes them into histograms at snapshot time.
-    pub fn from_buckets(buckets: [u64; LOG2_BUCKETS]) -> Self {
-        Log2Histogram { buckets }
-    }
-
     /// The smallest value a bucket covers.
     pub fn bucket_lower_bound(bucket: usize) -> u64 {
         if bucket == 0 {

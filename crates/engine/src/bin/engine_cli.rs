@@ -18,12 +18,13 @@
 //! so benches and CI determinism checks reproduce a fixed parallelism; it is
 //! accepted anywhere on the command line, in every mode.
 //!
-//! `--metrics-out FILE` (also accepted anywhere, in every mode) enables the
-//! telemetry registry and, after the run, writes every counter and stage
-//! histogram as Prometheus-style text exposition to `FILE`. `sweep --profile`
-//! and `search --profile` enable the same registry and pretty-print each
-//! report's embedded [`latsched_engine::TelemetrySnapshot`]: the fast-path
-//! dispatch mix, per-tier cache counters and the nested stage-time tree.
+//! `--metrics-out FILE` (also accepted anywhere, in every mode) turns
+//! telemetry profiling on and, after the run, writes the process totals —
+//! every profiled request's counters and stage histograms, merged — as
+//! Prometheus-style text exposition to `FILE`. `sweep --profile` and
+//! `search --profile` turn the same flag on and pretty-print each report's
+//! own [`latsched_engine::TelemetrySnapshot`]: the fast-path dispatch mix,
+//! per-tier cache counters and the nested stage-time tree.
 //!
 //! See `latsched_engine::Scenario` for the scenario spec format,
 //! `latsched_engine::SweepSpec` for the sweep spec format and
@@ -361,7 +362,7 @@ fn search_main(args: Vec<String>) -> ExitCode {
 /// Strips the global flags accepted anywhere on the command line, in every
 /// mode: `--threads N` pins the worker pool by setting `LATSCHED_THREADS`
 /// before the first `worker_threads()` query caches it, and
-/// `--metrics-out FILE` enables the telemetry registry and selects the
+/// `--metrics-out FILE` turns telemetry profiling on and selects the
 /// Prometheus exposition file written after the run. Returns the remaining
 /// args and the metrics path.
 fn apply_global_flags(args: Vec<String>) -> Result<(Vec<String>, Option<String>), String> {
@@ -387,7 +388,7 @@ fn apply_global_flags(args: Vec<String>) -> Result<(Vec<String>, Option<String>)
     Ok((rest, metrics_out))
 }
 
-/// Writes the registry's full state (every counter and stage histogram) as
+/// Writes the telemetry process totals (every counter and stage histogram) as
 /// Prometheus-style text exposition. Returns whether the write succeeded.
 fn write_metrics(path: &str) -> bool {
     let text = latsched_engine::telemetry().snapshot().to_prometheus();

@@ -5,9 +5,11 @@
 //! compiling an artifact (tiling search + table construction, frame-plan
 //! fusion, or `n × slots` counter draws) is many orders of magnitude more
 //! expensive than a query, so the tiers make repeated scenarios pay it once.
-//! All five are thin key-derivation wrappers over one generic
-//! [`ArtifactStore`] (sharded, single-flight, bounded — see
-//! [`crate::store`]):
+//! Every tier is one generic [`Tier`]: an [`ArtifactStore`] (sharded,
+//! single-flight, bounded — see [`crate::store`]) whose one [`Tier::lookup`]
+//! also counts the lookup's hit or miss into the recorder of the request
+//! that made it ([`crate::telemetry`]). The five tiers are aliases that add
+//! only their key derivation:
 //!
 //! * [`ScheduleCache`] — neighbourhood shape → compiled Theorem 1 schedule;
 //! * [`PlanCache`] — (slot assignment, interference adjacency) → fused
@@ -36,20 +38,108 @@ use crate::frames::{fingerprint_words, FramePlan, FrameSchedule, InterferenceCsr
 use crate::search::SearchOutcome;
 use crate::simkernel::TrafficTrace;
 use crate::store::{ArtifactStore, StoreStats};
-use crate::telemetry::{span, telemetry, CacheTier, Stage};
+use crate::telemetry::{self, span, CacheTier, Stage};
 use latsched_core::theorem1;
 use latsched_lattice::{BoxRegion, Point};
 use latsched_tiling::{find_tiling, Prototile};
+use std::hash::Hash;
 use std::sync::Arc;
 
-/// Folds one tier lookup outcome into the telemetry registry (a no-op while
-/// telemetry is disabled).
-fn note_lookup(tier: CacheTier, hit: bool) {
-    telemetry().count(tier.counter(hit), 1);
+/// The key type of one cache tier: it names the telemetry tier the tier's
+/// lookups count into and the tier's default entry bound.
+pub trait TierKey: Clone + Eq + Hash {
+    /// The tier whose hit and miss counters this key's lookups bump.
+    const TIER: CacheTier;
+    /// The entry bound: a new key arriving at it resets the tier wholesale
+    /// (entries are content-addressed and cheap to rebuild; `usize::MAX`
+    /// means unbounded).
+    const MAX_ENTRIES: usize;
+}
+
+/// One content-addressed cache tier: a sharded, thread-safe, single-flight
+/// [`ArtifactStore`] from `K` keys to compiled `V` artifacts, bounded by the
+/// key type's [`TierKey::MAX_ENTRIES`].
+pub struct Tier<K, V> {
+    store: ArtifactStore<K, V>,
+}
+
+impl<K: TierKey, V> Tier<K, V> {
+    /// An empty tier with the default shard count and the key's entry bound.
+    pub fn new() -> Self {
+        Tier {
+            store: ArtifactStore::new().with_max_entries(K::MAX_ENTRIES),
+        }
+    }
+
+    /// The artifact under `key`, building it with `build` on first use, and
+    /// whether this lookup hit. Concurrent misses on the same key wait for a
+    /// single build; lookups of other keys are never blocked behind it. This
+    /// is the one place a tier lookup is counted: its hit or miss lands in
+    /// the recorder of the request running on this thread.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `build`'s error; failed builds are evicted, so retries
+    /// rebuild.
+    fn lookup(&self, key: K, build: impl FnOnce() -> Result<V>) -> Result<(Arc<V>, bool)> {
+        let looked_up = self.store.get_or_build_tracked(key, build);
+        if let Ok((_, hit)) = looked_up {
+            telemetry::count(K::TIER.counter(hit), 1);
+        }
+        looked_up
+    }
+
+    /// Number of cached artifacts.
+    pub fn len(&self) -> usize {
+        self.store.len()
+    }
+
+    /// Whether the tier is empty.
+    pub fn is_empty(&self) -> bool {
+        self.store.is_empty()
+    }
+
+    /// Number of lookups answered from the tier, over its lifetime.
+    pub fn hits(&self) -> u64 {
+        self.store.hits()
+    }
+
+    /// Number of lookups that had to build, over the tier's lifetime.
+    pub fn misses(&self) -> u64 {
+        self.store.misses()
+    }
+
+    /// A point-in-time hit/miss/entry snapshot of the tier's lifetime
+    /// counters.
+    pub fn stats(&self) -> StoreStats {
+        self.store.stats()
+    }
+
+    /// Drops every cached artifact (counters are kept).
+    pub fn clear(&self) {
+        self.store.clear();
+    }
+}
+
+impl<K: TierKey, V> Default for Tier<K, V> {
+    fn default() -> Self {
+        Tier::new()
+    }
+}
+
+impl<K: TierKey, V> std::fmt::Debug for Tier<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tier")
+            .field("tier", &K::TIER.name())
+            .field("len", &self.len())
+            .field("hits", &self.hits())
+            .field("misses", &self.misses())
+            .finish()
+    }
 }
 
 /// A sharded, thread-safe cache from neighbourhood shapes to their compiled
-/// Theorem 1 schedules.
+/// Theorem 1 schedules, keyed by the shape's point set.
 ///
 /// # Examples
 ///
@@ -65,30 +155,16 @@ fn note_lookup(tier: CacheTier, hit: bool) {
 /// assert_eq!(cache.misses(), 1);
 /// # Ok::<(), latsched_engine::EngineError>(())
 /// ```
-pub struct ScheduleCache {
-    inner: ArtifactStore<Vec<Point>, CompiledSchedule>,
+pub type ScheduleCache = Tier<Vec<Point>, CompiledSchedule>;
+
+impl TierKey for Vec<Point> {
+    const TIER: CacheTier = CacheTier::Schedules;
+    const MAX_ENTRIES: usize = usize::MAX;
 }
 
 impl ScheduleCache {
-    /// An empty cache with the default shard count.
-    pub fn new() -> Self {
-        ScheduleCache {
-            inner: ArtifactStore::new(),
-        }
-    }
-
-    /// An empty cache with an explicit shard count (at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        ScheduleCache {
-            inner: ArtifactStore::with_shards(shards),
-        }
-    }
-
     /// The compiled Theorem 1 schedule for the given neighbourhood shape,
-    /// compiling and inserting it on first use. Concurrent misses on the same
-    /// shape wait for a single compilation (single-flight) instead of
-    /// duplicating it; lookups of other shapes are never blocked behind a
-    /// compilation.
+    /// compiling and inserting it on first use.
     ///
     /// # Errors
     ///
@@ -108,61 +184,7 @@ impl ScheduleCache {
         &self,
         shape: &Prototile,
     ) -> Result<(Arc<CompiledSchedule>, bool)> {
-        let key = shape.to_points();
-        let shape = shape.clone();
-        let result = self
-            .inner
-            .get_or_build_tracked(key, move || compile_shape(&shape));
-        if let Ok((_, hit)) = result {
-            note_lookup(CacheTier::Schedules, hit);
-        }
-        result
-    }
-
-    /// Number of cached schedules.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Number of lookups that had to compile.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// A point-in-time hit/miss/entry snapshot.
-    pub fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    /// Drops every cached schedule (counters are kept).
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
-
-impl Default for ScheduleCache {
-    fn default() -> Self {
-        ScheduleCache::new()
-    }
-}
-
-impl std::fmt::Debug for ScheduleCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScheduleCache")
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
+        self.lookup(shape.to_points(), || compile_shape(shape))
     }
 }
 
@@ -171,11 +193,19 @@ impl std::fmt::Debug for ScheduleCache {
 /// safety margin. Equal inputs always produce equal keys; distinct inputs
 /// collide with probability `~2^-128`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct PlanKey {
+pub struct PlanKey {
     assignment: u64,
     adjacency: u64,
     nodes: u64,
     period: u64,
+}
+
+/// Plans are multi-megabyte on large networks, so the plan tier resets
+/// wholesale after 256 distinct plans; this bounds the process-wide default
+/// cache under long-lived, many-network workloads.
+impl TierKey for PlanKey {
+    const TIER: CacheTier = CacheTier::Plans;
+    const MAX_ENTRIES: usize = 256;
 }
 
 /// A sharded, thread-safe cache of fused [`FramePlan`]s, keyed by the content
@@ -198,41 +228,12 @@ struct PlanKey {
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// # Ok::<(), latsched_engine::EngineError>(())
 /// ```
-pub struct PlanCache {
-    inner: ArtifactStore<PlanKey, FramePlan>,
-}
-
-/// Default entry bound of a [`PlanCache`]: plans are multi-megabyte on large
-/// networks, so the cache resets wholesale once this many distinct plans have
-/// accumulated (content-addressed entries are cheap to rebuild); this bounds
-/// the process-wide default cache under long-lived, many-network workloads.
-const DEFAULT_MAX_PLANS: usize = 256;
+pub type PlanCache = Tier<PlanKey, FramePlan>;
 
 impl PlanCache {
-    /// An empty cache with the default shard count and entry bound.
-    pub fn new() -> Self {
-        PlanCache::with_shards(crate::store::DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with an explicit shard count (at least 1) and the
-    /// default entry bound.
-    pub fn with_shards(shards: usize) -> Self {
-        PlanCache {
-            inner: ArtifactStore::with_shards(shards).with_max_entries(DEFAULT_MAX_PLANS),
-        }
-    }
-
-    /// Sets the maximum number of cached plans (at least 1); inserting beyond
-    /// it resets the cache wholesale.
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.inner = std::mem::take(&mut self.inner).with_max_entries(max_entries);
-        self
-    }
-
     /// The fused plan of the given per-node slot assignment (with temporal
     /// period `period`) over the given interference adjacency, building and
-    /// inserting it on first use. Concurrent misses on the same key wait for a
-    /// single build.
+    /// inserting it on first use.
     ///
     /// # Errors
     ///
@@ -266,60 +267,10 @@ impl PlanCache {
             nodes: slots.len() as u64,
             period: period as u64,
         };
-        let result = self.inner.get_or_build_tracked(key, || {
+        self.lookup(key, || {
             let frames = FrameSchedule::from_assignment(slots, period)?;
             FramePlan::new(&frames, adjacency)
-        });
-        if let Ok((_, hit)) = result {
-            note_lookup(CacheTier::Plans, hit);
-        }
-        result
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Number of lookups that had to build.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// A point-in-time hit/miss/entry snapshot.
-    pub fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    /// Drops every cached plan (counters are kept).
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new()
-    }
-}
-
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanCache")
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
+        })
     }
 }
 
@@ -328,7 +279,7 @@ impl std::fmt::Debug for PlanCache {
 /// fingerprints produce identical traces by construction (draws are keyed by
 /// the plan's original-id permutation, which the fingerprint covers).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct TraceKey {
+pub struct TraceKey {
     plan: u64,
     seed: u64,
     p_bits: u64,
@@ -340,10 +291,25 @@ struct TraceKey {
     stream: u64,
 }
 
-/// Default entry bound of a [`TraceCache`]: traces are the largest artifacts
-/// of the pipeline (one bit per `node × slot`), so the default store resets
-/// wholesale after this many distinct traces.
-const DEFAULT_MAX_TRACES: usize = 64;
+impl TraceKey {
+    fn new(plan: &FramePlan, seed: u64, p: f64, slots: u64, stream: u64) -> Self {
+        TraceKey {
+            plan: plan.fingerprint(),
+            seed,
+            p_bits: p.to_bits(),
+            slots,
+            nodes: plan.num_nodes() as u64,
+            stream,
+        }
+    }
+}
+
+/// Traces are the largest artifacts of the pipeline (one bit per `node ×
+/// slot`), so the trace tier resets wholesale after 64 distinct traces.
+impl TierKey for TraceKey {
+    const TIER: CacheTier = CacheTier::Traces;
+    const MAX_ENTRIES: usize = 64;
+}
 
 /// A sharded, thread-safe cache of compiled [`TrafficTrace`]s, keyed by
 /// `(plan fingerprint, seed, load, slots)`.
@@ -369,34 +335,12 @@ const DEFAULT_MAX_TRACES: usize = 64;
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// # Ok::<(), latsched_engine::EngineError>(())
 /// ```
-pub struct TraceCache {
-    inner: ArtifactStore<TraceKey, TrafficTrace>,
-}
+pub type TraceCache = Tier<TraceKey, TrafficTrace>;
 
 impl TraceCache {
-    /// An empty cache with the default shard count and entry bound.
-    pub fn new() -> Self {
-        TraceCache::with_shards(crate::store::DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with an explicit shard count (at least 1) and the
-    /// default entry bound.
-    pub fn with_shards(shards: usize) -> Self {
-        TraceCache {
-            inner: ArtifactStore::with_shards(shards).with_max_entries(DEFAULT_MAX_TRACES),
-        }
-    }
-
-    /// Sets the maximum number of cached traces (at least 1); inserting beyond
-    /// it resets the cache wholesale.
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.inner = std::mem::take(&mut self.inner).with_max_entries(max_entries);
-        self
-    }
-
     /// The compiled Bernoulli(`p`) trace of `seed`'s traffic stream over
     /// `slots` slots of the plan's node set, building and inserting it on
-    /// first use. Concurrent misses on the same key wait for a single build.
+    /// first use.
     ///
     /// # Errors
     ///
@@ -426,21 +370,8 @@ impl TraceCache {
         p: f64,
         slots: u64,
     ) -> Result<(Arc<TrafficTrace>, bool)> {
-        let key = TraceKey {
-            plan: plan.fingerprint(),
-            seed,
-            p_bits: p.to_bits(),
-            slots,
-            nodes: plan.num_nodes() as u64,
-            stream: latsched_lattice::TRAFFIC_STREAM,
-        };
-        let result = self
-            .inner
-            .get_or_build_tracked(key, || TrafficTrace::bernoulli(plan, seed, p, slots));
-        if let Ok((_, hit)) = result {
-            note_lookup(CacheTier::Traces, hit);
-        }
-        result
+        let key = TraceKey::new(plan, seed, p, slots, latsched_lattice::TRAFFIC_STREAM);
+        self.lookup(key, || TrafficTrace::bernoulli(plan, seed, p, slots))
     }
 
     /// The compiled slotted-ALOHA decision bitmap of `seed`'s MAC stream over
@@ -460,84 +391,9 @@ impl TraceCache {
         p: f64,
         slots: u64,
     ) -> Result<Arc<TrafficTrace>> {
-        self.get_or_build_mac_tracked(plan, seed, p, slots)
+        let key = TraceKey::new(plan, seed, p, slots, latsched_lattice::MAC_STREAM);
+        self.lookup(key, || TrafficTrace::aloha_decisions(plan, seed, p, slots))
             .map(|(v, _)| v)
-    }
-
-    /// [`TraceCache::get_or_build_mac`], also reporting whether this lookup
-    /// hit the cache.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TraceCache::get_or_build_mac`].
-    pub fn get_or_build_mac_tracked(
-        &self,
-        plan: &FramePlan,
-        seed: u64,
-        p: f64,
-        slots: u64,
-    ) -> Result<(Arc<TrafficTrace>, bool)> {
-        let key = TraceKey {
-            plan: plan.fingerprint(),
-            seed,
-            p_bits: p.to_bits(),
-            slots,
-            nodes: plan.num_nodes() as u64,
-            stream: latsched_lattice::MAC_STREAM,
-        };
-        let result = self
-            .inner
-            .get_or_build_tracked(key, || TrafficTrace::aloha_decisions(plan, seed, p, slots));
-        if let Ok((_, hit)) = result {
-            note_lookup(CacheTier::Traces, hit);
-        }
-        result
-    }
-
-    /// Number of cached traces.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Number of lookups that had to build.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// A point-in-time hit/miss/entry snapshot.
-    pub fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    /// Drops every cached trace (counters are kept).
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
-
-impl Default for TraceCache {
-    fn default() -> Self {
-        TraceCache::new()
-    }
-}
-
-impl std::fmt::Debug for TraceCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceCache")
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
     }
 }
 
@@ -545,16 +401,19 @@ impl std::fmt::Debug for TraceCache {
 /// the box region (dimension plus corner coordinates) and of the shape's
 /// offset set, with the point count as a safety margin.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct AdjacencyKey {
+pub struct AdjacencyKey {
     region: u64,
     shape: u64,
     points: u64,
 }
 
-/// Default entry bound of an [`AdjacencyCache`]: adjacencies are O(window ×
-/// shape) CSR structures — multi-megabyte on large windows — so the default
-/// store resets wholesale after this many distinct (region, shape) pairs.
-const DEFAULT_MAX_ADJACENCIES: usize = 64;
+/// Adjacencies are O(window × shape) CSR structures — multi-megabyte on
+/// large windows — so the adjacency tier resets wholesale after 64 distinct
+/// (region, shape) pairs.
+impl TierKey for AdjacencyKey {
+    const TIER: CacheTier = CacheTier::Adjacencies;
+    const MAX_ENTRIES: usize = 64;
+}
 
 /// A sharded, thread-safe cache of window interference adjacencies, keyed by
 /// the content of the (box region, neighbourhood shape) pair.
@@ -579,35 +438,13 @@ const DEFAULT_MAX_ADJACENCIES: usize = 64;
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct AdjacencyCache {
-    inner: ArtifactStore<AdjacencyKey, InterferenceCsr>,
-}
+pub type AdjacencyCache = Tier<AdjacencyKey, InterferenceCsr>;
 
 impl AdjacencyCache {
-    /// An empty cache with the default shard count and entry bound.
-    pub fn new() -> Self {
-        AdjacencyCache::with_shards(crate::store::DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with an explicit shard count (at least 1) and the
-    /// default entry bound.
-    pub fn with_shards(shards: usize) -> Self {
-        AdjacencyCache {
-            inner: ArtifactStore::with_shards(shards).with_max_entries(DEFAULT_MAX_ADJACENCIES),
-        }
-    }
-
-    /// Sets the maximum number of cached adjacencies (at least 1); inserting
-    /// beyond it resets the cache wholesale.
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.inner = std::mem::take(&mut self.inner).with_max_entries(max_entries);
-        self
-    }
-
     /// The interference adjacency of all lattice sensors in `region` under
     /// the homogeneous neighbourhood `shape` (see
     /// [`crate::sweep::grid_adjacency`]), building and inserting it on first
-    /// use. Concurrent misses on the same key wait for a single build.
+    /// use.
     ///
     /// # Errors
     ///
@@ -650,76 +487,28 @@ impl AdjacencyCache {
             ),
             points: region.len(),
         };
-        let result = self
-            .inner
-            .get_or_build_tracked(key, || crate::sweep::grid_adjacency(region, shape));
-        if let Ok((_, hit)) = result {
-            note_lookup(CacheTier::Adjacencies, hit);
-        }
-        result
-    }
-
-    /// Number of cached adjacencies.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Number of lookups that had to build.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// A point-in-time hit/miss/entry snapshot.
-    pub fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    /// Drops every cached adjacency (counters are kept).
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
-
-impl Default for AdjacencyCache {
-    fn default() -> Self {
-        AdjacencyCache::new()
-    }
-}
-
-impl std::fmt::Debug for AdjacencyCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdjacencyCache")
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
+        self.lookup(key, || crate::sweep::grid_adjacency(region, shape))
     }
 }
 
 /// The content-addressed key of a cached search outcome: the scenario's
 /// content fingerprint (shape, window, slots, traffic, seeds, retries) and
 /// the objective fingerprint (objective, families, budget, top) — see
-/// [`crate::search`], which derives both.
+/// [`SearchSpec::fingerprints`](crate::SearchSpec::fingerprints), which
+/// derives both.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct SearchKey {
+pub struct SearchKey {
     scenario: u64,
     objective: u64,
 }
 
-/// Default entry bound of a [`SearchCache`]: outcomes hold per-candidate
-/// streaming folds (a few kilobytes each), so the default store resets
-/// wholesale after this many distinct (scenario, objective) pairs.
-const DEFAULT_MAX_SEARCHES: usize = 64;
+/// Outcomes hold per-candidate streaming folds (a few kilobytes each), so
+/// the search tier resets wholesale after 64 distinct (scenario, objective)
+/// pairs.
+impl TierKey for SearchKey {
+    const TIER: CacheTier = CacheTier::Searches;
+    const MAX_ENTRIES: usize = 64;
+}
 
 /// A sharded, thread-safe cache of ranked [`SearchOutcome`]s, keyed by
 /// `(scenario fingerprint, objective fingerprint)`.
@@ -730,34 +519,11 @@ const DEFAULT_MAX_SEARCHES: usize = 64;
 /// a warm hit here skips candidate evaluation entirely: repeated searches of
 /// the same scenario under the same objective resolve without touching the
 /// schedule, plan, adjacency or trace tiers at all.
-pub struct SearchCache {
-    inner: ArtifactStore<SearchKey, SearchOutcome>,
-}
+pub type SearchCache = Tier<SearchKey, SearchOutcome>;
 
 impl SearchCache {
-    /// An empty cache with the default shard count and entry bound.
-    pub fn new() -> Self {
-        SearchCache::with_shards(crate::store::DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with an explicit shard count (at least 1) and the
-    /// default entry bound.
-    pub fn with_shards(shards: usize) -> Self {
-        SearchCache {
-            inner: ArtifactStore::with_shards(shards).with_max_entries(DEFAULT_MAX_SEARCHES),
-        }
-    }
-
-    /// Sets the maximum number of cached outcomes (at least 1); inserting
-    /// beyond it resets the cache wholesale.
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.inner = std::mem::take(&mut self.inner).with_max_entries(max_entries);
-        self
-    }
-
     /// The search outcome of the given `(scenario, objective)` fingerprint
     /// pair, running `build` and inserting its result on first use.
-    /// Concurrent misses on the same key wait for a single search.
     ///
     /// # Errors
     ///
@@ -789,57 +555,7 @@ impl SearchCache {
             scenario,
             objective,
         };
-        let result = self.inner.get_or_build_tracked(key, build);
-        if let Ok((_, hit)) = result {
-            note_lookup(CacheTier::Searches, hit);
-        }
-        result
-    }
-
-    /// Number of cached outcomes.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Number of lookups that had to search.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// A point-in-time hit/miss/entry snapshot.
-    pub fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    /// Drops every cached outcome (counters are kept).
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
-
-impl Default for SearchCache {
-    fn default() -> Self {
-        SearchCache::new()
-    }
-}
-
-impl std::fmt::Debug for SearchCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SearchCache")
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
+        self.lookup(key, build)
     }
 }
 
@@ -876,7 +592,7 @@ mod tests {
 
     #[test]
     fn distinct_shapes_get_distinct_entries() {
-        let cache = ScheduleCache::with_shards(4);
+        let cache = ScheduleCache::new();
         let moore = cache.get_or_compile(&shapes::moore()).unwrap();
         let antenna = cache
             .get_or_compile(&shapes::directional_antenna())
@@ -923,15 +639,15 @@ mod tests {
 
     #[test]
     fn zero_shard_request_is_clamped() {
-        let cache = ScheduleCache::with_shards(0);
-        assert!(cache.get_or_compile(&shapes::moore()).is_ok());
-        assert!(PlanCache::with_shards(0)
-            .get_or_build(
-                &[0],
-                1,
-                &InterferenceCsr::from_lists::<Vec<usize>>(&[vec![]]).unwrap()
-            )
-            .is_ok());
+        // Tiers always use the default shard count; the store they wrap
+        // clamps an explicit zero to one shard.
+        let store = ArtifactStore::with_shards(0);
+        let moore = shapes::moore();
+        let compiled = store
+            .get_or_build(moore.to_points(), || compile_shape(&moore))
+            .unwrap();
+        assert_eq!(compiled.num_slots(), 9);
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -974,13 +690,15 @@ mod tests {
     #[test]
     fn plan_cache_entry_bound_resets_wholesale() {
         let adjacency = InterferenceCsr::from_lists(&[vec![1], vec![0, 2], vec![1]]).unwrap();
-        let cache = PlanCache::new().with_max_entries(2);
-        cache.get_or_build(&[0, 1, 2], 3, &adjacency).unwrap();
-        cache.get_or_build(&[0, 1, 0], 3, &adjacency).unwrap();
-        assert_eq!(cache.len(), 2);
+        let cache = PlanCache::new();
+        // Distinct periods make distinct keys: fill the tier to its bound.
+        for period in 3..3 + PlanKey::MAX_ENTRIES {
+            cache.get_or_build(&[0, 1, 2], period, &adjacency).unwrap();
+        }
+        assert_eq!(cache.len(), PlanKey::MAX_ENTRIES);
         // A known key at capacity still hits without clearing.
         cache.get_or_build(&[0, 1, 2], 3, &adjacency).unwrap();
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), PlanKey::MAX_ENTRIES);
         assert_eq!(cache.hits(), 1);
         // A new key at capacity resets the cache, then inserts.
         cache.get_or_build(&[2, 1, 0], 3, &adjacency).unwrap();
@@ -1062,11 +780,14 @@ mod tests {
     #[test]
     fn trace_cache_entry_bound_resets_wholesale() {
         let plan = line_plan(&[0, 1, 2], 3);
-        let cache = TraceCache::new().with_max_entries(2);
-        cache.get_or_build(&plan, 1, 0.1, 32).unwrap();
-        cache.get_or_build(&plan, 2, 0.1, 32).unwrap();
-        assert_eq!(cache.len(), 2);
-        cache.get_or_build(&plan, 3, 0.1, 32).unwrap();
+        let cache = TraceCache::new();
+        for seed in 0..TraceKey::MAX_ENTRIES as u64 {
+            cache.get_or_build(&plan, seed, 0.1, 32).unwrap();
+        }
+        assert_eq!(cache.len(), TraceKey::MAX_ENTRIES);
+        cache
+            .get_or_build(&plan, TraceKey::MAX_ENTRIES as u64, 0.1, 32)
+            .unwrap();
         assert_eq!(cache.len(), 1, "new key at capacity resets wholesale");
     }
 
@@ -1099,17 +820,15 @@ mod tests {
 
     #[test]
     fn adjacency_cache_entry_bound_resets_wholesale() {
-        let cache = AdjacencyCache::new().with_max_entries(2);
+        // 3×3 windows at distinct offsets are distinct keys.
+        let window = |x: i64| BoxRegion::new(Point::new(vec![x, 0]), Point::new(vec![x + 2, 2]));
+        let cache = AdjacencyCache::new();
         let shape = shapes::moore();
-        for side in [3, 4] {
-            cache
-                .get_or_build(&BoxRegion::square_window(2, side).unwrap(), &shape)
-                .unwrap();
+        for x in 0..AdjacencyKey::MAX_ENTRIES as i64 {
+            cache.get_or_build(&window(x).unwrap(), &shape).unwrap();
         }
-        assert_eq!(cache.len(), 2);
-        cache
-            .get_or_build(&BoxRegion::square_window(2, 5).unwrap(), &shape)
-            .unwrap();
+        assert_eq!(cache.len(), AdjacencyKey::MAX_ENTRIES);
+        cache.get_or_build(&window(-1).unwrap(), &shape).unwrap();
         assert_eq!(cache.len(), 1, "new key at capacity resets wholesale");
     }
 

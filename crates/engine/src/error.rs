@@ -60,6 +60,17 @@ pub enum EngineError {
     /// An underlying graph-coloring computation failed; the string names the
     /// error.
     Coloring(String),
+    /// One run of a sweep or search grid panicked. The band executor caught
+    /// the panic and names the run, which the counter RNG makes replayable.
+    RunPanicked {
+        /// The run's index in grid order.
+        run: usize,
+        /// The run's `(window or candidate, traffic, retries, seed)`
+        /// coordinate.
+        coordinate: String,
+        /// The panic message.
+        message: String,
+    },
     /// An underlying schedule computation failed.
     Schedule(ScheduleError),
     /// An underlying tiling computation failed.
@@ -102,6 +113,11 @@ impl fmt::Display for EngineError {
                 write!(f, "invalid kernel configuration: {msg}")
             }
             EngineError::Coloring(msg) => write!(f, "coloring error: {msg}"),
+            EngineError::RunPanicked {
+                run,
+                coordinate,
+                message,
+            } => write!(f, "run {run} ({coordinate}) panicked: {message}"),
             EngineError::Schedule(e) => write!(f, "schedule error: {e}"),
             EngineError::Tiling(e) => write!(f, "tiling error: {e}"),
             EngineError::Lattice(e) => write!(f, "lattice error: {e}"),

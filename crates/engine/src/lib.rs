@@ -32,9 +32,11 @@
 //!    ~85× the reference simulator on a 256×256 window). Stochastic workloads
 //!    (Bernoulli traffic, slotted ALOHA) replay bit-identically through the
 //!    counter-based [`CounterRng`] — every draw is `hash(seed, node, slot)`.
-//! 5. The tiered artifact pipeline — one generic [`ArtifactStore`] (sharded,
-//!    single-flight, bounded, observable) backs five content-addressed
-//!    tiers: [`ScheduleCache`] (shape → compiled schedule), [`AdjacencyCache`]
+//! 5. The tiered artifact pipeline — five content-addressed tiers, each a
+//!    generic [`Tier`] over one [`ArtifactStore`] (sharded, single-flight,
+//!    bounded) whose one lookup counts its hit or miss into the requesting
+//!    sweep's or search's telemetry recording: [`ScheduleCache`] (shape →
+//!    compiled schedule), [`AdjacencyCache`]
 //!    ((window region, shape) → interference adjacency), [`PlanCache`]
 //!    ((assignment, adjacency) → fused plan), [`TraceCache`]
 //!    ((plan fingerprint, seed, load, slots) → compiled [`TrafficTrace`],
@@ -69,13 +71,16 @@
 //!    `latsched_core::optimality`; the ranked outcome itself is
 //!    content-addressed in tier 5, so warm re-runs skip candidate
 //!    enumeration and simulation entirely (`engine-cli search`).
-//! 9. Runtime telemetry — the [`telemetry`] registry traces every pipeline
-//!    stage (RAII spans into log₂ duration histograms and a nested
-//!    stage-time tree) and counts every kernel fast-path dispatch and cache
-//!    tier lookup; disabled it costs one relaxed atomic load per site, and
-//!    enabled it exports as a [`TelemetrySnapshot`] embedded in sweep/search
-//!    reports, a human profile (`engine-cli sweep --profile`) and Prometheus
-//!    text exposition (`engine-cli --metrics-out FILE`).
+//! 9. Runtime telemetry — every [`run_sweep`] and [`run_search`] records
+//!    into its own [`telemetry`](mod@telemetry) recorder, merged from its
+//!    bands in band order: every kernel fast-path dispatch and cache-tier
+//!    lookup counts once, in the request that made it, and profiled requests
+//!    also trace every pipeline stage (RAII spans into exact-maximum, log₂
+//!    duration statistics and a nested stage-time tree). A profiled request
+//!    embeds its [`TelemetrySnapshot`] in its report, prints as a human
+//!    profile (`engine-cli sweep --profile`) and merges into the process
+//!    totals behind Prometheus text exposition (`engine-cli --metrics-out
+//!    FILE`).
 //!
 //! Underneath the table queries, 2-D and 3-D schedules use the
 //! dimension-specialized `latsched_lattice::FixedReducer`, which
@@ -126,7 +131,10 @@ pub use aggregate::{
     count_values, fold_full_report, FieldFold, GroupAxis, GroupBy, GroupFolds, GroupKey,
     GroupReport, GroupSpec, Log2Histogram, OnlineFold, RatioHistogram, COUNT_FIELDS,
 };
-pub use cache::{compile_shape, AdjacencyCache, PlanCache, ScheduleCache, SearchCache, TraceCache};
+pub use cache::{
+    compile_shape, AdjacencyCache, AdjacencyKey, PlanCache, PlanKey, ScheduleCache, SearchCache,
+    SearchKey, Tier, TierKey, TraceCache, TraceKey,
+};
 pub use compiled::CompiledSchedule;
 pub use error::{EngineError, Result};
 pub use frames::{FramePlan, FrameSchedule, InterferenceCsr};

@@ -120,7 +120,12 @@ unsafe impl<T: Send> Sync for SlicePtr<T> {}
 ///
 /// Slices shorter than `min_parallel` (or single-threaded processes) fill on
 /// the calling thread, exactly like [`fill_chunks_min`].
-pub fn steal_chunks<T, F>(out: &mut [T], min_parallel: usize, chunk_len: usize, fill: F)
+///
+/// Returns the number of chunk claims workers took: `⌈len / chunk_len⌉` when
+/// workers ran (every chunk is claimed exactly once), 0 when the calling
+/// thread filled the slice itself. The band executor records it as
+/// [`Counter::StealClaims`](crate::telemetry::Counter::StealClaims).
+pub fn steal_chunks<T, F>(out: &mut [T], min_parallel: usize, chunk_len: usize, fill: F) -> usize
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -129,10 +134,11 @@ where
     let threads = worker_threads();
     if len < min_parallel.max(2) || threads < 2 {
         fill(0, out);
-        return;
+        return 0;
     }
     let chunk_len = chunk_len.max(1);
-    let workers = threads.min(len.div_ceil(chunk_len));
+    let claims = len.div_ceil(chunk_len);
+    let workers = threads.min(claims);
     let next = AtomicUsize::new(0);
     let base = SlicePtr(out.as_mut_ptr());
     std::thread::scope(|scope| {
@@ -145,9 +151,6 @@ where
                 if start >= len {
                     break;
                 }
-                // One claim that yielded work; telemetry-gated, so the claim
-                // loop stays a bare fetch_add when profiling is off.
-                crate::telemetry::telemetry().count(crate::telemetry::Counter::StealClaims, 1);
                 let take = chunk_len.min(len - start);
                 // SAFETY: `start` came from a unique `fetch_add` claim, so
                 // `[start, start + take)` ranges never overlap across workers
@@ -157,6 +160,7 @@ where
             });
         }
     });
+    claims
 }
 
 #[cfg(test)]
@@ -204,13 +208,15 @@ mod tests {
     fn stolen_chunks_fill_every_element_exactly_once() {
         for &(len, chunk) in &[(1usize, 1usize), (24, 1), (100, 7), (257, 64), (64, 64)] {
             let mut out = vec![usize::MAX; len];
-            steal_chunks(&mut out, 2, chunk, |offset, chunk| {
+            let claims = steal_chunks(&mut out, 2, chunk, |offset, chunk| {
                 for (i, v) in chunk.iter_mut().enumerate() {
                     assert_eq!(*v, usize::MAX, "element claimed twice");
                     *v = (offset + i) * 3;
                 }
             });
             assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
+            let parallel = len >= 2 && worker_threads() >= 2;
+            assert_eq!(claims, if parallel { len.div_ceil(chunk) } else { 0 });
         }
     }
 

@@ -291,7 +291,9 @@ impl fmt::Display for ScenarioReport {
 pub fn run_scenario(scenario: &Scenario, cache: &ScheduleCache) -> Result<ScenarioReport> {
     let shape = scenario.shape.prototile()?;
     let compile_start = Instant::now();
-    let compiled = cache.get_or_compile(&shape)?;
+    // The lookup is one telemetry request, so profiled runs count it (and
+    // its compile span) in the process totals.
+    let compiled = crate::telemetry::request(|| cache.get_or_compile(&shape)).0?;
     let compile_seconds = compile_start.elapsed().as_secs_f64();
 
     let region = scenario.region()?;

@@ -52,7 +52,7 @@ use crate::frames::fingerprint_words;
 use crate::scenario::{get_u64, invalid, ShapeSpec};
 use crate::simkernel::KernelMac;
 use crate::sweep::{GridContext, SeedAxis, SweepCacheStats, SweepCaches, SweepTraffic};
-use crate::telemetry::{span, telemetry, Stage, TelemetrySnapshot};
+use crate::telemetry::{self, span, Counter, Stage, TelemetrySnapshot};
 use crate::FramePlan;
 use latsched_coloring::{
     annealing_coloring, dsatur_coloring, exact_coloring, greedy_coloring, tdma_coloring,
@@ -518,13 +518,14 @@ pub struct SearchReport {
     pub from_cache: bool,
     /// Wall-clock seconds of this invocation.
     pub seconds: f64,
-    /// Per-tier cache counters over this invocation, tallied per lookup so
-    /// they stay exact when concurrent searches or sweeps share the caches.
+    /// Per-tier cache counters over this invocation, read from its own
+    /// recording so they stay exact when concurrent searches or sweeps share
+    /// the caches.
     pub caches: SweepCacheStats,
     /// The (possibly cached) ranked outcome.
     pub outcome: Arc<SearchOutcome>,
-    /// Telemetry movement over this invocation, captured as a registry delta
-    /// when telemetry was enabled; `None` otherwise.
+    /// This invocation's telemetry recording when telemetry was enabled as
+    /// it started; `None` otherwise.
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -685,13 +686,10 @@ fn execute_search(
     spec: &SearchSpec,
     shape: &Prototile,
     caches: &SweepCaches,
-    tally: &mut SweepCacheStats,
 ) -> Result<SearchOutcome> {
     let _span = span(Stage::SearchCompile);
     let region = BoxRegion::square_window(spec.shape.dim(), spec.window)?;
-    let adjacency = tally
-        .adjacencies
-        .count(caches.adjacencies.get_or_build_tracked(&region, shape))?;
+    let adjacency = caches.adjacencies.get_or_build(&region, shape)?;
     let nodes = adjacency.num_nodes();
     let deployment = Deployment::Homogeneous(shape.clone());
     let lower_bound = optimality::slot_lower_bound(&deployment);
@@ -711,9 +709,7 @@ fn execute_search(
             // (`find_tiling` takes the first), so candidate 0 shares the
             // cached table; later witnesses are per-search artifacts.
             let compiled = if i == 0 {
-                tally
-                    .schedules
-                    .count(caches.schedules.get_or_compile_tracked(shape))?
+                caches.schedules.get_or_compile(shape)?
             } else {
                 Arc::new(CompiledSchedule::compile(&schedule)?)
             };
@@ -723,10 +719,7 @@ fn execute_search(
                 .map(usize::from)
                 .collect();
             let period = compiled.num_slots();
-            let lookup = caches
-                .plans
-                .get_or_build_tracked(&assignment, period, &adjacency);
-            let plan = tally.plans.count(lookup)?;
+            let plan = caches.plans.get_or_build(&assignment, period, &adjacency)?;
             candidates.push(Candidate {
                 family: SearchFamily::Lattice,
                 generator,
@@ -745,10 +738,9 @@ fn execute_search(
         let conflicts = graph.conflict_graph();
         for (name, coloring) in coloring_candidates(&conflicts, budget)? {
             let period = coloring.colors_used.max(1);
-            let lookup = caches
+            let plan = caches
                 .plans
-                .get_or_build_tracked(&coloring.colors, period, &adjacency);
-            let plan = tally.plans.count(lookup)?;
+                .get_or_build(&coloring.colors, period, &adjacency)?;
             candidates.push(Candidate {
                 family: SearchFamily::Coloring,
                 generator: name.to_string(),
@@ -771,14 +763,19 @@ fn execute_search(
     let rpc = spec.runs_per_candidate();
     let mut grid = GridContext::new(
         candidates.iter().map(|c| Arc::clone(&c.plan)).collect(),
+        candidates
+            .iter()
+            .enumerate()
+            .map(|(id, c)| format!("candidate {id} ({})", c.generator))
+            .collect(),
         spec.slots,
         &spec.traffic,
         &spec.retries,
         &spec.seeds,
         KernelMac::Scheduled,
     );
-    grid.fetch_traces(&caches.traces, &mut tally.traces)?;
-    let folds = grid.fold_groups(Stage::SearchCompile, candidates.len(), |run| run / rpc)?;
+    grid.fetch_traces(&caches.traces)?;
+    let folds = grid.fold_groups(candidates.len(), |run| run / rpc)?;
 
     // Score and rank.
     let lattice_candidates = candidates
@@ -826,39 +823,38 @@ fn execute_search(
 /// [`SearchOutcome`] if one exists; otherwise the search executes cold
 /// (enumerate → compile through tiers 1–4 → simulate → rank) and its outcome
 /// is inserted. The report's `from_cache` flag and per-tier counters say
-/// which happened.
+/// which happened; the search is one telemetry request, so they come from
+/// its own recording.
 ///
 /// # Errors
 ///
-/// Propagates spec-resolution, enumeration, compilation and kernel errors.
+/// Propagates spec-resolution, enumeration, compilation and kernel errors,
+/// and [`EngineError::RunPanicked`] for an evaluation run that panicked.
 pub fn run_search(spec: &SearchSpec, caches: &SweepCaches) -> Result<SearchReport> {
-    // Per-lookup tally, threaded through the cold path: exact per-search
-    // attribution even when other searches or sweeps share the caches.
-    let mut tally = SweepCacheStats::default();
-    let telemetry_before = telemetry().enabled().then(|| telemetry().snapshot());
     let start = Instant::now();
-    let shape = spec.shape.prototile()?;
-    if spec.runs_per_candidate() == 0 {
-        return Err(invalid("search evaluation grid is empty"));
-    }
-    let (scenario, objective) = spec.fingerprints(&shape);
-    let lookup = caches
-        .searches
-        .get_or_build_tracked(scenario, objective, || {
-            execute_search(spec, &shape, caches, &mut tally)
-        });
-    let outcome = tally.searches.count(lookup)?;
-    let from_cache = tally.searches.hits > 0;
+    let (outcome, recording, profiled) = telemetry::request(|| {
+        let shape = spec.shape.prototile()?;
+        if spec.runs_per_candidate() == 0 {
+            return Err(invalid("search evaluation grid is empty"));
+        }
+        let (scenario, objective) = spec.fingerprints(&shape);
+        caches
+            .searches
+            .get_or_build(scenario, objective, || execute_search(spec, &shape, caches))
+    });
+    let outcome = outcome?;
     Ok(SearchReport {
         name: spec.name.clone(),
         objective: spec.objective,
         window: spec.window,
         slots: spec.slots,
-        from_cache,
+        // The request makes one search-tier lookup: a hit means tier 5
+        // answered warm.
+        from_cache: recording.counter(Counter::SearchHits) > 0,
         seconds: start.elapsed().as_secs_f64(),
-        caches: tally.with_entries(caches),
+        caches: SweepCacheStats::recorded(&recording, caches),
         outcome,
-        telemetry: telemetry_before.map(|before| telemetry().snapshot().since(&before)),
+        telemetry: profiled.then_some(recording),
     })
 }
 

@@ -426,7 +426,7 @@ impl TrafficTrace {
     /// over the plan's node set, compiled into slot-major bitmaps.
     fn build(plan: &FramePlan, rng: CounterRng, p: f64, slots: u64) -> Result<TrafficTrace> {
         let _span = crate::telemetry::span(crate::telemetry::Stage::TraceCompile);
-        crate::telemetry::telemetry().count(crate::telemetry::Counter::TraceCompilations, 1);
+        crate::telemetry::count(crate::telemetry::Counter::TraceCompilations, 1);
         if !(0.0..=1.0).contains(&p) {
             return Err(EngineError::InvalidKernelConfig(
                 "bernoulli probability must be in [0, 1]".into(),
@@ -809,10 +809,10 @@ pub fn run_frames_loop(plan: &FramePlan, config: &KernelConfig) -> Result<Kernel
 /// Bumps the dispatch-path counter of one kernel run — every
 /// [`run_frames_impl`] call and every lane-kernel seed passes through exactly
 /// one of these, so the six dispatch counters sum to the number of simulated
-/// runs (a no-op while telemetry is disabled).
+/// runs (a no-op outside any telemetry request).
 #[inline]
 fn note_dispatch(counter: crate::telemetry::Counter, runs: u64) {
-    crate::telemetry::telemetry().count(counter, runs);
+    crate::telemetry::count(counter, runs);
 }
 
 fn run_frames_impl(
@@ -1700,10 +1700,10 @@ impl LaneTally {
 /// sets widen to lane words, slotted-ALOHA decisions come from batched
 /// counter-RNG lane draws ([`CounterRng::bernoulli_lanes`] over per-`(node,
 /// lane)` hoisted keys), and interference resolves lane-parallel with the
-/// same saturating once/twice masks as [`SlotBuffers::resolve`] — one `u64`
+/// same saturating once/twice masks as `SlotBuffers::resolve` — one `u64`
 /// operation where the scalar kernel pays one per seed. Accounting is
 /// bit-planed too: transmissions, deliveries, drops, receptions and rx
-/// exposure accumulate through [`LaneTally`] transposed popcounts, retry
+/// exposure accumulate through `LaneTally` transposed popcounts, retry
 /// counters live as per-node bit planes incremented by a masked half-adder
 /// chain (with the retry-budget comparison folded into the same pass), and
 /// collisions follow by conservation (`deg·tx − receptions`) instead of a
@@ -1796,10 +1796,9 @@ pub fn run_frames_lanes(
     // Validation is done: one lane batch, and each seed is one simulated run
     // on its lane dispatch path.
     {
-        use crate::telemetry::Counter;
-        let registry = crate::telemetry::telemetry();
-        registry.count(Counter::LaneBatches, 1);
-        registry.count(Counter::LaneRuns, lanes as u64);
+        use crate::telemetry::{count, Counter};
+        count(Counter::LaneBatches, 1);
+        count(Counter::LaneRuns, lanes as u64);
         note_dispatch(
             if bernoulli_p.is_some() {
                 Counter::DispatchLaneBernoulli

@@ -1,10 +1,9 @@
 //! The generic artifact store: the sharded, single-flight, bounded cache core
 //! every compiled-artifact tier of the engine is built on.
 //!
-//! The engine compiles three kinds of content-addressed artifacts — Theorem 1
-//! schedule tables, fused frame plans, and traffic traces — and before this
-//! module each had its own ad-hoc memoization. [`ArtifactStore`] extracts the
-//! shared mechanics once:
+//! The engine compiles five kinds of content-addressed artifacts — Theorem 1
+//! schedule tables, window adjacencies, fused frame plans, traffic traces and
+//! search outcomes — and [`ArtifactStore`] holds the mechanics they share:
 //!
 //! * **Sharding.** Entries are spread across several mutex-protected maps so
 //!   concurrent scenario runners do not serialize on a single lock.
@@ -19,13 +18,13 @@
 //!   when a new key arrives at capacity — entries are content-addressed and
 //!   rebuildable, so wholesale reset beats recency bookkeeping for the
 //!   engine's workloads (sweeps touch far fewer artifacts than any bound).
-//! * **Observability.** Hit/miss/entry counters are exposed as a
-//!   [`StoreStats`] snapshot, which the sweep engine aggregates per tier into
-//!   its reports.
+//! * **Observability.** Lifetime hit/miss/entry counters are exposed as a
+//!   [`StoreStats`] snapshot (`engine-cli --stats` prints them per tier).
 //!
-//! The typed tiers — [`ScheduleCache`](crate::ScheduleCache),
-//! [`PlanCache`](crate::PlanCache) and [`TraceCache`](crate::TraceCache) — are
-//! thin key-derivation wrappers in [`crate::cache`].
+//! Every tier is a [`Tier`](crate::Tier) over one store (see
+//! [`crate::cache`]): its one lookup also counts the hit or miss into the
+//! recorder of the request that made it, which is where sweep and search
+//! reports read their per-request cache counters.
 
 use crate::error::Result;
 use std::collections::HashMap;
@@ -35,7 +34,7 @@ use std::sync::{Arc, Mutex};
 
 /// The default shard count; a small power of two comfortably above the number
 /// of concurrent scenario runners.
-pub(crate) const DEFAULT_SHARDS: usize = 16;
+const DEFAULT_SHARDS: usize = 16;
 
 /// A per-key build slot: holds the built value once exactly one builder has
 /// produced it; racers block on the slot's mutex for the duration of the build.
@@ -44,8 +43,8 @@ type Slot<V> = Mutex<Option<Arc<V>>>;
 /// One mutex-protected shard of the key → build-slot map.
 type Shard<K, V> = Mutex<HashMap<K, Arc<Slot<V>>>>;
 
-/// A point-in-time snapshot of one store's counters, used by the sweep engine
-/// to report per-tier cache behaviour.
+/// A point-in-time snapshot of one store's counters (or, in a sweep or
+/// search report, one request's lookups on a tier beside its entry count).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StoreStats {
     /// Lookups answered from the store.
@@ -66,17 +65,6 @@ impl StoreStats {
             misses: self.misses - earlier.misses,
             entries: self.entries,
         }
-    }
-
-    /// Unwraps one tracked lookup (`(value, hit)`), counting its hit or miss.
-    pub(crate) fn count<T>(&mut self, lookup: Result<(T, bool)>) -> Result<T> {
-        let (value, hit) = lookup?;
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        Ok(value)
     }
 }
 
@@ -153,10 +141,10 @@ impl<K: Clone + Eq + Hash, V> ArtifactStore<K, V> {
     }
 
     /// [`ArtifactStore::get_or_build`], also reporting whether *this* lookup
-    /// was a hit — the per-lookup truth the sweep engine aggregates into its
-    /// per-sweep cache statistics, which stay exact even when concurrent
-    /// sweeps share the store (global counter deltas would attribute the
-    /// other sweep's traffic to both).
+    /// was a hit — the per-lookup truth a [`Tier`](crate::Tier) counts into
+    /// the requesting request's recorder, which stays exact even when
+    /// concurrent requests share the store (lifetime counter deltas would
+    /// attribute the other request's traffic to both).
     ///
     /// # Errors
     ///

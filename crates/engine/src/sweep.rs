@@ -34,7 +34,8 @@
 //!    mode, per-group folds in streaming mode — merged in band order, so the
 //!    [`SweepReport`] does not depend on which worker ran which band. The
 //!    report also carries per-tier cache hit/miss/entry counters
-//!    ([`SweepCacheStats`]).
+//!    ([`SweepCacheStats`]), read from the sweep's own telemetry recording
+//!    ([`crate::telemetry`]), whose bands merge in the same order.
 //!
 //! Because all three tiers are content-addressed, a *warm* repeat of a sweep
 //! (same [`SweepCaches`]) skips schedule compilation, plan fusion and trace
@@ -88,7 +89,7 @@ use crate::simkernel::{
     TrafficTrace, TRACE_WORD_LIMIT,
 };
 use crate::store::StoreStats;
-use crate::telemetry::{span, span_within, telemetry, Stage, TelemetrySnapshot};
+use crate::telemetry::{self, span, CacheTier, Counter, Origin, Stage, TelemetrySnapshot};
 use crate::FramePlan;
 use latsched_lattice::BoxRegion;
 use latsched_tiling::Prototile;
@@ -96,6 +97,7 @@ use serde_json::Value;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -609,16 +611,23 @@ impl SweepCacheStats {
         }
     }
 
-    /// This tally's hit/miss counts beside the caches' current entry counts
-    /// (entries are levels, not flows, so they come from the shared caches).
-    pub(crate) fn with_entries(mut self, caches: &SweepCaches) -> SweepCacheStats {
+    /// The per-tier lookups a request recorded, beside the caches' current
+    /// entry counts (entries are levels, not flows, so they come from the
+    /// shared caches).
+    pub(crate) fn recorded(recording: &TelemetrySnapshot, caches: &SweepCaches) -> Self {
         let levels = caches.stats();
-        self.schedules.entries = levels.schedules.entries;
-        self.adjacencies.entries = levels.adjacencies.entries;
-        self.plans.entries = levels.plans.entries;
-        self.traces.entries = levels.traces.entries;
-        self.searches.entries = levels.searches.entries;
-        self
+        let tier = |tier: CacheTier, level: StoreStats| StoreStats {
+            hits: recording.counter(tier.counter(true)),
+            misses: recording.counter(tier.counter(false)),
+            entries: level.entries,
+        };
+        SweepCacheStats {
+            schedules: tier(CacheTier::Schedules, levels.schedules),
+            adjacencies: tier(CacheTier::Adjacencies, levels.adjacencies),
+            plans: tier(CacheTier::Plans, levels.plans),
+            traces: tier(CacheTier::Traces, levels.traces),
+            searches: tier(CacheTier::Searches, levels.searches),
+        }
     }
 
     /// The stats as a JSON object (one `{hits, misses, entries}` object per
@@ -686,9 +695,10 @@ pub struct SweepReport {
     /// Runs executed per second (excluding setup).
     pub runs_per_second: f64,
     /// Per-tier cache counters: hits/misses over this sweep, entries at its
-    /// end. Hit/miss counts are tallied per lookup by this sweep, so they are
+    /// end. Hit/miss counts come from this sweep's own recording, so they are
     /// exact even when concurrent sweeps (or searches) share the caches —
-    /// a global-counter delta would attribute the other sweeps' lookups here.
+    /// a delta of the caches' lifetime counters would attribute the other
+    /// sweeps' lookups here.
     pub caches: SweepCacheStats,
     /// Element-wise sum of every run's counters.
     pub aggregate: KernelCounts,
@@ -699,9 +709,9 @@ pub struct SweepReport {
     /// Per-run reports, in grid order (windows × traffic × retries × seeds);
     /// empty in streaming mode, which never materializes them.
     pub per_run: Vec<SweepRunReport>,
-    /// Telemetry movement over this sweep (counters, stage timings and the
-    /// stage tree), captured as a registry delta when telemetry was enabled
-    /// for the run; `None` otherwise.
+    /// This sweep's telemetry recording (counters, stage timings and the
+    /// stage tree) when telemetry was enabled as it started; `None`
+    /// otherwise.
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -814,6 +824,9 @@ impl fmt::Display for SweepReport {
 pub(crate) struct GridContext<'a> {
     /// One fused plan per outer-axis value.
     plans: Vec<Arc<FramePlan>>,
+    /// One label per outer-axis value (`window 64`, `candidate 3 (dsatur)`),
+    /// naming a panicked run's coordinate.
+    outer: Vec<String>,
     slots: u64,
     traffic: &'a SweepTraffic,
     retries: &'a [u32],
@@ -830,7 +843,7 @@ pub(crate) struct GridContext<'a> {
 
 impl<'a> GridContext<'a> {
     /// The grid `plans × traffic × retries × seeds` under `mac`, with no
-    /// traces fetched yet.
+    /// traces fetched yet; `outer` labels the plans.
     ///
     /// ALOHA grids with a multi-seed axis run as lane batches: their runs need
     /// the slot loop (the MAC is stochastic), differ only in seed within one
@@ -839,6 +852,7 @@ impl<'a> GridContext<'a> {
     /// grids keep scalar runs, whose clean runs replay analytically.
     pub(crate) fn new(
         plans: Vec<Arc<FramePlan>>,
+        outer: Vec<String>,
         slots: u64,
         traffic: &'a SweepTraffic,
         retries: &'a [u32],
@@ -848,6 +862,7 @@ impl<'a> GridContext<'a> {
         GridContext {
             lanes: matches!(mac, KernelMac::Aloha { .. }) && seeds.len() > 1,
             plans,
+            outer,
             slots,
             traffic,
             retries,
@@ -859,18 +874,13 @@ impl<'a> GridContext<'a> {
     }
 
     /// Fetches the compiled traces the grid's scalar runs replay through the
-    /// trace tier, counting every lookup in `tally`: one Bernoulli generation
-    /// trace per (outer, load, seed), shared across the retry axis, and under
-    /// ALOHA one MAC decision bitmap per (outer, seed), shared across the load
-    /// and retry axes (plans past the trace size cap keep inline MAC draws).
-    /// Warm repeats over the same caches skip every draw compilation. Lane
-    /// grids fetch nothing: the lane kernel's inline draws are bit-identical
-    /// to replaying traces.
-    pub(crate) fn fetch_traces(
-        &mut self,
-        cache: &TraceCache,
-        tally: &mut StoreStats,
-    ) -> Result<()> {
+    /// trace tier: one Bernoulli generation trace per (outer, load, seed),
+    /// shared across the retry axis, and under ALOHA one MAC decision bitmap
+    /// per (outer, seed), shared across the load and retry axes (plans past
+    /// the trace size cap keep inline MAC draws). Warm repeats over the same
+    /// caches skip every draw compilation. Lane grids fetch nothing: the lane
+    /// kernel's inline draws are bit-identical to replaying traces.
+    pub(crate) fn fetch_traces(&mut self, cache: &TraceCache) -> Result<()> {
         let SweepTraffic::Bernoulli(loads) = self.traffic else {
             return Ok(());
         };
@@ -880,8 +890,7 @@ impl<'a> GridContext<'a> {
         for (o, plan) in self.plans.iter().enumerate() {
             for &p in loads {
                 for seed in self.seeds.iter() {
-                    let trace =
-                        tally.count(cache.get_or_build_tracked(plan, seed, p, self.slots))?;
+                    let trace = cache.get_or_build(plan, seed, p, self.slots)?;
                     self.traces.insert((o, seed, p.to_bits()), trace);
                 }
             }
@@ -892,8 +901,7 @@ impl<'a> GridContext<'a> {
                     continue;
                 }
                 for seed in self.seeds.iter() {
-                    let trace =
-                        tally.count(cache.get_or_build_mac_tracked(plan, seed, p, self.slots))?;
+                    let trace = cache.get_or_build_mac(plan, seed, p, self.slots)?;
                     self.mac_traces.insert((o, seed), trace);
                 }
             }
@@ -954,25 +962,55 @@ impl<'a> GridContext<'a> {
         }
     }
 
-    /// Executes one work item, handing `emit` each of its runs' index and
-    /// counters in run order. Lane batch `k` of a grid point covers seeds
-    /// `64k..` of it, so its run range is plain index arithmetic.
-    fn run_item(&self, item: usize, mut emit: impl FnMut(usize, &KernelCounts)) -> Result<()> {
+    /// The first run of a work item. Lane batch `k` of a grid point covers
+    /// seeds `64k..` of it, so its run range is plain index arithmetic.
+    fn first_run(&self, item: usize) -> usize {
         if !self.lanes {
-            let (plan, config) = self.run_config(item);
-            emit(item, &run_frames(plan, &config)?);
-            return Ok(());
+            return item;
         }
         let s = self.seeds.len();
         let batches = s.div_ceil(64);
-        let si = item % batches * 64;
-        let first = item / batches * s + si;
-        let seeds: Vec<u64> = (si..s.min(si + 64)).map(|i| self.seeds.get(i)).collect();
+        item / batches * s + item % batches * 64
+    }
+
+    /// Executes one work item, handing `emit` each of its runs' index and
+    /// counters in run order.
+    fn run_item(&self, item: usize, mut emit: impl FnMut(usize, &KernelCounts)) -> Result<()> {
+        let first = self.first_run(item);
         let (plan, config) = self.run_config(first);
+        if !self.lanes {
+            emit(first, &run_frames(plan, &config)?);
+            return Ok(());
+        }
+        let (s, si) = (self.seeds.len(), first % self.seeds.len());
+        let seeds: Vec<u64> = (si..s.min(si + 64)).map(|i| self.seeds.get(i)).collect();
         for (lane, counts) in run_frames_lanes(plan, &config, &seeds)?.iter().enumerate() {
             emit(first + lane, counts);
         }
         Ok(())
+    }
+
+    /// The error naming a run whose work item panicked.
+    fn panicked(&self, run: usize, payload: &(dyn std::any::Any + Send)) -> EngineError {
+        let (o, ti, ri, si) = self.coords(run);
+        let message = match payload.downcast_ref::<&str>() {
+            Some(m) => m.to_string(),
+            None => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default(),
+        };
+        EngineError::RunPanicked {
+            run,
+            coordinate: format!(
+                "{}, {}, retries {}, seed {}",
+                self.outer[o],
+                self.traffic.label(ti),
+                self.retries[ri],
+                self.seeds.get(si)
+            ),
+            message,
+        }
     }
 
     /// Executes the whole grid across the worker pool. The work items are cut
@@ -980,34 +1018,57 @@ impl<'a> GridContext<'a> {
     /// (4·workers)⌉` items, so stealing has slack to balance heterogeneous
     /// costs (analytic replays, slot loops, lane batches); each band folds its
     /// runs, in run order, into a fresh accumulator from `new` via `observe`.
-    /// The accumulators come back in band order, so an in-order merge does
-    /// not depend on which worker ran which band. `parent` is the stage the
-    /// workers' band spans nest under.
+    ///
+    /// Each band records its telemetry into a fresh recorder that starts from
+    /// the span path open here, and the band recordings merge into this
+    /// thread's recorder in band order, like the accumulators, which come
+    /// back in band order too: nothing depends on which worker ran which
+    /// band. A panicking work item fails its band with
+    /// [`EngineError::RunPanicked`] naming the run it was on.
     fn run_bands<A: Send>(
         &self,
-        parent: Stage,
         new: impl Fn() -> A + Sync,
         observe: impl Fn(&mut A, usize, &KernelCounts) + Sync,
     ) -> Result<Vec<A>> {
         let items = self.items();
         let per_band = items.div_ceil(4 * worker_threads()).max(1);
-        let mut bands: Vec<Option<Result<A>>> = Vec::new();
+        let origin = Origin::here();
+        let mut bands: Vec<Option<(Result<A>, TelemetrySnapshot)>> = Vec::new();
         bands.resize_with(items.div_ceil(per_band), || None);
-        steal_chunks(&mut bands, 2, 1, |offset, chunk| {
+        let claims = steal_chunks(&mut bands, 2, 1, |offset, chunk| {
             for (b, out) in chunk.iter_mut().enumerate() {
-                let _span = span_within(&[parent], Stage::SweepBand);
                 let start = (offset + b) * per_band;
-                let mut acc = new();
-                let done = (start..items.min(start + per_band)).try_for_each(|item| {
-                    self.run_item(item, |run, counts| observe(&mut acc, run, counts))
-                });
-                *out = Some(done.map(|()| acc));
+                *out = Some(telemetry::record(&origin, || {
+                    let _span = span(Stage::SweepBand);
+                    let mut acc = new();
+                    for item in start..items.min(start + per_band) {
+                        let mut at = self.first_run(item);
+                        // A panic discards the band's accumulator, so no
+                        // half-updated state outlives the unwind.
+                        let ran = catch_unwind(AssertUnwindSafe(|| {
+                            self.run_item(item, |run, counts| {
+                                at = run;
+                                observe(&mut acc, run, counts);
+                            })
+                        }));
+                        ran.unwrap_or_else(|payload| Err(self.panicked(at, &*payload)))?;
+                    }
+                    Ok(acc)
+                }));
             }
         });
-        bands
+        telemetry::count(Counter::StealClaims, claims as u64);
+        // Merge every band's recording, failed bands' too, before the first
+        // error (in band order) ends the collect.
+        let done: Vec<Result<A>> = bands
             .into_iter()
-            .map(|band| band.expect("every band is filled"))
-            .collect()
+            .map(|band| {
+                let (done, recorded) = band.expect("every band is filled");
+                telemetry::merge(&recorded);
+                done
+            })
+            .collect();
+        done.into_iter().collect()
     }
 
     /// Executes the grid folding every run into group `group_of(run)`: one
@@ -1016,12 +1077,10 @@ impl<'a> GridContext<'a> {
     /// for bit whatever the interleave.
     pub(crate) fn fold_groups(
         &self,
-        parent: Stage,
         num_groups: usize,
         group_of: impl Fn(usize) -> usize + Sync,
     ) -> Result<Vec<OnlineFold>> {
         let bands = self.run_bands(
-            parent,
             || GroupFolds::new(num_groups),
             |folds, run, counts| folds.observe(group_of(run), counts),
         )?;
@@ -1037,16 +1096,25 @@ impl<'a> GridContext<'a> {
 /// Runs one sweep: compile every shared artifact once (through the caches),
 /// execute the whole grid across all cores, and aggregate the counters —
 /// per run in full mode, or as online per-axis group folds in streaming mode
-/// (O(groups) report memory; `per_run` is never allocated).
+/// (O(groups) report memory; `per_run` is never allocated). The sweep is one
+/// telemetry request: its report's cache counters (and, when profiled, its
+/// `telemetry`) are its own recording.
 ///
 /// # Errors
 ///
-/// Propagates compilation, trace and kernel errors.
+/// Propagates compilation, trace and kernel errors, and
+/// [`EngineError::RunPanicked`] for a run that panicked.
 pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> {
-    // Per-lookup tally: every cache access below counts its own hit/miss
-    // outcome here, so the report's counters belong to this sweep alone.
-    let mut tally = SweepCacheStats::default();
-    let telemetry_before = telemetry().enabled().then(|| telemetry().snapshot());
+    let (report, recording, profiled) = telemetry::request(|| execute_sweep(spec, caches));
+    let mut report = report?;
+    report.caches = SweepCacheStats::recorded(&recording, caches);
+    report.telemetry = profiled.then_some(recording);
+    Ok(report)
+}
+
+/// [`run_sweep`]'s body, recording into the sweep's recorder; the report's
+/// `caches` and `telemetry` are left for [`run_sweep`] to fill in.
+fn execute_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> {
     let setup_start = Instant::now();
     let setup_span = span(Stage::SweepSetup);
     let shape = spec.shape.prototile()?;
@@ -1057,14 +1125,10 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
     let mut plans = Vec::with_capacity(spec.windows.len());
     for &window in &spec.windows {
         let region = BoxRegion::square_window(spec.shape.dim(), window)?;
-        let adjacency = tally
-            .adjacencies
-            .count(caches.adjacencies.get_or_build_tracked(&region, &shape))?;
+        let adjacency = caches.adjacencies.get_or_build(&region, &shape)?;
         let (assignment, period) = match spec.mac {
             SweepMac::Tiling => {
-                let compiled = tally
-                    .schedules
-                    .count(caches.schedules.get_or_compile_tracked(&shape))?;
+                let compiled = caches.schedules.get_or_compile(&shape)?;
                 let slots = compiled.slots_of_region(&region)?;
                 (
                     slots.into_iter().map(usize::from).collect::<Vec<usize>>(),
@@ -1075,10 +1139,7 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
             // 1-slot frame and the MAC thins candidates stochastically.
             SweepMac::Aloha { .. } => (vec![0usize; adjacency.num_nodes()], 1),
         };
-        let lookup = caches
-            .plans
-            .get_or_build_tracked(&assignment, period, &adjacency);
-        plans.push(tally.plans.count(lookup)?);
+        plans.push(caches.plans.get_or_build(&assignment, period, &adjacency)?);
     }
     let mac = match spec.mac {
         SweepMac::Tiling => KernelMac::Scheduled,
@@ -1086,13 +1147,14 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
     };
     let mut grid = GridContext::new(
         plans,
+        spec.windows.iter().map(|w| format!("window {w}")).collect(),
         spec.slots,
         &spec.traffic,
         &spec.retries,
         &spec.seeds,
         mac,
     );
-    grid.fetch_traces(&caches.traces, &mut tally.traces)?;
+    grid.fetch_traces(&caches.traces)?;
     // Resolve the grouping before the timed run phase so misconfigured specs
     // fail fast and bookkeeping counts as setup.
     let grouping = match &spec.mode {
@@ -1112,9 +1174,7 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
             let labels: Vec<String> = (0..spec.traffic.len())
                 .map(|ti| spec.traffic.label(ti))
                 .collect();
-            let bands = grid.run_bands(Stage::SweepRun, Vec::new, |runs, _, counts| {
-                runs.push(*counts)
-            })?;
+            let bands = grid.run_bands(Vec::new, |runs, _, counts| runs.push(*counts))?;
             let per_run = bands
                 .into_iter()
                 .flatten()
@@ -1136,9 +1196,8 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
         }
         // Streaming mode: the aggregate is the sum of the group sums.
         Some(grouping) => {
-            let folds = grid.fold_groups(Stage::SweepRun, grouping.num_groups(), |run| {
-                grouping.group_of_run(run)
-            })?;
+            let folds =
+                grid.fold_groups(grouping.num_groups(), |run| grouping.group_of_run(run))?;
             for fold in &folds {
                 aggregate.accumulate(&fold.sums());
             }
@@ -1157,12 +1216,12 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
         setup_seconds,
         run_seconds,
         runs_per_second: num_runs as f64 / run_seconds.max(1e-12),
-        caches: tally.with_entries(caches),
+        caches: SweepCacheStats::default(),
         aggregate,
         mode: spec.mode.clone(),
         groups,
         per_run,
-        telemetry: telemetry_before.map(|before| telemetry().snapshot().since(&before)),
+        telemetry: None,
     })
 }
 
@@ -1688,6 +1747,67 @@ mod tests {
             }
         }
         assert!(laned.aggregate.collisions > 0, "ALOHA at p=0.3 collides");
+    }
+
+    #[test]
+    fn panicking_runs_surface_as_errors_naming_their_run() {
+        let spec = tiny_spec();
+        let caches = SweepCaches::new();
+        let shape = spec.shape.prototile().unwrap();
+        let region = BoxRegion::square_window(2, 8).unwrap();
+        let adjacency = caches.adjacencies.get_or_build(&region, &shape).unwrap();
+        let compiled = caches.schedules.get_or_compile(&shape).unwrap();
+        let slots: Vec<usize> = compiled
+            .slots_of_region(&region)
+            .unwrap()
+            .into_iter()
+            .map(usize::from)
+            .collect();
+        let plan = caches
+            .plans
+            .get_or_build(&slots, compiled.num_slots(), &adjacency)
+            .unwrap();
+        let grid = GridContext::new(
+            vec![plan],
+            vec!["window 8".into()],
+            spec.slots,
+            &spec.traffic,
+            &spec.retries,
+            &spec.seeds,
+            KernelMac::Scheduled,
+        );
+        // Runs expand retries × seeds here: run 2 is retries 2, seed 1.
+        let err = grid
+            .run_bands(|| (), |_, run, _| assert_ne!(run, 2, "injected failure"))
+            .unwrap_err();
+        let EngineError::RunPanicked {
+            run,
+            coordinate,
+            message,
+        } = &err
+        else {
+            panic!("expected a run panic, got {err}");
+        };
+        assert_eq!(*run, 2);
+        assert_eq!(
+            coordinate,
+            "window 8, bernoulli(p=0.100), retries 2, seed 1"
+        );
+        assert!(message.contains("injected failure"), "{message}");
+        assert!(err.to_string().starts_with("run 2 (window 8,"), "{err}");
+        // No band recorder outlived the panic: the next sweep on this thread
+        // reports exactly its own lookups (the grid above warmed three tiers
+        // and fetched no trace).
+        let warm = run_sweep(&spec, &caches).unwrap();
+        for tier in [
+            warm.caches.schedules,
+            warm.caches.adjacencies,
+            warm.caches.plans,
+        ] {
+            assert_eq!((tier.hits, tier.misses), (1, 0));
+        }
+        assert_eq!((warm.caches.traces.hits, warm.caches.traces.misses), (0, 2));
+        assert_eq!(warm.caches.searches, StoreStats::default());
     }
 
     #[test]

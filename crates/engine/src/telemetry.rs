@@ -1,63 +1,60 @@
-//! Stage-scoped tracing and fast-path dispatch metrics for the whole engine
-//! pipeline.
+//! Per-request instrumentation of the whole engine pipeline: stage spans,
+//! fast-path dispatch counters and cache-tier lookups, each counted once, in
+//! the request that made it.
 //!
-//! The engine has six CI-gated kernel fast paths (analytic, partial-analytic,
-//! scalar/Bernoulli seed lanes, the conflict-free loop shortcut and the
-//! general loop) and five content-addressed cache tiers, but timing a sweep
-//! from outside says nothing about *which* path each run took or where the
+//! Timing a sweep from outside says nothing about *which* of the six kernel
+//! fast paths each run took, how the five cache tiers answered, or where the
 //! wall-clock went. This module is the engine's hand-rolled instrumentation
-//! layer — no external tracing crates, just atomics and the exact-integer
-//! histogram machinery from [`crate::aggregate`]:
+//! layer — no external tracing crates, just a thread-local recorder and the
+//! exact-integer histogram machinery from [`crate::aggregate`]:
 //!
-//! * **Counters** ([`Counter`]) — monotonic relaxed atomics: one per kernel
-//!   dispatch path (every [`crate::run_frames`] call and every lane-kernel
-//!   seed bumps exactly one, so the six dispatch counters sum to the number
-//!   of simulated runs), plus steal-chunk claims, trace compilations,
-//!   lane-batch/lane-run totals and per-tier cache hits/misses.
-//! * **Stage histograms** — every [`Stage`] keeps a count, a total duration
-//!   and a log₂-bucketed nanosecond histogram (the [`Log2Histogram`] bucket
-//!   layout, held in atomics), so percentile queries cost nothing at record
-//!   time.
-//! * **Stage spans** ([`StageSpan`], from [`span`] / [`span_within`]) — RAII
-//!   guards that record into the stage histogram *and* into a nested
-//!   stage-time tree keyed by the thread-local span path, so a profile shows
-//!   `sweep_run → sweep_band` nesting with per-node counts and totals.
-//!   Worker threads have an empty span path of their own; [`span_within`]
-//!   seeds the ancestor path so their spans still nest under the right
-//!   parent in the tree.
+//! * **Counters** ([`Counter`]) — one per kernel dispatch path (every
+//!   [`crate::run_frames`] call and every lane-kernel seed bumps exactly one,
+//!   so the six dispatch counters sum to the number of simulated runs), plus
+//!   steal-chunk claims, trace compilations, lane-batch/lane-run totals and
+//!   per-tier cache hits/misses.
+//! * **Stage spans** ([`StageSpan`], from [`span`]) — RAII guards that record
+//!   each [`Stage`]'s count, total and exact maximum duration plus a
+//!   [`Log2Histogram`] ([`StageStats`]), and a nested stage-time tree keyed by
+//!   the open span path, so a profile shows `sweep_run → sweep_band` nesting.
 //!
-//! The registry ([`telemetry`]) is process-global and **disabled by
-//! default**: every record site first does one relaxed [`AtomicBool`] load
-//! and otherwise touches nothing — no clock read, no allocation, no atomic
-//! write — so the instrumented hot paths cost nothing measurable when
-//! telemetry is off (`BENCH_telemetry.json` gates the off/on overhead in
-//! CI). Enabling is one call ([`TelemetryRegistry::set_enabled`]); the
-//! `engine-cli` `--profile` and `--metrics-out` flags do it for a whole
-//! invocation.
+//! **Recorders.** Every [`crate::run_sweep`], [`crate::run_search`] and
+//! [`crate::run_scenario`] call (and every `latsched-sensornet` frame-kernel
+//! run) is one *request* ([`request`]): for its duration a thread-local
+//! recorder — a [`TelemetrySnapshot`] plus the open span path — collects
+//! every counter, cache lookup and span on its thread. The band executor
+//! gives each band a fresh recorder starting from the span path open at the
+//! fan-out, and merges the band recordings into the request's in band order,
+//! the way group folds merge. So a request's numbers are its own even when
+//! requests run concurrently, and they do not depend on which worker ran
+//! which band. Outside a request nothing records.
 //!
-//! Three export surfaces, all driven by [`TelemetrySnapshot`]:
+//! **Profiling.** Counters record in every request; reports read their
+//! per-tier cache hits and misses from the recording. Spans read the clock
+//! only in *profiled* requests, those that start while the process-wide flag
+//! is on ([`TelemetryRegistry::set_enabled`]; `engine-cli --profile` and
+//! `--metrics-out` set it). A profiled request embeds its recording in its
+//! report and merges it once into the process totals
+//! ([`TelemetryRegistry::snapshot`]), all the registry holds besides the
+//! flag. Unprofiled, a span is one thread-local check (`BENCH_telemetry.json`
+//! gates the off/on overhead in CI).
 //!
-//! * [`TelemetryRegistry::snapshot`] + [`TelemetrySnapshot::since`] — the
-//!   delta of a window of activity, embedded by [`crate::run_sweep`] /
-//!   [`crate::run_search`] into their reports when telemetry is enabled;
-//! * [`TelemetrySnapshot::to_json_value`] — the report-JSON form;
-//! * `Display` — the human profile (`engine-cli sweep --profile`): dispatch
-//!   mix, cache tiers, stage table and the nested stage-time tree;
-//! * [`TelemetrySnapshot::to_prometheus`] — Prometheus text exposition
-//!   (`latsched_*_total` counters and cumulative `_bucket{le=…}` histogram
-//!   families) for `engine-cli --metrics-out FILE` and, later, the served
-//!   daemon's metrics endpoint.
+//! A [`TelemetrySnapshot`] exports as report JSON
+//! ([`TelemetrySnapshot::to_json_value`]), as the human profile (`Display`:
+//! dispatch mix, cache tiers, stage table and stage tree) and as Prometheus
+//! text exposition ([`TelemetrySnapshot::to_prometheus`], for the process
+//! totals behind `engine-cli --metrics-out FILE`).
 
 use crate::aggregate::{Log2Histogram, LOG2_BUCKETS};
 use serde_json::Value;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// One monotonic event counter of the registry.
+/// One event counter of a recording.
 ///
 /// The first six variants are the kernel dispatch paths: every simulated run
 /// — a [`crate::run_frames`] call or one seed of a [`crate::run_frames_lanes`]
@@ -115,8 +112,8 @@ pub enum Counter {
     SearchMisses,
 }
 
-/// Every counter, in declaration order (the dense index order of the
-/// registry's atomic array).
+/// Every counter, in declaration order (the dense index order of a
+/// snapshot's counter array).
 pub const COUNTERS: [Counter; 20] = [
     Counter::DispatchAnalytic,
     Counter::DispatchPartialAnalytic,
@@ -140,8 +137,8 @@ pub const COUNTERS: [Counter; 20] = [
     Counter::SearchMisses,
 ];
 
-/// The six kernel dispatch-path counters, whose sum over a window equals the
-/// number of runs simulated in that window.
+/// The six kernel dispatch-path counters, whose sum over a recording equals
+/// the number of runs simulated in it.
 pub const DISPATCH_COUNTERS: [Counter; 6] = [
     Counter::DispatchAnalytic,
     Counter::DispatchPartialAnalytic,
@@ -179,7 +176,7 @@ impl Counter {
     }
 
     fn index(self) -> usize {
-        COUNTERS.iter().position(|&c| c == self).expect("listed")
+        self as usize
     }
 }
 
@@ -237,8 +234,8 @@ impl CacheTier {
     }
 }
 
-/// One instrumented pipeline stage; every stage has a duration histogram in
-/// the registry and appears as a node of the span tree.
+/// One instrumented pipeline stage; every stage has duration statistics in a
+/// recording and appears as a node of its span tree.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Stage {
     /// Theorem 1 schedule compilation (tiling search + table build).
@@ -264,8 +261,8 @@ pub enum Stage {
     FrameSimRun,
 }
 
-/// Every stage, in declaration order (the dense index order of the registry's
-/// histogram array).
+/// Every stage, in declaration order (the dense index order of a snapshot's
+/// stage array).
 pub const STAGES: [Stage; 10] = [
     Stage::ScheduleCompile,
     Stage::AdjacencyBuild,
@@ -297,31 +294,7 @@ impl Stage {
     }
 
     fn index(self) -> usize {
-        STAGES.iter().position(|&s| s == self).expect("listed")
-    }
-}
-
-/// The atomic duration accumulator of one stage: observation count, total
-/// nanoseconds, and the [`Log2Histogram`] bucket layout held in atomics.
-struct StageCell {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    buckets: [AtomicU64; LOG2_BUCKETS],
-}
-
-impl StageCell {
-    fn new() -> Self {
-        StageCell {
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn record(&self, ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.buckets[Log2Histogram::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self as usize
     }
 }
 
@@ -350,23 +323,12 @@ impl StageTreeNode {
         }
     }
 
-    /// The node-wise difference against an earlier snapshot of the same tree,
-    /// dropping nodes with no activity in the window.
-    fn since(&self, earlier: &StageTreeNode) -> StageTreeNode {
-        let mut children = BTreeMap::new();
-        for (stage, node) in &self.children {
-            let delta = match earlier.children.get(stage) {
-                Some(before) => node.since(before),
-                None => node.clone(),
-            };
-            if delta.count > 0 || !delta.children.is_empty() {
-                children.insert(*stage, delta);
-            }
-        }
-        StageTreeNode {
-            count: self.count - earlier.count,
-            total_ns: self.total_ns.saturating_sub(earlier.total_ns),
-            children,
+    /// Adds another tree node by node.
+    fn merge(&mut self, other: &StageTreeNode) {
+        self.count += other.count;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        for (stage, node) in &other.children {
+            self.children.entry(*stage).or_default().merge(node);
         }
     }
 
@@ -387,192 +349,41 @@ impl StageTreeNode {
     }
 }
 
-/// The process-global instrumentation registry: an enable flag, the counter
-/// array, per-stage duration histograms and the nested span tree. Obtain it
-/// with [`telemetry`].
-pub struct TelemetryRegistry {
-    enabled: AtomicBool,
-    counters: [AtomicU64; COUNTERS.len()],
-    stages: [StageCell; STAGES.len()],
-    tree: Mutex<StageTreeNode>,
-}
-
-thread_local! {
-    /// The current span path of this thread (innermost open span last).
-    static SPAN_PATH: RefCell<Vec<Stage>> = const { RefCell::new(Vec::new()) };
-}
-
-impl TelemetryRegistry {
-    fn new() -> Self {
-        TelemetryRegistry {
-            enabled: AtomicBool::new(false),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            stages: std::array::from_fn(|_| StageCell::new()),
-            tree: Mutex::new(StageTreeNode::default()),
-        }
-    }
-
-    /// Whether recording is on (one relaxed load — the fast check every
-    /// instrumentation site does first).
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off, process-wide. Counters are monotonic and
-    /// never reset; consumers window them with [`TelemetrySnapshot::since`].
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Adds `n` to a counter (no-op while disabled).
-    #[inline]
-    pub fn count(&self, counter: Counter, n: u64) {
-        if self.enabled() {
-            self.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// The current value of a counter.
-    pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters[counter.index()].load(Ordering::Relaxed)
-    }
-
-    /// Records one closed span: `path` is the full span path (the closing
-    /// stage last), `ns` its duration.
-    fn record_span(&self, path: &[Stage], ns: u64) {
-        let stage = *path.last().expect("span path is never empty");
-        self.stages[stage.index()].record(ns);
-        self.tree
-            .lock()
-            .expect("telemetry tree poisoned")
-            .record(path, ns);
-    }
-
-    /// A point-in-time snapshot of every counter, stage histogram and the
-    /// span tree. Pair two snapshots with [`TelemetrySnapshot::since`] to
-    /// window one sweep or search.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let counters = std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed));
-        let stages = std::array::from_fn(|i| {
-            let cell = &self.stages[i];
-            let mut buckets = [0u64; LOG2_BUCKETS];
-            for (b, atomic) in buckets.iter_mut().zip(&cell.buckets) {
-                *b = atomic.load(Ordering::Relaxed);
-            }
-            StageStats {
-                count: cell.count.load(Ordering::Relaxed),
-                total_ns: cell.total_ns.load(Ordering::Relaxed),
-                histogram: Log2Histogram::from_buckets(buckets),
-            }
-        });
-        let tree = self.tree.lock().expect("telemetry tree poisoned").clone();
-        TelemetrySnapshot {
-            counters,
-            stages,
-            tree,
-        }
-    }
-}
-
-/// The process-global registry every instrumentation site records into.
-pub fn telemetry() -> &'static TelemetryRegistry {
-    static REGISTRY: OnceLock<TelemetryRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(TelemetryRegistry::new)
-}
-
-/// An RAII stage span: created by [`span`] / [`span_within`], records its
-/// duration (and its position in the span tree) into the global registry when
-/// dropped. A span created while telemetry is disabled is inert — it reads no
-/// clock and records nothing.
-#[must_use = "a span records on drop; binding it to _ drops it immediately"]
-pub struct StageSpan {
-    /// `None` while disabled; otherwise the start instant and how many path
-    /// entries this span pushed (1, plus any seeded ancestors).
-    armed: Option<(Instant, usize)>,
-}
-
-impl StageSpan {
-    const INERT: StageSpan = StageSpan { armed: None };
-}
-
-impl Drop for StageSpan {
-    fn drop(&mut self) {
-        if let Some((start, pushed)) = self.armed.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            SPAN_PATH.with(|path| {
-                let mut path = path.borrow_mut();
-                telemetry().record_span(&path, ns);
-                let keep = path.len().saturating_sub(pushed);
-                path.truncate(keep);
-            });
-        }
-    }
-}
-
-/// Opens a stage span nested under whatever spans are already open on this
-/// thread (no-op while telemetry is disabled).
-#[inline]
-pub fn span(stage: Stage) -> StageSpan {
-    span_within(&[], stage)
-}
-
-/// Opens a stage span, seeding `ancestors` as the span path first **if this
-/// thread has no open spans**. Worker threads spawned inside a parallel stage
-/// have fresh (empty) span paths; seeding lets their spans nest under the
-/// logical parent (e.g. a `sweep_band` under `sweep_run`) instead of
-/// appearing as roots. On threads that already have open spans the ancestors
-/// are ignored and the span nests normally.
-#[inline]
-pub fn span_within(ancestors: &[Stage], stage: Stage) -> StageSpan {
-    if !telemetry().enabled() {
-        return StageSpan::INERT;
-    }
-    let pushed = SPAN_PATH.with(|path| {
-        let mut path = path.borrow_mut();
-        let mut pushed = 1;
-        if path.is_empty() && !ancestors.is_empty() {
-            path.extend_from_slice(ancestors);
-            pushed += ancestors.len();
-        }
-        path.push(stage);
-        pushed
-    });
-    StageSpan {
-        armed: Some((Instant::now(), pushed)),
-    }
-}
-
-/// The frozen duration statistics of one stage.
-#[derive(Clone, PartialEq, Debug)]
+/// The duration statistics of one stage.
+#[derive(Clone, Default, PartialEq, Debug)]
 pub struct StageStats {
     /// Spans recorded.
     pub count: u64,
     /// Total nanoseconds across those spans.
     pub total_ns: u64,
+    /// The longest span, exactly (the histogram only bounds it to a power of
+    /// two).
+    pub max_ns: u64,
     /// Log₂-bucketed span durations (nanoseconds).
     pub histogram: Log2Histogram,
 }
 
 impl StageStats {
-    fn since(&self, earlier: &StageStats) -> StageStats {
-        let mut buckets = [0u64; LOG2_BUCKETS];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            *b = self.histogram.count(i) - earlier.histogram.count(i);
-        }
-        StageStats {
-            count: self.count - earlier.count,
-            total_ns: self.total_ns.saturating_sub(earlier.total_ns),
-            histogram: Log2Histogram::from_buckets(buckets),
-        }
+    fn record(&mut self, ns: u64) {
+        self.count += 1;
+        self.total_ns = self.total_ns.saturating_add(ns);
+        self.max_ns = self.max_ns.max(ns);
+        self.histogram.observe(ns);
+    }
+
+    fn merge(&mut self, other: &StageStats) {
+        self.count += other.count;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+        self.histogram.merge(&other.histogram);
     }
 }
 
-/// A frozen copy of the registry: counters, per-stage duration statistics and
-/// the span tree. Two snapshots subtract ([`TelemetrySnapshot::since`]) to
-/// window one sweep/search, which is exactly what [`crate::SweepReport`] and
-/// [`crate::SearchReport`] embed when telemetry is enabled.
-#[derive(Clone, PartialEq, Debug)]
+/// One recording: counters, per-stage duration statistics and the span tree.
+/// A request's recording is embedded in its [`crate::SweepReport`] or
+/// [`crate::SearchReport`] when the request is profiled, and the registry's
+/// process totals are the merge of every profiled request's recording.
+#[derive(Clone, Default, PartialEq, Debug)]
 pub struct TelemetrySnapshot {
     counters: [u64; COUNTERS.len()],
     stages: [StageStats; STAGES.len()],
@@ -592,27 +403,38 @@ impl TelemetrySnapshot {
     }
 
     /// The sum of the six dispatch-path counters — the number of simulated
-    /// runs covered by this snapshot (or window).
+    /// runs covered by this recording.
     pub fn dispatch_total(&self) -> u64 {
         DISPATCH_COUNTERS.iter().map(|&c| self.counter(c)).sum()
     }
 
-    /// The counter/stage/tree movement since an earlier snapshot of the same
-    /// registry (all counters are monotonic, so plain subtraction windows a
-    /// sweep exactly; concurrent activity in the same process lands in the
-    /// same window).
-    #[must_use]
-    pub fn since(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            counters: std::array::from_fn(|i| self.counters[i] - earlier.counters[i]),
-            stages: std::array::from_fn(|i| self.stages[i].since(&earlier.stages[i])),
-            tree: self.tree.since(&earlier.tree),
+    /// Adds another recording: counters and stage statistics add (maxima
+    /// take the larger), span trees merge node by node.
+    pub(crate) fn merge(&mut self, other: &TelemetrySnapshot) {
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
+            *a += b;
         }
+        for (a, b) in self.stages.iter_mut().zip(&other.stages) {
+            a.merge(b);
+        }
+        self.tree.merge(&other.tree);
+    }
+
+    fn count(&mut self, counter: Counter, n: u64) {
+        self.counters[counter.index()] += n;
+    }
+
+    /// Records one closed span: `path` is the full span path (the closing
+    /// stage last), `ns` its duration.
+    fn record_span(&mut self, path: &[Stage], ns: u64) {
+        let stage = *path.last().expect("span path is never empty");
+        self.stages[stage.index()].record(ns);
+        self.tree.record(path, ns);
     }
 
     /// The snapshot as a JSON object: a flat `counters` map, per-stage
-    /// `{count, total_ns, histogram}` objects (stages with no spans are
-    /// omitted), and the nested `tree`.
+    /// `{count, total_ns, max_ns, histogram}` objects (stages with no spans
+    /// are omitted), and the nested `tree`.
     pub fn to_json_value(&self) -> Value {
         let mut counters = BTreeMap::new();
         for c in COUNTERS {
@@ -627,6 +449,7 @@ impl TelemetrySnapshot {
             let mut map = BTreeMap::new();
             map.insert("count".to_string(), Value::from(stats.count));
             map.insert("total_ns".to_string(), Value::from(stats.total_ns));
+            map.insert("max_ns".to_string(), Value::from(stats.max_ns));
             map.insert("histogram".to_string(), stats.histogram.to_json_value());
             stages.insert(s.name().to_string(), Value::Object(map));
         }
@@ -736,6 +559,194 @@ impl TelemetrySnapshot {
     }
 }
 
+/// What one request or band records into: its snapshot, the open span path
+/// (innermost span last), and whether its spans read the clock.
+struct Recorder {
+    snapshot: TelemetrySnapshot,
+    path: Vec<Stage>,
+    timed: bool,
+}
+
+thread_local! {
+    /// The recorder of the request or band running on this thread, if any.
+    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+}
+
+/// Where a band starts recording: whether its request is profiled, and the
+/// span path open where the request fanned the band out.
+#[derive(Default)]
+pub(crate) struct Origin {
+    timed: bool,
+    path: Vec<Stage>,
+}
+
+impl Origin {
+    /// The origin of bands fanned out from this thread's recorder (an
+    /// unprofiled, empty one outside any request).
+    pub(crate) fn here() -> Origin {
+        RECORDER.with(|slot| {
+            slot.borrow()
+                .as_ref()
+                .map_or_else(Origin::default, |r| Origin {
+                    timed: r.timed,
+                    path: r.path.clone(),
+                })
+        })
+    }
+}
+
+/// Puts back the recorder a [`record`] call displaced when dropped — also
+/// while unwinding, so a panic never leaves a band's recorder on its thread.
+struct Displaced(Option<Recorder>);
+
+impl Drop for Displaced {
+    fn drop(&mut self) {
+        let previous = self.0.take();
+        RECORDER.with(|slot| *slot.borrow_mut() = previous);
+    }
+}
+
+/// Runs `f` with a fresh recorder starting at `origin` installed on this
+/// thread, then reinstalls whatever recorder was there before. Returns `f`'s
+/// result and everything it recorded.
+pub(crate) fn record<T>(origin: &Origin, f: impl FnOnce() -> T) -> (T, TelemetrySnapshot) {
+    let fresh = Recorder {
+        snapshot: TelemetrySnapshot::default(),
+        path: origin.path.clone(),
+        timed: origin.timed,
+    };
+    let displaced = Displaced(RECORDER.with(|slot| slot.replace(Some(fresh))));
+    let out = f();
+    let recorded = RECORDER.with(|slot| slot.borrow_mut().take());
+    drop(displaced);
+    (out, recorded.map(|r| r.snapshot).unwrap_or_default())
+}
+
+/// Merges a band's recording into this thread's recorder (a no-op outside
+/// any request).
+pub(crate) fn merge(band: &TelemetrySnapshot) {
+    RECORDER.with(|slot| {
+        if let Some(r) = slot.borrow_mut().as_mut() {
+            r.snapshot.merge(band);
+        }
+    });
+}
+
+/// Runs `f` as one request under its own recorder: reads the enable flag
+/// once, records every count, lookup and span `f` makes on this thread (and
+/// in the bands it fans out), and, if the request is profiled, merges the
+/// recording into the process totals once. Returns `f`'s result, the
+/// recording and whether the request was profiled (only then do its spans
+/// carry timings).
+pub fn request<T>(f: impl FnOnce() -> T) -> (T, TelemetrySnapshot, bool) {
+    let registry = telemetry();
+    let profiled = registry.enabled();
+    let origin = Origin {
+        timed: profiled,
+        path: Vec::new(),
+    };
+    let (out, recorded) = record(&origin, f);
+    if profiled {
+        registry
+            .totals
+            .lock()
+            .expect("telemetry totals poisoned")
+            .merge(&recorded);
+    }
+    (out, recorded, profiled)
+}
+
+/// Adds `n` to a counter of this thread's recorder (a no-op outside any
+/// request).
+#[inline]
+pub fn count(counter: Counter, n: u64) {
+    RECORDER.with(|slot| {
+        if let Some(r) = slot.borrow_mut().as_mut() {
+            r.snapshot.count(counter, n);
+        }
+    });
+}
+
+/// The process-wide half of the instrumentation: the profiling flag requests
+/// read when they start, and the process totals every profiled request
+/// merges into. Obtain it with [`telemetry`].
+pub struct TelemetryRegistry {
+    enabled: AtomicBool,
+    totals: Mutex<TelemetrySnapshot>,
+}
+
+impl TelemetryRegistry {
+    /// Whether requests starting now are profiled.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+
+    /// Turns profiling on or off for requests that start afterwards. The flag
+    /// is process-wide: a request already running keeps the setting it read
+    /// when it started.
+    pub fn set_enabled(&self, enabled: bool) {
+        self.enabled.store(enabled, Ordering::Relaxed);
+    }
+
+    /// The process totals: every profiled request's recording, merged.
+    pub fn snapshot(&self) -> TelemetrySnapshot {
+        self.totals
+            .lock()
+            .expect("telemetry totals poisoned")
+            .clone()
+    }
+}
+
+/// The process-wide registry: the profiling flag and the process totals.
+pub fn telemetry() -> &'static TelemetryRegistry {
+    static REGISTRY: OnceLock<TelemetryRegistry> = OnceLock::new();
+    REGISTRY.get_or_init(|| TelemetryRegistry {
+        enabled: AtomicBool::new(false),
+        totals: Mutex::new(TelemetrySnapshot::default()),
+    })
+}
+
+/// An RAII stage span: created by [`span`], records its duration (and its
+/// position in the span tree) into this thread's recorder when dropped. A
+/// span opened outside a profiled request is inert — it reads no clock and
+/// records nothing.
+#[must_use = "a span records on drop; binding it to _ drops it immediately"]
+pub struct StageSpan {
+    /// The start instant; `None` while inert.
+    start: Option<Instant>,
+}
+
+impl Drop for StageSpan {
+    fn drop(&mut self) {
+        if let Some(start) = self.start.take() {
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            RECORDER.with(|slot| {
+                if let Some(r) = slot.borrow_mut().as_mut() {
+                    r.snapshot.record_span(&r.path, ns);
+                    r.path.pop();
+                }
+            });
+        }
+    }
+}
+
+/// Opens a stage span nested under whatever spans are already open in this
+/// thread's recorder (inert outside a profiled request).
+#[inline]
+pub fn span(stage: Stage) -> StageSpan {
+    let timed = RECORDER.with(|slot| match slot.borrow_mut().as_mut() {
+        Some(r) if r.timed => {
+            r.path.push(stage);
+            true
+        }
+        _ => false,
+    });
+    StageSpan {
+        start: timed.then(Instant::now),
+    }
+}
+
 /// Formats nanoseconds with an adaptive unit for the human profile.
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -806,7 +817,7 @@ impl fmt::Display for TelemetrySnapshot {
                 self.counter(tier.counter(false)),
             )?;
         }
-        writeln!(f, "stages (count · total · mean · p99≥)")?;
+        writeln!(f, "stages (count · total · mean · p99≥ · max)")?;
         for stage in STAGES {
             let stats = self.stage(stage);
             if stats.count == 0 {
@@ -815,12 +826,13 @@ impl fmt::Display for TelemetrySnapshot {
             let p99 = stats.histogram.percentile_lower_bound(0.99).unwrap_or(0);
             writeln!(
                 f,
-                "  {:<17} {:>8} · {:>9} · {:>9} · {:>9}",
+                "  {:<17} {:>8} · {:>9} · {:>9} · {:>9} · {:>9}",
                 stage.name(),
                 stats.count,
                 fmt_ns(stats.total_ns),
                 fmt_ns(stats.total_ns / stats.count),
                 fmt_ns(p99),
+                fmt_ns(stats.max_ns),
             )?;
         }
         writeln!(f, "stage tree")?;
@@ -832,74 +844,155 @@ impl fmt::Display for TelemetrySnapshot {
 mod tests {
     use super::*;
 
-    /// A snapshot with chosen counter values and one recorded stage, built
-    /// without touching the global registry.
+    /// A snapshot with chosen counter values and recorded top-level stages,
+    /// built without a recorder.
     fn synthetic(counts: &[(Counter, u64)], stage_ns: &[(Stage, u64)]) -> TelemetrySnapshot {
-        let registry = TelemetryRegistry::new();
-        registry.set_enabled(true);
+        let mut snap = TelemetrySnapshot::default();
         for &(c, n) in counts {
-            registry.count(c, n);
+            snap.count(c, n);
         }
         for &(s, ns) in stage_ns {
-            registry.record_span(&[s], ns);
+            snap.record_span(&[s], ns);
         }
-        registry.snapshot()
+        snap
+    }
+
+    /// The origin of a profiled request's top level.
+    fn profiled() -> Origin {
+        Origin {
+            timed: true,
+            path: Vec::new(),
+        }
     }
 
     #[test]
     fn counters_are_inert_while_disabled() {
-        let registry = TelemetryRegistry::new();
-        registry.count(Counter::DispatchAnalytic, 5);
-        assert_eq!(registry.counter(Counter::DispatchAnalytic), 0);
-        registry.set_enabled(true);
-        registry.count(Counter::DispatchAnalytic, 5);
-        assert_eq!(registry.counter(Counter::DispatchAnalytic), 5);
-        registry.set_enabled(false);
-        registry.count(Counter::DispatchAnalytic, 5);
-        assert_eq!(registry.counter(Counter::DispatchAnalytic), 5);
+        // Outside any request there is no recorder: counts go nowhere.
+        count(Counter::DispatchAnalytic, 5);
+        let ((), inner) = record(&Origin::default(), || count(Counter::DispatchAnalytic, 2));
+        assert_eq!(inner.counter(Counter::DispatchAnalytic), 2);
+        // Telemetry is disabled in this test binary: a request still counts
+        // (its report reads cache hits and misses from the recording), but
+        // its spans read no clock and the process totals never move.
+        assert!(!telemetry().enabled());
+        let ((), recorded, profiled) = request(|| {
+            let _run = span(Stage::SweepRun);
+            count(Counter::DispatchGeneralLoop, 3);
+        });
+        assert!(!profiled);
+        assert_eq!(recorded.counter(Counter::DispatchGeneralLoop), 3);
+        assert_eq!(recorded.stage(Stage::SweepRun).count, 0);
+        assert!(recorded.tree.children.is_empty());
+        assert_eq!(telemetry().snapshot(), TelemetrySnapshot::default());
     }
 
     #[test]
-    fn snapshot_deltas_window_counters_and_stages() {
-        let registry = TelemetryRegistry::new();
-        registry.set_enabled(true);
-        registry.count(Counter::DispatchGeneralLoop, 3);
-        registry.record_span(&[Stage::SweepRun], 1000);
-        let before = registry.snapshot();
-        registry.count(Counter::DispatchGeneralLoop, 4);
-        registry.count(Counter::StealClaims, 2);
-        registry.record_span(&[Stage::SweepRun], 3000);
-        registry.record_span(&[Stage::SweepRun, Stage::SweepBand], 2000);
-        let delta = registry.snapshot().since(&before);
-        assert_eq!(delta.counter(Counter::DispatchGeneralLoop), 4);
-        assert_eq!(delta.counter(Counter::StealClaims), 2);
-        assert_eq!(delta.dispatch_total(), 4);
-        assert_eq!(delta.stage(Stage::SweepRun).count, 1);
-        assert_eq!(delta.stage(Stage::SweepRun).total_ns, 3000);
-        assert_eq!(delta.stage(Stage::SweepBand).count, 1);
-        // The tree delta keeps only the window's activity, nested.
-        let run = delta.tree.children.get(&Stage::SweepRun).expect("node");
-        assert_eq!((run.count, run.total_ns), (1, 3000));
+    fn snapshots_merge_counters_stages_and_trees() {
+        // Two band recordings that started under an open `sweep_run` span
+        // merge into the request's recording node by node.
+        let mut request = synthetic(&[(Counter::DispatchGeneralLoop, 3)], &[]);
+        let mut band = TelemetrySnapshot::default();
+        band.count(Counter::DispatchGeneralLoop, 4);
+        band.count(Counter::StealClaims, 2);
+        band.record_span(&[Stage::SweepRun, Stage::SweepBand], 2000);
+        request.merge(&band);
+        request.merge(&band);
+        request.record_span(&[Stage::SweepRun], 5000);
+        assert_eq!(request.counter(Counter::DispatchGeneralLoop), 11);
+        assert_eq!(request.counter(Counter::StealClaims), 4);
+        assert_eq!(request.dispatch_total(), 11);
+        assert_eq!(request.stage(Stage::SweepRun).count, 1);
+        assert_eq!(request.stage(Stage::SweepBand).count, 2);
+        assert_eq!(request.stage(Stage::SweepBand).total_ns, 4000);
+        let run = request.tree.children.get(&Stage::SweepRun).expect("node");
+        assert_eq!((run.count, run.total_ns), (1, 5000));
         let band = run.children.get(&Stage::SweepBand).expect("nested");
-        assert_eq!((band.count, band.total_ns), (1, 2000));
+        assert_eq!((band.count, band.total_ns), (2, 4000));
+    }
+
+    #[test]
+    fn stage_maximum_is_exact_and_merges_by_max() {
+        // One 60.43 ms span: the log₂ percentile only says "≥ 33.55 ms", the
+        // maximum column says what it was.
+        let long = synthetic(&[], &[(Stage::SweepRun, 60_430_000)]);
+        assert_eq!(long.stage(Stage::SweepRun).max_ns, 60_430_000);
+        let text = long.to_string();
+        assert!(text.contains("33.55ms"), "{text}");
+        assert!(text.contains("60.43ms"), "{text}");
+        let json = serde_json::to_string(&long.to_json_value());
+        assert!(json.contains("\"max_ns\":60430000"), "{json}");
+        // A merge keeps the larger maximum, whichever side holds it.
+        let short = synthetic(&[], &[(Stage::SweepRun, 1_000), (Stage::SweepRun, 2_000)]);
+        for (mut a, b) in [(short.clone(), &long), (long.clone(), &short)] {
+            a.merge(b);
+            assert_eq!(a.stage(Stage::SweepRun).max_ns, 60_430_000);
+            assert_eq!(a.stage(Stage::SweepRun).count, 3);
+        }
     }
 
     #[test]
     fn span_tree_nests_by_thread_local_path() {
-        let registry = TelemetryRegistry::new();
-        // Simulate what spans record: a sweep_run containing two bands, one
-        // of which compiled a trace.
-        registry.record_span(&[Stage::SweepRun, Stage::SweepBand], 10);
-        registry.record_span(&[Stage::SweepRun, Stage::SweepBand, Stage::TraceCompile], 4);
-        registry.record_span(&[Stage::SweepRun, Stage::SweepBand], 20);
-        registry.record_span(&[Stage::SweepRun], 50);
-        let snap = registry.snapshot();
-        let run = snap.tree.children.get(&Stage::SweepRun).expect("root");
-        assert_eq!((run.count, run.total_ns), (1, 50));
+        // A profiled request whose sweep_run contains two bands, one of which
+        // compiled a trace.
+        let ((), recorded) = record(&profiled(), || {
+            let _run = span(Stage::SweepRun);
+            {
+                let _band = span(Stage::SweepBand);
+                let _compile = span(Stage::TraceCompile);
+            }
+            let _band = span(Stage::SweepBand);
+        });
+        let run = recorded.tree.children.get(&Stage::SweepRun).expect("root");
+        assert_eq!(run.count, 1);
         let band = run.children.get(&Stage::SweepBand).expect("child");
-        assert_eq!((band.count, band.total_ns), (2, 30));
+        assert_eq!(band.count, 2);
         let compile = band.children.get(&Stage::TraceCompile).expect("leaf");
-        assert_eq!((compile.count, compile.total_ns), (1, 4));
+        assert_eq!(compile.count, 1);
+        assert!(run.total_ns >= band.total_ns && band.total_ns >= compile.total_ns);
+        assert_eq!(recorded.stage(Stage::SweepBand).count, 2);
+    }
+
+    #[test]
+    fn bands_start_from_the_fanout_path_and_merge_into_the_request() {
+        let ((), recorded) = record(&profiled(), || {
+            let _run = span(Stage::SweepRun);
+            let origin = Origin::here();
+            assert_eq!(origin.path, [Stage::SweepRun]);
+            // A band (on this or any thread) records into its own snapshot.
+            let ((), band) = record(&origin, || {
+                let _band = span(Stage::SweepBand);
+                count(Counter::DispatchAnalytic, 4);
+            });
+            assert_eq!(band.counter(Counter::DispatchAnalytic), 4);
+            merge(&band);
+        });
+        assert_eq!(recorded.counter(Counter::DispatchAnalytic), 4);
+        let run = recorded.tree.children.get(&Stage::SweepRun).expect("root");
+        assert_eq!(run.count, 1);
+        assert_eq!(run.children.get(&Stage::SweepBand).expect("band").count, 1);
+    }
+
+    #[test]
+    fn record_reinstalls_the_outer_recorder_after_a_panic() {
+        let ((), outer) = record(&profiled(), || {
+            let _run = span(Stage::SweepRun);
+            let origin = Origin::here();
+            let caught = std::panic::catch_unwind(|| {
+                record(&origin, || {
+                    count(Counter::DispatchGeneralLoop, 1);
+                    panic!("injected band panic");
+                })
+            });
+            assert!(caught.is_err());
+            // The outer recorder is back, path and all.
+            assert_eq!(Origin::here().path, [Stage::SweepRun]);
+            count(Counter::DispatchAnalytic, 1);
+        });
+        assert_eq!(outer.counter(Counter::DispatchAnalytic), 1);
+        assert_eq!(outer.counter(Counter::DispatchGeneralLoop), 0);
+        assert_eq!(outer.stage(Stage::SweepRun).count, 1);
+        // And outside it, no recorder is left behind.
+        assert!(RECORDER.with(|slot| slot.borrow().is_none()));
     }
 
     #[test]
@@ -979,14 +1072,19 @@ mod tests {
 
     #[test]
     fn inert_spans_do_not_touch_the_path() {
-        // The global registry is disabled by default in this process: spans
-        // must be inert and leave no thread-local state behind.
-        assert!(!telemetry().enabled());
+        // Outside a request, and inside an unprofiled one, spans are inert:
+        // they push nothing onto the span path and record nothing.
         {
             let _outer = span(Stage::SweepRun);
-            let _inner = span_within(&[Stage::SweepRun], Stage::SweepBand);
+            assert!(Origin::here().path.is_empty());
         }
-        SPAN_PATH.with(|p| assert!(p.borrow().is_empty()));
+        let ((), recorded) = record(&Origin::default(), || {
+            let _outer = span(Stage::SweepRun);
+            let _inner = span(Stage::SweepBand);
+            assert!(Origin::here().path.is_empty());
+        });
+        assert!(recorded.tree.children.is_empty());
+        assert_eq!(recorded.stage(Stage::SweepBand).count, 0);
     }
 
     #[test]

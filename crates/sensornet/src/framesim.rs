@@ -119,6 +119,14 @@ impl SimBackend for FrameKernel {
     }
 
     fn run(&self, network: &Network, config: &SimConfig) -> Result<SimMetrics> {
+        // Each run is one engine telemetry request, so a profiled run reaches
+        // the process totals: its span, dispatch path and tier lookups.
+        latsched_engine::telemetry::request(|| self.simulate(network, config)).0
+    }
+}
+
+impl FrameKernel {
+    fn simulate(&self, network: &Network, config: &SimConfig) -> Result<SimMetrics> {
         let _span =
             latsched_engine::telemetry::span(latsched_engine::telemetry::Stage::FrameSimRun);
         config.traffic.validate()?;

@@ -10,13 +10,13 @@
 //! How this relates to the paper's question Q1 ("when is a prototile exact?"):
 //!
 //! * For **polyominoes in `Z²`** the classical results cited in Section 3 (Beauquier–
-//!   Nivat [1], Wijshoff–van Leeuwen [13]) show that a polyomino tiles the plane by
+//!   Nivat \[1\], Wijshoff–van Leeuwen \[13\]) show that a polyomino tiles the plane by
 //!   translation iff it admits a *regular* (lattice) tiling, so this search is a
 //!   complete decision procedure for polyomino exactness.
-//! * For **prime-cardinality clusters** Szegedy's theorem [11] likewise reduces
+//! * For **prime-cardinality clusters** Szegedy's theorem \[11\] likewise reduces
 //!   exactness to lattice tilings.
 //! * For arbitrary disconnected prototiles a tile could conceivably admit only
-//!   non-lattice tilings; the periodic backtracking search in [`crate::torus`] covers
+//!   non-lattice tilings; the periodic backtracking search [`crate::tile_torus`] covers
 //!   periodic tilings of any prescribed period in that case.
 
 use crate::error::Result;

@@ -9,28 +9,13 @@
 
 use latsched::prelude::*;
 use latsched::sensornet::{EnergyAccount, SimMetrics};
-use latsched_engine::telemetry::{telemetry, Counter, DISPATCH_COUNTERS};
+use latsched_engine::telemetry::{telemetry, Counter, COUNTERS, DISPATCH_COUNTERS};
 use latsched_engine::{
-    fold_full_report, run_sweep, GroupAxis, GroupSpec, KernelCounts, SweepCaches, SweepMac,
-    SweepMode, SweepSpec, SweepTraffic,
+    fold_full_report, run_search, run_sweep, GroupAxis, GroupSpec, KernelCounts, SearchSpec,
+    SweepCacheStats, SweepCaches, SweepMac, SweepMode, SweepSpec, SweepTraffic, TelemetrySnapshot,
 };
 use proptest::prelude::*;
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// The telemetry tests below enable the process-global registry, so any sweep
-/// running concurrently in another test thread would tally into their
-/// before/after snapshot windows. Sweep-running tests take this gate for
-/// reading (they may overlap each other freely); telemetry-profiling tests
-/// take it for writing and so run exclusively.
-static TELEMETRY_GATE: RwLock<()> = RwLock::new(());
-
-fn shared_sweep_gate() -> RwLockReadGuard<'static, ()> {
-    TELEMETRY_GATE.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn exclusive_telemetry_gate() -> RwLockWriteGuard<'static, ()> {
-    TELEMETRY_GATE.write().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Barrier;
 
 /// Converts one sweep run's kernel counters into the `SimMetrics` the
 /// reference simulator reports, applying the same energy model.
@@ -56,7 +41,6 @@ fn metrics_of(counts: &KernelCounts, nodes: usize, slots: u64, config: &SimConfi
 }
 
 fn check_sweep_against_reference(spec: &SweepSpec, mac: &MacPolicy) {
-    let _gate = shared_sweep_gate();
     let report = run_sweep(spec, &SweepCaches::new()).unwrap();
     assert_eq!(report.runs, spec.num_runs());
 
@@ -153,7 +137,6 @@ fn sweep_runs_match_reference_simulator_on_staggered_grids() {
 /// Runs one spec in both modes and asserts the streaming group folds are
 /// exactly the folds of the full report's per-run list by the same axes.
 fn assert_streaming_matches_full(spec: &SweepSpec, group_spec: &GroupSpec) {
-    let _gate = shared_sweep_gate();
     let caches = SweepCaches::new();
     let full_spec = SweepSpec {
         mode: SweepMode::Full,
@@ -248,8 +231,7 @@ proptest! {
             retries: vec![retries],
             ..latsched_engine::builtin_sweep()
         };
-        let _gate = shared_sweep_gate();
-        let caches = SweepCaches::new();
+            let caches = SweepCaches::new();
         let lanes = run_sweep(&spec, &caches).unwrap();
         prop_assert_eq!(lanes.per_run.len(), seed_count);
         for (i, seed) in spec.seeds.iter().enumerate() {
@@ -286,8 +268,7 @@ proptest! {
             retries: vec![retries],
             ..latsched_engine::builtin_sweep()
         };
-        let _gate = shared_sweep_gate();
-        let caches = SweepCaches::new();
+            let caches = SweepCaches::new();
         let lanes = run_sweep(&spec, &caches).unwrap();
         prop_assert_eq!(lanes.per_run.len(), seed_count);
         // Lane dispatch skips the traffic/MAC trace prefetch entirely.
@@ -336,7 +317,6 @@ fn streaming_parity_holds_on_the_degenerate_one_run_per_group_grid() {
     ]);
     assert_streaming_matches_full(&spec, &group_spec);
     // Each group's fold is one run: min = max = sum per field.
-    let _gate = shared_sweep_gate();
     let caches = SweepCaches::new();
     let report = run_sweep(
         &SweepSpec {
@@ -372,7 +352,6 @@ fn warm_sweeps_replay_cold_sweeps_through_every_tier() {
         mac: SweepMac::Tiling,
         ..latsched_engine::builtin_sweep()
     };
-    let _gate = shared_sweep_gate();
     let caches = SweepCaches::new();
     let cold = run_sweep(&spec, &caches).unwrap();
     // One schedule for the shape, one plan per window, one trace per
@@ -407,10 +386,10 @@ fn pinned_mix_spec() -> SweepSpec {
 #[test]
 fn profiled_sweep_reports_the_pinned_dispatch_mix() {
     let spec = pinned_mix_spec();
-    let _gate = exclusive_telemetry_gate();
+    // The flag is process-wide: profiled tests turn it on and never off,
+    // since turning it off would unprofile a concurrent test's request.
     telemetry().set_enabled(true);
     let report = run_sweep(&spec, &SweepCaches::new()).unwrap();
-    telemetry().set_enabled(false);
     let snapshot = report.telemetry.expect("profiled sweeps attach a snapshot");
     // Tiling grids over compiled Bernoulli traces replay analytically: every
     // one of the 16 runs lands on the analytic path, none anywhere else.
@@ -429,8 +408,7 @@ fn profiled_sweep_reports_the_pinned_dispatch_mix() {
     assert_eq!(snapshot.dispatch_total(), spec.num_runs() as u64);
     // One compilation per trace miss: windows × loads × seeds.
     assert_eq!(snapshot.counter(Counter::TraceCompilations), 8);
-    // The snapshot's cache counters agree with the report's exact per-sweep
-    // tallies (the same lookups, counted through two independent paths).
+    // The report's cache counters are the snapshot's tier counters.
     assert_eq!(
         snapshot.counter(Counter::ScheduleHits),
         report.caches.schedules.hits
@@ -471,10 +449,9 @@ fn concurrent_sweeps_attribute_cache_stats_exactly() {
     // Regression test: per-sweep cache stats used to be computed as a delta
     // of the shared caches' global counters, so sweeps running concurrently
     // over the same `SweepCaches` tallied each other's lookups (a warm sweep
-    // could report its neighbour's hits on top of its own). The tracked
-    // lookups attribute every hit and miss to the sweep that issued it.
+    // could report its neighbour's hits on top of its own). Each sweep's own
+    // telemetry recorder counts every hit and miss it issued.
     let spec = pinned_mix_spec();
-    let _gate = shared_sweep_gate();
     let caches = SweepCaches::new();
     let cold = run_sweep(&spec, &caches).unwrap();
     assert_eq!(cold.caches.traces.misses, 8);
@@ -498,6 +475,100 @@ fn concurrent_sweeps_attribute_cache_stats_exactly() {
             assert_eq!(warm_tier.hits, cold_tier.hits + cold_tier.misses);
         }
     }
+}
+
+/// A 40-seed ALOHA × staggered grid: one 40-lane batch, so its whole
+/// dispatch mix is 40 `dispatch_lane_scalar` runs.
+fn aloha_lane_spec() -> SweepSpec {
+    SweepSpec {
+        windows: vec![6],
+        slots: 160,
+        mac: SweepMac::Aloha { p: 0.3 },
+        traffic: SweepTraffic::Staggered(vec![4]),
+        seeds: (1..=40).collect(),
+        retries: vec![1],
+        ..latsched_engine::builtin_sweep()
+    }
+}
+
+/// A small Figure-2 search: three lattice and three coloring candidates on
+/// a 6×6 window.
+fn small_search_spec() -> SearchSpec {
+    SearchSpec {
+        window: 6,
+        slots: 64,
+        traffic: SweepTraffic::Bernoulli(vec![0.1]),
+        seeds: vec![1, 2].into(),
+        retries: vec![0, 1],
+        budget: 3,
+        ..latsched_engine::builtin_search()
+    }
+}
+
+/// A profiled request's counters (by name) and per-tier cache stats.
+type Profile = (Vec<(&'static str, u64)>, SweepCacheStats);
+
+fn profile_of(snapshot: Option<TelemetrySnapshot>, caches: SweepCacheStats) -> Profile {
+    let snapshot = snapshot.expect("profiled requests attach a snapshot");
+    let counters = COUNTERS.iter().map(|&c| (c.name(), snapshot.counter(c)));
+    (counters.collect(), caches)
+}
+
+fn sweep_profile(spec: &SweepSpec) -> Profile {
+    let report = run_sweep(spec, &SweepCaches::new()).unwrap();
+    profile_of(report.telemetry, report.caches)
+}
+
+fn search_profile(spec: &SearchSpec) -> Profile {
+    let report = run_search(spec, &SweepCaches::new()).unwrap();
+    profile_of(report.telemetry, report.caches)
+}
+
+/// Profiles two requests from two threads released together by a barrier,
+/// for four rounds on fresh caches: every counter (steal claims included)
+/// and every cache stat of each must equal its solo run.
+fn assert_concurrent_profiles_match_solo(
+    first: impl Fn() -> Profile + Sync,
+    second: impl Fn() -> Profile + Sync,
+) {
+    telemetry().set_enabled(true);
+    let (solo_first, solo_second) = (first(), second());
+    let barrier = Barrier::new(2);
+    for round in 0..4 {
+        let (got_first, got_second) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                barrier.wait();
+                first()
+            });
+            let b = scope.spawn(|| {
+                barrier.wait();
+                second()
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(got_first, solo_first, "round {round}: first request");
+        assert_eq!(got_second, solo_second, "round {round}: second request");
+    }
+}
+
+#[test]
+fn concurrent_profiled_sweeps_each_report_only_their_own_work() {
+    // Regression test: profiled reports used to window a process-global
+    // registry, so a sweep running next to another embedded the other's
+    // dispatches (the tiling grid reported the ALOHA grid's 40
+    // `dispatch_lane_scalar` runs as its own).
+    let (tiling, aloha) = (pinned_mix_spec(), aloha_lane_spec());
+    assert_concurrent_profiles_match_solo(|| sweep_profile(&tiling), || sweep_profile(&aloha));
+    let (counters, _) = sweep_profile(&aloha);
+    assert!(counters.contains(&("dispatch_lane_scalar", 40)));
+    let (counters, _) = sweep_profile(&tiling);
+    assert!(counters.contains(&("dispatch_lane_scalar", 0)));
+}
+
+#[test]
+fn concurrent_profiled_search_and_sweep_each_report_only_their_own_work() {
+    let (search, aloha) = (small_search_spec(), aloha_lane_spec());
+    assert_concurrent_profiles_match_solo(|| search_profile(&search), || sweep_profile(&aloha));
 }
 
 proptest! {
@@ -534,10 +605,8 @@ proptest! {
             retries: (0..retry_count as u32).collect(),
             ..latsched_engine::builtin_sweep()
         };
-        let _gate = exclusive_telemetry_gate();
         telemetry().set_enabled(true);
         let report = run_sweep(&spec, &SweepCaches::new()).unwrap();
-        telemetry().set_enabled(false);
         let snapshot = report.telemetry.expect("profiled sweeps attach a snapshot");
         let total: u64 = DISPATCH_COUNTERS
             .iter()

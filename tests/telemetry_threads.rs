@@ -32,7 +32,6 @@ fn forced_single_thread_sweeps_report_the_pinned_counters() {
     };
     telemetry().set_enabled(true);
     let report = run_sweep(&spec, &SweepCaches::new()).unwrap();
-    telemetry().set_enabled(false);
     let snapshot = report.telemetry.expect("profiled sweeps attach a snapshot");
 
     // Identical to the default-pool profile pinned in sweep_parity.rs.
