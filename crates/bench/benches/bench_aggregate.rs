@@ -40,28 +40,17 @@ fn bench_aggregate_memory_check(c: &mut Criterion) {
         return;
     }
     let baseline = measure_aggregate(1_250, 2).unwrap();
-    println!(
-        "aggregate_memory_check: {} — streaming {:.1} ms (peak {:.2} MiB), full {:.1} ms \
-         (peak {:.2} MiB), mem reduction {:.1}x",
-        baseline.workload,
-        baseline.stream_ms,
-        baseline.peak_stream_bytes as f64 / (1 << 20) as f64,
-        baseline.full_ms,
-        baseline.peak_full_bytes as f64 / (1 << 20) as f64,
-        baseline.speedup
-    );
+    println!("aggregate_memory_check: {baseline}");
+    let reduction = baseline.num("speedup");
     assert!(
-        baseline.parity,
+        baseline.parity(),
         "streaming folds must match full-mode and reference folds exactly, \
          with peak allocation <= {} MiB and >= {MIN_MEM_REDUCTION}x below full mode \
-         (got {:.2} MiB, {:.1}x)",
+         (got {:.2} MiB, {reduction:.1}x)",
         STREAM_PEAK_CAP_BYTES >> 20,
-        baseline.peak_stream_bytes as f64 / (1 << 20) as f64,
-        baseline.speedup
+        baseline.num("peak_stream_bytes") / (1 << 20) as f64,
     );
-    c.bench_function("aggregate_memory_check/done", |b| {
-        b.iter(|| baseline.speedup)
-    });
+    c.bench_function("aggregate_memory_check/done", |b| b.iter(|| reduction));
 }
 
 criterion_group!(

@@ -2,8 +2,9 @@
 //! analytic replay (clean and partial-conflict hybrid) against the explicit
 //! slot loop, and the bit-sliced 64-seed lane kernel (deterministic and
 //! Bernoulli traffic) against scalar per-seed runs — plus an asserted
-//! acceptance check on the shared `--bench-replay` workload: every fast path
-//! must be bit-identical to its slow path and beat it by the committed factor.
+//! acceptance check on the workload of `harness --bench`'s `replay` entry:
+//! every fast path must be bit-identical to its slow path and beat it by the
+//! committed factor.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use latsched_bench::measure_replay;
@@ -98,49 +99,30 @@ fn bench_replay_check(c: &mut Criterion) {
         return;
     }
     let baseline = measure_replay(64, 1024, 3).unwrap();
-    println!(
-        "replay_check: {} — analytic {:.4} ms vs loop {:.2} ms ({:.1}x), \
-         lanes {:.2} ms vs scalar {:.2} ms ({:.1}x), bernoulli lanes {:.2} ms vs \
-         scalar {:.2} ms ({:.1}x), partial hybrid {:.4} ms vs loop {:.2} ms ({:.1}x)",
-        baseline.workload,
-        baseline.analytic_ms,
-        baseline.loop_ms,
-        baseline.analytic_speedup,
-        baseline.lane_ms,
-        baseline.scalar_ms,
-        baseline.lane_speedup,
-        baseline.bernoulli_lane_ms,
-        baseline.bernoulli_scalar_ms,
-        baseline.bernoulli_lane_speedup,
-        baseline.partial_analytic_ms,
-        baseline.partial_loop_ms,
-        baseline.partial_analytic_speedup
-    );
+    println!("replay_check: {baseline}");
     assert!(
-        baseline.parity,
+        baseline.parity(),
         "fast paths must be bit-identical to their slow paths"
     );
-    assert!(
-        baseline.analytic_speedup >= 5.0,
-        "analytic replay must be >= 5x the slot loop, got {:.1}x",
-        baseline.analytic_speedup
-    );
-    assert!(
-        baseline.lane_speedup >= 4.0,
-        "64-seed lanes must be >= 4x scalar runs, got {:.1}x",
-        baseline.lane_speedup
-    );
-    assert!(
-        baseline.bernoulli_lane_speedup >= 3.0,
-        "64-seed bernoulli lanes must be >= 3x scalar runs, got {:.1}x",
-        baseline.bernoulli_lane_speedup
-    );
-    assert!(
-        baseline.partial_analytic_speedup >= 2.0,
-        "partial-conflict hybrid must be >= 2x the slot loop, got {:.1}x",
-        baseline.partial_analytic_speedup
-    );
-    c.bench_function("replay_check/done", |b| b.iter(|| baseline.lane_speedup));
+    for (ratio, floor, what) in [
+        ("analytic_speedup", 5.0, "analytic replay vs the slot loop"),
+        ("lane_speedup", 4.0, "64-seed lanes vs scalar runs"),
+        (
+            "bernoulli_lane_speedup",
+            3.0,
+            "64-seed bernoulli lanes vs scalar runs",
+        ),
+        (
+            "partial_analytic_speedup",
+            2.0,
+            "partial-conflict hybrid vs the slot loop",
+        ),
+    ] {
+        let got = baseline.num(ratio);
+        assert!(got >= floor, "{what} must be >= {floor}x, got {got:.1}x");
+    }
+    let lane_speedup = baseline.num("lane_speedup");
+    c.bench_function("replay_check/done", |b| b.iter(|| lane_speedup));
 }
 
 criterion_group!(

@@ -33,58 +33,44 @@ fn bench_sweep_16(c: &mut Criterion) {
 /// The acceptance check of this PR: on the 64-run stochastic sweep (Moore
 /// 64×64, Bernoulli loads × retry budgets × seeds), the batched sweep engine
 /// must beat 64 sequential reference runs by ≥ 5×, with bit-identical per-run
-/// metrics. Measured through the same `measure_sweep` the harness's
-/// `--bench-sweep` baseline uses and asserted, so a regression fails
+/// metrics. Measured through the same `measure_sweep` the `sweep` entry of
+/// `harness --bench` uses and asserted, so a regression fails
 /// `cargo bench` loudly. Skipped in `--test` mode, where nothing is measured.
 fn bench_sweep_speedup_check(c: &mut Criterion) {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
     let baseline = measure_sweep(64, 512, 3).unwrap();
-    println!(
-        "sweep_speedup_check: {} — sequential reference {:.1} ms, batched sweep {:.2} ms, \
-         speedup {:.1}x",
-        baseline.workload, baseline.reference_ms, baseline.sweep_ms, baseline.speedup
-    );
+    println!("sweep_speedup_check: {baseline}");
+    let (speedup, steal_speedup) = (baseline.num("speedup"), baseline.num("steal_speedup"));
+    let threads = baseline.num("threads");
     assert!(
-        baseline.parity,
+        baseline.parity(),
         "sweep and reference disagree on the acceptance workload"
     );
     assert!(
-        baseline.speedup >= 5.0,
-        "batched sweep must be ≥5x faster than sequential reference runs (got {:.1}x)",
-        baseline.speedup
+        speedup >= 5.0,
+        "batched sweep must be ≥5x faster than sequential reference runs (got {speedup:.1}x)"
     );
-    println!(
-        "steal_check: {} items, {} threads — static {:.2} ms vs stealing {:.2} ms ({:.2}x)",
-        baseline.steal_items,
-        baseline.threads,
-        baseline.static_ms,
-        baseline.steal_ms,
-        baseline.steal_speedup
-    );
-    if baseline.threads >= 2 {
+    if threads >= 2.0 {
         // With 2+ workers the slow-clustered grid must load-balance: stealing
         // has to beat the static split outright.
         assert!(
-            baseline.steal_speedup > 1.0,
+            steal_speedup > 1.0,
             "work stealing must beat the static split on the mixed grid \
-             with {} threads (got {:.2}x)",
-            baseline.threads,
-            baseline.steal_speedup
+             with {threads} threads (got {steal_speedup:.2}x)"
         );
     } else {
         // One worker: both dispatches degenerate to the same sequential fill;
         // sanity-bound the ratio so a pathological steal path still fails.
         assert!(
-            baseline.steal_speedup > 0.7,
+            steal_speedup > 0.7,
             "single-threaded stealing must match the sequential fill \
-             (got {:.2}x)",
-            baseline.steal_speedup
+             (got {steal_speedup:.2}x)"
         );
     }
     // Keep the group non-empty so the harness reports something even here.
-    c.bench_function("sweep_speedup_check/done", |b| b.iter(|| baseline.speedup));
+    c.bench_function("sweep_speedup_check/done", |b| b.iter(|| speedup));
 }
 
 /// The acceptance check of the artifact pipeline: on the 64-run acceptance
@@ -93,35 +79,25 @@ fn bench_sweep_speedup_check(c: &mut Criterion) {
 /// zero cache misses on the warm side. (On a single core the measured ratio
 /// is ~1.9× — the run phase is irreducible; multi-core machines measure
 /// higher because the cold setup parallelizes worse than the grid.) Measured
-/// through the same `measure_tracecache` the harness's `--bench-tracecache`
-/// baseline uses. Skipped in `--test` mode, where nothing is measured.
+/// through the same `measure_tracecache` the `tracecache` entry of
+/// `harness --bench` uses. Skipped in `--test` mode, where nothing is
+/// measured.
 fn bench_tracecache_speedup_check(c: &mut Criterion) {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
     let baseline = measure_tracecache(64, 512, 3).unwrap();
-    println!(
-        "tracecache_speedup_check: {} — cold {:.2} ms (setup {:.2} ms), warm {:.2} ms \
-         (setup {:.2} ms), speedup {:.1}x",
-        baseline.workload,
-        baseline.cold_ms,
-        baseline.cold_setup_ms,
-        baseline.warm_ms,
-        baseline.warm_setup_ms,
-        baseline.speedup
-    );
+    println!("tracecache_speedup_check: {baseline}");
+    let speedup = baseline.num("speedup");
     assert!(
-        baseline.parity,
+        baseline.parity(),
         "warm sweeps must replay cold runs exactly with zero tier misses"
     );
     assert!(
-        baseline.speedup >= 1.5,
-        "warm sweeps must be ≥1.5x faster than cold sweeps (got {:.2}x)",
-        baseline.speedup
+        speedup >= 1.5,
+        "warm sweeps must be ≥1.5x faster than cold sweeps (got {speedup:.2}x)"
     );
-    c.bench_function("tracecache_speedup_check/done", |b| {
-        b.iter(|| baseline.speedup)
-    });
+    c.bench_function("tracecache_speedup_check/done", |b| b.iter(|| speedup));
 }
 
 criterion_group!(

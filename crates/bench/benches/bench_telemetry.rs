@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the telemetry subsystem: the warm acceptance sweep
-//! unprofiled vs profiled (the macro view the committed
-//! `BENCH_telemetry.json` baseline gates), plus the raw counter-bump and
+//! unprofiled vs profiled (the macro view the `telemetry` entry of the
+//! committed `BENCH.json` baseline gates), plus the raw counter-bump and
 //! stage-span primitives outside and inside a request, so a hot-path
 //! regression in the instrumentation itself shows up without sweep noise.
 //! Ends with an asserted overhead check: enabling telemetry may not triple
@@ -55,20 +55,17 @@ fn bench_primitives(c: &mut Criterion) {
 /// The acceptance check of this PR: on the warm 64-run acceptance sweep,
 /// enabling the full instrumentation (dispatch counters, cache counters,
 /// stage spans) may cost at most a small fraction of the sweep — asserted
-/// through the same `measure_telemetry` the harness's `--bench-telemetry`
-/// baseline uses, so a regression fails `cargo bench` loudly. Skipped in
-/// `--test` mode, where nothing is measured.
+/// through the same `measure_telemetry` the `telemetry` entry of
+/// `harness --bench` uses, so a regression fails `cargo bench` loudly.
+/// Skipped in `--test` mode, where nothing is measured.
 fn bench_overhead_check(c: &mut Criterion) {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
     let baseline = measure_telemetry(64, 512, 3).unwrap();
-    println!(
-        "telemetry_overhead_check: {} — off {:.2} ms, on {:.2} ms, ratio {:.3}",
-        baseline.workload, baseline.off_ms, baseline.on_ms, baseline.overhead_ratio
-    );
+    println!("telemetry_overhead_check: {baseline}");
     assert!(
-        baseline.parity,
+        baseline.parity(),
         "telemetry off/on sweeps disagree or counters are incomplete: {baseline:?}"
     );
     let _ = c;

@@ -1,8 +1,8 @@
 //! The streaming-aggregation benchmark workload: a ~100k-run sweep grid that
 //! is infeasible to report as per-run detail, folded online into per-axis
 //! group statistics, shared by the criterion bench (`benches/
-//! bench_aggregate.rs`) and the harness's `--bench-aggregate` baseline
-//! emitter so both always measure exactly the same thing.
+//! bench_aggregate.rs`) and the `aggregate` entry of `harness --bench` so
+//! both always measure exactly the same thing.
 //!
 //! Three properties are measured and asserted:
 //!
@@ -27,7 +27,7 @@
 //!   without ever materializing per-run detail.
 
 use crate::alloc::measure_peak;
-use crate::sweep::median_ms;
+use crate::baseline::{median_ms, Measurement};
 use latsched_engine::{
     fold_full_report, run_sweep, GroupSpec, KernelCounts, ShapeSpec, SweepCaches, SweepMac,
     SweepMode, SweepReport, SweepRunReport, SweepSpec, SweepTraffic,
@@ -36,8 +36,6 @@ use latsched_sensornet::{
     run_simulation_with, MacPolicy, MetricsFold, Network, ReferenceKernel, SimConfig, SimError,
     TrafficModel,
 };
-use serde_json::Value;
-use std::collections::BTreeMap;
 
 /// Peak-allocation cap of the streaming sweep: the O(groups) report plus
 /// worker-local folds and kernel scratch must fit here with a wide margin,
@@ -75,80 +73,6 @@ pub fn aggregate_spec(seeds: u64, mode: SweepMode) -> SweepSpec {
 /// The fold axes of the headline grouping.
 pub fn aggregate_group_spec() -> GroupSpec {
     GroupSpec::parse("traffic,retries").expect("static axis list")
-}
-
-/// One measured baseline of the streaming sweep-statistics subsystem.
-#[derive(Clone, Debug)]
-pub struct AggregateBaseline {
-    /// Human-readable workload description.
-    pub workload: String,
-    /// Number of runs in the streaming grid.
-    pub runs: usize,
-    /// Number of groups the grid folds into.
-    pub groups: usize,
-    /// Number of nodes per run.
-    pub nodes: usize,
-    /// Number of slots simulated per run.
-    pub slots: u64,
-    /// Timed sweep executions per side (the median is reported).
-    pub samples: usize,
-    /// Median wall-clock of one streaming sweep, in milliseconds.
-    pub stream_ms: f64,
-    /// Median wall-clock of one full-mode sweep of the same grid, in
-    /// milliseconds — measured on the proportional sub-grid and scaled by
-    /// the run-count ratio.
-    pub full_ms: f64,
-    /// Streaming runs executed per second.
-    pub runs_per_second: f64,
-    /// Runs in the full-mode sub-grid the full side was actually measured on.
-    pub full_side_runs: usize,
-    /// The analytic per-run-report size model, in bytes: the fan-out's
-    /// `Option<Result<KernelCounts>>` slot plus a `SweepRunReport` plus the
-    /// mean traffic-label heap allocation observed on the sub-grid.
-    pub bytes_per_run_model: u64,
-    /// Peak allocation delta of the streaming sweep, in bytes (max across
-    /// samples).
-    pub peak_stream_bytes: u64,
-    /// Peak allocation delta of a full-mode sweep of the whole grid, in
-    /// bytes: the sub-grid's measured peak plus `bytes_per_run_model` for
-    /// each run the sub-grid omits.
-    pub peak_full_bytes: u64,
-    /// `peak_full_bytes / peak_stream_bytes` — the headline metric: how much
-    /// report memory streaming aggregation saves on this grid.
-    pub speedup: f64,
-    /// Whether every parity and memory-bound check passed (see the module
-    /// docs).
-    pub parity: bool,
-}
-
-impl AggregateBaseline {
-    /// The baseline as a JSON object for `BENCH_aggregate.json`.
-    pub fn to_json_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("workload".into(), Value::String(self.workload.clone()));
-        map.insert("runs".into(), Value::from(self.runs));
-        map.insert("groups".into(), Value::from(self.groups));
-        map.insert("nodes".into(), Value::from(self.nodes));
-        map.insert("slots".into(), Value::from(self.slots));
-        map.insert("samples".into(), Value::from(self.samples));
-        map.insert("stream_ms".into(), Value::from(self.stream_ms));
-        map.insert("full_ms".into(), Value::from(self.full_ms));
-        map.insert("runs_per_second".into(), Value::from(self.runs_per_second));
-        map.insert("full_side_runs".into(), Value::from(self.full_side_runs));
-        map.insert(
-            "bytes_per_run_model".into(),
-            Value::from(self.bytes_per_run_model),
-        );
-        map.insert(
-            "peak_stream_bytes".into(),
-            Value::from(self.peak_stream_bytes),
-        );
-        map.insert("peak_full_bytes".into(), Value::from(self.peak_full_bytes));
-        map.insert("peak_cap_bytes".into(), Value::from(STREAM_PEAK_CAP_BYTES));
-        map.insert("speedup".into(), Value::from(self.speedup));
-        map.insert("parity".into(), Value::Bool(self.parity));
-        Value::Object(map)
-    }
 }
 
 /// Checks streaming-vs-full group parity on an overlapping sub-grid (the
@@ -211,13 +135,18 @@ fn reference_fold_parity(sub_seeds: u64, caches: &SweepCaches) -> latsched_senso
 /// whole grid through the analytic per-run size model — and runs the parity
 /// checks on sub-grids.
 ///
+/// `full_ms` is scaled from the sub-grid by the run-count ratio;
+/// `bytes_per_run_model` is the fan-out's result slot plus a
+/// `SweepRunReport` plus the sub-grid's mean traffic-label bytes;
+/// `peak_stream_bytes` is the streaming peak allocation delta (max across
+/// samples), `peak_full_bytes` the sub-grid's peak plus the model for every
+/// omitted run; `speedup` is their ratio, and `parity` whether every parity
+/// and memory-bound check passed (see the module docs).
+///
 /// # Errors
 ///
 /// Propagates sweep compilation, kernel and reference-simulation errors.
-pub fn measure_aggregate(
-    seeds: u64,
-    samples: usize,
-) -> latsched_sensornet::Result<AggregateBaseline> {
+pub fn measure_aggregate(seeds: u64, samples: usize) -> latsched_sensornet::Result<Measurement> {
     let caches = SweepCaches::new();
     let group_spec = aggregate_group_spec();
     let stream_spec = aggregate_spec(seeds, SweepMode::Streaming(group_spec.clone()));
@@ -296,30 +225,32 @@ pub fn measure_aggregate(
         && peak_stream <= STREAM_PEAK_CAP_BYTES
         && mem_reduction >= MIN_MEM_REDUCTION;
 
-    Ok(AggregateBaseline {
-        workload: format!(
-            "{}-run streaming sweep: moore 3x3, {side}x{side} window, aloha(p=0.25), \
-             staggered periods x retry budgets x {seeds} seeds, {} slots/run, \
-             grouped by traffic x retries",
-            stream_report.runs,
-            stream_spec.slots,
-            side = stream_spec.windows[0],
-        ),
-        runs: stream_report.runs,
-        groups: stream_report.groups.len(),
-        nodes: (stream_spec.windows[0] * stream_spec.windows[0]) as usize,
-        slots: stream_spec.slots,
-        samples: samples.max(1),
-        stream_ms,
-        full_ms,
-        runs_per_second: stream_report.runs as f64 / (stream_ms / 1e3).max(1e-9),
-        full_side_runs: runs_sub,
-        bytes_per_run_model: bytes_per_run,
-        peak_stream_bytes: peak_stream,
-        peak_full_bytes: peak_full,
-        speedup: mem_reduction,
-        parity,
-    })
+    Ok(Measurement::new(format!(
+        "{}-run streaming sweep: moore 3x3, {side}x{side} window, aloha(p=0.25), \
+         staggered periods x retry budgets x {seeds} seeds, {} slots/run, \
+         grouped by traffic x retries",
+        stream_report.runs,
+        stream_spec.slots,
+        side = stream_spec.windows[0],
+    ))
+    .with("runs", stream_report.runs)
+    .with("groups", stream_report.groups.len())
+    .with("nodes", stream_spec.windows[0] * stream_spec.windows[0])
+    .with("slots", stream_spec.slots)
+    .with("samples", samples.max(1))
+    .with("stream_ms", stream_ms)
+    .with("full_ms", full_ms)
+    .with(
+        "runs_per_second",
+        stream_report.runs as f64 / (stream_ms / 1e3).max(1e-9),
+    )
+    .with("full_side_runs", runs_sub)
+    .with("bytes_per_run_model", bytes_per_run)
+    .with("peak_stream_bytes", peak_stream)
+    .with("peak_full_bytes", peak_full)
+    .with("peak_cap_bytes", STREAM_PEAK_CAP_BYTES)
+    .with("speedup", mem_reduction)
+    .with("parity", parity))
 }
 
 #[cfg(test)]
@@ -332,14 +263,12 @@ mod tests {
         // memory-reduction and cap thresholds only bind on the real
         // workload, so parity here is the sub-grid + reference checks).
         let baseline = measure_aggregate(6, 1).unwrap();
-        assert_eq!(baseline.runs, 4 * 5 * 6);
-        assert_eq!(baseline.groups, 20);
-        // 6 seeds / 16 clamps to a single-seed full-mode sub-grid.
-        assert_eq!(baseline.full_side_runs, 4 * 5);
-        assert!(baseline.bytes_per_run_model > 0);
+        assert_eq!(baseline.num("runs"), (4 * 5 * 6) as f64);
+        assert!(baseline.num("bytes_per_run_model") > 0.0);
         let json = baseline.to_json_value();
         assert_eq!(json.get("groups").unwrap().as_u64(), Some(20));
-        assert_eq!(json.get("full_side_runs").unwrap().as_u64(), Some(20));
+        // 6 seeds / 16 clamps to a single-seed full-mode sub-grid.
+        assert_eq!(json.get("full_side_runs").unwrap().as_u64(), Some(4 * 5));
         assert!(json.get("peak_stream_bytes").unwrap().as_u64().unwrap() > 0);
         assert!(json.get("peak_full_bytes").unwrap().as_u64().unwrap() > 0);
         assert_eq!(

@@ -1,6 +1,6 @@
 //! A counting global allocator for peak-memory assertions.
 //!
-//! The `--bench-aggregate` baseline claims that a streaming sweep's report
+//! The `aggregate` baseline entry claims that a streaming sweep's report
 //! memory is O(groups) instead of O(runs); a wall-clock benchmark cannot
 //! verify that, so this module wraps the system allocator with two relaxed
 //! atomic counters — live bytes and the high-water mark — and the baseline

@@ -7,262 +7,51 @@
 //! harness                      # run all experiments (E1..E8)
 //! harness E3 E5                # run selected experiments
 //! harness --json results.json  # also write the tables as JSON
-//! harness --bench-simkernel    # measure the frame kernel vs the reference
-//!                              # simulator and write BENCH_simkernel.json
-//! harness --bench-sweep        # measure the batched sweep engine vs
-//!                              # sequential reference runs, write BENCH_sweep.json
-//! harness --bench-tracecache   # measure warm (cached) vs cold sweeps through
-//!                              # the artifact pipeline, write BENCH_tracecache.json
-//! harness --bench-aggregate    # measure a 100k-run streaming sweep (peak
-//!                              # memory + fold parity), write BENCH_aggregate.json
-//! harness --bench-search       # measure warm (cached) vs cold schedule
-//!                              # searches, write BENCH_search.json
-//! harness --bench-replay       # measure the analytic replay vs the slot loop
-//!                              # and 64-seed lanes vs scalar runs, write
-//!                              # BENCH_replay.json
-//! harness --bench-telemetry    # measure the warm acceptance sweep with
-//!                              # telemetry off vs on, write BENCH_telemetry.json
+//! harness --bench fresh.json   # measure every performance baseline entry in
+//!                              # one process and write them as one file
+//!                              # (default BENCH.json); compare it with the
+//!                              # committed one using `perf_gate`
 //! ```
 
-use latsched_bench::{
-    measure_aggregate, measure_replay, measure_search, measure_simkernel, measure_sweep,
-    measure_telemetry, measure_tracecache, run_all, run_by_id, Table,
-};
+use latsched_bench::baseline::ENTRIES;
+use latsched_bench::{run_all, run_by_id, Table};
+use serde_json::Value;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::time::Instant;
 
-/// Acceptance workload of the frame kernel: a 256×256 window (65 536 sensors),
-/// 256 simulated slots, median of 3 timed runs per kernel.
-fn emit_simkernel_baseline(path: &str) -> ExitCode {
-    let baseline = match measure_simkernel(256, 256, 3) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("simkernel baseline failed: {err}");
-            return ExitCode::FAILURE;
+/// Measures every [`ENTRIES`] entry and writes them to `path` as one JSON
+/// object keyed by entry name. Fails after writing the file if any entry's
+/// in-measure parity check failed.
+fn emit_baseline(path: &str) -> ExitCode {
+    let mut entries = BTreeMap::new();
+    let mut failed_parity = Vec::new();
+    for (name, measure) in ENTRIES {
+        let start = Instant::now();
+        let measurement = match measure() {
+            Ok(measurement) => measurement,
+            Err(err) => {
+                eprintln!("{name} baseline failed: {err}");
+                return ExitCode::FAILURE;
+            }
+        };
+        println!(
+            "{name} ({:.1} s): {measurement}",
+            start.elapsed().as_secs_f64()
+        );
+        if !measurement.parity() {
+            failed_parity.push(name);
         }
-    };
-    println!(
-        "simkernel baseline: {} — reference {:.1} ms, frame kernel {:.2} ms, speedup {:.1}x, parity {}",
-        baseline.workload, baseline.reference_ms, baseline.frame_ms, baseline.speedup,
-        baseline.parity
-    );
-    let json = serde_json::to_string_pretty(&baseline.to_json_value());
+        entries.insert(name.to_string(), measurement.to_json_value());
+    }
+    let json = serde_json::to_string_pretty(&Value::Object(entries));
     if let Err(err) = std::fs::write(path, json + "\n") {
         eprintln!("failed to write {path}: {err}");
         return ExitCode::FAILURE;
     }
-    println!("wrote simkernel baseline to {path}");
-    if !baseline.parity {
-        eprintln!("kernel parity check failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Acceptance workload of the sweep engine: the 64-run stochastic grid on the
-/// Moore 64×64 window (4 096 sensors), 512 slots per run, median of 3 timed
-/// sweeps against one sequential reference pass.
-fn emit_sweep_baseline(path: &str) -> ExitCode {
-    let baseline = match measure_sweep(64, 512, 3) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("sweep baseline failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "sweep baseline: {} — sequential reference {:.1} ms, batched sweep {:.2} ms, \
-         speedup {:.1}x, parity {}",
-        baseline.workload,
-        baseline.reference_ms,
-        baseline.sweep_ms,
-        baseline.speedup,
-        baseline.parity
-    );
-    println!("sweep caches: {}", baseline.caches);
-    let json = serde_json::to_string_pretty(&baseline.to_json_value());
-    if let Err(err) = std::fs::write(path, json + "\n") {
-        eprintln!("failed to write {path}: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote sweep baseline to {path}");
-    if !baseline.parity {
-        eprintln!("sweep parity check failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Acceptance workload of the artifact pipeline: the 64-run acceptance sweep
-/// timed cold (fresh caches) and warm (shared caches), median of 3 samples per
-/// side.
-fn emit_tracecache_baseline(path: &str) -> ExitCode {
-    let baseline = match measure_tracecache(64, 512, 3) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("tracecache baseline failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "tracecache baseline: {} — cold {:.2} ms (setup {:.2} ms), warm {:.2} ms \
-         (setup {:.2} ms), speedup {:.1}x, parity {}",
-        baseline.workload,
-        baseline.cold_ms,
-        baseline.cold_setup_ms,
-        baseline.warm_ms,
-        baseline.warm_setup_ms,
-        baseline.speedup,
-        baseline.parity
-    );
-    println!("warm caches: {}", baseline.warm_caches);
-    let json = serde_json::to_string_pretty(&baseline.to_json_value());
-    if let Err(err) = std::fs::write(path, json + "\n") {
-        eprintln!("failed to write {path}: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote tracecache baseline to {path}");
-    if !baseline.parity {
-        eprintln!("tracecache parity check failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Acceptance workload of the streaming sweep-statistics subsystem: a
-/// 100 000-run grid (4 traffic periods × 5 retry budgets × 5 000 seeds on the
-/// Moore 12×12 window) folded online by traffic × retries, with the peak
-/// allocation of the streaming side measured by the counting allocator and
-/// compared against the full-mode report of the same grid.
-fn emit_aggregate_baseline(path: &str) -> ExitCode {
-    let baseline = match measure_aggregate(5_000, 2) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("aggregate baseline failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "aggregate baseline: {} — streaming {:.1} ms ({:.0} runs/s, peak {:.2} MiB), \
-         full {:.1} ms (peak {:.2} MiB), mem reduction {:.1}x, parity {}",
-        baseline.workload,
-        baseline.stream_ms,
-        baseline.runs_per_second,
-        baseline.peak_stream_bytes as f64 / (1 << 20) as f64,
-        baseline.full_ms,
-        baseline.peak_full_bytes as f64 / (1 << 20) as f64,
-        baseline.speedup,
-        baseline.parity
-    );
-    let json = serde_json::to_string_pretty(&baseline.to_json_value());
-    if let Err(err) = std::fs::write(path, json + "\n") {
-        eprintln!("failed to write {path}: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote aggregate baseline to {path}");
-    if !baseline.parity {
-        eprintln!("aggregate parity / memory-bound check failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Acceptance workload of the schedule-search stage: the builtin Figure-2
-/// Moore search (lattice + coloring candidates on the 16×16 window) timed
-/// cold (fresh caches) and warm (the ranked outcome served whole from the
-/// tier-5 search cache), median of 3 samples per side.
-fn emit_search_baseline(path: &str) -> ExitCode {
-    let baseline = match measure_search(3) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("search baseline failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "search baseline: {} — cold {:.2} ms, warm {:.4} ms, speedup {:.1}x, parity {}",
-        baseline.workload, baseline.cold_ms, baseline.warm_ms, baseline.speedup, baseline.parity
-    );
-    println!("warm caches: {}", baseline.warm_caches);
-    let json = serde_json::to_string_pretty(&baseline.to_json_value());
-    if let Err(err) = std::fs::write(path, json + "\n") {
-        eprintln!("failed to write {path}: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote search baseline to {path}");
-    if !baseline.parity {
-        eprintln!("search parity / zero-miss check failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Acceptance workload of the replay kernels: the Moore 64×64 window (4 096
-/// sensors), 1 024 slots per run, median of 3 samples per side — the analytic
-/// replay against the slot loop on the clean tiling schedule, and one 64-seed
-/// ALOHA lane batch against scalar per-seed runs, bit-exact parity asserted
-/// inside every timed sample.
-fn emit_replay_baseline(path: &str) -> ExitCode {
-    let baseline = match measure_replay(64, 1024, 3) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("replay baseline failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "replay baseline: {} — analytic {:.4} ms vs loop {:.2} ms ({:.1}x), \
-         lanes {:.2} ms vs scalar {:.2} ms ({:.1}x), parity {}",
-        baseline.workload,
-        baseline.analytic_ms,
-        baseline.loop_ms,
-        baseline.analytic_speedup,
-        baseline.lane_ms,
-        baseline.scalar_ms,
-        baseline.lane_speedup,
-        baseline.parity
-    );
-    let json = serde_json::to_string_pretty(&baseline.to_json_value());
-    if let Err(err) = std::fs::write(path, json + "\n") {
-        eprintln!("failed to write {path}: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote replay baseline to {path}");
-    if !baseline.parity {
-        eprintln!("replay parity check failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Acceptance workload of the telemetry subsystem: the warm 64-run acceptance
-/// sweep (Moore 64×64, 512 slots) timed with telemetry disabled and enabled,
-/// median of 5 samples per side, reporting the off/on overhead ratio.
-fn emit_telemetry_baseline(path: &str) -> ExitCode {
-    let baseline = match measure_telemetry(64, 512, 5) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("telemetry baseline failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "telemetry baseline: {} — off {:.2} ms, on {:.2} ms, overhead ratio {:.3}, \
-         dispatch total {}, parity {}",
-        baseline.workload,
-        baseline.off_ms,
-        baseline.on_ms,
-        baseline.overhead_ratio,
-        baseline.dispatch_total,
-        baseline.parity
-    );
-    let json = serde_json::to_string_pretty(&baseline.to_json_value());
-    if let Err(err) = std::fs::write(path, json + "\n") {
-        eprintln!("failed to write {path}: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote telemetry baseline to {path}");
-    if !baseline.parity {
-        eprintln!("telemetry parity check failed");
+    println!("wrote {} baseline entries to {path}", ENTRIES.len());
+    if !failed_parity.is_empty() {
+        eprintln!("parity check failed: {}", failed_parity.join(", "));
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -271,13 +60,7 @@ fn emit_telemetry_baseline(path: &str) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_path: Option<String> = None;
-    let mut simkernel_path: Option<String> = None;
-    let mut sweep_path: Option<String> = None;
-    let mut tracecache_path: Option<String> = None;
-    let mut aggregate_path: Option<String> = None;
-    let mut search_path: Option<String> = None;
-    let mut replay_path: Option<String> = None;
-    let mut telemetry_path: Option<String> = None;
+    let mut bench_path: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.into_iter().peekable();
     while let Some(arg) = iter.next() {
@@ -289,112 +72,28 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--bench-simkernel" => {
-                // Optional path operand; defaults to BENCH_simkernel.json.
-                simkernel_path = Some(match iter.peek() {
+            "--bench" => {
+                // Optional path operand; defaults to BENCH.json.
+                bench_path = Some(match iter.peek() {
                     Some(next) if !next.starts_with('-') => iter.next().unwrap(),
-                    _ => "BENCH_simkernel.json".to_string(),
-                });
-            }
-            "--bench-sweep" => {
-                // Optional path operand; defaults to BENCH_sweep.json.
-                sweep_path = Some(match iter.peek() {
-                    Some(next) if !next.starts_with('-') => iter.next().unwrap(),
-                    _ => "BENCH_sweep.json".to_string(),
-                });
-            }
-            "--bench-tracecache" => {
-                // Optional path operand; defaults to BENCH_tracecache.json.
-                tracecache_path = Some(match iter.peek() {
-                    Some(next) if !next.starts_with('-') => iter.next().unwrap(),
-                    _ => "BENCH_tracecache.json".to_string(),
-                });
-            }
-            "--bench-aggregate" => {
-                // Optional path operand; defaults to BENCH_aggregate.json.
-                aggregate_path = Some(match iter.peek() {
-                    Some(next) if !next.starts_with('-') => iter.next().unwrap(),
-                    _ => "BENCH_aggregate.json".to_string(),
-                });
-            }
-            "--bench-search" => {
-                // Optional path operand; defaults to BENCH_search.json.
-                search_path = Some(match iter.peek() {
-                    Some(next) if !next.starts_with('-') => iter.next().unwrap(),
-                    _ => "BENCH_search.json".to_string(),
-                });
-            }
-            "--bench-replay" => {
-                // Optional path operand; defaults to BENCH_replay.json.
-                replay_path = Some(match iter.peek() {
-                    Some(next) if !next.starts_with('-') => iter.next().unwrap(),
-                    _ => "BENCH_replay.json".to_string(),
-                });
-            }
-            "--bench-telemetry" => {
-                // Optional path operand; defaults to BENCH_telemetry.json.
-                telemetry_path = Some(match iter.peek() {
-                    Some(next) if !next.starts_with('-') => iter.next().unwrap(),
-                    _ => "BENCH_telemetry.json".to_string(),
+                    _ => "BENCH.json".to_string(),
                 });
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: harness [--json FILE] [--bench-simkernel [FILE]] \
-                     [--bench-sweep [FILE]] [--bench-tracecache [FILE]] \
-                     [--bench-aggregate [FILE]] [--bench-search [FILE]] \
-                     [--bench-replay [FILE]] [--bench-telemetry [FILE]] \
-                     [E1..E8 | all]..."
-                );
+                println!("usage: harness [--json FILE] [--bench [FILE]] [E1..E8 | all]...");
                 return ExitCode::SUCCESS;
             }
             other => ids.push(other.to_string()),
         }
     }
 
-    let baseline_modes = [
-        &simkernel_path,
-        &sweep_path,
-        &tracecache_path,
-        &aggregate_path,
-        &search_path,
-        &replay_path,
-        &telemetry_path,
-    ]
-    .iter()
-    .filter(|p| p.is_some())
-    .count();
-    if baseline_modes > 0 {
-        // The baseline runs are their own mode; refuse silently dropped work.
+    if let Some(path) = bench_path {
+        // The baseline run is its own mode; refuse silently dropped work.
         if !ids.is_empty() || json_path.is_some() {
-            eprintln!("baseline modes cannot be combined with experiment ids or --json");
+            eprintln!("--bench cannot be combined with experiment ids or --json");
             return ExitCode::FAILURE;
         }
-        if baseline_modes > 1 {
-            eprintln!("run one baseline mode at a time");
-            return ExitCode::FAILURE;
-        }
-        if let Some(path) = simkernel_path {
-            return emit_simkernel_baseline(&path);
-        }
-        if let Some(path) = sweep_path {
-            return emit_sweep_baseline(&path);
-        }
-        if let Some(path) = tracecache_path {
-            return emit_tracecache_baseline(&path);
-        }
-        if let Some(path) = aggregate_path {
-            return emit_aggregate_baseline(&path);
-        }
-        if let Some(path) = search_path {
-            return emit_search_baseline(&path);
-        }
-        if let Some(path) = replay_path {
-            return emit_replay_baseline(&path);
-        }
-        if let Some(path) = telemetry_path {
-            return emit_telemetry_baseline(&path);
-        }
+        return emit_baseline(&path);
     }
 
     let run_everything = ids.is_empty() || ids.iter().any(|id| id.eq_ignore_ascii_case("all"));

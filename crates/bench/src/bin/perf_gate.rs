@@ -1,171 +1,61 @@
 //! `perf-gate`: the CI perf-regression comparator.
 //!
-//! Compares a freshly measured benchmark baseline against the committed one and
-//! fails (exit code 1) if the fresh metric regressed by more than the allowed
-//! fraction, or if either baseline records a parity failure:
+//! Checks a freshly measured baseline file (`harness --bench FRESH.json`)
+//! against the committed `BENCH.json` row by row through the gate table in
+//! [`latsched_bench::baseline`], prints every row, and fails (exit code 1)
+//! naming every failing row:
 //!
 //! ```bash
-//! perf-gate BENCH_simkernel.json fresh_simkernel.json
-//! perf-gate BENCH_sweep.json fresh_sweep.json --max-regression 0.25
-//! perf-gate baseline.json fresh.json --metric speedup
-//! perf-gate BENCH_aggregate.json fresh_aggregate.json --max-mem-growth 3.0
+//! perf-gate BENCH.json fresh_bench.json
 //! ```
-//!
-//! The compared metric defaults to `speedup` — a ratio of two timings taken on
-//! the *same* machine in the *same* run, so it transfers across differently
-//! sized CI runners where absolute milliseconds would not. (The aggregate
-//! baseline reports its memory-reduction ratio under the same field, for the
-//! same reason.)
-//!
-//! When both baselines carry peak-memory fields (`peak_*_bytes`), each is
-//! additionally compared lower-is-better: the fresh peak may not exceed the
-//! committed one by more than `--max-mem-growth` (a fraction; default 1.0,
-//! i.e. a doubling fails). Peak bytes vary with worker-thread counts, so the
-//! growth allowance is deliberately wider than the metric gate.
 
+use latsched_bench::baseline::check;
 use serde_json::Value;
 use std::process::ExitCode;
-
-/// Default allowed fractional regression (25%).
-const DEFAULT_MAX_REGRESSION: f64 = 0.25;
-
-/// Default allowed fractional growth of peak-memory fields (100%).
-const DEFAULT_MAX_MEM_GROWTH: f64 = 1.0;
 
 fn load(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))?;
     serde_json::from_str(&text).map_err(|e| format!("failed to parse {path}: {e}"))
 }
 
-fn metric_of(value: &Value, metric: &str, path: &str) -> Result<f64, String> {
-    value
-        .get(metric)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("{path} has no numeric field '{metric}'"))
-}
-
-/// Compares every `peak_*_bytes` field present in both baselines,
-/// lower-is-better: fresh may exceed committed by at most `max_growth`.
-fn gate_memory_fields(baseline: &Value, fresh: &Value, max_growth: f64) -> Result<(), String> {
-    let Some(map) = baseline.as_object() else {
-        return Ok(());
-    };
-    for (field, was) in map {
-        if !(field.starts_with("peak_") && field.ends_with("_bytes")) {
-            continue;
-        }
-        let Some(was) = was.as_f64() else { continue };
-        // A peak field the committed baseline tracks must be present in the
-        // fresh measurement — a silently dropped field would pass the memory
-        // gate vacuously.
-        let Some(now) = fresh.get(field).and_then(Value::as_f64) else {
-            return Err(format!(
-                "fresh baseline has no numeric field '{field}' to compare against the \
-                 committed peak-memory value"
-            ));
-        };
-        let ceiling = was * (1.0 + max_growth);
-        let change = if was > 0.0 {
-            (now / was - 1.0) * 100.0
-        } else {
-            0.0
-        };
-        println!(
-            "perf-gate: {field} {:.2} MiB -> {:.2} MiB ({change:+.1}%), ceiling {:.2} MiB \
-             (max growth {:.0}%)",
-            was / (1 << 20) as f64,
-            now / (1 << 20) as f64,
-            ceiling / (1 << 20) as f64,
-            max_growth * 100.0
-        );
-        if now > ceiling {
-            return Err(format!(
-                "{field} grew beyond the {:.0}% gate: {now:.0} > {ceiling:.0} (baseline {was:.0})",
-                max_growth * 100.0
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut metric = "speedup".to_string();
-    let mut max_regression = DEFAULT_MAX_REGRESSION;
-    let mut max_mem_growth = DEFAULT_MAX_MEM_GROWTH;
-    let mut paths: Vec<String> = Vec::new();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--metric" => {
-                metric = iter.next().ok_or("--metric requires a field name")?;
-            }
-            "--max-regression" => {
-                max_regression = iter
-                    .next()
-                    .ok_or("--max-regression requires a fraction")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --max-regression: {e}"))?;
-                if !(0.0..1.0).contains(&max_regression) {
-                    return Err("--max-regression must be in [0, 1)".into());
-                }
-            }
-            "--max-mem-growth" => {
-                max_mem_growth = iter
-                    .next()
-                    .ok_or("--max-mem-growth requires a fraction")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --max-mem-growth: {e}"))?;
-                if max_mem_growth < 0.0 {
-                    return Err("--max-mem-growth must be nonnegative".into());
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: perf-gate BASELINE.json FRESH.json [--metric NAME] \
-                     [--max-regression FRAC] [--max-mem-growth FRAC]"
-                );
-                return Ok(());
-            }
-            other => paths.push(other.to_string()),
-        }
-    }
-    let [baseline_path, fresh_path] = paths.as_slice() else {
-        return Err("expected exactly two file operands: BASELINE.json FRESH.json".into());
-    };
-
-    let baseline = load(baseline_path)?;
-    let fresh = load(fresh_path)?;
-    for (value, path) in [(&baseline, baseline_path), (&fresh, fresh_path)] {
-        if value.get("parity").and_then(Value::as_bool) == Some(false) {
-            return Err(format!("{path} records a kernel parity failure"));
-        }
-    }
-
-    let was = metric_of(&baseline, &metric, baseline_path)?;
-    let now = metric_of(&fresh, &metric, fresh_path)?;
-    let floor = was * (1.0 - max_regression);
-    let change = (now / was - 1.0) * 100.0;
-    println!(
-        "perf-gate: {metric} {was:.2} -> {now:.2} ({change:+.1}%), floor {floor:.2} \
-         (max regression {:.0}%)",
-        max_regression * 100.0
-    );
-    if now < floor {
-        return Err(format!(
-            "{metric} regressed beyond the {:.0}% gate: {now:.2} < {floor:.2} (baseline {was:.2})",
-            max_regression * 100.0
-        ));
-    }
-    gate_memory_fields(&baseline, &fresh, max_mem_growth)
-}
-
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = "usage: perf-gate BENCH.json FRESH.json";
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{usage}");
+        return ExitCode::SUCCESS;
+    }
+    let [committed, fresh] = args.as_slice() else {
+        eprintln!("perf-gate: expected exactly two file operands\n{usage}");
+        return ExitCode::FAILURE;
+    };
+    let (committed, fresh) = match (load(committed), load(fresh)) {
+        (Ok(committed), Ok(fresh)) => (committed, fresh),
+        (Err(msg), _) | (_, Err(msg)) => {
             eprintln!("perf-gate: {msg}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    let rows = check(&committed, &fresh);
+    for row in &rows {
+        let status = if row.passed { "ok  " } else { "FAIL" };
+        println!("perf-gate: {status} {} {}", row.name, row.detail);
+    }
+    let failed: Vec<&str> = rows
+        .iter()
+        .filter(|row| !row.passed)
+        .map(|row| row.name.as_str())
+        .collect();
+    if failed.is_empty() {
+        println!("perf-gate: all {} rows passed", rows.len());
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "perf-gate: {} of {} rows failed: {}",
+            failed.len(),
+            rows.len(),
+            failed.join(", ")
+        );
+        ExitCode::FAILURE
     }
 }

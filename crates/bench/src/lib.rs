@@ -14,6 +14,10 @@
 //! cargo run --release -p latsched-bench --bin harness -- --json out.json all
 //! ```
 //!
+//! `harness --bench` measures the committed performance baseline, `BENCH.json`
+//! (see [`baseline`]), and the `perf_gate` binary checks a fresh measurement
+//! against it.
+//!
 //! Criterion micro-benchmarks live under `benches/` (one per experiment family) and
 //! are run with `cargo bench -p latsched-bench`.
 
@@ -22,6 +26,7 @@
 
 pub mod aggregate;
 pub mod alloc;
+pub mod baseline;
 pub mod experiments;
 pub mod replay;
 pub mod report;
@@ -31,12 +36,13 @@ pub mod sweep;
 pub mod telemetry;
 pub mod tracecache;
 
-pub use aggregate::{measure_aggregate, AggregateBaseline};
+pub use aggregate::measure_aggregate;
+pub use baseline::Measurement;
 pub use experiments::{run_all, run_by_id, ExpResult};
-pub use replay::{measure_replay, ReplayBaseline};
+pub use replay::measure_replay;
 pub use report::Table;
-pub use search::{measure_search, SearchBaseline};
-pub use simbench::{measure_simkernel, SimkernelBaseline};
-pub use sweep::{measure_sweep, SweepBaseline};
-pub use telemetry::{measure_telemetry, TelemetryBaseline};
-pub use tracecache::{measure_tracecache, TraceCacheBaseline};
+pub use search::measure_search;
+pub use simbench::measure_simkernel;
+pub use sweep::measure_sweep;
+pub use telemetry::measure_telemetry;
+pub use tracecache::measure_tracecache;

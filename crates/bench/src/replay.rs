@@ -1,6 +1,6 @@
 //! The replay-kernel benchmark workload, shared by the criterion bench
-//! (`benches/bench_replay.rs`) and the harness's `--bench-replay` baseline
-//! emitter so both always measure exactly the same thing. Two fast paths of
+//! (`benches/bench_replay.rs`) and the `replay` entry of `harness --bench` so
+//! both always measure exactly the same thing. Two fast paths of
 //! the engine's frame kernel are timed against their general counterparts:
 //!
 //! * **Analytic replay.** A clean 9-slot Moore tiling schedule under periodic
@@ -29,113 +29,16 @@
 //! result and every timed lane batch against the per-seed scalar results —
 //! so the reported speedups can never come from a divergent fast path.
 
-use crate::sweep::median_ms;
+use crate::baseline::{median_ms, Measurement};
 use latsched_engine::{
     compile_shape, grid_adjacency, run_frames, run_frames_lanes, run_frames_loop, FramePlan,
     FrameSchedule, KernelConfig, KernelCounts, KernelMac, KernelTraffic, Result,
 };
 use latsched_lattice::BoxRegion;
 use latsched_tiling::shapes;
-use serde_json::Value;
-use std::collections::BTreeMap;
 
 /// Seeds per lane batch: the full width of one `u64` lane word.
 pub const LANE_SEEDS: usize = 64;
-
-/// One measured baseline of the analytic replay and lane kernels.
-#[derive(Clone, Debug)]
-pub struct ReplayBaseline {
-    /// Human-readable workload description.
-    pub workload: String,
-    /// Number of nodes per run.
-    pub nodes: usize,
-    /// Number of slots simulated per run.
-    pub slots: u64,
-    /// Seeds packed into one lane batch.
-    pub lane_seeds: usize,
-    /// Timed executions per side (the median is reported).
-    pub samples: usize,
-    /// Median wall-clock of one closed-form analytic replay, in milliseconds.
-    pub analytic_ms: f64,
-    /// Median wall-clock of one explicit slot-loop run of the same
-    /// configuration, in milliseconds.
-    pub loop_ms: f64,
-    /// `loop_ms / analytic_ms` — how much the closed-form replay saves on a
-    /// clean scheduled run.
-    pub analytic_speedup: f64,
-    /// Median wall-clock of one 64-seed lane batch, in milliseconds.
-    pub lane_ms: f64,
-    /// Median wall-clock of the same 64 seeds as scalar per-seed runs, in
-    /// milliseconds.
-    pub scalar_ms: f64,
-    /// `scalar_ms / lane_ms` — how much bit-slicing the seed axis saves on a
-    /// stochastic grid point.
-    pub lane_speedup: f64,
-    /// Median wall-clock of one 64-seed *Bernoulli-traffic* lane batch, in
-    /// milliseconds.
-    pub bernoulli_lane_ms: f64,
-    /// Median wall-clock of the same 64 Bernoulli seeds as scalar per-seed
-    /// runs, in milliseconds.
-    pub bernoulli_scalar_ms: f64,
-    /// `bernoulli_scalar_ms / bernoulli_lane_ms` — the win of bit-planed
-    /// backlog counters over 64 scalar Bernoulli runs.
-    pub bernoulli_lane_speedup: f64,
-    /// Median wall-clock of one hybrid partial-conflict replay, in
-    /// milliseconds.
-    pub partial_analytic_ms: f64,
-    /// Median wall-clock of the full slot loop on the same partially
-    /// conflicted plan, in milliseconds.
-    pub partial_loop_ms: f64,
-    /// `partial_loop_ms / partial_analytic_ms` — the win of narrowing the
-    /// loop to the conflicted slot minority.
-    pub partial_analytic_speedup: f64,
-    /// Whether every in-measure parity check passed (see the module docs).
-    pub parity: bool,
-}
-
-impl ReplayBaseline {
-    /// The baseline as a JSON object for `BENCH_replay.json`.
-    pub fn to_json_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("workload".into(), Value::String(self.workload.clone()));
-        map.insert("nodes".into(), Value::from(self.nodes));
-        map.insert("slots".into(), Value::from(self.slots));
-        map.insert("lane_seeds".into(), Value::from(self.lane_seeds));
-        map.insert("samples".into(), Value::from(self.samples));
-        map.insert("analytic_ms".into(), Value::from(self.analytic_ms));
-        map.insert("loop_ms".into(), Value::from(self.loop_ms));
-        map.insert(
-            "analytic_speedup".into(),
-            Value::from(self.analytic_speedup),
-        );
-        map.insert("lane_ms".into(), Value::from(self.lane_ms));
-        map.insert("scalar_ms".into(), Value::from(self.scalar_ms));
-        map.insert("lane_speedup".into(), Value::from(self.lane_speedup));
-        map.insert(
-            "bernoulli_lane_ms".into(),
-            Value::from(self.bernoulli_lane_ms),
-        );
-        map.insert(
-            "bernoulli_scalar_ms".into(),
-            Value::from(self.bernoulli_scalar_ms),
-        );
-        map.insert(
-            "bernoulli_lane_speedup".into(),
-            Value::from(self.bernoulli_lane_speedup),
-        );
-        map.insert(
-            "partial_analytic_ms".into(),
-            Value::from(self.partial_analytic_ms),
-        );
-        map.insert("partial_loop_ms".into(), Value::from(self.partial_loop_ms));
-        map.insert(
-            "partial_analytic_speedup".into(),
-            Value::from(self.partial_analytic_speedup),
-        );
-        map.insert("parity".into(), Value::Bool(self.parity));
-        Value::Object(map)
-    }
-}
 
 /// The clean workload: the optimal 9-slot Moore tiling schedule of a
 /// `side × side` window, fused with the window's interference adjacency —
@@ -188,12 +91,14 @@ fn aloha_plan(side: i64) -> Result<FramePlan> {
 
 /// Times the analytic replay against the slot loop and the lane kernel
 /// against scalar per-seed runs, asserting bit-exact counter parity inside
-/// every timed sample.
+/// every timed sample. Each `*_speedup` is the slow side's median over the
+/// fast side's (`loop_ms / analytic_ms`, `scalar_ms / lane_ms`, …); `parity`
+/// is whether every in-measure parity check passed.
 ///
 /// # Errors
 ///
 /// Propagates schedule compilation, plan fusion and kernel errors.
-pub fn measure_replay(side: i64, slots: u64, samples: usize) -> Result<ReplayBaseline> {
+pub fn measure_replay(side: i64, slots: u64, samples: usize) -> Result<Measurement> {
     // The analytic and partial-conflict sides run in microseconds, so their
     // ratios are dominated by timer and scheduler jitter at the configured
     // sample count; oversampling them is nearly free and keeps the medians
@@ -328,33 +233,40 @@ pub fn measure_replay(side: i64, slots: u64, samples: usize) -> Result<ReplayBas
         run_frames_loop(&partial, &partial_config).expect("partial slot loop");
     });
 
-    Ok(ReplayBaseline {
-        workload: format!(
-            "moore 3x3 neighbourhood, {side}x{side} window, {slots} slots/run: \
-             analytic replay of the 9-slot tiling schedule (periodic 1/64) vs the slot \
-             loop (clean, plus a 1-conflicted-slot hybrid variant at 8x slots), one {LANE_SEEDS}-seed \
-             aloha(p=0.25) lane batch (staggered 1/4) vs scalar per-seed runs, and a \
-             saturated {bernoulli_side}x{bernoulli_side} aloha(p=0.5) batch under \
-             bernoulli(p=0.25) traffic"
-        ),
-        nodes,
-        slots,
-        lane_seeds: LANE_SEEDS,
-        samples: samples.max(1),
-        analytic_ms,
-        loop_ms,
-        analytic_speedup: loop_ms / analytic_ms.max(1e-9),
-        lane_ms,
-        scalar_ms,
-        lane_speedup: scalar_ms / lane_ms.max(1e-9),
-        bernoulli_lane_ms,
-        bernoulli_scalar_ms,
-        bernoulli_lane_speedup: bernoulli_scalar_ms / bernoulli_lane_ms.max(1e-9),
-        partial_analytic_ms,
-        partial_loop_ms,
-        partial_analytic_speedup: partial_loop_ms / partial_analytic_ms.max(1e-9),
-        parity: analytic_parity && lane_parity && bernoulli_parity && partial_parity,
-    })
+    Ok(Measurement::new(format!(
+        "moore 3x3 neighbourhood, {side}x{side} window, {slots} slots/run: \
+         analytic replay of the 9-slot tiling schedule (periodic 1/64) vs the slot \
+         loop (clean, plus a 1-conflicted-slot hybrid variant at 8x slots), one {LANE_SEEDS}-seed \
+         aloha(p=0.25) lane batch (staggered 1/4) vs scalar per-seed runs, and a \
+         saturated {bernoulli_side}x{bernoulli_side} aloha(p=0.5) batch under \
+         bernoulli(p=0.25) traffic"
+    ))
+    .with("nodes", nodes)
+    .with("slots", slots)
+    .with("lane_seeds", LANE_SEEDS)
+    .with("samples", samples.max(1))
+    .with("analytic_ms", analytic_ms)
+    .with("loop_ms", loop_ms)
+    .with("analytic_speedup", loop_ms / analytic_ms.max(1e-9))
+    .with("lane_ms", lane_ms)
+    .with("scalar_ms", scalar_ms)
+    .with("lane_speedup", scalar_ms / lane_ms.max(1e-9))
+    .with("bernoulli_lane_ms", bernoulli_lane_ms)
+    .with("bernoulli_scalar_ms", bernoulli_scalar_ms)
+    .with(
+        "bernoulli_lane_speedup",
+        bernoulli_scalar_ms / bernoulli_lane_ms.max(1e-9),
+    )
+    .with("partial_analytic_ms", partial_analytic_ms)
+    .with("partial_loop_ms", partial_loop_ms)
+    .with(
+        "partial_analytic_speedup",
+        partial_loop_ms / partial_analytic_ms.max(1e-9),
+    )
+    .with(
+        "parity",
+        analytic_parity && lane_parity && bernoulli_parity && partial_parity,
+    ))
 }
 
 #[cfg(test)]
@@ -367,27 +279,18 @@ mod tests {
         // performance (the ≥5×/≥4× thresholds only bind on the real
         // workload, gated in CI by `perf_gate`).
         let baseline = measure_replay(9, 256, 1).unwrap();
-        assert_eq!(baseline.nodes, 81);
-        assert_eq!(baseline.lane_seeds, 64);
-        assert!(baseline.parity, "fast paths must match their slow paths");
+        assert_eq!(baseline.num("lane_seeds"), 64.0);
+        assert!(baseline.parity(), "fast paths must match their slow paths");
         let json = baseline.to_json_value();
         assert_eq!(json.get("nodes").unwrap().as_u64(), Some(81));
         assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));
-        assert!(json.get("analytic_speedup").unwrap().as_f64().unwrap() > 0.0);
-        assert!(json.get("lane_speedup").unwrap().as_f64().unwrap() > 0.0);
-        assert!(
-            json.get("bernoulli_lane_speedup")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
-        assert!(
-            json.get("partial_analytic_speedup")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
+        for ratio in [
+            "analytic_speedup",
+            "lane_speedup",
+            "bernoulli_lane_speedup",
+            "partial_analytic_speedup",
+        ] {
+            assert!(baseline.num(ratio) > 0.0, "{ratio}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The search-cache benchmark workload: the builtin Figure-2 schedule search
 //! measured cold (fresh caches, every candidate enumerated, compiled and
 //! simulated) against warm (shared [`SweepCaches`], the ranked outcome served
-//! whole from the tier-5 search cache), shared by the harness's
-//! `--bench-search` baseline emitter and the CI perf gate.
+//! whole from the tier-5 search cache): the `search` entry of
+//! `harness --bench`.
 //!
 //! The measured ratio is the payoff of content-addressing the *outcome* of a
 //! search rather than its parts: a warm search does not touch tiers 1–4 at
@@ -11,71 +11,21 @@
 //! (asserted as part of parity, together with bit-identical ranked outcomes
 //! and a provably optimal lattice winner).
 
-use latsched_engine::{builtin_search, run_search, SearchReport, SweepCacheStats, SweepCaches};
-
-use crate::sweep::median_ms;
-use serde_json::Value;
-use std::collections::BTreeMap;
-
-/// One measured cold-vs-warm baseline of the schedule-search stage on the
-/// builtin Figure-2 search.
-#[derive(Clone, Debug)]
-pub struct SearchBaseline {
-    /// Human-readable workload description.
-    pub workload: String,
-    /// Candidates enumerated by the cold search.
-    pub candidates: usize,
-    /// Evaluation runs folded per candidate.
-    pub runs_per_candidate: usize,
-    /// Number of nodes in the deployment window.
-    pub nodes: usize,
-    /// Timed search executions per side (the median is reported).
-    pub samples: usize,
-    /// Median wall-clock of one cold search (fresh caches), in milliseconds.
-    pub cold_ms: f64,
-    /// Median wall-clock of one warm search (shared caches), in milliseconds.
-    pub warm_ms: f64,
-    /// `cold_ms / warm_ms` — the warm-over-cold speedup the CI gate tracks.
-    pub speedup: f64,
-    /// Per-tier counters of the measured warm search.
-    pub warm_caches: SweepCacheStats,
-    /// Whether the warm outcome was bit-identical to the cold outcome, the
-    /// warm search answered from the search tier without touching tiers 1–4,
-    /// and the winner is a lattice candidate confirmed optimal.
-    pub parity: bool,
-}
-
-impl SearchBaseline {
-    /// The baseline as a JSON object for `BENCH_search.json`.
-    pub fn to_json_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("workload".into(), Value::String(self.workload.clone()));
-        map.insert("candidates".into(), Value::from(self.candidates));
-        map.insert(
-            "runs_per_candidate".into(),
-            Value::from(self.runs_per_candidate),
-        );
-        map.insert("nodes".into(), Value::from(self.nodes));
-        map.insert("samples".into(), Value::from(self.samples));
-        map.insert("cold_ms".into(), Value::from(self.cold_ms));
-        map.insert("warm_ms".into(), Value::from(self.warm_ms));
-        map.insert("speedup".into(), Value::from(self.speedup));
-        map.insert("warm_caches".into(), self.warm_caches.to_json_value());
-        map.insert("parity".into(), Value::Bool(self.parity));
-        Value::Object(map)
-    }
-}
+use crate::baseline::{median_ms, Measurement};
+use latsched_engine::{builtin_search, run_search, SearchReport, SweepCaches};
 
 /// Times the builtin Figure-2 search cold (fresh [`SweepCaches`] every
 /// sample) against warm (one shared cache set, pre-warmed), checking that the
 /// warm outcome is bit-identical, that the warm side's only cache movement is
 /// search-tier hits (zero misses everywhere, zero lookups below tier 5), and
-/// that the winner is a provably optimal lattice tiling.
+/// that the winner is a provably optimal lattice tiling: `speedup` is
+/// `cold_ms / warm_ms`, `warm_caches` the warm search's per-tier counters,
+/// and `parity` whether all three checks held.
 ///
 /// # Errors
 ///
 /// Propagates search enumeration, compilation and kernel errors.
-pub fn measure_search(samples: usize) -> latsched_engine::Result<SearchBaseline> {
+pub fn measure_search(samples: usize) -> latsched_engine::Result<Measurement> {
     let spec = builtin_search();
 
     // Cold side: every sample pays candidate enumeration, compilation through
@@ -130,24 +80,22 @@ pub fn measure_search(samples: usize) -> latsched_engine::Result<SearchBaseline>
     });
     let parity = *warm_report.outcome == *cold_report.outcome && zero_miss && optimal_winner;
 
-    Ok(SearchBaseline {
-        workload: format!(
-            "cold vs warm schedule search: builtin Figure-2 Moore search, \
-             {} candidates x {} runs, 16x16 window, objective {}",
-            cold_report.outcome.candidates(),
-            cold_report.outcome.runs_per_candidate,
-            cold_report.objective,
-        ),
-        candidates: cold_report.outcome.candidates(),
-        runs_per_candidate: cold_report.outcome.runs_per_candidate,
-        nodes: cold_report.outcome.nodes,
-        samples: samples.max(1),
-        cold_ms,
-        warm_ms,
-        speedup: cold_ms / warm_ms.max(1e-9),
-        warm_caches,
-        parity,
-    })
+    Ok(Measurement::new(format!(
+        "cold vs warm schedule search: builtin Figure-2 Moore search, \
+         {} candidates x {} runs, 16x16 window, objective {}",
+        cold_report.outcome.candidates(),
+        cold_report.outcome.runs_per_candidate,
+        cold_report.objective,
+    ))
+    .with("candidates", cold_report.outcome.candidates())
+    .with("runs_per_candidate", cold_report.outcome.runs_per_candidate)
+    .with("nodes", cold_report.outcome.nodes)
+    .with("samples", samples.max(1))
+    .with("cold_ms", cold_ms)
+    .with("warm_ms", warm_ms)
+    .with("speedup", cold_ms / warm_ms.max(1e-9))
+    .with("warm_caches", warm_caches.to_json_value())
+    .with("parity", parity))
 }
 
 #[cfg(test)]
@@ -158,28 +106,28 @@ mod tests {
     fn baseline_measures_and_serializes() {
         // One sample: this test checks plumbing and parity, not performance.
         let baseline = measure_search(1).unwrap();
-        assert!(baseline.candidates > 0);
-        assert_eq!(baseline.nodes, 256);
+        assert!(baseline.num("candidates") > 0.0);
+        assert_eq!(baseline.num("nodes"), 256.0);
         assert!(
-            baseline.parity,
+            baseline.parity(),
             "warm searches must replay cold outcomes exactly without touching tiers 1-4"
         );
-        assert_eq!(baseline.warm_caches.searches.misses, 0);
-        assert!(baseline.warm_caches.searches.hits > 0);
-        assert_eq!(baseline.warm_caches.traces.hits, 0);
-        assert!(baseline.cold_ms >= 0.0 && baseline.warm_ms >= 0.0);
+        assert!(baseline.num("cold_ms") >= 0.0 && baseline.num("warm_ms") >= 0.0);
         let json = baseline.to_json_value();
         assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));
         assert!(json.get("speedup").unwrap().as_f64().unwrap() > 0.0);
-        assert_eq!(
-            json.get("warm_caches")
+        let tier = |name: &str, count: &str| {
+            let caches = json.get("warm_caches").unwrap();
+            caches
+                .get(name)
                 .unwrap()
-                .get("searches")
+                .get(count)
                 .unwrap()
-                .get("misses")
+                .as_u64()
                 .unwrap()
-                .as_u64(),
-            Some(0)
-        );
+        };
+        assert_eq!(tier("searches", "misses"), 0);
+        assert!(tier("searches", "hits") > 0);
+        assert_eq!(tier("traces", "hits"), 0);
     }
 }

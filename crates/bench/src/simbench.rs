@@ -1,18 +1,16 @@
 //! The frame-kernel benchmark workload, shared by the criterion bench
-//! (`benches/bench_simkernel.rs`) and the harness's `--bench-simkernel`
-//! baseline emitter so both always measure exactly the same thing: a full
+//! (`benches/bench_simkernel.rs`) and the `simkernel` entry of
+//! `harness --bench` so both always measure exactly the same thing: a full
 //! deterministic simulation (tiling-schedule MAC, periodic traffic) on the
 //! Moore-neighbourhood network of a 256×256 window, run once through the
 //! reference slot-by-slot kernel and once through the frame-compiled kernel.
 
+use crate::baseline::{median_ms, Measurement};
 use latsched_sensornet::{
     run_simulation_with, tiling_mac, FrameKernel, Network, ReferenceKernel, Result, SimConfig,
     TrafficModel,
 };
 use latsched_tiling::shapes;
-use serde_json::Value;
-use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// The benchmark network: all sensors of a `side × side` window under the
 /// Moore (3×3 Chebyshev) interference neighbourhood.
@@ -39,61 +37,14 @@ pub fn simkernel_config(slots: u64) -> Result<SimConfig> {
     })
 }
 
-/// One measured baseline of the frame kernel against the reference kernel.
-#[derive(Clone, Debug)]
-pub struct SimkernelBaseline {
-    /// Human-readable workload description.
-    pub workload: String,
-    /// Number of nodes simulated.
-    pub nodes: usize,
-    /// Number of slots simulated per run.
-    pub slots: u64,
-    /// Timed runs per kernel (the median is reported).
-    pub samples: usize,
-    /// Median wall-clock of one reference-kernel run, in milliseconds.
-    pub reference_ms: f64,
-    /// Median wall-clock of one frame-kernel run, in milliseconds.
-    pub frame_ms: f64,
-    /// `reference_ms / frame_ms`.
-    pub speedup: f64,
-    /// Whether the two kernels produced identical metrics.
-    pub parity: bool,
-}
-
-impl SimkernelBaseline {
-    /// The baseline as a JSON object for `BENCH_simkernel.json`.
-    pub fn to_json_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("workload".into(), Value::String(self.workload.clone()));
-        map.insert("nodes".into(), Value::Number(self.nodes as f64));
-        map.insert("slots".into(), Value::Number(self.slots as f64));
-        map.insert("samples".into(), Value::Number(self.samples as f64));
-        map.insert("reference_ms".into(), Value::Number(self.reference_ms));
-        map.insert("frame_kernel_ms".into(), Value::Number(self.frame_ms));
-        map.insert("speedup".into(), Value::Number(self.speedup));
-        map.insert("parity".into(), Value::Bool(self.parity));
-        Value::Object(map)
-    }
-}
-
-fn median_ms(samples: usize, mut run: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            run();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
-}
-
-/// Times both kernels on the shared workload and checks metric parity.
+/// Times both kernels on the shared workload and checks metric parity:
+/// `speedup` is `reference_ms / frame_kernel_ms` (medians of `samples` runs),
+/// `parity` whether both kernels produced identical metrics.
 ///
 /// # Errors
 ///
 /// Propagates network/MAC construction and simulation errors.
-pub fn measure_simkernel(side: i64, slots: u64, samples: usize) -> Result<SimkernelBaseline> {
+pub fn measure_simkernel(side: i64, slots: u64, samples: usize) -> Result<Measurement> {
     let network = simkernel_network(side)?;
     let config = simkernel_config(slots)?;
 
@@ -108,18 +59,16 @@ pub fn measure_simkernel(side: i64, slots: u64, samples: usize) -> Result<Simker
         run_simulation_with(&FrameKernel::default(), &network, &config).unwrap();
     });
 
-    Ok(SimkernelBaseline {
-        workload: format!(
-            "moore 3x3 neighbourhood, {side}x{side} window, tiling MAC, periodic traffic 1/64"
-        ),
-        nodes: network.len(),
-        slots,
-        samples: samples.max(1),
-        reference_ms,
-        frame_ms,
-        speedup: reference_ms / frame_ms.max(1e-9),
-        parity,
-    })
+    Ok(Measurement::new(format!(
+        "moore 3x3 neighbourhood, {side}x{side} window, tiling MAC, periodic traffic 1/64"
+    ))
+    .with("nodes", network.len())
+    .with("slots", slots)
+    .with("samples", samples.max(1))
+    .with("reference_ms", reference_ms)
+    .with("frame_kernel_ms", frame_ms)
+    .with("speedup", reference_ms / frame_ms.max(1e-9))
+    .with("parity", parity))
 }
 
 #[cfg(test)]
@@ -130,9 +79,9 @@ mod tests {
     fn baseline_measures_and_serializes() {
         // Tiny workload: this test checks plumbing, not performance.
         let baseline = measure_simkernel(8, 64, 1).unwrap();
-        assert_eq!(baseline.nodes, 64);
-        assert!(baseline.parity, "kernels must agree on the metrics");
-        assert!(baseline.reference_ms >= 0.0 && baseline.frame_ms >= 0.0);
+        assert_eq!(baseline.num("nodes"), 64.0);
+        assert!(baseline.parity(), "kernels must agree on the metrics");
+        assert!(baseline.num("reference_ms") >= 0.0 && baseline.num("frame_kernel_ms") >= 0.0);
         let json = baseline.to_json_value();
         assert_eq!(json.get("nodes").unwrap().as_u64(), Some(64));
         assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));

@@ -1,6 +1,6 @@
 //! The sweep-engine benchmark workload, shared by the criterion bench
-//! (`benches/bench_sweep.rs`) and the harness's `--bench-sweep` baseline
-//! emitter so both always measure exactly the same thing: a 64-run stochastic
+//! (`benches/bench_sweep.rs`) and the `sweep` entry of `harness --bench` so
+//! both always measure exactly the same thing: a 64-run stochastic
 //! parameter grid (Bernoulli traffic under the Moore tiling schedule, 2 loads ×
 //! 4 retry budgets × 8 seeds on a 64×64 window) run once through the batched
 //! sweep engine (`latsched_engine::run_sweep` — cached plans, compiled traffic
@@ -19,18 +19,16 @@
 //! shows on multi-core runners (the CI gate tracks regressions against the
 //! committed baseline either way).
 
+use crate::baseline::{median_ms, Measurement};
 use latsched_engine::parallel::{fill_chunks_min, steal_chunks, worker_threads};
 use latsched_engine::{
     run_frames, run_frames_loop, run_sweep, KernelConfig, KernelCounts, KernelMac, KernelTraffic,
-    SweepCacheStats, SweepCaches, SweepMac, SweepReport, SweepSpec, SweepTraffic,
+    SweepCaches, SweepMac, SweepReport, SweepSpec, SweepTraffic,
 };
 use latsched_sensornet::{
     run_simulation_with, tiling_mac, EnergyAccount, MacPolicy, Network, ReferenceKernel, SimConfig,
     SimError, SimMetrics, TrafficModel,
 };
-use serde_json::Value;
-use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// The acceptance sweep: a 64-run stochastic grid on the Moore 64×64 network.
 pub fn sweep_spec(window: i64, slots: u64) -> SweepSpec {
@@ -44,81 +42,6 @@ pub fn sweep_spec(window: i64, slots: u64) -> SweepSpec {
         retries: vec![0, 1, 2, 4],
         ..latsched_engine::builtin_sweep()
     }
-}
-
-/// One measured baseline of the batched sweep engine against sequential
-/// reference-simulator runs.
-#[derive(Clone, Debug)]
-pub struct SweepBaseline {
-    /// Human-readable workload description.
-    pub workload: String,
-    /// Number of runs in the grid.
-    pub runs: usize,
-    /// Number of nodes per run.
-    pub nodes: usize,
-    /// Number of slots simulated per run.
-    pub slots: u64,
-    /// Timed sweep executions (the median is reported).
-    pub samples: usize,
-    /// Wall-clock of the sequential reference runs, in milliseconds (one pass).
-    pub reference_ms: f64,
-    /// Median wall-clock of one whole sweep (setup + runs), in milliseconds.
-    pub sweep_ms: f64,
-    /// `reference_ms / sweep_ms`.
-    pub speedup: f64,
-    /// Items in the mixed-cost steal grid (slow loop runs clustered first).
-    pub steal_items: usize,
-    /// Worker threads the steal comparison ran with.
-    pub threads: usize,
-    /// Median wall-clock of the static chunk split on the mixed grid, in
-    /// milliseconds.
-    pub static_ms: f64,
-    /// Median wall-clock of the work-stealing dispatch on the same grid, in
-    /// milliseconds.
-    pub steal_ms: f64,
-    /// `static_ms / steal_ms` — ~1.0 on one core (both fills degenerate to
-    /// sequential), > 1 wherever stealing can balance the slow cluster.
-    pub steal_speedup: f64,
-    /// Whether every sweep run's counters matched its reference run exactly,
-    /// and the stolen mixed grid matched the static one bit for bit.
-    pub parity: bool,
-    /// Per-tier cache counters of the last measured (cold) sweep.
-    pub caches: SweepCacheStats,
-}
-
-impl SweepBaseline {
-    /// The baseline as a JSON object for `BENCH_sweep.json`.
-    pub fn to_json_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("workload".into(), Value::String(self.workload.clone()));
-        map.insert("runs".into(), Value::from(self.runs));
-        map.insert("nodes".into(), Value::from(self.nodes));
-        map.insert("slots".into(), Value::from(self.slots));
-        map.insert("samples".into(), Value::from(self.samples));
-        map.insert("reference_ms".into(), Value::from(self.reference_ms));
-        map.insert("sweep_ms".into(), Value::from(self.sweep_ms));
-        map.insert("speedup".into(), Value::from(self.speedup));
-        map.insert("steal_items".into(), Value::from(self.steal_items));
-        map.insert("threads".into(), Value::from(self.threads));
-        map.insert("static_ms".into(), Value::from(self.static_ms));
-        map.insert("steal_ms".into(), Value::from(self.steal_ms));
-        map.insert("steal_speedup".into(), Value::from(self.steal_speedup));
-        map.insert("parity".into(), Value::Bool(self.parity));
-        map.insert("caches".into(), self.caches.to_json_value());
-        Value::Object(map)
-    }
-}
-
-pub(crate) fn median_ms(samples: usize, mut run: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            run();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
 }
 
 /// The simulator MAC policy equivalent to a spec's MAC family.
@@ -200,7 +123,11 @@ fn sweep_matches(
 }
 
 /// Times the batched sweep engine against sequential reference runs on the
-/// shared workload and checks per-run metric parity.
+/// shared workload and checks per-run metric parity: `speedup` is
+/// `reference_ms / sweep_ms` (one whole cold sweep), `steal_speedup` is
+/// `static_ms / steal_ms` on the mixed grid, `caches` the last sweep's
+/// per-tier counters, and `parity` whether every sweep run matched its
+/// reference run and the stolen grid matched the static one bit for bit.
 ///
 /// # Errors
 ///
@@ -209,7 +136,7 @@ pub fn measure_sweep(
     window: i64,
     slots: u64,
     samples: usize,
-) -> latsched_sensornet::Result<SweepBaseline> {
+) -> latsched_sensornet::Result<Measurement> {
     let spec = sweep_spec(window, slots);
     let configs = sequential_configs(&spec)?;
     let shape = spec.shape.prototile().map_err(SimError::Engine)?;
@@ -243,7 +170,6 @@ pub fn measure_sweep(
     });
     let report = last_report.expect("at least one sample ran");
     let parity = sweep_matches(&report, &references, &configs[0]);
-    let caches = report.caches;
 
     // Work-stealing dispatch vs the static chunk split, on a mixed-cost grid
     // built to be adversarial for the static split: the first half of the
@@ -281,27 +207,25 @@ pub fn measure_sweep(
     });
     let steal_parity = static_out == steal_out && static_out.iter().all(Option::is_some);
 
-    Ok(SweepBaseline {
-        workload: format!(
-            "64-run stochastic sweep: moore 3x3, {window}x{window} window, tiling MAC, \
-             bernoulli loads x retry budgets x seeds, {slots} slots/run; plus a \
-             {steal_items}-item mixed loop/analytic grid dispatched static vs stealing"
-        ),
-        runs: report.runs,
-        nodes: network.len(),
-        slots,
-        samples: samples.max(1),
-        reference_ms,
-        sweep_ms,
-        speedup: reference_ms / sweep_ms.max(1e-9),
-        steal_items,
-        threads: worker_threads(),
-        static_ms,
-        steal_ms,
-        steal_speedup: static_ms / steal_ms.max(1e-9),
-        parity: parity && steal_parity,
-        caches,
-    })
+    Ok(Measurement::new(format!(
+        "64-run stochastic sweep: moore 3x3, {window}x{window} window, tiling MAC, \
+         bernoulli loads x retry budgets x seeds, {slots} slots/run; plus a \
+         {steal_items}-item mixed loop/analytic grid dispatched static vs stealing"
+    ))
+    .with("runs", report.runs)
+    .with("nodes", network.len())
+    .with("slots", slots)
+    .with("samples", samples.max(1))
+    .with("reference_ms", reference_ms)
+    .with("sweep_ms", sweep_ms)
+    .with("speedup", reference_ms / sweep_ms.max(1e-9))
+    .with("steal_items", steal_items)
+    .with("threads", worker_threads())
+    .with("static_ms", static_ms)
+    .with("steal_ms", steal_ms)
+    .with("steal_speedup", static_ms / steal_ms.max(1e-9))
+    .with("parity", parity && steal_parity)
+    .with("caches", report.caches.to_json_value()))
 }
 
 #[cfg(test)]
@@ -312,10 +236,9 @@ mod tests {
     fn baseline_measures_and_serializes() {
         // Tiny workload: this test checks plumbing and parity, not performance.
         let baseline = measure_sweep(8, 64, 1).unwrap();
-        assert_eq!(baseline.nodes, 64);
-        assert_eq!(baseline.runs, 64);
-        assert!(baseline.parity, "sweep must match the reference exactly");
-        assert!(baseline.reference_ms >= 0.0 && baseline.sweep_ms >= 0.0);
+        assert_eq!(baseline.num("nodes"), 64.0);
+        assert!(baseline.parity(), "sweep must match the reference exactly");
+        assert!(baseline.num("reference_ms") >= 0.0 && baseline.num("sweep_ms") >= 0.0);
         let json = baseline.to_json_value();
         assert_eq!(json.get("runs").unwrap().as_u64(), Some(64));
         assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));

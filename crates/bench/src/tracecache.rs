@@ -1,8 +1,8 @@
 //! The trace-cache benchmark workload: the acceptance-grid sweep measured
 //! cold (fresh caches, every artifact compiled) against warm (shared
 //! [`SweepCaches`], every tier hitting), shared by the criterion bench
-//! (`benches/bench_sweep.rs`) and the harness's `--bench-tracecache` baseline
-//! emitter so both always measure exactly the same thing.
+//! (`benches/bench_sweep.rs`) and the `tracecache` entry of `harness --bench`
+//! so both always measure exactly the same thing.
 //!
 //! The measured ratio is the payoff of the tiered artifact pipeline: a warm
 //! sweep skips schedule compilation, plan fusion and — dominating the setup
@@ -11,66 +11,16 @@
 //! lookups. Parity is checked per run between the cold and warm reports, and
 //! the warm pass must record zero misses in every tier.
 
-use latsched_engine::{run_sweep, SweepCacheStats, SweepCaches, SweepReport};
-
-use crate::sweep::{median_ms, sweep_spec};
-use serde_json::Value;
-use std::collections::BTreeMap;
-
-/// One measured cold-vs-warm baseline of the tiered artifact pipeline on the
-/// acceptance sweep.
-#[derive(Clone, Debug)]
-pub struct TraceCacheBaseline {
-    /// Human-readable workload description.
-    pub workload: String,
-    /// Number of runs in the grid.
-    pub runs: usize,
-    /// Number of nodes per run.
-    pub nodes: usize,
-    /// Number of slots simulated per run.
-    pub slots: u64,
-    /// Timed sweep executions per side (the median is reported).
-    pub samples: usize,
-    /// Median wall-clock of one cold sweep (fresh caches), in milliseconds.
-    pub cold_ms: f64,
-    /// Median wall-clock of one warm sweep (shared caches), in milliseconds.
-    pub warm_ms: f64,
-    /// Setup phase of the last measured cold sweep, in milliseconds.
-    pub cold_setup_ms: f64,
-    /// Setup phase of the last measured warm sweep, in milliseconds.
-    pub warm_setup_ms: f64,
-    /// `cold_ms / warm_ms` — the warm-over-cold speedup the CI gate tracks.
-    pub speedup: f64,
-    /// Per-tier counters of the measured warm sweep.
-    pub warm_caches: SweepCacheStats,
-    /// Whether every warm run's counters matched its cold run exactly *and*
-    /// the warm sweep recorded zero misses in every tier.
-    pub parity: bool,
-}
-
-impl TraceCacheBaseline {
-    /// The baseline as a JSON object for `BENCH_tracecache.json`.
-    pub fn to_json_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("workload".into(), Value::String(self.workload.clone()));
-        map.insert("runs".into(), Value::from(self.runs));
-        map.insert("nodes".into(), Value::from(self.nodes));
-        map.insert("slots".into(), Value::from(self.slots));
-        map.insert("samples".into(), Value::from(self.samples));
-        map.insert("cold_ms".into(), Value::from(self.cold_ms));
-        map.insert("warm_ms".into(), Value::from(self.warm_ms));
-        map.insert("cold_setup_ms".into(), Value::from(self.cold_setup_ms));
-        map.insert("warm_setup_ms".into(), Value::from(self.warm_setup_ms));
-        map.insert("speedup".into(), Value::from(self.speedup));
-        map.insert("warm_caches".into(), self.warm_caches.to_json_value());
-        map.insert("parity".into(), Value::Bool(self.parity));
-        Value::Object(map)
-    }
-}
+use crate::baseline::{median_ms, Measurement};
+use crate::sweep::sweep_spec;
+use latsched_engine::{run_sweep, SweepCaches, SweepReport};
 
 /// Times the acceptance sweep cold (fresh [`SweepCaches`] every sample)
 /// against warm (one shared cache set, pre-warmed), checking per-run parity
-/// between the two and that the warm side never rebuilds an artifact.
+/// between the two and that the warm side never rebuilds an artifact:
+/// `speedup` is `cold_ms / warm_ms`, `warm_caches` the warm sweep's per-tier
+/// counters, and `parity` whether every warm run matched its cold run and
+/// the warm sweep missed no tier.
 ///
 /// # Errors
 ///
@@ -79,7 +29,7 @@ pub fn measure_tracecache(
     window: i64,
     slots: u64,
     samples: usize,
-) -> latsched_engine::Result<TraceCacheBaseline> {
+) -> latsched_engine::Result<Measurement> {
     let spec = sweep_spec(window, slots);
 
     // Cold side: every sample pays the full pipeline — schedule compilation,
@@ -119,24 +69,22 @@ pub fn measure_tracecache(
         && warm_caches.traces.misses == 0;
     let parity = warm_report.per_run == cold_report.per_run && all_tiers_hit;
 
-    Ok(TraceCacheBaseline {
-        workload: format!(
-            "cold vs warm artifact pipeline: 64-run stochastic sweep, moore 3x3, \
-             {window}x{window} window, tiling MAC, bernoulli loads x retry budgets x seeds, \
-             {slots} slots/run"
-        ),
-        runs: warm_report.runs,
-        nodes: cold_report.per_run.first().map_or(0, |r| r.nodes),
-        slots,
-        samples: samples.max(1),
-        cold_ms,
-        warm_ms,
-        cold_setup_ms: cold_report.setup_seconds * 1e3,
-        warm_setup_ms: warm_report.setup_seconds * 1e3,
-        speedup: cold_ms / warm_ms.max(1e-9),
-        warm_caches,
-        parity,
-    })
+    Ok(Measurement::new(format!(
+        "cold vs warm artifact pipeline: 64-run stochastic sweep, moore 3x3, \
+         {window}x{window} window, tiling MAC, bernoulli loads x retry budgets x seeds, \
+         {slots} slots/run"
+    ))
+    .with("runs", warm_report.runs)
+    .with("nodes", cold_report.per_run.first().map_or(0, |r| r.nodes))
+    .with("slots", slots)
+    .with("samples", samples.max(1))
+    .with("cold_ms", cold_ms)
+    .with("warm_ms", warm_ms)
+    .with("cold_setup_ms", cold_report.setup_seconds * 1e3)
+    .with("warm_setup_ms", warm_report.setup_seconds * 1e3)
+    .with("speedup", cold_ms / warm_ms.max(1e-9))
+    .with("warm_caches", warm_caches.to_json_value())
+    .with("parity", parity))
 }
 
 #[cfg(test)]
@@ -147,24 +95,18 @@ mod tests {
     fn baseline_measures_and_serializes() {
         // Tiny workload: this test checks plumbing and parity, not performance.
         let baseline = measure_tracecache(8, 64, 1).unwrap();
-        assert_eq!(baseline.runs, 64);
-        assert_eq!(baseline.nodes, 64);
-        assert!(baseline.parity, "warm sweeps must replay cold runs exactly");
-        assert_eq!(baseline.warm_caches.traces.misses, 0);
-        assert!(baseline.warm_caches.traces.hits > 0);
-        assert!(baseline.cold_ms >= 0.0 && baseline.warm_ms >= 0.0);
+        assert_eq!(baseline.num("runs"), 64.0);
+        assert_eq!(baseline.num("nodes"), 64.0);
+        assert!(
+            baseline.parity(),
+            "warm sweeps must replay cold runs exactly"
+        );
+        assert!(baseline.num("cold_ms") >= 0.0 && baseline.num("warm_ms") >= 0.0);
         let json = baseline.to_json_value();
         assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));
         assert!(json.get("speedup").unwrap().as_f64().unwrap() > 0.0);
-        assert_eq!(
-            json.get("warm_caches")
-                .unwrap()
-                .get("traces")
-                .unwrap()
-                .get("misses")
-                .unwrap()
-                .as_u64(),
-            Some(0)
-        );
+        let traces = json.get("warm_caches").unwrap().get("traces").unwrap();
+        assert_eq!(traces.get("misses").unwrap().as_u64(), Some(0));
+        assert!(traces.get("hits").unwrap().as_u64().unwrap() > 0);
     }
 }

@@ -11,10 +11,8 @@ fn baseline_measures_and_serializes() {
     // loaded host one scheduler stall in a single 1 ms sample can decide the
     // overhead bound on its own.
     let baseline = measure_telemetry(16, 128, 5).unwrap();
-    assert_eq!(baseline.runs, 64);
-    assert_eq!(baseline.dispatch_total, 64);
-    assert!(baseline.off_ms > 0.0 && baseline.on_ms > 0.0);
-    assert!(baseline.parity, "off/on sweeps must agree: {baseline:?}");
+    assert!(baseline.num("off_ms") > 0.0 && baseline.num("on_ms") > 0.0);
+    assert!(baseline.parity(), "off/on sweeps must agree: {baseline:?}");
     let json = baseline.to_json_value();
     assert_eq!(json.get("runs").unwrap().as_u64(), Some(64));
     assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));

@@ -29,7 +29,8 @@ pub enum EngineError {
         /// The number of cosets of the period sublattice.
         cosets: u64,
     },
-    /// A batched query window has more points than this platform can address.
+    /// A window has more points than this platform can address, or more
+    /// points or interference edges than a `u32`-indexed adjacency holds.
     WindowTooLarge {
         /// The number of points in the window.
         points: u64,
@@ -92,10 +93,7 @@ impl fmt::Display for EngineError {
                 write!(f, "period has {cosets} cosets, too many for a dense table")
             }
             EngineError::WindowTooLarge { points } => {
-                write!(
-                    f,
-                    "query window has {points} points, too many for one batch"
-                )
+                write!(f, "window of {points} points is too large to index")
             }
             EngineError::NotSchedulable(shape) => {
                 write!(f, "neighbourhood {shape} does not tile the lattice")

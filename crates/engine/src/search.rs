@@ -39,7 +39,8 @@
 //! [`crate::cache::SearchCache`], keys the ranked [`SearchOutcome`] by a
 //! scenario fingerprint and an objective fingerprint, so a warm re-run of the
 //! same search resolves from the cache without enumerating, compiling or
-//! simulating a single candidate (asserted zero-miss in `BENCH_search.json`).
+//! simulating a single candidate (asserted zero-miss by the `search` entry of
+//! the `BENCH.json` baseline).
 //!
 //! `engine-cli search` serves this stage from JSON specs (`objective`,
 //! `families`, `budget`, `top`); [`builtin_search`] is the paper's Figure 2
@@ -51,7 +52,9 @@ use crate::error::{EngineError, Result};
 use crate::frames::fingerprint_words;
 use crate::scenario::{get_u64, invalid, ShapeSpec};
 use crate::simkernel::KernelMac;
-use crate::sweep::{GridContext, SeedAxis, SweepCacheStats, SweepCaches, SweepTraffic};
+use crate::sweep::{
+    get_u32_array, GridContext, SeedAxis, SweepCacheStats, SweepCaches, SweepTraffic,
+};
 use crate::telemetry::{self, span, Counter, Stage, TelemetrySnapshot};
 use crate::FramePlan;
 use latsched_coloring::{
@@ -263,22 +266,7 @@ impl SearchSpec {
         };
         let retries = match value.get("retries") {
             None => vec![0],
-            Some(_) => {
-                let raw = value
-                    .get("retries")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| invalid("'retries' must be an array"))?;
-                if raw.is_empty() {
-                    return Err(invalid("'retries' must not be empty"));
-                }
-                raw.iter()
-                    .map(|v| {
-                        v.as_u64().map(|r| r as u32).ok_or_else(|| {
-                            invalid("'retries' entries must be nonnegative integers")
-                        })
-                    })
-                    .collect::<Result<Vec<u32>>>()?
-            }
+            Some(_) => get_u32_array(value, "retries")?,
         };
         let objective = match value.get("objective") {
             None => Objective::LatencyPercentile { q: 0.99 },

@@ -795,7 +795,7 @@ pub fn run_frames(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCount
 /// [`run_frames`] with the closed-form analytic replay disabled: clean
 /// scheduled runs take the slot-loop paths they took before the analytic
 /// dispatch existed. The escape hatch exists for measurement (the
-/// `--bench-replay` baseline times analytic against loop execution) and for
+/// `replay` baseline entry times analytic against loop execution) and for
 /// the parity suites that pin the two bit-identical; results are always
 /// identical to [`run_frames`].
 ///
@@ -1001,7 +1001,8 @@ fn settle_clean_chain(
 /// phase 0, the same service chain and the same delivery schedule) and scaled
 /// by the class size and degree sum; staggered traffic walks nodes, each an
 /// `O(deliveries)` chain. Counter parity with the loop kernels is pinned by
-/// the `sim_parity` suite and the in-measure assertion of `--bench-replay`.
+/// the `sim_parity` suite and the in-measure assertion of the `replay`
+/// baseline entry.
 fn run_analytic_periodic(
     plan: &FramePlan,
     config: &KernelConfig,
@@ -1135,7 +1136,7 @@ fn run_analytic_trace(
 /// as [`run_deterministic`]. Idle slots and pending packets close by
 /// conservation, exactly as the loop computes them. Bit-exact parity with
 /// [`run_frames_loop`] is pinned by the `sim_parity` suite and asserted inside
-/// every timed `--bench-replay` sample.
+/// every timed sample of the `replay` baseline entry.
 fn run_analytic_partial(
     plan: &FramePlan,
     config: &KernelConfig,

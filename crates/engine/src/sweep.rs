@@ -40,8 +40,8 @@
 //! Because all three tiers are content-addressed, a *warm* repeat of a sweep
 //! (same [`SweepCaches`]) skips schedule compilation, plan fusion and trace
 //! generation entirely — its setup phase degenerates to adjacency
-//! construction and cache lookups, which is what the `--bench-tracecache`
-//! harness baseline measures.
+//! construction and cache lookups, which is what the `tracecache` entry of
+//! the `BENCH.json` baseline measures.
 //!
 //! A sweep spec is JSON (one object):
 //!
@@ -298,10 +298,7 @@ impl SweepTraffic {
                     .and_then(Value::as_array)
                     .ok_or_else(|| invalid("bernoulli traffic needs a 'loads' array"))?
                     .iter()
-                    .map(|v| {
-                        v.as_f64()
-                            .ok_or_else(|| invalid("'loads' entries must be numbers"))
-                    })
+                    .map(|v| probability(Some(v), "'traffic.loads' entries"))
                     .collect::<Result<Vec<f64>>>()?;
                 Ok(SweepTraffic::Bernoulli(loads))
             }
@@ -408,13 +405,9 @@ impl SweepSpec {
             None => SweepMac::Tiling,
             Some(mac) => match mac.get("kind").and_then(Value::as_str) {
                 Some("tiling") => SweepMac::Tiling,
-                Some("aloha") => {
-                    let p = mac
-                        .get("p")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| invalid("aloha mac needs a numeric field 'p'"))?;
-                    SweepMac::Aloha { p }
-                }
+                Some("aloha") => SweepMac::Aloha {
+                    p: probability(mac.get("p"), "'mac.p'")?,
+                },
                 _ => return Err(invalid("'mac.kind' must be 'tiling' or 'aloha'")),
             },
         };
@@ -428,10 +421,7 @@ impl SweepSpec {
                 .get("seeds")
                 .ok_or_else(|| invalid("missing field 'seeds'"))?,
         )?;
-        let retries = get_u64_array(value, "retries")?
-            .into_iter()
-            .map(|r| r as u32)
-            .collect::<Vec<u32>>();
+        let retries = get_u32_array(value, "retries")?;
         // "mode" selects full or streaming reporting; "group_by" names the
         // fold axes and, when present without an explicit mode, implies
         // streaming.
@@ -515,14 +505,26 @@ pub fn grid_adjacency(region: &BoxRegion, shape: &Prototile) -> Result<Interfere
         strides[i] = strides[i + 1] * extents[i + 1];
     }
     let n = region.len();
-    if n >= u32::MAX as u64 {
-        return Err(EngineError::WindowTooLarge { points: n });
-    }
     let offsets: Vec<&[i64]> = shape
         .iter()
         .filter(|d| !d.is_zero())
         .map(|d| d.coords())
         .collect();
+    // The CSR indexes nodes and edges with `u32`. Offset `d` links the
+    // `Π (extent_i − |d_i|)` window points whose `p + d` stays inside, so
+    // the exact edge count is known before anything is allocated: an
+    // oversized window is an error here, not an allocation abort.
+    let edges = offsets.iter().try_fold(0u64, |sum, d| {
+        let pairs = (0..dim).try_fold(1u64, |pairs, i| {
+            let extent = u64::try_from(extents[i]).unwrap_or(0);
+            pairs.checked_mul(extent.saturating_sub(d[i].unsigned_abs()))
+        })?;
+        sum.checked_add(pairs)
+    });
+    let indexable = |count: u64| count < u64::from(u32::MAX);
+    if !indexable(n) || !edges.is_some_and(indexable) {
+        return Err(EngineError::WindowTooLarge { points: n });
+    }
     let mut lists: Vec<Vec<usize>> = vec![Vec::with_capacity(offsets.len()); n as usize];
     let mut q = vec![0i64; dim];
     for (id, p) in region.iter().enumerate() {
@@ -1246,6 +1248,26 @@ pub fn builtin_sweep() -> SweepSpec {
     }
 }
 
+/// A probability spec value: a number in `[0, 1]`, as the kernels require.
+/// `what` names the field in the error.
+fn probability(value: Option<&Value>, what: &str) -> Result<f64> {
+    value
+        .and_then(Value::as_f64)
+        .filter(|p| (0.0..=1.0).contains(p))
+        .ok_or_else(|| invalid(&format!("{what} must be in [0, 1]")))
+}
+
+/// A nonempty array of `u32` spec values (retry budgets), range-checked
+/// instead of truncated.
+pub(crate) fn get_u32_array(value: &Value, field: &str) -> Result<Vec<u32>> {
+    get_u64_array(value, field)?
+        .into_iter()
+        .map(|v| {
+            u32::try_from(v).map_err(|_| invalid(&format!("'{field}' entries must be below 2^32")))
+        })
+        .collect()
+}
+
 fn get_u64_array(value: &Value, field: &str) -> Result<Vec<u64>> {
     let raw = value
         .get(field)
@@ -1404,6 +1426,38 @@ mod tests {
             assert!(ns.windows(2).all(|w| w[0] < w[1]));
             assert!(!ns.contains(&(v as u32)));
         }
+    }
+
+    #[test]
+    fn oversized_windows_are_errors_not_allocation_aborts() {
+        // 8^9 ≈ 134M nodes and 22^9 − 8^9 ≈ 1.2e12 edges: past the CSR's
+        // u32 edge bound, which must be checked before anything allocates.
+        let shape = ShapeSpec::Ball {
+            dim: 9,
+            radius: 1,
+            metric: latsched_lattice::Metric::Chebyshev,
+        };
+        for mac in [SweepMac::Tiling, SweepMac::Aloha { p: 0.5 }] {
+            let spec = SweepSpec {
+                shape: shape.clone(),
+                windows: vec![8],
+                mac,
+                ..builtin_sweep()
+            };
+            assert!(matches!(
+                run_sweep(&spec, &SweepCaches::new()),
+                Err(EngineError::WindowTooLarge { .. })
+            ));
+        }
+        let search = crate::SearchSpec {
+            shape,
+            window: 8,
+            ..crate::builtin_search()
+        };
+        assert!(matches!(
+            crate::run_search(&search, &SweepCaches::new()),
+            Err(EngineError::WindowTooLarge { .. })
+        ));
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! `--metrics-out` set it). A profiled request embeds its recording in its
 //! report and merges it once into the process totals
 //! ([`TelemetryRegistry::snapshot`]), all the registry holds besides the
-//! flag. Unprofiled, a span is one thread-local check (`BENCH_telemetry.json`
-//! gates the off/on overhead in CI).
+//! flag. Unprofiled, a span is one thread-local check (the `telemetry` entry
+//! of `BENCH.json` gates the off/on overhead in CI).
 //!
 //! A [`TelemetrySnapshot`] exports as report JSON
 //! ([`TelemetrySnapshot::to_json_value`]), as the human profile (`Display`:

@@ -121,7 +121,7 @@ pub const METRIC_FIELDS: [&str; 8] = [
 /// ([`RatioHistogram`]). Folding `n` reference-simulator runs therefore costs
 /// O(1) memory instead of holding `n` metrics structs, and the integer parts
 /// agree bit for bit with an engine streaming sweep folding the same runs —
-/// which is exactly what the `harness --bench-aggregate` baseline
+/// which is exactly what the `aggregate` entry of `harness --bench`
 /// cross-checks. Energy is accumulated as plain `f64` totals (it is derived
 /// per run from integer slot counts, so it is reproducible in a fixed fold
 /// order).

@@ -341,8 +341,8 @@ fn streaming_parity_holds_on_the_degenerate_one_run_per_group_grid() {
 fn warm_sweeps_replay_cold_sweeps_through_every_tier() {
     // Repeating a sweep over shared caches must hit every tier of the
     // artifact pipeline — no schedule, plan or trace rebuilds — and reproduce
-    // the per-run counters exactly (the property the `--bench-tracecache`
-    // baseline and its CI gate quantify).
+    // the per-run counters exactly (the property the `tracecache` baseline
+    // entry and its CI gate quantify).
     let spec = SweepSpec {
         windows: vec![6, 9],
         slots: 160,
