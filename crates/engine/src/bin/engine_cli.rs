@@ -146,27 +146,10 @@ fn sweep_main(args: Vec<String>) -> ExitCode {
         }
     }
 
-    let mut sweeps: Vec<SweepSpec> = Vec::new();
-    if spec_paths.is_empty() {
-        sweeps.push(builtin_sweep());
-    } else {
-        for path in &spec_paths {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("failed to read {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match SweepSpec::parse_spec(&text) {
-                Ok(mut parsed) => sweeps.append(&mut parsed),
-                Err(err) => {
-                    eprintln!("failed to parse {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
+    let Some(mut sweeps) = load_specs(&spec_paths, || vec![builtin_sweep()], SweepSpec::parse_spec)
+    else {
+        return ExitCode::FAILURE;
+    };
     if streaming || group_by.is_some() {
         // The command-line mode overrides whatever the spec files say.
         for spec in &mut sweeps {
@@ -209,14 +192,10 @@ fn sweep_main(args: Vec<String>) -> ExitCode {
     );
 
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&serde_json::Value::Array(
-            reports.iter().map(|r| r.to_json_value()).collect(),
-        ));
-        if let Err(err) = std::fs::write(&path, json) {
-            eprintln!("failed to write {path}: {err}");
+        let json = reports.iter().map(|r| r.to_json_value()).collect();
+        if !write_json(&path, json, "sweep report(s)") {
             return ExitCode::FAILURE;
         }
-        println!("wrote {} sweep report(s) to {path}", reports.len());
     }
     ExitCode::SUCCESS
 }
@@ -275,27 +254,13 @@ fn search_main(args: Vec<String>) -> ExitCode {
         }
     }
 
-    let mut searches: Vec<SearchSpec> = Vec::new();
-    if spec_paths.is_empty() {
-        searches.push(builtin_search());
-    } else {
-        for path in &spec_paths {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("failed to read {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match SearchSpec::parse_spec(&text) {
-                Ok(mut parsed) => searches.append(&mut parsed),
-                Err(err) => {
-                    eprintln!("failed to parse {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
+    let Some(mut searches) = load_specs(
+        &spec_paths,
+        || vec![builtin_search()],
+        SearchSpec::parse_spec,
+    ) else {
+        return ExitCode::FAILURE;
+    };
     if let Some(top) = top {
         for spec in &mut searches {
             spec.top = top;
@@ -347,14 +312,10 @@ fn search_main(args: Vec<String>) -> ExitCode {
     );
 
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&serde_json::Value::Array(
-            reports.iter().map(|r| r.to_json_value()).collect(),
-        ));
-        if let Err(err) = std::fs::write(&path, json) {
-            eprintln!("failed to write {path}: {err}");
+        let json = reports.iter().map(|r| r.to_json_value()).collect();
+        if !write_json(&path, json, "search report(s)") {
             return ExitCode::FAILURE;
         }
-        println!("wrote {} search report(s) to {path}", reports.len());
     }
     ExitCode::SUCCESS
 }
@@ -388,6 +349,50 @@ fn apply_global_flags(args: Vec<String>) -> Result<(Vec<String>, Option<String>)
     Ok((rest, metrics_out))
 }
 
+/// The specs a subcommand runs: `builtin()` without spec files, else every
+/// spec of every file in order. Prints the first read or parse failure and
+/// returns `None`.
+fn load_specs<T>(
+    paths: &[String],
+    builtin: impl FnOnce() -> Vec<T>,
+    parse: impl Fn(&str) -> latsched_engine::Result<Vec<T>>,
+) -> Option<Vec<T>> {
+    if paths.is_empty() {
+        return Some(builtin());
+    }
+    let mut specs = Vec::new();
+    for path in paths {
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(err) => {
+                eprintln!("failed to read {path}: {err}");
+                return None;
+            }
+        };
+        match parse(&text) {
+            Ok(mut parsed) => specs.append(&mut parsed),
+            Err(err) => {
+                eprintln!("failed to parse {path}: {err}");
+                return None;
+            }
+        }
+    }
+    Some(specs)
+}
+
+/// Writes reports to `path` as a pretty-printed JSON array and announces
+/// them as `what`. Returns whether the write succeeded.
+fn write_json(path: &str, reports: Vec<serde_json::Value>, what: &str) -> bool {
+    let count = reports.len();
+    let json = serde_json::to_string_pretty(&serde_json::Value::Array(reports));
+    if let Err(err) = std::fs::write(path, json) {
+        eprintln!("failed to write {path}: {err}");
+        return false;
+    }
+    println!("wrote {count} {what} to {path}");
+    true
+}
+
 /// Writes the telemetry process totals (every counter and stage histogram) as
 /// Prometheus-style text exposition. Returns whether the write succeeded.
 fn write_metrics(path: &str) -> bool {
@@ -408,24 +413,23 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.first().map(String::as_str) == Some("sweep") {
-        let code = sweep_main(args.into_iter().skip(1).collect());
-        if let Some(path) = metrics_out {
-            if !write_metrics(&path) {
-                return ExitCode::FAILURE;
-            }
+    let code = match args.first().map(String::as_str) {
+        Some("sweep") => sweep_main(args.into_iter().skip(1).collect()),
+        Some("search") => search_main(args.into_iter().skip(1).collect()),
+        _ => scenario_main(args),
+    };
+    if let Some(path) = metrics_out {
+        if !write_metrics(&path) {
+            return ExitCode::FAILURE;
         }
-        return code;
     }
-    if args.first().map(String::as_str) == Some("search") {
-        let code = search_main(args.into_iter().skip(1).collect());
-        if let Some(path) = metrics_out {
-            if !write_metrics(&path) {
-                return ExitCode::FAILURE;
-            }
-        }
-        return code;
-    }
+    code
+}
+
+/// The default mode: compile each scenario's schedule and answer every
+/// query of its window, streaming one throughput line per scenario (and,
+/// with `--dump`, every slot answer as CSV).
+fn scenario_main(args: Vec<String>) -> ExitCode {
     let mut json_path: Option<String> = None;
     let mut dump = false;
     let mut spec_paths: Vec<String> = Vec::new();
@@ -452,27 +456,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut scenarios: Vec<Scenario> = Vec::new();
-    if spec_paths.is_empty() {
-        scenarios = builtin_scenarios();
-    } else {
-        for path in &spec_paths {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("failed to read {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match Scenario::parse_spec(&text) {
-                Ok(mut parsed) => scenarios.append(&mut parsed),
-                Err(err) => {
-                    eprintln!("failed to parse {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
+    let Some(scenarios) = load_specs(&spec_paths, builtin_scenarios, Scenario::parse_spec) else {
+        return ExitCode::FAILURE;
+    };
 
     let cache = ScheduleCache::new();
     let mut reports = Vec::with_capacity(scenarios.len());
@@ -506,17 +492,8 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&serde_json::Value::Array(
-            reports.iter().map(|r| r.to_json_value()).collect(),
-        ));
-        if let Err(err) = std::fs::write(&path, json) {
-            eprintln!("failed to write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {} report(s) to {path}", reports.len());
-    }
-    if let Some(path) = metrics_out {
-        if !write_metrics(&path) {
+        let json = reports.iter().map(|r| r.to_json_value()).collect();
+        if !write_json(&path, json, "report(s)") {
             return ExitCode::FAILURE;
         }
     }

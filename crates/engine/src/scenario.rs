@@ -21,7 +21,7 @@
 
 use crate::cache::ScheduleCache;
 use crate::error::{EngineError, Result};
-use latsched_lattice::{ball_points, BoxRegion, Metric, Point};
+use latsched_lattice::{ball_points, BoxRegion, LatticeError, Metric, Point};
 use latsched_tiling::{shapes, Prototile};
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -47,6 +47,17 @@ pub enum ShapeSpec {
     /// An explicit list of lattice points (must contain the origin).
     Points(Vec<Point>),
 }
+
+/// Most lattice points a ball shape's bounding box `[-radius, radius]^dim`
+/// may hold (2^20). Building the prototile enumerates the whole box, so a
+/// larger ball is rejected when its spec is parsed rather than aborting the
+/// process on allocation; the dim-9 unit ball (3^9 = 19 683 points) fits.
+const BALL_BOX_POINT_LIMIT: u64 = 1 << 20;
+
+/// Most dimensions a ball shape may span: Theorem 1 compilation works on
+/// `dim × dim` integer matrices and recurses over dimensions, so a radius-0
+/// ball (one point, whatever its dimension) is bounded here instead.
+const BALL_MAX_DIM: u64 = 64;
 
 impl ShapeSpec {
     /// Materializes the prototile.
@@ -83,8 +94,25 @@ impl ShapeSpec {
             .ok_or_else(|| invalid("shape needs a string field 'kind'"))?;
         match kind {
             "ball" => {
-                let dim = get_u64(value, "dim")? as usize;
-                let radius = get_u64(value, "radius")? as i64;
+                let dim = get_u64(value, "dim")?;
+                let radius = i64::try_from(get_u64(value, "radius")?)
+                    .map_err(|_| invalid("ball 'radius' must fit in an i64"))?;
+                if !(1..=BALL_MAX_DIM).contains(&dim) {
+                    return Err(invalid(&format!(
+                        "ball 'dim' must be in 1..={BALL_MAX_DIM}, got {dim}"
+                    )));
+                }
+                let side = 2 * radius.unsigned_abs() + 1;
+                if side
+                    .checked_pow(dim as u32)
+                    .is_none_or(|n| n > BALL_BOX_POINT_LIMIT)
+                {
+                    return Err(invalid(&format!(
+                        "ball 'dim' {dim} and 'radius' {radius}: its bounding box \
+                         exceeds {BALL_BOX_POINT_LIMIT} points"
+                    )));
+                }
+                let dim = dim as usize;
                 let metric = match value.get("metric").and_then(Value::as_str) {
                     Some("chebyshev") | Some("moore") | None => Metric::Chebyshev,
                     Some("euclidean") => Metric::Euclidean,
@@ -171,10 +199,7 @@ impl Scenario {
                 .get("shape")
                 .ok_or_else(|| invalid("scenario needs a 'shape' object"))?,
         )?;
-        let window = get_u64(value, "window")? as i64;
-        if window <= 0 {
-            return Err(invalid("'window' must be positive"));
-        }
+        let window = window_side(get_u64(value, "window")?, shape.dim(), "window")?;
         let repeats = value
             .get("repeats")
             .map(|v| {
@@ -296,7 +321,14 @@ pub fn run_scenario(scenario: &Scenario, cache: &ScheduleCache) -> Result<Scenar
     let compiled = crate::telemetry::request(|| cache.get_or_compile(&shape)).0?;
     let compile_seconds = compile_start.elapsed().as_secs_f64();
 
+    // The window is held to the point bound of the sweep adjacency before
+    // the per-point slot table is allocated.
     let region = scenario.region()?;
+    if !crate::sweep::indexable(region.len()) {
+        return Err(EngineError::WindowTooLarge {
+            points: region.len(),
+        });
+    }
     let mut checksum = 0u64;
     let start = Instant::now();
     for _ in 0..scenario.repeats {
@@ -371,6 +403,23 @@ pub fn builtin_scenarios() -> Vec<Scenario> {
 
 pub(crate) fn invalid(msg: &str) -> EngineError {
     EngineError::InvalidSpec(msg.to_string())
+}
+
+/// Checks one square-window side read from the spec's `field`: it must be
+/// positive, and the window `[0, side)^dim` must count its points in a `u64`
+/// (the box constructor refuses a larger one; here the error names the
+/// field).
+pub(crate) fn window_side(raw: u64, dim: usize, field: &str) -> Result<i64> {
+    let side = i64::try_from(raw)
+        .ok()
+        .filter(|&side| side > 0)
+        .ok_or_else(|| invalid(&format!("'{field}' must be positive")))?;
+    if let Err(LatticeError::Overflow) = BoxRegion::square_window(dim, side) {
+        return Err(invalid(&format!(
+            "'{field}' {side} spans more than 2^64 points in {dim} dimensions"
+        )));
+    }
+    Ok(side)
 }
 
 pub(crate) fn get_u64(value: &Value, field: &str) -> Result<u64> {

@@ -50,7 +50,7 @@ use crate::aggregate::OnlineFold;
 use crate::compiled::CompiledSchedule;
 use crate::error::{EngineError, Result};
 use crate::frames::fingerprint_words;
-use crate::scenario::{get_u64, invalid, ShapeSpec};
+use crate::scenario::{get_u64, invalid, window_side, ShapeSpec};
 use crate::simkernel::KernelMac;
 use crate::sweep::{
     get_u32_array, GridContext, SeedAxis, SweepCacheStats, SweepCaches, SweepTraffic,
@@ -247,10 +247,7 @@ impl SearchSpec {
                 .get("shape")
                 .ok_or_else(|| invalid("search needs a 'shape' object"))?,
         )?;
-        let window = get_u64(value, "window")? as i64;
-        if window <= 0 {
-            return Err(invalid("'window' must be positive"));
-        }
+        let window = window_side(get_u64(value, "window")?, shape.dim(), "window")?;
         let slots = get_u64(value, "slots")?;
         let traffic = SweepTraffic::from_json(
             value

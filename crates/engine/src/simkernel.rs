@@ -38,10 +38,11 @@
 //!   a 64×64 bit transpose turns the node-major draw matrix slot-major.
 //!   Traces are shared through the engine's content-addressed
 //!   [`TraceCache`](crate::TraceCache), so sweeps, the retry axis of a grid
-//!   and repeated benchmark samples never rebuild one — and the general loop
+//!   and repeated benchmark samples never rebuild one — and [`run_frames`]
 //!   *auto-compiles* an internal trace for inline Bernoulli runs above a size
-//!   threshold, so stochastic runs stop walking every node in every slot
-//!   (staggered periodic runs get per-residue generation bitmaps for the same
+//!   threshold before it dispatches, so stochastic runs stop walking every
+//!   node in every slot on whichever path they take (the general loop gives
+//!   staggered periodic runs per-residue generation bitmaps for the same
 //!   reason). Slotted-ALOHA MAC decisions compile the same way
 //!   ([`TrafficTrace::aloha_decisions`], replayed via
 //!   [`KernelMac::AlohaTrace`]), so the MAC draws of a `(seed, p)` pair are
@@ -51,20 +52,27 @@
 //!   receivers) take a closed-form outcome path — `decoded = degree`,
 //!   `rx = Σ degree` — and only conflicted slots pay bitset passes. Fully
 //!   conflict-free plans (the paper's tiling schedules) never touch a bitset.
+//!   Every scalar path settles its slots through one resolver, whose
+//!   `settle_slot` holds the clean closed form, the full-burst memo replay
+//!   (a conflicted slot where every candidate transmits repeats its first
+//!   outcome), the bitset resolve and the memo insert.
 //! * **Parallel outcome pass.** Per-transmitter delivery outcomes are
 //!   data-parallel once the bitsets are built; conflicted slots with ≥ 8k
 //!   transmitters chunk their outcome pass across worker threads with the
 //!   engine's scoped-thread executor. (Clean slots need no outcome pass at
 //!   all — their accounting is one fused add-and-settle walk.)
-//! * **Analytic replay.** On a conflict-free plan under scheduled access the
-//!   clean-slot closed form extends from slots to whole runs: every
-//!   transmission delivers, service opportunities of a node form an
-//!   arithmetic progression (one per frame period), and the FIFO service
-//!   recurrence `d = max(first_service ≥ arrival, previous + period)` settles
-//!   each packet in O(1) — [`run_frames`] dispatches such runs to a
-//!   no-slot-loop path costing `O(deliveries)` (periodic traffic) or one pass
-//!   over the arrival bitmaps (traces), with [`run_frames_loop`] as the
-//!   measured escape hatch.
+//! * **Analytic replay.** Under scheduled access the clean-slot closed form
+//!   extends from slots to whole slot classes: a clean class's transmissions
+//!   all deliver, a node's service opportunities form an arithmetic
+//!   progression (one per frame period), and the FIFO service recurrence
+//!   `d = max(first_service ≥ arrival, previous + period)` settles each
+//!   packet in O(1). Classes are dynamically decoupled, so [`run_frames`]
+//!   replays periodic traffic class by class — clean classes in
+//!   `O(deliveries)`, conflicted ones on a narrowed loop over their own
+//!   service slots, allowed while they are at most a quarter of the period;
+//!   a conflict-free plan is the case with no conflicted class. Trace
+//!   traffic on a conflict-free plan replays in one pass over its arrival
+//!   bitmaps. [`run_frames_loop`] is the measured escape hatch.
 //! * **Bit-sliced seed lanes.** [`run_frames_lanes`] packs up to 64 seeds of
 //!   one configuration into `u64` lane words: one candidate scan, one
 //!   adjacency walk and one batched counter-RNG lane draw per slot serve all
@@ -229,11 +237,9 @@ const STAGGER_RESIDUE_WORD_LIMIT: u64 = 1 << 22;
 /// the closed-form side stops paying for its setup.
 const ANALYTIC_CONFLICT_DENOM: usize = 4;
 
-/// Byte budget of the deterministic loop's full-burst memo (1 MiB). The memo
-/// used to hold one `Vec<u32>` slot for every slot of the frame period, so a
-/// huge-period schedule (TDMA on a big window) pinned O(n) memory per run
-/// even when only a few slots ever replayed; the budget bounds it regardless
-/// of period.
+/// Byte budget of the slot resolver's full-burst memo (1 MiB): a
+/// huge-period schedule (TDMA on a big window) would otherwise pin O(n)
+/// memory per run even when only a few slots ever replay.
 const FULL_BURST_MEMO_BYTE_BUDGET: usize = 1 << 20;
 
 /// Approximate bookkeeping bytes charged per memo entry (hash-map slot, key,
@@ -305,38 +311,6 @@ impl FullBurstMemo {
     fn bytes(&self) -> usize {
         self.bytes
     }
-}
-
-/// The closed-form outcome accounting of one clean (conflict-free) slot: every
-/// transmitter delivers to all of its neighbours and same-slot receiver sets
-/// are disjoint, so `rx` is the degree sum and no bitset pass runs. `settle`
-/// applies one delivery (`decoded = degree`) to the caller's queue state —
-/// the single shared implementation behind both kernel loops, so their
-/// clean-slot accounting cannot drift. (Conflicted slots run
-/// [`SlotBuffers::resolve`], whose per-transmitter outcome pass parallelizes
-/// at ≥ 8k transmitters; here the whole outcome is one add per transmitter,
-/// fused into the settle walk.)
-#[inline]
-fn settle_clean_slot(
-    plan: &FramePlan,
-    counts: &mut KernelCounts,
-    tx_list: &[u32],
-    n: usize,
-    t: u64,
-    mut settle: impl FnMut(&mut KernelCounts, usize, u32, u64),
-) {
-    let tx_count = tx_list.len() as u64;
-    counts.transmissions += tx_count;
-    let mut rx = 0u64;
-    for &v in tx_list {
-        let v = v as usize;
-        let degree = plan.degree(v);
-        rx += u64::from(degree);
-        settle(counts, v, degree, t);
-    }
-    counts.tx_slots += tx_count;
-    counts.rx_slots += rx;
-    counts.idle_slots += n as u64 - tx_count - rx;
 }
 
 /// Transposes a 64×64 bit matrix in place: bit `j` of word `i` moves to bit
@@ -553,7 +527,23 @@ struct Queues<'a> {
     staggered_ids: Option<&'a [u32]>,
 }
 
-impl Queues<'_> {
+impl<'a> Queues<'a> {
+    fn new(
+        n: usize,
+        traffic_period: u64,
+        max_retries: u32,
+        staggered_ids: Option<&'a [u32]>,
+    ) -> Self {
+        Queues {
+            popped: vec![0u64; n],
+            attempts: vec![0u32; n],
+            queued_total: 0,
+            traffic_period,
+            max_retries,
+            staggered_ids,
+        }
+    }
+
     /// The generation phase of relabelled node `v`.
     #[inline]
     fn phase(&self, v: usize) -> u64 {
@@ -563,22 +553,30 @@ impl Queues<'_> {
         }
     }
 
-    /// Packets generated for relabelled node `v` in slots `0..=t`.
+    /// Collects the candidates backlogged at slot `t` into `tx_list`.
+    /// Candidates are a contiguous relabelled-id range, so this is a
+    /// sequential scan of `popped`; phase-aligned traffic shares one
+    /// generation count across the range, staggered phases need the
+    /// per-node count.
     #[inline]
-    fn generated(&self, v: usize, t: u64) -> u64 {
-        let phase = self.phase(v);
-        if t >= phase {
-            (t - phase) / self.traffic_period + 1
-        } else {
-            0
+    fn backlogged(&self, candidates: std::ops::Range<usize>, t: u64, tx_list: &mut Vec<u32>) {
+        let aligned_generated = arrivals_before(t + 1, 0, self.traffic_period);
+        tx_list.clear();
+        for v in candidates {
+            let generated = if self.staggered_ids.is_some() {
+                arrivals_before(t + 1, self.phase(v), self.traffic_period)
+            } else {
+                aligned_generated
+            };
+            if generated > self.popped[v] {
+                tx_list.push(v as u32);
+            }
         }
     }
 
     /// Applies one transmission outcome — delivery, retry or drop — to node
-    /// `v`'s queue and the run counters. The single settlement implementation
-    /// of the deterministic loop, shared by its resolve, memo-replay and
-    /// conflict-free paths so they cannot drift ([`ExplicitQueues::settle`] is
-    /// its counterpart for the general loop's explicit queues).
+    /// `v`'s queue and the run counters ([`ExplicitQueues::settle`] is its
+    /// counterpart for the general loop's explicit queues).
     #[inline]
     fn settle(&mut self, counts: &mut KernelCounts, v: usize, decoded: u32, degree: u32, t: u64) {
         counts.receptions += u64::from(decoded);
@@ -635,11 +633,25 @@ impl ExplicitQueues {
         self.queued_total += 1;
     }
 
+    /// Enqueues one packet generated at `t` for every node set in a
+    /// generation bitmap over relabelled ids with `count` set bits.
+    #[inline]
+    fn push_bitmap(&mut self, words: &[u64], count: u32, t: u64) {
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                self.queues[v].push_back(t);
+                bits &= bits - 1;
+            }
+            self.backlog[w] |= word;
+        }
+        self.queued_total += u64::from(count);
+    }
+
     /// Applies one transmission outcome — delivery, retry or drop — to node
-    /// `v`'s queue and the run counters. The single settlement implementation
-    /// of the general loop, shared by its resolve and conflict-free paths so
-    /// they cannot drift (the counterpart of [`Queues::settle`] for implicit
-    /// periodic queues).
+    /// `v`'s queue and the run counters (the counterpart of
+    /// [`Queues::settle`] for implicit periodic queues).
     #[inline]
     fn settle(&mut self, counts: &mut KernelCounts, v: usize, decoded: u32, degree: u32, t: u64) {
         counts.receptions += u64::from(decoded);
@@ -669,10 +681,12 @@ impl ExplicitQueues {
     }
 }
 
-/// The reusable per-slot bitset state of the interference passes, shared by the
-/// deterministic and the general (stochastic) kernel loops so the two cannot
-/// drift on collision semantics.
-struct SlotBuffers {
+/// The slot resolver of the scalar kernel loops: the reusable per-slot
+/// bitset state of the interference passes plus the full-burst memo.
+/// [`Resolver::settle_slot`] is the one place a slot's transmissions turn
+/// into outcomes, so the deterministic loop, the class replay's narrowed
+/// loop and the general loop cannot drift on collision semantics.
+struct Resolver {
     tx_mask: Vec<u64>,
     /// ≥ 1 in-range transmitter.
     once: Vec<u64>,
@@ -683,21 +697,74 @@ struct SlotBuffers {
     /// Bitset words touched this slot (cleared without O(n) sweeps).
     touched: Vec<u32>,
     /// `outcomes[i]`: how many of transmitter `tx_list[i]`'s neighbours decoded
-    /// it, filled by [`SlotBuffers::resolve`].
+    /// it, filled by [`Resolver::resolve`].
     outcomes: Vec<u32>,
+    memo: FullBurstMemo,
 }
 
-impl SlotBuffers {
-    fn new(n: usize) -> Self {
+impl Resolver {
+    fn new(n: usize, memo_budget: usize) -> Self {
         let words = n.div_ceil(64);
-        SlotBuffers {
+        Resolver {
             tx_mask: vec![0u64; words],
             once: vec![0u64; words],
             twice: vec![0u64; words],
             lost: vec![0u64; words],
             touched: Vec::with_capacity(words),
             outcomes: vec![0u32; n],
+            memo: FullBurstMemo::new(memo_budget),
         }
+    }
+
+    /// Settles one slot's transmitters: tallies transmissions and radio
+    /// slots, and hands each transmitter's outcome to `settle(counts, v,
+    /// decoded, degree)`. A clean slot (no conflicts, per the plan's
+    /// bitmask) is closed-form — every transmitter decodes at all of its
+    /// neighbours and same-slot receiver sets are disjoint, so `rx` is the
+    /// degree sum and no bitset pass runs. A conflicted full burst (every
+    /// candidate transmits) replays its memoized outcome when it has one;
+    /// anything else pays [`Resolver::resolve`], and a resolved full burst is
+    /// memoized for its next occurrence.
+    #[inline]
+    fn settle_slot(
+        &mut self,
+        plan: &FramePlan,
+        slot: usize,
+        tx_list: &[u32],
+        counts: &mut KernelCounts,
+        mut settle: impl FnMut(&mut KernelCounts, usize, u32, u32),
+    ) {
+        let tx_count = tx_list.len();
+        counts.transmissions += tx_count as u64;
+        counts.tx_slots += tx_count as u64;
+        let rx = if !plan.slot_conflicted(slot) {
+            let mut rx = 0u64;
+            for &v in tx_list {
+                let v = v as usize;
+                let degree = plan.degree(v);
+                rx += u64::from(degree);
+                settle(counts, v, degree, degree);
+            }
+            rx
+        } else {
+            let full_burst = tx_count == plan.slot_candidates(slot).len();
+            let (decoded, rx) = match full_burst.then(|| self.memo.get(plan, slot)).flatten() {
+                Some((decoded, rx)) => (&decoded[..], *rx),
+                None => {
+                    let rx = self.resolve(plan, tx_list);
+                    if full_burst {
+                        self.memo.insert(plan, slot, &self.outcomes[..tx_count], rx);
+                    }
+                    (&self.outcomes[..tx_count], rx)
+                }
+            };
+            for (&v, &decoded) in tx_list.iter().zip(decoded) {
+                let v = v as usize;
+                settle(counts, v, decoded, plan.degree(v));
+            }
+            rx
+        };
+        counts.rx_slots += rx;
     }
 
     /// Resolves one slot's interference for the given transmitter list: fills
@@ -815,135 +882,181 @@ fn note_dispatch(counter: crate::telemetry::Counter, runs: u64) {
     crate::telemetry::count(counter, runs);
 }
 
+/// Rejects a zero traffic period, a probability outside `[0, 1]` and a
+/// traffic or MAC decision trace that does not cover the run: the checks
+/// [`run_frames`] and [`run_frames_lanes`] share.
+fn validate(plan: &FramePlan, config: &KernelConfig) -> Result<()> {
+    let invalid = |msg: &str| Err(EngineError::InvalidKernelConfig(msg.into()));
+    let covers = |trace: &TrafficTrace, what: &str| {
+        if trace.num_nodes() != plan.num_nodes() || trace.num_slots() < config.slots {
+            return Err(EngineError::InvalidKernelConfig(format!(
+                "{what} covers {} nodes x {} slots, run needs {} x {}",
+                trace.num_nodes(),
+                trace.num_slots(),
+                plan.num_nodes(),
+                config.slots
+            )));
+        }
+        Ok(())
+    };
+    match &config.traffic {
+        KernelTraffic::Periodic { period: 0 } | KernelTraffic::Staggered { period: 0 } => {
+            invalid("periodic traffic period must be positive")
+        }
+        KernelTraffic::Bernoulli { p } if !(0.0..=1.0).contains(p) => {
+            invalid("bernoulli probability must be in [0, 1]")
+        }
+        KernelTraffic::Trace(trace) => covers(trace, "traffic trace"),
+        _ => Ok(()),
+    }?;
+    match &config.mac {
+        KernelMac::Aloha { p } if !(0.0..=1.0).contains(p) => {
+            invalid("aloha probability must be in [0, 1]")
+        }
+        KernelMac::AlohaTrace(trace) => covers(trace, "MAC decision trace"),
+        _ => Ok(()),
+    }
+}
+
 fn run_frames_impl(
     plan: &FramePlan,
     config: &KernelConfig,
     allow_analytic: bool,
 ) -> Result<KernelCounts> {
     use crate::telemetry::Counter;
+    validate(plan, config)?;
     let n = plan.num_nodes();
-    match &config.traffic {
-        KernelTraffic::Periodic { period: 0 } | KernelTraffic::Staggered { period: 0 } => {
-            return Err(EngineError::InvalidKernelConfig(
-                "periodic traffic period must be positive".into(),
-            ));
-        }
-        KernelTraffic::Bernoulli { p } if !(0.0..=1.0).contains(p) => {
-            return Err(EngineError::InvalidKernelConfig(
-                "bernoulli probability must be in [0, 1]".into(),
-            ));
-        }
-        KernelTraffic::Trace(trace)
-            if trace.num_nodes() != n || trace.num_slots() < config.slots =>
+
+    // Inline Bernoulli runs above the size threshold auto-compile an internal
+    // block trace (bit-identical by construction, and the batched build is
+    // cheaper than the per-slot draws it replaces), so no path below walks
+    // every node in every slot.
+    let traced;
+    let config = match config.traffic {
+        KernelTraffic::Bernoulli { p }
+            if n as u64 * config.slots >= AUTO_TRACE_MIN_DRAWS
+                && n.div_ceil(64) as u64 * config.slots <= TRACE_WORD_LIMIT =>
         {
-            return Err(EngineError::InvalidKernelConfig(format!(
-                "traffic trace covers {} nodes x {} slots, run needs {} x {}",
-                trace.num_nodes(),
-                trace.num_slots(),
-                n,
-                config.slots
-            )));
+            let trace = TrafficTrace::bernoulli(plan, config.seed, p, config.slots)?;
+            traced = KernelConfig {
+                traffic: KernelTraffic::Trace(Arc::new(trace)),
+                mac: config.mac.clone(),
+                ..*config
+            };
+            &traced
         }
-        _ => {}
-    }
-    match &config.mac {
-        KernelMac::Aloha { p } if !(0.0..=1.0).contains(p) => {
-            return Err(EngineError::InvalidKernelConfig(
-                "aloha probability must be in [0, 1]".into(),
-            ));
+        _ => config,
+    };
+
+    // The one dispatch. Without traffic nothing transmits: every node idles
+    // every slot, in closed form. Under scheduled access, periodic traffic on
+    // a plan whose conflicted slots are a small enough minority replays slot
+    // class by slot class (`run_analytic_classes`: clean classes closed-form,
+    // conflicted ones on a narrowed loop), and trace traffic on a
+    // conflict-free plan replays its arrival bitmaps (`run_analytic_trace`).
+    // Everything else takes a slot loop; conflict-free plans never run an
+    // interference pass there either.
+    let clean = plan.conflict_free();
+    let scheduled = matches!(config.mac, KernelMac::Scheduled);
+    let analytic = allow_analytic && scheduled;
+    let periodic = match config.traffic {
+        KernelTraffic::Periodic { period } => Some((period, false)),
+        KernelTraffic::Staggered { period } => Some((period, true)),
+        _ => None,
+    };
+    let slot_loop = if clean {
+        Counter::DispatchConflictFree
+    } else {
+        Counter::DispatchGeneralLoop
+    };
+    match (&config.traffic, periodic) {
+        (KernelTraffic::None, _) => {
+            note_dispatch(Counter::DispatchAnalytic, 1);
+            Ok(close(KernelCounts::default(), n, config.slots))
         }
-        KernelMac::AlohaTrace(trace)
-            if trace.num_nodes() != n || trace.num_slots() < config.slots =>
+        (_, Some((period, staggered)))
+            if analytic && plan.conflicted_slots() * ANALYTIC_CONFLICT_DENOM <= plan.period() =>
         {
-            return Err(EngineError::InvalidKernelConfig(format!(
-                "MAC decision trace covers {} nodes x {} slots, run needs {} x {}",
-                trace.num_nodes(),
-                trace.num_slots(),
-                n,
-                config.slots
-            )));
+            note_dispatch(
+                if clean {
+                    Counter::DispatchAnalytic
+                } else {
+                    Counter::DispatchPartialAnalytic
+                },
+                1,
+            );
+            run_analytic_classes(plan, config, period, staggered)
         }
-        _ => {}
+        (KernelTraffic::Trace(trace), _) if analytic && clean => {
+            note_dispatch(Counter::DispatchAnalytic, 1);
+            run_analytic_trace(plan, config, trace)
+        }
+        (_, Some((period, staggered))) if scheduled => {
+            note_dispatch(slot_loop, 1);
+            run_deterministic(plan, config, period, staggered, FULL_BURST_MEMO_BYTE_BUDGET)
+        }
+        _ => {
+            note_dispatch(slot_loop, 1);
+            run_general(plan, config)
+        }
     }
+}
 
-    if matches!(config.traffic, KernelTraffic::None) {
-        // Without traffic nothing ever transmits: every node idles every slot.
-        // Closed-form, so it counts as an analytic dispatch.
-        note_dispatch(Counter::DispatchAnalytic, 1);
-        return Ok(KernelCounts {
-            idle_slots: n as u64 * config.slots,
-            ..KernelCounts::default()
-        });
+/// Packets one node of generation phase `phase` generates in slots `0..end`
+/// under periodic traffic of period `period` (arrivals at `phase`, `phase +
+/// period`, …): the one generation closed form behind backlog tests, per-slot
+/// arrival counts and run totals.
+#[inline]
+fn arrivals_before(end: u64, phase: u64, period: u64) -> u64 {
+    if end > phase {
+        (end - 1 - phase) / period + 1
+    } else {
+        0
     }
+}
 
-    // Closed-form analytic replay: on a conflict-free plan under scheduled
-    // access every transmission delivers, so the whole run is a per-node
-    // arithmetic-progression service problem — no slot loop needed (see
-    // `run_analytic_periodic` / `run_analytic_trace`). Partially conflicted
-    // plans with a small enough conflicted minority replay hybrid: clean slot
-    // classes keep the closed form, only the conflicted classes loop (see
-    // `run_analytic_partial`).
-    if allow_analytic && matches!(config.mac, KernelMac::Scheduled) {
-        if plan.conflict_free() {
-            match &config.traffic {
-                KernelTraffic::Periodic { period } => {
-                    note_dispatch(Counter::DispatchAnalytic, 1);
-                    return run_analytic_periodic(plan, config, *period, false);
-                }
-                KernelTraffic::Staggered { period } => {
-                    note_dispatch(Counter::DispatchAnalytic, 1);
-                    return run_analytic_periodic(plan, config, *period, true);
-                }
-                KernelTraffic::Trace(trace) => {
-                    note_dispatch(Counter::DispatchAnalytic, 1);
-                    return run_analytic_trace(plan, config, trace);
-                }
-                KernelTraffic::Bernoulli { p }
-                    if n as u64 * config.slots >= AUTO_TRACE_MIN_DRAWS
-                        && n.div_ceil(64) as u64 * config.slots <= TRACE_WORD_LIMIT =>
-                {
-                    // The same auto-trace conversion the general loop applies:
-                    // compile the draws once, then replay the trace analytically.
-                    note_dispatch(Counter::DispatchAnalytic, 1);
-                    let trace = TrafficTrace::bernoulli(plan, config.seed, *p, config.slots)?;
-                    return run_analytic_trace(plan, config, &trace);
-                }
-                _ => {}
-            }
-        } else if plan.conflicted_slots() * ANALYTIC_CONFLICT_DENOM <= plan.period() {
-            match &config.traffic {
-                KernelTraffic::Periodic { period } => {
-                    note_dispatch(Counter::DispatchPartialAnalytic, 1);
-                    return run_analytic_partial(plan, config, *period, false);
-                }
-                KernelTraffic::Staggered { period } => {
-                    note_dispatch(Counter::DispatchPartialAnalytic, 1);
-                    return run_analytic_partial(plan, config, *period, true);
-                }
-                _ => {}
-            }
-        }
+/// Packets `n` nodes generate in a run of `slots` slots of periodic traffic.
+/// Staggered phases are original ids mod the period, and original ids are a
+/// permutation of `0..n`, so residue `r` holds `arrivals_before(n, r, period)`
+/// nodes.
+fn periodic_generated(n: usize, slots: u64, period: u64, staggered: bool) -> u64 {
+    let n = n as u64;
+    if !staggered {
+        return n * arrivals_before(slots, 0, period);
     }
+    (0..period.min(n))
+        .map(|r| arrivals_before(n, r, period) * arrivals_before(slots, r, period))
+        .sum()
+}
 
-    // Slot-loop dispatch: conflict-free plans never run interference passes
-    // (the loop's clean shortcut), everything else pays the bitset loop.
-    note_dispatch(
-        if plan.conflict_free() {
-            Counter::DispatchConflictFree
-        } else {
-            Counter::DispatchGeneralLoop
-        },
-        1,
-    );
-    match (&config.traffic, &config.mac) {
-        (KernelTraffic::Periodic { period }, KernelMac::Scheduled) => {
-            run_deterministic(plan, config, *period, false, FULL_BURST_MEMO_BYTE_BUDGET)
-        }
-        (KernelTraffic::Staggered { period }, KernelMac::Scheduled) => {
-            run_deterministic(plan, config, *period, true, FULL_BURST_MEMO_BYTE_BUDGET)
-        }
-        _ => run_general(plan, config),
-    }
+/// Closes a run's counters by conservation: a generated packet that was
+/// neither delivered nor dropped is pending, and a node-slot spent neither
+/// transmitting nor receiving is idle. Every kernel path ends here.
+fn close(mut counts: KernelCounts, n: usize, slots: u64) -> KernelCounts {
+    counts.packets_pending =
+        counts.packets_generated - counts.packets_delivered - counts.packets_dropped;
+    counts.idle_slots = n as u64 * slots - counts.tx_slots - counts.rx_slots;
+    counts
+}
+
+/// Tallies the clean services of `nodes` nodes sharing one service chain:
+/// each node delivers `delivered` packets with total latency `latency`, and
+/// every delivery is heard by all of its sender's neighbours (`degree_sum`
+/// over the nodes).
+#[inline]
+fn add_clean_services(
+    counts: &mut KernelCounts,
+    nodes: u64,
+    delivered: u64,
+    latency: u64,
+    degree_sum: u64,
+) {
+    counts.packets_delivered += delivered * nodes;
+    counts.total_latency += latency * nodes;
+    counts.transmissions += delivered * nodes;
+    counts.tx_slots += delivered * nodes;
+    counts.receptions += delivered * degree_sum;
+    counts.rx_slots += delivered * degree_sum;
 }
 
 /// The per-node slot class of every relabelled node: `slot_of[v]` is the frame
@@ -995,84 +1108,13 @@ fn settle_clean_chain(
     (delivered, latency)
 }
 
-/// Analytic replay of periodic (aligned or staggered) traffic on a clean plan
-/// under scheduled access: no slot loop, no queues, no bitsets. Aligned
-/// traffic is computed once per *slot class* (every node of a class shares
-/// phase 0, the same service chain and the same delivery schedule) and scaled
-/// by the class size and degree sum; staggered traffic walks nodes, each an
-/// `O(deliveries)` chain. Counter parity with the loop kernels is pinned by
-/// the `sim_parity` suite and the in-measure assertion of the `replay`
-/// baseline entry.
-fn run_analytic_periodic(
-    plan: &FramePlan,
-    config: &KernelConfig,
-    traffic_period: u64,
-    staggered: bool,
-) -> Result<KernelCounts> {
-    let n = plan.num_nodes();
-    let slots = config.slots;
-    let mut counts = KernelCounts::default();
-    if slots == 0 {
-        return Ok(counts);
-    }
-    let m = plan.period() as u64;
-
-    if staggered {
-        let slot_of = slot_classes(plan);
-        for (v, &ov) in plan.original_ids().iter().enumerate() {
-            let phase = u64::from(ov) % traffic_period;
-            if slots <= phase {
-                continue;
-            }
-            let generated = (slots - 1 - phase) / traffic_period + 1;
-            counts.packets_generated += generated;
-            if slot_of[v] == u32::MAX {
-                continue; // silent: arrivals only accumulate pending
-            }
-            let arrivals = (0..generated).map(|k| phase + k * traffic_period);
-            let (delivered, latency) =
-                settle_clean_chain(arrivals, u64::from(slot_of[v]), m, slots);
-            let degree = u64::from(plan.degree(v));
-            counts.packets_delivered += delivered;
-            counts.total_latency += latency;
-            counts.transmissions += delivered;
-            counts.receptions += delivered * degree;
-            counts.tx_slots += delivered;
-            counts.rx_slots += delivered * degree;
-        }
-    } else {
-        let generated = (slots - 1) / traffic_period + 1;
-        counts.packets_generated = generated * n as u64;
-        for slot in 0..plan.period() {
-            let class = plan.slot_candidates(slot);
-            if class.is_empty() {
-                continue;
-            }
-            let degree_sum: u64 = class.clone().map(|v| u64::from(plan.degree(v))).sum();
-            let arrivals = (0..generated).map(|k| k * traffic_period);
-            let (delivered, latency) = settle_clean_chain(arrivals, slot as u64, m, slots);
-            let size = class.len() as u64;
-            counts.packets_delivered += delivered * size;
-            counts.total_latency += latency * size;
-            counts.transmissions += delivered * size;
-            counts.receptions += delivered * degree_sum;
-            counts.tx_slots += delivered * size;
-            counts.rx_slots += delivered * degree_sum;
-        }
-    }
-
-    counts.packets_pending = counts.packets_generated - counts.packets_delivered;
-    counts.idle_slots = n as u64 * slots - counts.tx_slots - counts.rx_slots;
-    Ok(counts)
-}
-
 /// Analytic replay of compiled-trace traffic on a clean plan under scheduled
 /// access: one slot-major pass over the arrival bitmaps, with per-node
 /// `next_free` service cursors instead of queues — each arrival settles in
 /// O(1) via the same `d = max(first_service_ge(a), next_free)` recurrence as
-/// [`run_analytic_periodic`], and slots with no arrivals cost one counter
-/// read. (The trace may cover more slots than the run; extra slots are
-/// ignored, exactly as in the general loop.)
+/// [`settle_clean_chain`], and slots with no arrivals cost one counter read.
+/// (The trace may cover more slots than the run; extra slots are ignored,
+/// exactly as in the general loop.)
 fn run_analytic_trace(
     plan: &FramePlan,
     config: &KernelConfig,
@@ -1081,9 +1123,6 @@ fn run_analytic_trace(
     let n = plan.num_nodes();
     let slots = config.slots;
     let mut counts = KernelCounts::default();
-    if slots == 0 {
-        return Ok(counts);
-    }
     let m = plan.period() as u64;
     let slot_of = slot_classes(plan);
     let mut next_free = vec![0u64; n];
@@ -1105,39 +1144,36 @@ fn run_analytic_trace(
                 if d >= slots {
                     continue; // served past the horizon: stays pending
                 }
-                let degree = u64::from(plan.degree(v));
-                counts.packets_delivered += 1;
-                counts.total_latency += d - t;
-                counts.transmissions += 1;
-                counts.receptions += degree;
-                counts.tx_slots += 1;
-                counts.rx_slots += degree;
+                add_clean_services(&mut counts, 1, 1, d - t, u64::from(plan.degree(v)));
                 next_free[v] = d + m;
             }
         }
     }
-    counts.packets_pending = counts.packets_generated - counts.packets_delivered;
-    counts.idle_slots = n as u64 * slots - counts.tx_slots - counts.rx_slots;
-    Ok(counts)
+    Ok(close(counts, n, slots))
 }
 
-/// Hybrid analytic replay of periodic (aligned or staggered) traffic on a
-/// *partially* conflicted plan under scheduled access.
+/// Analytic replay of periodic (aligned or staggered) traffic under
+/// scheduled access, one slot class at a time.
 ///
 /// Under scheduled access, slot classes are dynamically decoupled: class `s`
 /// transmits only at slots `t ≡ s (mod m)`, its transmitters are exactly its
 /// own backlogged candidates, and interference at those slots resolves among
 /// them — no other class's queue state can influence an outcome. So the run
-/// splits exactly: clean classes (their slots carry no conflicts, every
-/// transmission delivers) keep the closed-form service chains of
-/// [`run_analytic_periodic`], while each conflicted class replays a *narrowed*
-/// slot loop visiting only its own service slots — `conflicted_slots / m` of
-/// the run instead of all of it — with the same resolve/settle/memo machinery
-/// as [`run_deterministic`]. Idle slots and pending packets close by
-/// conservation, exactly as the loop computes them. Bit-exact parity with
-/// [`run_frames_loop`] is pinned by the `sim_parity` suite and asserted inside
-/// every timed sample of the `replay` baseline entry.
-fn run_analytic_partial(
+/// splits exactly. Clean classes (their slots carry no conflicts, every
+/// transmission delivers) need no slot loop, no queues and no bitsets: their
+/// service chains settle in closed form via [`settle_clean_chain`] — once per
+/// class for aligned traffic (every node of a class shares phase 0, the same
+/// chain and the same delivery schedule, scaled by the class size and degree
+/// sum), once per node for staggered traffic. Each conflicted class replays a
+/// *narrowed* slot loop visiting only its own service slots —
+/// `conflicted_slots / m` of the run instead of all of it — through the same
+/// [`Resolver`] and [`Queues`] as [`run_deterministic`]. A conflict-free plan
+/// (the paper's tiling schedules) has no conflicted class and allocates no
+/// loop state. Generation totals are closed-form and pending and idle close
+/// by conservation, exactly as the loop computes them. Bit-exact parity with
+/// [`run_frames_loop`] is pinned by the `sim_parity` suite and asserted
+/// inside every timed sample of the `replay` baseline entry.
+fn run_analytic_classes(
     plan: &FramePlan,
     config: &KernelConfig,
     traffic_period: u64,
@@ -1146,13 +1182,8 @@ fn run_analytic_partial(
     let n = plan.num_nodes();
     let slots = config.slots;
     let mut counts = KernelCounts::default();
-    if slots == 0 {
-        return Ok(counts);
-    }
     let m = plan.period() as u64;
 
-    // Clean classes: closed-form service chains, as in the fully-clean
-    // analytic replay, restricted to classes whose slot is unconflicted.
     if staggered {
         let slot_of = slot_classes(plan);
         for (v, &ov) in plan.original_ids().iter().enumerate() {
@@ -1161,136 +1192,76 @@ fn run_analytic_partial(
                 continue; // silent (pending only) or handled by the narrowed loop
             }
             let phase = u64::from(ov) % traffic_period;
-            if slots <= phase {
-                continue;
-            }
-            let generated = (slots - 1 - phase) / traffic_period + 1;
-            let arrivals = (0..generated).map(|k| phase + k * traffic_period);
+            let arrivals = (0..arrivals_before(slots, phase, traffic_period))
+                .map(|k| phase + k * traffic_period);
             let (delivered, latency) = settle_clean_chain(arrivals, u64::from(s), m, slots);
-            let degree = u64::from(plan.degree(v));
-            counts.packets_delivered += delivered;
-            counts.total_latency += latency;
-            counts.transmissions += delivered;
-            counts.receptions += delivered * degree;
-            counts.tx_slots += delivered;
-            counts.rx_slots += delivered * degree;
+            add_clean_services(
+                &mut counts,
+                1,
+                delivered,
+                latency,
+                u64::from(plan.degree(v)),
+            );
         }
     } else {
-        let generated = (slots - 1) / traffic_period + 1;
+        let generated = arrivals_before(slots, 0, traffic_period);
         for slot in 0..plan.period() {
-            if plan.slot_conflicted(slot) {
-                continue;
-            }
             let class = plan.slot_candidates(slot);
-            if class.is_empty() {
+            if class.is_empty() || plan.slot_conflicted(slot) {
                 continue;
             }
             let degree_sum: u64 = class.clone().map(|v| u64::from(plan.degree(v))).sum();
             let arrivals = (0..generated).map(|k| k * traffic_period);
             let (delivered, latency) = settle_clean_chain(arrivals, slot as u64, m, slots);
-            let size = class.len() as u64;
-            counts.packets_delivered += delivered * size;
-            counts.total_latency += latency * size;
-            counts.transmissions += delivered * size;
-            counts.receptions += delivered * degree_sum;
-            counts.tx_slots += delivered * size;
-            counts.rx_slots += delivered * degree_sum;
+            add_clean_services(
+                &mut counts,
+                class.len() as u64,
+                delivered,
+                latency,
+                degree_sum,
+            );
         }
     }
 
-    // Conflicted classes: the narrowed slot loop. Queue state is indexed by
-    // relabelled id but only conflicted-class entries are ever touched; the
-    // full-burst memo and interference buffers are the loop kernel's own.
-    let mut buffers = SlotBuffers::new(n);
-    let mut tx_list: Vec<u32> = Vec::with_capacity(n);
-    let mut queues = Queues {
-        popped: vec![0u64; n],
-        attempts: vec![0u32; n],
-        queued_total: 0, // unused: the narrowed loop never skips on it
-        traffic_period,
-        max_retries: config.max_retries,
-        staggered_ids: staggered.then(|| plan.original_ids()),
-    };
-    let mut full_burst_memo = FullBurstMemo::new(FULL_BURST_MEMO_BYTE_BUDGET);
-    for slot in 0..plan.period() {
-        if !plan.slot_conflicted(slot) {
-            continue;
-        }
-        let class = plan.slot_candidates(slot);
-        if class.is_empty() {
-            continue;
-        }
-        let mut t = slot as u64;
-        while t < slots {
-            let aligned_generated = t / traffic_period + 1;
-            tx_list.clear();
-            for v in class.clone() {
-                let generated = if staggered {
-                    queues.generated(v, t)
-                } else {
-                    aligned_generated
-                };
-                if generated > queues.popped[v] {
-                    tx_list.push(v as u32);
+    if !plan.conflict_free() {
+        // Queue state is indexed by relabelled id, but only conflicted-class
+        // entries are ever touched.
+        let mut resolver = Resolver::new(n, FULL_BURST_MEMO_BYTE_BUDGET);
+        let mut tx_list: Vec<u32> = Vec::with_capacity(n);
+        let staggered_ids = staggered.then(|| plan.original_ids());
+        let mut queues = Queues::new(n, traffic_period, config.max_retries, staggered_ids);
+        for slot in (0..plan.period()).filter(|&slot| plan.slot_conflicted(slot)) {
+            let mut t = slot as u64;
+            while t < slots {
+                queues.backlogged(plan.slot_candidates(slot), t, &mut tx_list);
+                if !tx_list.is_empty() {
+                    // `settle` decrements the network backlog on every
+                    // delivery or drop; the narrowed loop never reads it (no
+                    // empty-slot skip), so top it up per burst to keep the
+                    // counter unsigned.
+                    queues.queued_total += tx_list.len() as u64;
+                    resolver.settle_slot(
+                        plan,
+                        slot,
+                        &tx_list,
+                        &mut counts,
+                        |counts, v, decoded, degree| queues.settle(counts, v, decoded, degree, t),
+                    );
                 }
+                t += m;
             }
-            if !tx_list.is_empty() {
-                let tx_count = tx_list.len();
-                // `settle` decrements the network backlog on every delivery
-                // or drop; the narrowed loop never reads it (no empty-slot
-                // skip), so top it up per burst to keep the counter unsigned.
-                queues.queued_total += tx_count as u64;
-                let full_burst = tx_count == class.len();
-                if full_burst {
-                    if let Some((decoded, rx)) = full_burst_memo.get(plan, slot) {
-                        counts.transmissions += tx_count as u64;
-                        for (&v, &decoded) in tx_list.iter().zip(decoded.iter()) {
-                            let v = v as usize;
-                            queues.settle(&mut counts, v, decoded, plan.degree(v), t);
-                        }
-                        counts.tx_slots += tx_count as u64;
-                        counts.rx_slots += *rx;
-                        t += m;
-                        continue;
-                    }
-                }
-                let rx = buffers.resolve(plan, &tx_list);
-                counts.transmissions += tx_count as u64;
-                for (&v, &decoded) in tx_list.iter().zip(&buffers.outcomes[..tx_count]) {
-                    let v = v as usize;
-                    queues.settle(&mut counts, v, decoded, plan.degree(v), t);
-                }
-                counts.tx_slots += tx_count as u64;
-                counts.rx_slots += rx;
-                if full_burst {
-                    full_burst_memo.insert(plan, slot, &buffers.outcomes[..tx_count], rx);
-                }
-            }
-            t += m;
         }
     }
 
-    // Global generation closed form, then pending and idle by conservation —
-    // the same identities the loop kernels close with.
-    if staggered {
-        for id in 0..n as u64 {
-            let phase = id % traffic_period;
-            if slots > phase {
-                counts.packets_generated += (slots - 1 - phase) / traffic_period + 1;
-            }
-        }
-    } else {
-        counts.packets_generated = ((slots - 1) / traffic_period + 1) * n as u64;
-    }
-    counts.packets_pending =
-        counts.packets_generated - counts.packets_delivered - counts.packets_dropped;
-    counts.idle_slots = n as u64 * slots - counts.tx_slots - counts.rx_slots;
-    Ok(counts)
+    counts.packets_generated = periodic_generated(n, slots, traffic_period, staggered);
+    Ok(close(counts, n, slots))
 }
 
 /// The deterministic fast path: periodic (aligned or staggered) traffic under
 /// scheduled access, with implicit arithmetic-progression queues, the O(1)
-/// empty-slot skip and the full-burst memo.
+/// empty-slot skip and the full-burst memo (with periodic traffic, full
+/// bursts are the steady state; staggered phases only shift when each node
+/// reaches it). `memo_budget` bounds the memo's bytes.
 fn run_deterministic(
     plan: &FramePlan,
     config: &KernelConfig,
@@ -1300,138 +1271,45 @@ fn run_deterministic(
 ) -> Result<KernelCounts> {
     let n = plan.num_nodes();
     let mut counts = KernelCounts::default();
-    let mut buffers = SlotBuffers::new(n);
+    let mut resolver = Resolver::new(n, memo_budget);
     let mut tx_list: Vec<u32> = Vec::with_capacity(n);
-    let mut queues = Queues {
-        popped: vec![0u64; n],
-        attempts: vec![0u32; n],
-        queued_total: 0,
-        traffic_period,
-        max_retries: config.max_retries,
-        staggered_ids: staggered.then(|| plan.original_ids()),
-    };
-    // Full-burst memo: when *every* candidate of a slot transmits, the
-    // interference outcome is a pure function of the slot, so the first such
-    // occurrence's per-transmitter decode counts and rx tally are recorded and
-    // replayed on later full bursts in O(candidates) instead of O(edges). With
-    // periodic traffic full bursts are the steady state, so this is the common
-    // path; staggered phases only shift when each node reaches it. The memo is
-    // content-hash keyed and byte-budgeted (see [`FullBurstMemo`]), so huge
-    // frame periods no longer pin O(period + n) memory per run.
-    let mut full_burst_memo = FullBurstMemo::new(memo_budget);
+    let staggered_ids = staggered.then(|| plan.original_ids());
+    let mut queues = Queues::new(n, traffic_period, config.max_retries, staggered_ids);
 
     let frame_period = plan.period() as u64;
     for t in 0..config.slots {
-        // Number of nodes generating a packet in this slot (generation precedes
-        // the MAC decision within a slot). Original ids are a permutation of
-        // 0..n, so the staggered residue-class count has a closed form.
-        let newly = if staggered {
-            let r = t % traffic_period;
-            if r < n as u64 {
-                (n as u64 - 1 - r) / traffic_period + 1
-            } else {
-                0
-            }
+        // Nodes generating a packet in this slot (generation precedes the MAC
+        // decision within a slot). Original ids are a permutation of 0..n, so
+        // the staggered residue class of `t` holds a closed-form count.
+        queues.queued_total += if staggered {
+            arrivals_before(n as u64, t % traffic_period, traffic_period)
         } else if t.is_multiple_of(traffic_period) {
             n as u64
         } else {
             0
         };
-        queues.queued_total += newly;
         // When the whole network's queues are empty the slot is skipped in
         // O(1) — with periodic traffic this covers the drained stretch of
         // every generation cycle.
         if queues.queued_total == 0 {
-            counts.idle_slots += n as u64;
             continue;
         }
         let slot = (t % frame_period) as usize;
-
-        // Backlogged candidates become transmitters. Candidates are a
-        // contiguous relabelled-id range, so this is a sequential scan of
-        // `popped`. Phase-aligned traffic shares one generation count across
-        // the slot; staggered phases need the per-node count.
-        let aligned_generated = t / traffic_period + 1;
-        tx_list.clear();
-        for v in plan.slot_candidates(slot) {
-            let generated = if staggered {
-                queues.generated(v, t)
-            } else {
-                aligned_generated
-            };
-            if generated > queues.popped[v] {
-                tx_list.push(v as u32);
-            }
-        }
+        queues.backlogged(plan.slot_candidates(slot), t, &mut tx_list);
         if tx_list.is_empty() {
-            counts.idle_slots += n as u64;
             continue;
         }
-        let tx_count = tx_list.len();
-
-        // Clean-slot shortcut: on a slot with no conflicts (per the plan's
-        // conflict bitmask) outcomes are closed-form — no bitset passes.
-        // Partially conflicting plans pay the passes only on their conflicted
-        // slots.
-        if !plan.slot_conflicted(slot) {
-            settle_clean_slot(plan, &mut counts, &tx_list, n, t, |counts, v, degree, t| {
-                queues.settle(counts, v, degree, degree, t)
-            });
-            continue;
-        }
-        let full_burst = tx_count == plan.slot_candidates(slot).len();
-
-        if full_burst {
-            if let Some((decoded, rx)) = full_burst_memo.get(plan, slot) {
-                // Memoized fast path: bitsets untouched, queues updated from
-                // the recorded outcomes.
-                counts.transmissions += tx_count as u64;
-                for (&v, &decoded) in tx_list.iter().zip(decoded.iter()) {
-                    let v = v as usize;
-                    queues.settle(&mut counts, v, decoded, plan.degree(v), t);
-                }
-                counts.tx_slots += tx_count as u64;
-                counts.rx_slots += *rx;
-                counts.idle_slots += n as u64 - tx_count as u64 - *rx;
-                continue;
-            }
-        }
-
-        // General path: full interference resolution.
-        let rx = buffers.resolve(plan, &tx_list);
-        counts.transmissions += tx_count as u64;
-        for (&v, &decoded) in tx_list.iter().zip(&buffers.outcomes[..tx_count]) {
-            let v = v as usize;
-            queues.settle(&mut counts, v, decoded, plan.degree(v), t);
-        }
-        counts.tx_slots += tx_count as u64;
-        counts.rx_slots += rx;
-        counts.idle_slots += n as u64 - tx_count as u64 - rx;
-
-        // Record the outcome of a full burst for replay on its next
-        // occurrence (skipped silently once the byte budget is reached).
-        if full_burst {
-            full_burst_memo.insert(plan, slot, &buffers.outcomes[..tx_count], rx);
-        }
+        resolver.settle_slot(
+            plan,
+            slot,
+            &tx_list,
+            &mut counts,
+            |counts, v, decoded, degree| queues.settle(counts, v, decoded, degree, t),
+        );
     }
 
-    if config.slots > 0 {
-        // Per-node closed-form generation totals (phases are original ids,
-        // a permutation of 0..n).
-        if staggered {
-            for id in 0..n as u64 {
-                let phase = id % traffic_period;
-                if config.slots > phase {
-                    counts.packets_generated += (config.slots - 1 - phase) / traffic_period + 1;
-                }
-            }
-        } else {
-            counts.packets_generated = ((config.slots - 1) / traffic_period + 1) * n as u64;
-        }
-        counts.packets_pending =
-            counts.packets_generated - counts.packets_delivered - counts.packets_dropped;
-    }
-    Ok(counts)
+    counts.packets_generated = periodic_generated(n, config.slots, traffic_period, staggered);
+    Ok(close(counts, n, config.slots))
 }
 
 /// The per-residue generation bitmaps of staggered traffic: node `v` (original
@@ -1485,30 +1363,12 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
     let traffic_rng = CounterRng::traffic(config.seed);
     let mac_rng = CounterRng::mac(config.seed);
     let mut counts = KernelCounts::default();
-    let mut buffers = SlotBuffers::new(n);
+    let mut resolver = Resolver::new(n, FULL_BURST_MEMO_BYTE_BUDGET);
     let mut tx_list: Vec<u32> = Vec::with_capacity(n);
     let mut state = ExplicitQueues::new(n, config.max_retries);
-
-    // Stop walking every node per slot where the traffic model allows it:
-    // inline Bernoulli runs above the size threshold auto-compile an internal
-    // block trace (bit-identical by construction, and the batched build is
-    // cheaper than the per-slot draws it replaces); staggered runs compile
-    // per-residue generation bitmaps.
-    let traffic: KernelTraffic = match &config.traffic {
-        KernelTraffic::Bernoulli { p }
-            if n as u64 * config.slots >= AUTO_TRACE_MIN_DRAWS
-                && n.div_ceil(64) as u64 * config.slots <= TRACE_WORD_LIMIT =>
-        {
-            KernelTraffic::Trace(Arc::new(TrafficTrace::bernoulli(
-                plan,
-                config.seed,
-                *p,
-                config.slots,
-            )?))
-        }
-        other => other.clone(),
-    };
-    let residues = match &traffic {
+    // Staggered runs compile per-residue generation bitmaps, so generation
+    // stops walking every node per slot.
+    let residues = match &config.traffic {
         KernelTraffic::Staggered { period } => StaggerResidues::build(plan, *period),
         _ => None,
     };
@@ -1516,7 +1376,7 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
     let frame_period = plan.period() as u64;
     for t in 0..config.slots {
         // Traffic generation.
-        match &traffic {
+        match &config.traffic {
             KernelTraffic::Bernoulli { p } => {
                 for (v, &ov) in orig.iter().enumerate() {
                     if traffic_rng.bernoulli(*p, u64::from(ov), t) {
@@ -1526,18 +1386,10 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
                 }
             }
             KernelTraffic::Trace(trace) => {
-                if trace.count_at(t) > 0 {
-                    for (w, &word) in trace.words_at(t).iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let v = w * 64 + bits.trailing_zeros() as usize;
-                            state.queues[v].push_back(t);
-                            bits &= bits - 1;
-                        }
-                        state.backlog[w] |= word;
-                    }
-                    state.queued_total += u64::from(trace.count_at(t));
-                    counts.packets_generated += u64::from(trace.count_at(t));
+                let count = trace.count_at(t);
+                if count > 0 {
+                    state.push_bitmap(trace.words_at(t), count, t);
+                    counts.packets_generated += u64::from(count);
                 }
             }
             KernelTraffic::Periodic { period } => {
@@ -1552,17 +1404,9 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
                 let r = t % period;
                 match &residues {
                     Some(res) if res.counts[r as usize] > 0 => {
-                        for (w, &word) in res.words_at(r as usize).iter().enumerate() {
-                            let mut bits = word;
-                            while bits != 0 {
-                                let v = w * 64 + bits.trailing_zeros() as usize;
-                                state.queues[v].push_back(t);
-                                bits &= bits - 1;
-                            }
-                            state.backlog[w] |= word;
-                        }
-                        state.queued_total += u64::from(res.counts[r as usize]);
-                        counts.packets_generated += u64::from(res.counts[r as usize]);
+                        let count = res.counts[r as usize];
+                        state.push_bitmap(res.words_at(r as usize), count, t);
+                        counts.packets_generated += u64::from(count);
                     }
                     Some(_) => {}
                     None => {
@@ -1578,7 +1422,6 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
             KernelTraffic::None => {}
         }
         if state.queued_total == 0 {
-            counts.idle_slots += n as u64;
             continue;
         }
 
@@ -1616,34 +1459,18 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
             }
         }
         if tx_list.is_empty() {
-            counts.idle_slots += n as u64;
             continue;
         }
-        let tx_count = tx_list.len();
-
-        // Clean-slot shortcut (see `run_deterministic`): deliveries and the
-        // rx tally are closed-form, no bitset passes needed; only conflicted
-        // slots of the plan pay interference resolution.
-        if !plan.slot_conflicted(slot) {
-            settle_clean_slot(plan, &mut counts, &tx_list, n, t, |counts, v, degree, t| {
-                state.settle(counts, v, degree, degree, t)
-            });
-            continue;
-        }
-
-        let rx = buffers.resolve(plan, &tx_list);
-        counts.transmissions += tx_count as u64;
-        for (&v, &decoded) in tx_list.iter().zip(&buffers.outcomes[..tx_count]) {
-            let v = v as usize;
-            state.settle(&mut counts, v, decoded, plan.degree(v), t);
-        }
-        counts.tx_slots += tx_count as u64;
-        counts.rx_slots += rx;
-        counts.idle_slots += n as u64 - tx_count as u64 - rx;
+        resolver.settle_slot(
+            plan,
+            slot,
+            &tx_list,
+            &mut counts,
+            |counts, v, decoded, degree| state.settle(counts, v, decoded, degree, t),
+        );
     }
 
-    counts.packets_pending = state.queued_total;
-    Ok(counts)
+    Ok(close(counts, n, config.slots))
 }
 
 /// A per-lane event tally: callers push lane words (bit `l` set = one event
@@ -1701,7 +1528,7 @@ impl LaneTally {
 /// sets widen to lane words, slotted-ALOHA decisions come from batched
 /// counter-RNG lane draws ([`CounterRng::bernoulli_lanes`] over per-`(node,
 /// lane)` hoisted keys), and interference resolves lane-parallel with the
-/// same saturating once/twice masks as `SlotBuffers::resolve` — one `u64`
+/// same saturating once/twice masks as `Resolver::resolve` — one `u64`
 /// operation where the scalar kernel pays one per seed. Accounting is
 /// bit-planed too: transmissions, deliveries, drops, receptions and rx
 /// exposure accumulate through `LaneTally` transposed popcounts, retry
@@ -1749,50 +1576,28 @@ pub fn run_frames_lanes(
     // (lane-sliced generation draws with bit-planed backlog counters). The
     // deterministic arms keep `(traffic_period, staggered)`; the Bernoulli
     // arm never reads them.
-    let bernoulli_p = match &config.traffic {
-        KernelTraffic::Bernoulli { p } => {
-            if !(0.0..=1.0).contains(p) {
-                return Err(EngineError::InvalidKernelConfig(
-                    "bernoulli probability must be in [0, 1]".into(),
-                ));
-            }
-            Some(*p)
-        }
-        _ => None,
-    };
-    let (traffic_period, staggered) = match &config.traffic {
-        KernelTraffic::Periodic { period } if *period > 0 => (*period, false),
-        KernelTraffic::Staggered { period } if *period > 0 => (*period, true),
-        KernelTraffic::Periodic { .. } | KernelTraffic::Staggered { .. } => {
-            return Err(EngineError::InvalidKernelConfig(
-                "periodic traffic period must be positive".into(),
-            ));
-        }
+    let (traffic_period, staggered, bernoulli_p) = match config.traffic {
+        KernelTraffic::Periodic { period } => (period, false, None),
+        KernelTraffic::Staggered { period } => (period, true, None),
         // The period is meaningless under Bernoulli traffic; 1 keeps the
         // (unused) deterministic arithmetic well-defined.
-        KernelTraffic::Bernoulli { .. } => (1, false),
-        other => {
+        KernelTraffic::Bernoulli { p } => (1, false, Some(p)),
+        ref other => {
             return Err(EngineError::InvalidKernelConfig(format!(
                 "lane batches need periodic, staggered or bernoulli traffic, got {other:?}"
             )));
         }
     };
-    let aloha_p = match &config.mac {
+    let aloha_p = match config.mac {
         KernelMac::Scheduled => None,
-        KernelMac::Aloha { p } => {
-            if !(0.0..=1.0).contains(p) {
-                return Err(EngineError::InvalidKernelConfig(
-                    "aloha probability must be in [0, 1]".into(),
-                ));
-            }
-            Some(*p)
-        }
+        KernelMac::Aloha { p } => Some(p),
         KernelMac::AlohaTrace(_) => {
             return Err(EngineError::InvalidKernelConfig(
                 "lane batches draw MAC decisions inline; trace-replayed MACs are per-run".into(),
             ));
         }
     };
+    validate(plan, config)?;
 
     // Validation is done: one lane batch, and each seed is one simulated run
     // on its lane dispatch path.
@@ -1819,38 +1624,22 @@ pub fn run_frames_lanes(
     };
     let mut counts = vec![KernelCounts::default(); lanes];
 
-    // Per-(node, lane) hoisted MAC keys: one batched lane draw per
-    // (candidate, slot) replaces one full hash per (candidate, slot, seed).
-    let (mac_hoisted, mac_threshold) = match aloha_p {
-        Some(p) => {
-            let rngs: Vec<CounterRng> = seeds.iter().map(|&s| CounterRng::mac(s)).collect();
-            let mut hoisted = vec![0u64; n * lanes];
-            for (v, &ov) in orig.iter().enumerate() {
-                for (l, rng) in rngs.iter().enumerate() {
-                    hoisted[v * lanes + l] = rng.hoist_node(u64::from(ov));
-                }
-            }
-            (hoisted, CounterRng::bernoulli_threshold(p))
+    // Per-(node, lane) hoisted keys of one RNG stream, for the MAC draws and
+    // the Bernoulli generation draws alike: one batched lane draw per
+    // (node, slot) replaces one full hash per (node, slot, seed).
+    let hoisted = |stream: fn(u64) -> CounterRng| {
+        let rngs: Vec<CounterRng> = seeds.iter().map(|&s| stream(s)).collect();
+        let mut keys = Vec::with_capacity(n * lanes);
+        for &ov in orig {
+            keys.extend(rngs.iter().map(|rng| rng.hoist_node(u64::from(ov))));
         }
-        None => (Vec::new(), 0),
+        keys
     };
+    let mac_hoisted = aloha_p.map_or_else(Vec::new, |_| hoisted(CounterRng::mac));
+    let mac_threshold = aloha_p.map_or(0, CounterRng::bernoulli_threshold);
+    let traffic_hoisted = bernoulli_p.map_or_else(Vec::new, |_| hoisted(CounterRng::traffic));
+    let traffic_threshold = bernoulli_p.map_or(0, CounterRng::bernoulli_threshold);
     let residues = staggered.then(|| StaggerResidues::build(plan, traffic_period));
-
-    // Per-(node, lane) hoisted traffic keys for Bernoulli generation: the
-    // same batching as the MAC draws, on the traffic stream.
-    let (traffic_hoisted, traffic_threshold) = match bernoulli_p {
-        Some(p) => {
-            let rngs: Vec<CounterRng> = seeds.iter().map(|&s| CounterRng::traffic(s)).collect();
-            let mut hoisted = vec![0u64; n * lanes];
-            for (v, &ov) in orig.iter().enumerate() {
-                for (l, rng) in rngs.iter().enumerate() {
-                    hoisted[v * lanes + l] = rng.hoist_node(u64::from(ov));
-                }
-            }
-            (hoisted, CounterRng::bernoulli_threshold(p))
-        }
-        None => (Vec::new(), 0),
-    };
 
     // Lane-sliced queue state. Deterministic traffic keeps implicit
     // arithmetic-progression queues as in the scalar loop: one popped counter
@@ -1994,7 +1783,7 @@ pub fn run_frames_lanes(
 
         // Shared candidate scan; per-candidate lane transmit words.
         let slot = (t % frame_period) as usize;
-        let aligned_generated = t / traffic_period + 1;
+        let aligned_generated = arrivals_before(t + 1, 0, traffic_period);
         tx_list.clear();
         for v in plan.slot_candidates(slot) {
             let backlogged = backlog[v];
@@ -2027,7 +1816,7 @@ pub fn run_frames_lanes(
         let conflicted = plan.slot_conflicted(slot);
         if conflicted {
             // Lane-parallel saturating interference count: `once`/`twice`
-            // mirror SlotBuffers::resolve word-wise, one word per lane set.
+            // mirror Resolver::resolve word-wise, one word per lane set.
             for &v in &tx_list {
                 let tw = tx_lanes[v as usize];
                 let (entry_words, entry_bits) = plan.mask_entries(v as usize);
@@ -2048,8 +1837,8 @@ pub fn run_frames_lanes(
         }
 
         // Settle transmitters word-parallel. On a clean slot every
-        // transmitting lane delivers (same closed form as
-        // `settle_clean_slot`); on a conflicted slot lane `l` of `v`
+        // transmitting lane delivers (the clean-slot closed form of
+        // `Resolver::settle_slot`); on a conflicted slot lane `l` of `v`
         // delivers iff no neighbour is lost in lane `l`. Per-lane scalar
         // work survives only where an event carries a lane-specific value
         // (delivery latency, queue pops); transmissions, deliveries, drops,
@@ -2152,11 +1941,7 @@ pub fn run_frames_lanes(
                 } else {
                     let phase = phase_of(v);
                     let gen = if staggered {
-                        if t >= phase {
-                            (t - phase) / traffic_period + 1
-                        } else {
-                            0
-                        }
+                        arrivals_before(t + 1, phase, traffic_period)
                     } else {
                         aligned_generated
                     };
@@ -2199,12 +1984,14 @@ pub fn run_frames_lanes(
     tx_tally.flush();
     deliver_tally.flush();
     drop_tally.flush();
+    gen_tally.flush();
     for tally in degree_tallies
         .iter_mut()
         .chain(degree_tx_tallies.iter_mut())
     {
         tally.flush();
     }
+    let generated = periodic_generated(n, config.slots, traffic_period, staggered);
     for (l, lane) in counts.iter_mut().enumerate() {
         lane.transmissions += tx_tally.totals[l];
         lane.tx_slots += tx_tally.totals[l];
@@ -2222,42 +2009,13 @@ pub fn run_frames_lanes(
         lane.receptions += recv_tally.totals[l];
         lane.collisions += conflicted_attempts - recv_tally.totals[l];
         lane.rx_slots += rx_tally.totals[l];
-    }
-
-    if config.slots > 0 {
-        if bernoulli_p.is_some() {
-            // Per-lane generated totals come off the generation tally (the
-            // draws are lane-specific); pending and idle by conservation.
-            gen_tally.flush();
-            for (l, lane) in counts.iter_mut().enumerate() {
-                lane.packets_generated = gen_tally.totals[l];
-                lane.packets_pending =
-                    gen_tally.totals[l] - lane.packets_delivered - lane.packets_dropped;
-                lane.idle_slots = n as u64 * config.slots - lane.tx_slots - lane.rx_slots;
-            }
-        } else {
-            // Lane-uniform closed-form generation totals (as in the scalar
-            // deterministic loop), then pending and idle by conservation.
-            let generated = if staggered {
-                (0..n as u64)
-                    .map(|id| {
-                        let phase = id % traffic_period;
-                        if config.slots > phase {
-                            (config.slots - 1 - phase) / traffic_period + 1
-                        } else {
-                            0
-                        }
-                    })
-                    .sum()
-            } else {
-                ((config.slots - 1) / traffic_period + 1) * n as u64
-            };
-            for lane in counts.iter_mut() {
-                lane.packets_generated = generated;
-                lane.packets_pending = generated - lane.packets_delivered - lane.packets_dropped;
-                lane.idle_slots = n as u64 * config.slots - lane.tx_slots - lane.rx_slots;
-            }
-        }
+        // Bernoulli generated totals come off the generation tally (the draws
+        // are lane-specific); deterministic ones are lane-uniform closed form.
+        lane.packets_generated = match bernoulli_p {
+            Some(_) => gen_tally.totals[l],
+            None => generated,
+        };
+        *lane = close(*lane, n, config.slots);
     }
     Ok(counts)
 }
@@ -2730,7 +2488,7 @@ mod tests {
                     let cfg = config(slots, traffic, retries);
                     let looped = run_frames_loop(&partial, &cfg).unwrap();
                     let hybrid =
-                        run_analytic_partial(&partial, &cfg, traffic_period, staggered).unwrap();
+                        run_analytic_classes(&partial, &cfg, traffic_period, staggered).unwrap();
                     assert_eq!(
                         hybrid, looped,
                         "assignment {assignment:?} period {traffic_period} staggered \
@@ -2749,7 +2507,7 @@ mod tests {
         assert!(heavy.conflicted_slots() * ANALYTIC_CONFLICT_DENOM > heavy.period());
         let cfg = config(250, KernelTraffic::Periodic { period: 4 }, 1);
         assert_eq!(
-            run_analytic_partial(&heavy, &cfg, 4, false).unwrap(),
+            run_analytic_classes(&heavy, &cfg, 4, false).unwrap(),
             run_frames_loop(&heavy, &cfg).unwrap()
         );
     }

@@ -83,7 +83,7 @@ use crate::cache::{AdjacencyCache, PlanCache, ScheduleCache, SearchCache, TraceC
 use crate::error::{EngineError, Result};
 use crate::frames::InterferenceCsr;
 use crate::parallel::{steal_chunks, worker_threads};
-use crate::scenario::{get_u64, invalid, ShapeSpec};
+use crate::scenario::{get_u64, invalid, window_side, ShapeSpec};
 use crate::simkernel::{
     run_frames, run_frames_lanes, KernelConfig, KernelCounts, KernelMac, KernelTraffic,
     TrafficTrace, TRACE_WORD_LIMIT,
@@ -395,11 +395,8 @@ impl SweepSpec {
         )?;
         let windows = get_u64_array(value, "windows")?
             .into_iter()
-            .map(|w| w as i64)
-            .collect::<Vec<i64>>();
-        if windows.iter().any(|&w| w <= 0) {
-            return Err(invalid("'windows' entries must be positive"));
-        }
+            .map(|w| window_side(w, shape.dim(), "windows"))
+            .collect::<Result<Vec<i64>>>()?;
         let slots = get_u64(value, "slots")?;
         let mac = match value.get("mac") {
             None => SweepMac::Tiling,
@@ -484,6 +481,13 @@ impl SweepSpec {
     }
 }
 
+/// Whether a count of window points or interference edges fits the `u32`
+/// indices of an [`InterferenceCsr`]: the bound every window is held to
+/// before anything per point is allocated.
+pub(crate) fn indexable(count: u64) -> bool {
+    count < u64::from(u32::MAX)
+}
+
 /// The interference adjacency of all lattice sensors in a window under a
 /// homogeneous neighbourhood shape: node ids follow the lexicographic window
 /// order and node `v`'s neighbours are `v + N \ {v}` clipped to the window —
@@ -521,7 +525,6 @@ pub fn grid_adjacency(region: &BoxRegion, shape: &Prototile) -> Result<Interfere
         })?;
         sum.checked_add(pairs)
     });
-    let indexable = |count: u64| count < u64::from(u32::MAX);
     if !indexable(n) || !edges.is_some_and(indexable) {
         return Err(EngineError::WindowTooLarge { points: n });
     }

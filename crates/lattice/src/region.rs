@@ -58,7 +58,9 @@ impl BoxRegion {
     /// # Errors
     ///
     /// Returns [`LatticeError::DimensionMismatch`] if the corners have different
-    /// dimensions and [`LatticeError::OutOfRange`] if `min_i > max_i` for some `i`.
+    /// dimensions, [`LatticeError::OutOfRange`] if `min_i > max_i` for some `i`
+    /// and [`LatticeError::Overflow`] if the box holds more points than a `u64`
+    /// counts (so [`BoxRegion::len`] never wraps).
     pub fn new(min: Point, max: Point) -> Result<Self> {
         if min.dim() != max.dim() {
             return Err(LatticeError::DimensionMismatch {
@@ -68,6 +70,16 @@ impl BoxRegion {
         }
         if min.coords().iter().zip(max.coords()).any(|(a, b)| a > b) {
             return Err(LatticeError::OutOfRange);
+        }
+        let points = min
+            .coords()
+            .iter()
+            .zip(max.coords())
+            .try_fold(1u64, |n, (a, b)| {
+                n.checked_mul(b.abs_diff(*a).checked_add(1)?)
+            });
+        if points.is_none() {
+            return Err(LatticeError::Overflow);
         }
         Ok(BoxRegion { min, max })
     }
@@ -145,7 +157,7 @@ impl BoxRegion {
             .coords()
             .iter()
             .zip(self.max.coords())
-            .map(|(a, b)| (b - a + 1) as u64)
+            .map(|(a, b)| b.abs_diff(*a) + 1)
             .product()
     }
 
@@ -316,6 +328,17 @@ mod tests {
         assert!(BoxRegion::square_window(0, 4).is_err());
         assert!(BoxRegion::square_window(2, 0).is_err());
         assert!(BoxRegion::centered(2, -1).is_err());
+        // 2^32 × 2^32 points would wrap a u64 count to zero.
+        assert_eq!(
+            BoxRegion::square_window(2, 1 << 32),
+            Err(LatticeError::Overflow)
+        );
+        assert_eq!(
+            BoxRegion::new(Point::new(vec![i64::MIN]), Point::new(vec![i64::MAX])),
+            Err(LatticeError::Overflow)
+        );
+        let widest = BoxRegion::new(Point::new(vec![i64::MIN]), Point::new(vec![i64::MAX - 1]));
+        assert_eq!(widest.unwrap().len(), u64::MAX);
         assert!(BoxRegion::bounding(&[]).is_err());
     }
 

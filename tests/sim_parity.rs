@@ -218,6 +218,37 @@ fn partially_conflicting_assignments_expose_clean_and_conflicted_slots() {
 }
 
 #[test]
+fn frame_kernel_matches_reference_on_bursts_past_the_parallel_threshold() {
+    // 96×96 = 9216 nodes, all in one slot: the first full burst resolves
+    // ≥ PARALLEL_THRESHOLD transmitters at once, so the interference
+    // outcome pass fans out across workers (at LATSCHED_THREADS ≥ 2) — in the
+    // deterministic loop (one-slot assignment) and in the general loop
+    // (ALOHA with p = 1).
+    let network = grid_network(96, &shapes::moore()).unwrap();
+    let n = network.len();
+    assert!(n >= latsched::engine::parallel::PARALLEL_THRESHOLD);
+    for mac in [
+        MacPolicy::SlotAssignment {
+            slots: vec![0; n],
+            period: 1,
+        },
+        MacPolicy::SlottedAloha { p: 1.0 },
+    ] {
+        let config = SimConfig {
+            mac,
+            traffic: TrafficModel::Periodic { period: 3 },
+            slots: 8,
+            max_retries: 1,
+            ..SimConfig::default()
+        };
+        let (frame, reference) = run_both(&network, &config);
+        assert_eq!(frame, reference, "mac {}", config.mac);
+        assert_eq!(frame.transmissions, 6 * n as u64, "every burst is full");
+        assert!(frame.collisions > 0 && frame.packets_dropped > 0);
+    }
+}
+
+#[test]
 fn frame_kernel_matches_reference_with_zero_retries_under_heavy_load() {
     // Period-1 traffic saturates every queue; colliding schedules then exercise
     // the drop path in every slot.

@@ -3,9 +3,14 @@
 //! arbitrary JSON (huge and negative numbers, fractions, strings, empty
 //! arrays, objects) must return `Ok` or `Err`, never panic, and every
 //! accepted spec must hold exactly the retry budgets it was given, loads in
-//! `[0, 1]` and an ALOHA `p` in `[0, 1]`.
+//! `[0, 1]` and an ALOHA `p` in `[0, 1]`. Windows and ball shapes too large
+//! to build are errors naming their field in every request mode — scenario,
+//! sweep and search — rather than allocation aborts.
 
-use latsched_engine::{SearchSpec, SweepMac, SweepSpec, SweepTraffic};
+use latsched_engine::{
+    run_scenario, run_search, run_sweep, Scenario, SearchSpec, SweepCaches, SweepMac, SweepSpec,
+    SweepTraffic,
+};
 use proptest::prelude::*;
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -202,4 +207,51 @@ fn out_of_range_axes_are_named_at_parse_time() {
     );
     let err = SearchSpec::parse_spec(&serde_json::to_string(&spec)).unwrap_err();
     assert!(err.to_string().contains("retries"), "{err}");
+}
+
+#[test]
+fn oversized_windows_and_balls_are_named_errors_in_every_mode() {
+    let moore = r#"{"kind": "ball", "dim": 2, "radius": 1}"#;
+    let grid = r#""slots": 16, "traffic": {"kind": "bernoulli", "loads": [0.1]},
+        "seeds": [1], "retries": [0]"#;
+    for (shape, window, named) in [
+        (r#"{"kind": "ball", "dim": 40, "radius": 1}"#, "4", "dim"),
+        (
+            r#"{"kind": "ball", "dim": 2, "radius": 3000000000}"#,
+            "4",
+            "radius",
+        ),
+        (
+            r#"{"kind": "ball", "dim": 100000000, "radius": 0}"#,
+            "1",
+            "dim",
+        ),
+        (moore, "100000", "window"),
+        (moore, "2147483648", "window"),
+        // 2^32 squared wraps a u64 point count to zero.
+        (moore, "4294967296", "window"),
+    ] {
+        let caches = SweepCaches::new();
+        let scenario = format!(r#"{{"shape": {shape}, "window": {window}}}"#);
+        let sweep = format!(r#"{{"shape": {shape}, "windows": [{window}], {grid}}}"#);
+        let search = format!(r#"{{"shape": {shape}, "window": {window}, {grid}}}"#);
+        let results = [
+            Scenario::parse_spec(&scenario)
+                .and_then(|specs| run_scenario(&specs[0], &caches.schedules))
+                .map(drop),
+            SweepSpec::parse_spec(&sweep)
+                .and_then(|specs| run_sweep(&specs[0], &caches))
+                .map(drop),
+            SearchSpec::parse_spec(&search)
+                .and_then(|specs| run_search(&specs[0], &caches))
+                .map(drop),
+        ];
+        for (mode, result) in ["scenario", "sweep", "search"].into_iter().zip(results) {
+            let err = result.expect_err(mode);
+            assert!(
+                err.to_string().contains(named),
+                "{mode} {shape} window {window}: {err}"
+            );
+        }
+    }
 }
