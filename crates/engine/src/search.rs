@@ -33,7 +33,10 @@
 //! candidates instead of the windows, so it runs through the sweep engine's
 //! one band executor and folds online into one [`OnlineFold`] per candidate:
 //! one dense [`crate::GroupFolds`] per band, merged in band order, so the
-//! outcome is bit-for-bit deterministic.
+//! outcome is bit-for-bit deterministic. Candidates whose slot assignments
+//! coincide share one plan and are simulated once, as is the retry axis of
+//! every conflict-free candidate; the other runs fold copies of those
+//! counts.
 //!
 //! The outcome itself is content-addressed: tier 5,
 //! [`crate::cache::SearchCache`], keys the ranked [`SearchOutcome`] by a

@@ -875,8 +875,10 @@ pub fn run_frames_loop(plan: &FramePlan, config: &KernelConfig) -> Result<Kernel
 
 /// Bumps the dispatch-path counter of one kernel run — every
 /// [`run_frames_impl`] call and every lane-kernel seed passes through exactly
-/// one of these, so the six dispatch counters sum to the number of simulated
-/// runs (a no-op outside any telemetry request).
+/// one of these, so the six kernel-path counters sum to the number of
+/// simulated runs; the run grid counts the runs it copies instead of
+/// simulating under the seventh, `dispatch_copy`, so over a grid the seven
+/// sum to its size (a no-op outside any telemetry request).
 #[inline]
 fn note_dispatch(counter: crate::telemetry::Counter, runs: u64) {
     crate::telemetry::count(counter, runs);

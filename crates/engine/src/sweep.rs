@@ -25,17 +25,24 @@
 //!    structure, bit-identical to scalar per-seed runs (lane-dispatched
 //!    Bernoulli grids skip trace prefetch entirely: the lane kernel draws
 //!    generation bits inline, bit-identical to trace replay);
-//! 5. executes the grid's work items (scalar runs or lane batches) through
+//! 5. simulates each distinct run once: a run whose window repeats an
+//!    earlier window's plan, whose retry budget cannot matter (scheduled
+//!    access on a conflict-free plan never collides) or whose seed cannot
+//!    matter (scheduled access under periodic or staggered traffic draws
+//!    nothing) receives a copy of its canonical run's [`KernelCounts`]
+//!    (counted as `dispatch_copy` in the telemetry);
+//! 6. executes the grid's work items (scalar runs or lane batches) through
 //!    one band executor, shared with [`crate::run_search`]: the items are cut
 //!    into about four contiguous bands per worker, workers steal whole bands
 //!    ([`crate::parallel::steal_chunks`]) so heterogeneous run costs
 //!    (analytic vs loop vs lane batches) balance, and each band folds its
-//!    runs into its own accumulator — run-order [`KernelCounts`] in full
-//!    mode, per-group folds in streaming mode — merged in band order, so the
-//!    [`SweepReport`] does not depend on which worker ran which band. The
-//!    report also carries per-tier cache hit/miss/entry counters
-//!    ([`SweepCacheStats`]), read from the sweep's own telemetry recording
-//!    ([`crate::telemetry`]), whose bands merge in the same order.
+//!    runs and their copies into its own accumulator — `(run, counts)` pairs
+//!    scattered back into run order in full mode, per-group folds in
+//!    streaming mode — merged in band order, so the [`SweepReport`] does not
+//!    depend on which worker ran which band. The report also carries
+//!    per-tier cache hit/miss/entry counters ([`SweepCacheStats`]), read from
+//!    the sweep's own telemetry recording ([`crate::telemetry`]), whose bands
+//!    merge in the same order.
 //!
 //! Because all three tiers are content-addressed, a *warm* repeat of a sweep
 //! (same [`SweepCaches`]) skips schedule compilation, plan fusion and trace
@@ -97,6 +104,7 @@ use serde_json::Value;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -826,9 +834,30 @@ impl fmt::Display for SweepReport {
 /// index resolves to its kernel configuration in O(1), so no O(runs) work
 /// list is ever materialized, and [`GridContext::run_bands`] is the one
 /// fan-out that executes the grid.
+///
+/// Every run maps to a *canonical* run whose counts it provably shares, and
+/// only canonical runs are simulated. A run is a pure function of the inputs
+/// its kernel path reads (the counter RNG keys every draw by seed, stream,
+/// node and slot), so three axes collapse without changing any count:
+///
+/// * **outer:** a value maps to the first outer index holding the same plan
+///   `Arc` (within a request the plan tier returns one `Arc` per distinct
+///   plan content);
+/// * **retries:** under scheduled access on a conflict-free plan nothing
+///   collides, so the retry budget is never consulted and every budget maps
+///   to the first;
+/// * **seeds:** under scheduled access with periodic or staggered traffic
+///   nothing is drawn, so every seed maps to the first.
+///
+/// Lane grids (ALOHA) copy nothing. Retry and seed values are collapsed by
+/// axis position, not by value, so a repeated retry budget or seed still runs
+/// twice where its axis does not collapse.
 pub(crate) struct GridContext<'a> {
     /// One fused plan per outer-axis value.
     plans: Vec<Arc<FramePlan>>,
+    /// Per outer index, the first outer index holding the same plan `Arc`
+    /// (itself on lane grids).
+    first_outer: Vec<usize>,
     /// One label per outer-axis value (`window 64`, `candidate 3 (dsatur)`),
     /// naming a panicked run's coordinate.
     outer: Vec<String>,
@@ -864,9 +893,21 @@ impl<'a> GridContext<'a> {
         seeds: &'a SeedAxis,
         mac: KernelMac,
     ) -> Self {
+        let lanes = matches!(mac, KernelMac::Aloha { .. }) && seeds.len() > 1;
+        let first_outer = plans
+            .iter()
+            .enumerate()
+            .map(|(o, plan)| {
+                if lanes {
+                    return o;
+                }
+                plans.iter().position(|p| Arc::ptr_eq(p, plan)).unwrap_or(o)
+            })
+            .collect();
         GridContext {
-            lanes: matches!(mac, KernelMac::Aloha { .. }) && seeds.len() > 1,
+            lanes,
             plans,
+            first_outer,
             outer,
             slots,
             traffic,
@@ -883,8 +924,10 @@ impl<'a> GridContext<'a> {
     /// shared across the retry axis, and under ALOHA one MAC decision bitmap
     /// per (outer, seed), shared across the load and retry axes (plans past
     /// the trace size cap keep inline MAC draws). Warm repeats over the same
-    /// caches skip every draw compilation. Lane grids fetch nothing: the lane
-    /// kernel's inline draws are bit-identical to replaying traces.
+    /// caches skip every draw compilation. Outer values that copy an earlier
+    /// value's plan fetch nothing, since their runs are never simulated. Lane
+    /// grids fetch nothing either: the lane kernel's inline draws are
+    /// bit-identical to replaying traces.
     pub(crate) fn fetch_traces(&mut self, cache: &TraceCache) -> Result<()> {
         let SweepTraffic::Bernoulli(loads) = self.traffic else {
             return Ok(());
@@ -892,7 +935,8 @@ impl<'a> GridContext<'a> {
         if self.lanes {
             return Ok(());
         }
-        for (o, plan) in self.plans.iter().enumerate() {
+        let canonical = |&(o, _): &(usize, &Arc<FramePlan>)| self.first_outer[o] == o;
+        for (o, plan) in self.plans.iter().enumerate().filter(canonical) {
             for &p in loads {
                 for seed in self.seeds.iter() {
                     let trace = cache.get_or_build(plan, seed, p, self.slots)?;
@@ -901,7 +945,7 @@ impl<'a> GridContext<'a> {
             }
         }
         if let KernelMac::Aloha { p } = self.mac {
-            for (o, plan) in self.plans.iter().enumerate() {
+            for (o, plan) in self.plans.iter().enumerate().filter(canonical) {
                 if plan.num_nodes().div_ceil(64) as u64 * self.slots > TRACE_WORD_LIMIT {
                     continue;
                 }
@@ -921,6 +965,27 @@ impl<'a> GridContext<'a> {
         let r = self.retries.len();
         let t = self.traffic.len();
         (run / (s * r * t), run / (s * r) % t, run / s % r, run % s)
+    }
+
+    /// The run index of an (outer, traffic, retries, seed) coordinate: the
+    /// inverse of [`GridContext::coords`].
+    #[inline]
+    fn run_at(&self, o: usize, ti: usize, ri: usize, si: usize) -> usize {
+        ((o * self.traffic.len() + ti) * self.retries.len() + ri) * self.seeds.len() + si
+    }
+
+    /// The retry and seed index ranges of the runs that share the counts of
+    /// the run at `(o, _, ri, si)`: a whole axis where it cannot change a
+    /// run (see [`GridContext`]), else the run's own index.
+    fn shared_axes(&self, o: usize, ri: usize, si: usize) -> (Range<usize>, Range<usize>) {
+        let scheduled = matches!(self.mac, KernelMac::Scheduled);
+        let retries_shared = scheduled && self.plans[o].conflict_free();
+        let seeds_shared = scheduled && !matches!(self.traffic, SweepTraffic::Bernoulli(_));
+        let axis = |shared: bool, len: usize, i: usize| if shared { 0..len } else { i..i + 1 };
+        (
+            axis(retries_shared, self.retries.len(), ri),
+            axis(seeds_shared, self.seeds.len(), si),
+        )
     }
 
     /// The plan and kernel configuration of one run; fetched traces replace
@@ -978,15 +1043,35 @@ impl<'a> GridContext<'a> {
         item / batches * s + item % batches * 64
     }
 
-    /// Executes one work item, handing `emit` each of its runs' index and
-    /// counters in run order.
+    /// Executes one work item, handing `emit` each run's index and counters.
+    /// A lane batch emits its seeds in run order. A scalar item whose run is
+    /// a copy emits nothing; a canonical one simulates once and emits every
+    /// run of its class (itself first), each copy counted under
+    /// [`Counter::DispatchCopy`].
     fn run_item(&self, item: usize, mut emit: impl FnMut(usize, &KernelCounts)) -> Result<()> {
         let first = self.first_run(item);
-        let (plan, config) = self.run_config(first);
         if !self.lanes {
-            emit(first, &run_frames(plan, &config)?);
+            let (o, ti, ri, si) = self.coords(first);
+            let (retries, seeds) = self.shared_axes(o, ri, si);
+            // A copy: the first run of its class emits it.
+            if self.first_outer[o] != o || retries.start != ri || seeds.start != si {
+                return Ok(());
+            }
+            let (plan, config) = self.run_config(first);
+            let counts = run_frames(plan, &config)?;
+            let outers = (o..self.plans.len()).filter(|&oo| self.first_outer[oo] == o);
+            let class = outers.clone().count() * retries.len() * seeds.len();
+            telemetry::count(Counter::DispatchCopy, class as u64 - 1);
+            for oo in outers {
+                for r in retries.clone() {
+                    for s in seeds.clone() {
+                        emit(self.run_at(oo, ti, r, s), &counts);
+                    }
+                }
+            }
             return Ok(());
         }
+        let (plan, config) = self.run_config(first);
         let (s, si) = (self.seeds.len(), first % self.seeds.len());
         let seeds: Vec<u64> = (si..s.min(si + 64)).map(|i| self.seeds.get(i)).collect();
         for (lane, counts) in run_frames_lanes(plan, &config, &seeds)?.iter().enumerate() {
@@ -1021,8 +1106,13 @@ impl<'a> GridContext<'a> {
     /// Executes the whole grid across the worker pool. The work items are cut
     /// into `⌈items / per_band⌉` contiguous bands of `per_band = ⌈items /
     /// (4·workers)⌉` items, so stealing has slack to balance heterogeneous
-    /// costs (analytic replays, slot loops, lane batches); each band folds its
-    /// runs, in run order, into a fresh accumulator from `new` via `observe`.
+    /// costs (analytic replays, slot loops, lane batches); each band folds
+    /// the runs its items emit into a fresh accumulator from `new` via
+    /// `observe`. Every run of the grid is observed exactly once, but a
+    /// canonical run's copies are observed by the band that simulated it,
+    /// possibly out of run order (see [`GridContext::run_item`]), so `observe`
+    /// must not depend on order: an exact-integer fold, or a collection that
+    /// keeps the run index.
     ///
     /// Each band records its telemetry into a fresh recorder that starts from
     /// the span path open here, and the band recordings merge into this
@@ -1079,7 +1169,8 @@ impl<'a> GridContext<'a> {
     /// Executes the grid folding every run into group `group_of(run)`: one
     /// dense [`GroupFolds`] per band, merged in band order. The folds are
     /// exact-integer monoids, so the result equals the sequential fold bit
-    /// for bit whatever the interleave.
+    /// for bit whatever the interleave, and whichever band folds a copy;
+    /// copies cost no memory beyond the O(groups) folds.
     pub(crate) fn fold_groups(
         &self,
         num_groups: usize,
@@ -1173,16 +1264,19 @@ fn execute_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
     let run_span = span(Stage::SweepRun);
     let mut aggregate = KernelCounts::default();
     let (groups, per_run) = match &grouping {
-        // Full mode: every band collects its runs' counters in run order, so
-        // the bands laid end to end are the grid in order.
+        // Full mode: every band collects `(run, counts)` pairs, copies
+        // included, which scatter back into run order.
         None => {
             let labels: Vec<String> = (0..spec.traffic.len())
                 .map(|ti| spec.traffic.label(ti))
                 .collect();
-            let bands = grid.run_bands(Vec::new, |runs, _, counts| runs.push(*counts))?;
-            let per_run = bands
+            let bands = grid.run_bands(Vec::new, |runs, run, counts| runs.push((run, *counts)))?;
+            let mut ordered = vec![KernelCounts::default(); spec.num_runs()];
+            for (run, counts) in bands.into_iter().flatten() {
+                ordered[run] = counts;
+            }
+            let per_run = ordered
                 .into_iter()
-                .flatten()
                 .enumerate()
                 .map(|(run, counts)| {
                     aggregate.accumulate(&counts);
@@ -1833,7 +1927,9 @@ mod tests {
             &spec.seeds,
             KernelMac::Scheduled,
         );
-        // Runs expand retries × seeds here: run 2 is retries 2, seed 1.
+        // Runs expand retries × seeds here: run 2 is retries 2, seed 1, a
+        // copy of run 0 (retries collapse on this conflict-free plan) that
+        // run 0's item emits, and the error still names run 2.
         let err = grid
             .run_bands(|| (), |_, run, _| assert_ne!(run, 2, "injected failure"))
             .unwrap_err();
@@ -1865,6 +1961,61 @@ mod tests {
         }
         assert_eq!((warm.caches.traces.hits, warm.caches.traces.misses), (0, 2));
         assert_eq!(warm.caches.searches, StoreStats::default());
+    }
+
+    #[test]
+    fn colliding_plans_keep_their_retry_axis_and_share_seeds_only_without_draws() {
+        // Every node of an 8×8 Moore window in slot 0 of a period-1 plan:
+        // every slot collides, so the retry budget changes the counts.
+        let caches = SweepCaches::new();
+        let region = BoxRegion::square_window(2, 8).unwrap();
+        let shape = latsched_tiling::shapes::moore();
+        let adjacency = caches.adjacencies.get_or_build(&region, &shape).unwrap();
+        let plan = caches
+            .plans
+            .get_or_build(&vec![0; adjacency.num_nodes()], 1, &adjacency)
+            .unwrap();
+        assert!(!plan.conflict_free());
+        let (retries, seeds) = ([0, 2], SeedAxis::from(vec![1, 2, 3]));
+        // Every run's counts in run order, each checked against its own
+        // kernel run, and the number of copies the grid made.
+        let run_grid = |traffic: &SweepTraffic| {
+            let grid = GridContext::new(
+                vec![Arc::clone(&plan)],
+                vec!["window 8".into()],
+                64,
+                traffic,
+                &retries,
+                &seeds,
+                KernelMac::Scheduled,
+            );
+            let (bands, recording, _) = telemetry::request(|| {
+                grid.run_bands(Vec::new, |runs, run, counts| runs.push((run, *counts)))
+            });
+            let mut runs: Vec<(usize, KernelCounts)> =
+                bands.unwrap().into_iter().flatten().collect();
+            runs.sort_by_key(|&(run, _)| run);
+            assert_eq!(runs.len(), 6);
+            for &(run, counts) in &runs {
+                let (plan, config) = grid.run_config(run);
+                assert_eq!(counts, run_frames(plan, &config).unwrap(), "run {run}");
+            }
+            let counts: Vec<KernelCounts> = runs.into_iter().map(|(_, c)| c).collect();
+            (counts, recording.counter(Counter::DispatchCopy))
+        };
+        // Runs expand retries × seeds: runs 0..3 have budget 0, 3..6 budget 2.
+        let (counts, copies) = run_grid(&SweepTraffic::Bernoulli(vec![0.3]));
+        assert_eq!(
+            copies, 0,
+            "Bernoulli runs on a colliding plan are all distinct"
+        );
+        for si in 0..3 {
+            assert_ne!(counts[si], counts[3 + si], "seed index {si}");
+        }
+        // Periodic traffic draws nothing, so the seeds still collapse.
+        let (counts, copies) = run_grid(&SweepTraffic::Periodic(vec![3]));
+        assert_eq!(copies, 4, "two seeds copied per retry budget");
+        assert_ne!(counts[0], counts[3]);
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! the request that made it.
 //!
 //! Timing a sweep from outside says nothing about *which* of the six kernel
-//! fast paths each run took, how the five cache tiers answered, or where the
-//! wall-clock went. This module is the engine's hand-rolled instrumentation
-//! layer — no external tracing crates, just a thread-local recorder and the
+//! fast paths each run took (or whether it was copied from an identical
+//! run), how the five cache tiers answered, or where the wall-clock went.
+//! This module is the engine's hand-rolled instrumentation layer — no
+//! external tracing crates, just a thread-local recorder and the
 //! exact-integer histogram machinery from [`crate::aggregate`]:
 //!
-//! * **Counters** ([`Counter`]) — one per kernel dispatch path (every
-//!   [`crate::run_frames`] call and every lane-kernel seed bumps exactly one,
-//!   so the six dispatch counters sum to the number of simulated runs), plus
+//! * **Counters** ([`Counter`]) — one per kernel dispatch path plus one for
+//!   copied runs (every [`crate::run_frames`] call, every lane-kernel seed
+//!   and every grid run that copies a canonical run's counts bumps exactly
+//!   one, so the seven dispatch counters sum to the grid size), plus
 //!   steal-chunk claims, trace compilations, lane-batch/lane-run totals and
 //!   per-tier cache hits/misses.
 //! * **Stage spans** ([`StageSpan`], from [`span`]) — RAII guards that record
@@ -56,11 +58,12 @@ use std::time::Instant;
 
 /// One event counter of a recording.
 ///
-/// The first six variants are the kernel dispatch paths: every simulated run
-/// — a [`crate::run_frames`] call or one seed of a [`crate::run_frames_lanes`]
-/// batch — bumps exactly one of them, so their sum over a window equals the
-/// number of runs simulated in that window (property-tested in
-/// `tests/sweep_parity.rs`).
+/// The first seven variants are the dispatch counters. Every simulated run —
+/// a [`crate::run_frames`] call or one seed of a [`crate::run_frames_lanes`]
+/// batch — bumps exactly one of the six kernel paths, and every grid run
+/// that receives a copy of a canonical run's counts bumps
+/// [`Counter::DispatchCopy`], so over a sweep or search grid their sum equals
+/// the grid size (property-tested in `tests/sweep_parity.rs`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Counter {
     /// Runs replayed fully closed-form (analytic periodic/staggered/trace
@@ -80,6 +83,9 @@ pub enum Counter {
     DispatchConflictFree,
     /// Runs through the general slot loop (bitset interference passes).
     DispatchGeneralLoop,
+    /// Grid runs not simulated: they received a copy of a canonical run's
+    /// counts, which their retry budget, seed or repeated plan cannot change.
+    DispatchCopy,
     /// Chunk claims taken from [`crate::parallel::steal_chunks`]'s atomic
     /// counter (one per `fetch_add` that yielded work).
     StealClaims,
@@ -114,13 +120,14 @@ pub enum Counter {
 
 /// Every counter, in declaration order (the dense index order of a
 /// snapshot's counter array).
-pub const COUNTERS: [Counter; 20] = [
+pub const COUNTERS: [Counter; 21] = [
     Counter::DispatchAnalytic,
     Counter::DispatchPartialAnalytic,
     Counter::DispatchLaneScalar,
     Counter::DispatchLaneBernoulli,
     Counter::DispatchConflictFree,
     Counter::DispatchGeneralLoop,
+    Counter::DispatchCopy,
     Counter::StealClaims,
     Counter::TraceCompilations,
     Counter::LaneBatches,
@@ -137,15 +144,16 @@ pub const COUNTERS: [Counter; 20] = [
     Counter::SearchMisses,
 ];
 
-/// The six kernel dispatch-path counters, whose sum over a recording equals
-/// the number of runs simulated in it.
-pub const DISPATCH_COUNTERS: [Counter; 6] = [
+/// The seven dispatch counters — six kernel paths and copies — whose sum
+/// over a sweep or search recording equals its grid size.
+pub const DISPATCH_COUNTERS: [Counter; 7] = [
     Counter::DispatchAnalytic,
     Counter::DispatchPartialAnalytic,
     Counter::DispatchLaneScalar,
     Counter::DispatchLaneBernoulli,
     Counter::DispatchConflictFree,
     Counter::DispatchGeneralLoop,
+    Counter::DispatchCopy,
 ];
 
 impl Counter {
@@ -158,6 +166,7 @@ impl Counter {
             Counter::DispatchLaneBernoulli => "dispatch_lane_bernoulli",
             Counter::DispatchConflictFree => "dispatch_conflict_free",
             Counter::DispatchGeneralLoop => "dispatch_general_loop",
+            Counter::DispatchCopy => "dispatch_copy",
             Counter::StealClaims => "steal_claims",
             Counter::TraceCompilations => "trace_compilations",
             Counter::LaneBatches => "lane_batches",
@@ -173,6 +182,13 @@ impl Counter {
             Counter::SearchHits => "searches_hits",
             Counter::SearchMisses => "searches_misses",
         }
+    }
+
+    /// A dispatch counter's path label (`analytic`, `copy`, …): its name
+    /// without the `dispatch_` prefix.
+    fn dispatch_path(self) -> &'static str {
+        let name = self.name();
+        name.strip_prefix("dispatch_").unwrap_or(name)
     }
 
     fn index(self) -> usize {
@@ -402,8 +418,8 @@ impl TelemetrySnapshot {
         &self.stages[stage.index()]
     }
 
-    /// The sum of the six dispatch-path counters — the number of simulated
-    /// runs covered by this recording.
+    /// The sum of the seven dispatch counters — over a sweep or search
+    /// recording, the grid size (simulated runs plus copies).
     pub fn dispatch_total(&self) -> u64 {
         DISPATCH_COUNTERS.iter().map(|&c| self.counter(c)).sum()
     }
@@ -470,18 +486,12 @@ impl TelemetrySnapshot {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("# TYPE latsched_dispatch_runs_total counter\n");
-        for (c, label) in DISPATCH_COUNTERS.iter().zip([
-            "analytic",
-            "partial_analytic",
-            "lane_scalar",
-            "lane_bernoulli",
-            "conflict_free",
-            "general_loop",
-        ]) {
+        for c in DISPATCH_COUNTERS {
             let _ = writeln!(
                 out,
-                "latsched_dispatch_runs_total{{path=\"{label}\"}} {}",
-                self.counter(*c)
+                "latsched_dispatch_runs_total{{path=\"{}\"}} {}",
+                c.dispatch_path(),
+                self.counter(c)
             );
         }
         for (family, counter) in [
@@ -783,20 +793,14 @@ impl StageTreeNode {
 
 impl fmt::Display for TelemetrySnapshot {
     /// The human profile printed by `engine-cli … --profile`: the fast-path
-    /// dispatch mix (summing to the simulated run count), scalar counters,
-    /// per-tier cache lookups, a stage summary table and the nested
-    /// stage-time tree.
+    /// dispatch mix with its copy line (summing to the grid size), scalar
+    /// counters, per-tier cache lookups, a stage summary table and the
+    /// nested stage-time tree.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "fast-path dispatch mix")?;
-        for (c, label) in DISPATCH_COUNTERS.iter().zip([
-            "analytic",
-            "partial-analytic",
-            "lane-scalar",
-            "lane-bernoulli",
-            "conflict-free",
-            "general-loop",
-        ]) {
-            writeln!(f, "  {label:<18} {:>10}", self.counter(*c))?;
+        for c in DISPATCH_COUNTERS {
+            let label = c.dispatch_path().replace('_', "-");
+            writeln!(f, "  {label:<18} {:>10}", self.counter(c))?;
         }
         writeln!(f, "  {:<18} {:>10}", "total runs", self.dispatch_total())?;
         writeln!(
@@ -1015,7 +1019,8 @@ mod tests {
     fn prometheus_exposition_is_well_formed() {
         let snap = synthetic(
             &[
-                (Counter::DispatchAnalytic, 64),
+                (Counter::DispatchAnalytic, 16),
+                (Counter::DispatchCopy, 48),
                 (Counter::StealClaims, 12),
                 (Counter::ScheduleHits, 3),
             ],
@@ -1023,7 +1028,16 @@ mod tests {
         );
         let text = snap.to_prometheus();
         assert!(text.contains("# TYPE latsched_dispatch_runs_total counter"));
-        assert!(text.contains("latsched_dispatch_runs_total{path=\"analytic\"} 64"));
+        assert!(text.contains("latsched_dispatch_runs_total{path=\"analytic\"} 16"));
+        assert!(text.contains("latsched_dispatch_runs_total{path=\"copy\"} 48"));
+        // One series per dispatch counter, each labelled by its path.
+        for c in DISPATCH_COUNTERS {
+            let series = format!(
+                "latsched_dispatch_runs_total{{path=\"{}\"}}",
+                c.dispatch_path()
+            );
+            assert_eq!(text.matches(&series).count(), 1, "{series}");
+        }
         assert!(text.contains("latsched_steal_claims_total 12"));
         assert!(text.contains("latsched_cache_lookups_total{tier=\"schedules\",outcome=\"hit\"} 3"));
         assert!(text.contains("# TYPE latsched_stage_duration_ns histogram"));
@@ -1058,13 +1072,24 @@ mod tests {
             &[
                 (Counter::DispatchAnalytic, 60),
                 (Counter::DispatchGeneralLoop, 4),
+                (Counter::DispatchCopy, 36),
             ],
             &[(Stage::SweepRun, 2_500_000)],
         );
         let text = snap.to_string();
         assert!(text.contains("fast-path dispatch mix"));
-        assert!(text.contains("total runs"));
-        assert!(text.contains("64"));
+        // One line per dispatch counter, copies included, then the total.
+        for line in ["partial-analytic", "general-loop", "copy"] {
+            assert!(
+                text.lines().any(|l| l.trim_start().starts_with(line)),
+                "{text}"
+            );
+        }
+        let total = text
+            .lines()
+            .find(|l| l.contains("total runs"))
+            .expect("total line");
+        assert!(total.ends_with(" 100"), "{total}");
         assert!(text.contains("schedules"));
         assert!(text.contains("sweep_run"));
         assert!(text.contains("2.50ms"));

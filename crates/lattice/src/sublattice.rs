@@ -400,6 +400,76 @@ impl Sublattice {
         });
         Ok(out)
     }
+
+    /// The number of sublattices of `Z^dim` of the given index — the length of
+    /// [`Sublattice::enumerate_with_index`]'s result — computed without
+    /// enumerating them, or `None` if it exceeds `u64::MAX`.
+    ///
+    /// A Hermite normal form with diagonal `d_1, …, d_dim` has `d_c^(c−1)`
+    /// choices above the pivot of column `c`, so the count is the sum, over
+    /// ordered factorizations `d_1 ⋯ d_dim = index`, of `Π d_c^(c−1)`. A
+    /// dynamic program over the divisors of `index` sums it column by column
+    /// in O(dim · divisors²) checked operations. Every partial sum it forms
+    /// extends to at least one full factorization (the last column takes
+    /// whatever remains), so it is at most the final count, and an overflow
+    /// anywhere means the count overflows.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Sublattice::enumerate_with_index`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use latsched_lattice::Sublattice;
+    /// assert_eq!(Sublattice::count_with_index(2, 4).unwrap(), Some(7));
+    /// // Z^256 has 2^256 − 1 sublattices of index 2.
+    /// assert_eq!(Sublattice::count_with_index(256, 2).unwrap(), None);
+    /// ```
+    pub fn count_with_index(dim: usize, index: u64) -> Result<Option<u64>> {
+        if dim == 0 {
+            return Err(LatticeError::InvalidDimension(0));
+        }
+        if index == 0 {
+            return Err(LatticeError::InvalidIndex(0));
+        }
+        let mut divisors: Vec<u64> = (1..=index.isqrt())
+            .filter(|d| index.is_multiple_of(*d))
+            .flat_map(|d| [d, index / d])
+            .collect();
+        divisors.sort_unstable();
+        divisors.dedup();
+        // ways[k]: the weighted count of the columns so far whose diagonal
+        // product is divisors[k].
+        let mut ways = vec![0u64; divisors.len()];
+        ways[0] = 1;
+        for column in 0..dim {
+            let exponent = u32::try_from(column).unwrap_or(u32::MAX);
+            // The last column completes the product to `index` exactly.
+            let first_target = if column + 1 == dim {
+                divisors.len() - 1
+            } else {
+                0
+            };
+            let mut next = vec![0u64; divisors.len()];
+            for (k, &w) in ways.iter().enumerate().filter(|&(_, &w)| w > 0) {
+                for (j, &target) in divisors.iter().enumerate().skip(k.max(first_target)) {
+                    if !target.is_multiple_of(divisors[k]) {
+                        continue;
+                    }
+                    let term = (target / divisors[k])
+                        .checked_pow(exponent)
+                        .and_then(|choices| choices.checked_mul(w));
+                    match term.and_then(|t| next[j].checked_add(t)) {
+                        Some(sum) => next[j] = sum,
+                        None => return Ok(None),
+                    }
+                }
+            }
+            ways = next;
+        }
+        Ok(ways.last().copied())
+    }
 }
 
 /// Recursively enumerates all ways to write `remaining` as an ordered product of
@@ -618,6 +688,33 @@ mod tests {
                 assert_eq!(s.index(), m);
             }
         }
+    }
+
+    #[test]
+    fn count_with_index_matches_enumeration_without_enumerating() {
+        for dim in 1..=4 {
+            for index in 1..=12u64 {
+                let listed = Sublattice::enumerate_with_index(dim, index).unwrap().len();
+                assert_eq!(
+                    Sublattice::count_with_index(dim, index).unwrap(),
+                    Some(listed as u64),
+                    "dim {dim} index {index}"
+                );
+            }
+        }
+        // The 4-D and 5-D Moore balls, and a 2-point shape in 16, 64 and 65
+        // dimensions: 2^dim − 1 sublattices of index 2.
+        assert_eq!(Sublattice::count_with_index(4, 81).unwrap(), Some(925_771));
+        assert_eq!(
+            Sublattice::count_with_index(5, 243).unwrap(),
+            Some(6_174_066_262)
+        );
+        assert_eq!(Sublattice::count_with_index(16, 2).unwrap(), Some(65_535));
+        assert_eq!(Sublattice::count_with_index(64, 2).unwrap(), Some(u64::MAX));
+        assert_eq!(Sublattice::count_with_index(65, 2).unwrap(), None);
+        assert_eq!(Sublattice::count_with_index(1 << 20, 1).unwrap(), Some(1));
+        assert!(Sublattice::count_with_index(0, 4).is_err());
+        assert!(Sublattice::count_with_index(2, 0).is_err());
     }
 
     #[test]

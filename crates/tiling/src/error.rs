@@ -39,6 +39,17 @@ pub enum TilingError {
     NotSimplyConnected,
     /// A multi-prototile tiling listed no prototiles.
     NoPrototiles,
+    /// The sublattice search for this prototile would enumerate more
+    /// Hermite-normal-form entries than
+    /// [`crate::sublattice_search::MAX_SEARCH_ENTRIES`].
+    SearchTooLarge {
+        /// The prototile's dimension.
+        dim: usize,
+        /// The prototile's point count (the index searched for).
+        size: u64,
+        /// The candidate sublattices of that index (`None` past `u64::MAX`).
+        candidates: Option<u64>,
+    },
     /// An underlying lattice computation failed.
     Lattice(LatticeError),
 }
@@ -73,6 +84,20 @@ impl fmt::Display for TilingError {
                 write!(f, "prototile is not simply connected (hole or pinch point)")
             }
             TilingError::NoPrototiles => write!(f, "at least one prototile is required"),
+            TilingError::SearchTooLarge {
+                dim,
+                size,
+                candidates,
+            } => {
+                let candidates = candidates.map_or("2^64 or more".into(), |n| n.to_string());
+                write!(
+                    f,
+                    "shape of {size} points in {dim} dimensions is too large to search for a \
+                     tiling: {candidates} candidate sublattices of {dim}x{dim} entries each \
+                     exceed the search's ceiling of {} entries",
+                    crate::sublattice_search::MAX_SEARCH_ENTRIES
+                )
+            }
             TilingError::Lattice(e) => write!(f, "lattice error: {e}"),
         }
     }

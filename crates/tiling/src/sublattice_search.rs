@@ -19,10 +19,23 @@
 //!   non-lattice tilings; the periodic backtracking search [`crate::tile_torus`] covers
 //!   periodic tilings of any prescribed period in that case.
 
-use crate::error::Result;
+use crate::error::{Result, TilingError};
 use crate::prototile::Prototile;
 use crate::tiling::Tiling;
 use latsched_lattice::Sublattice;
+
+/// The most Hermite-normal-form entries — candidate sublattices × `dim²` —
+/// that [`tiling_sublattices`] materializes: 2^25 (a quarter GiB of `i64`s).
+///
+/// The candidates of index `|N|` number the sum, over ordered factorizations
+/// `d_1 ⋯ d_dim = |N|`, of `Π d_c^(c−1)` ([`Sublattice::count_with_index`]),
+/// and each is a `dim × dim` matrix. The ceiling admits the 4-D Moore ball
+/// (925,771 candidates, a few seconds) and a 2-point shape in 16 dimensions
+/// (65,535), and rejects, before enumerating, the 5-D Moore ball (~6.2·10⁹
+/// candidates, which exhausts a 4 GB address space) and a 2-point shape in 20
+/// or more dimensions (2^dim − 1, whose enumeration also recurses past the
+/// stack from a few hundred dimensions on).
+pub const MAX_SEARCH_ENTRIES: u64 = 1 << 25;
 
 /// Returns `true` if the prototile is a transversal of the sublattice (all elements
 /// in pairwise distinct cosets and `|N| = [Z^d : Λ]`), i.e. if `T = Λ` tiles the
@@ -50,7 +63,9 @@ pub fn is_transversal(prototile: &Prototile, sublattice: &Sublattice) -> Result<
 ///
 /// # Errors
 ///
-/// Propagates lattice-arithmetic errors (dimension mismatches, overflow).
+/// Returns [`TilingError::SearchTooLarge`] before enumerating anything when
+/// the candidates would exceed [`MAX_SEARCH_ENTRIES`], and propagates
+/// lattice-arithmetic errors (dimension mismatches, overflow).
 ///
 /// # Examples
 ///
@@ -65,7 +80,17 @@ pub fn is_transversal(prototile: &Prototile, sublattice: &Sublattice) -> Result<
 /// # Ok::<(), latsched_tiling::TilingError>(())
 /// ```
 pub fn tiling_sublattices(prototile: &Prototile) -> Result<Vec<Sublattice>> {
-    let candidates = Sublattice::enumerate_with_index(prototile.dim(), prototile.len() as u64)?;
+    let (dim, size) = (prototile.dim(), prototile.len() as u64);
+    let count = Sublattice::count_with_index(dim, size)?;
+    let entries = count.and_then(|n| n.checked_mul((dim as u64).checked_mul(dim as u64)?));
+    if entries.is_none_or(|e| e > MAX_SEARCH_ENTRIES) {
+        return Err(TilingError::SearchTooLarge {
+            dim,
+            size,
+            candidates: count,
+        });
+    }
+    let candidates = Sublattice::enumerate_with_index(dim, size)?;
     let mut out = Vec::new();
     for lambda in candidates {
         if is_transversal(prototile, &lambda)? {
@@ -183,6 +208,35 @@ mod tests {
         let witnesses = tiling_sublattices(&single).unwrap();
         assert_eq!(witnesses.len(), 1);
         assert_eq!(witnesses[0].index(), 1);
+    }
+
+    #[test]
+    fn searches_past_the_entry_ceiling_are_errors_before_enumerating() {
+        // {0, e_1} in `dim` dimensions has 2^dim − 1 candidates of index 2.
+        let pair = |dim: usize| {
+            let mut e1 = vec![0; dim];
+            e1[0] = 1;
+            Prototile::new(vec![Point::zero(dim), Point::new(e1)]).unwrap()
+        };
+        let twelve = tiling_sublattices(&pair(12)).unwrap();
+        assert!(!twelve.is_empty() && twelve.len() < 4095);
+        for (shape, candidates) in [
+            (shapes::chebyshev_ball(5, 1).unwrap(), Some(6_174_066_262)),
+            (pair(20), Some((1 << 20) - 1)),
+            (pair(256), None),
+        ] {
+            let err = tiling_sublattices(&shape).unwrap_err();
+            assert_eq!(
+                err,
+                TilingError::SearchTooLarge {
+                    dim: shape.dim(),
+                    size: shape.len() as u64,
+                    candidates,
+                }
+            );
+            assert!(err.to_string().starts_with("shape of"), "{err}");
+            assert!(find_sublattice_tiling(&shape).is_err());
+        }
     }
 
     #[test]

@@ -214,7 +214,16 @@ fn oversized_windows_and_balls_are_named_errors_in_every_mode() {
     let moore = r#"{"kind": "ball", "dim": 2, "radius": 1}"#;
     let grid = r#""slots": 16, "traffic": {"kind": "bernoulli", "loads": [0.1]},
         "seeds": [1], "retries": [0]"#;
+    // {0, e_1} in 256 dimensions: 2^256 − 1 candidate sublattices.
+    let pair = format!(
+        r#"{{"kind": "points", "points": [{:?}, {:?}]}}"#,
+        [0; 256],
+        std::iter::once(1).chain([0; 255]).collect::<Vec<i64>>()
+    );
     for (shape, window, named) in [
+        // The 5-D Moore ball: ~6.2e9 candidate sublattices of index 243.
+        (r#"{"kind": "ball", "dim": 5, "radius": 1}"#, "2", "shape"),
+        (pair.as_str(), "1", "shape"),
         (r#"{"kind": "ball", "dim": 40, "radius": 1}"#, "4", "dim"),
         (
             r#"{"kind": "ball", "dim": 2, "radius": 3000000000}"#,

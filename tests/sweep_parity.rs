@@ -134,6 +134,52 @@ fn sweep_runs_match_reference_simulator_on_staggered_grids() {
     check_sweep_against_reference(&spec, &tiling_mac(&shapes::moore()).unwrap());
 }
 
+/// The grid `tests/specs/staggered_seeds.json`, on which all three collapses
+/// act: window 6 repeats a plan, and a tiling schedule under staggered
+/// traffic reads neither the retry budget nor the seed, so its 36 runs are 4
+/// simulated runs and 32 copies.
+fn staggered_seeds_spec() -> SweepSpec {
+    SweepSpec::parse_spec(include_str!("specs/staggered_seeds.json")).unwrap()[0].clone()
+}
+
+#[test]
+fn sweep_runs_match_reference_simulator_on_collapsed_staggered_grids() {
+    let spec = staggered_seeds_spec();
+    assert_eq!(spec.num_runs(), 36);
+    check_sweep_against_reference(&spec, &tiling_mac(&shapes::moore()).unwrap());
+}
+
+#[test]
+fn profiled_grids_copy_exactly_their_redundant_runs() {
+    telemetry().set_enabled(true);
+    // (analytic runs, copies, all dispatches) of one profiled request.
+    let mix = |snapshot: Option<TelemetrySnapshot>| {
+        let snapshot = snapshot.expect("profiled requests attach a snapshot");
+        (
+            snapshot.counter(Counter::DispatchAnalytic),
+            snapshot.counter(Counter::DispatchCopy),
+            snapshot.dispatch_total(),
+        )
+    };
+    let sweep = |spec: &SweepSpec| mix(run_sweep(spec, &SweepCaches::new()).unwrap().telemetry);
+    // The builtin sweep: retries collapse on its conflict-free tiling, so
+    // its 2 loads x 8 seeds are simulated and the other 3 budgets copied.
+    assert_eq!(sweep(&latsched_engine::builtin_sweep()), (16, 48, 64));
+    // The builtin search: 10 candidates share 7 distinct plans, and retries
+    // collapse: 7 plans x 2 loads x 4 seeds simulated, 104 of 160 copied.
+    let search = run_search(&latsched_engine::builtin_search(), &SweepCaches::new()).unwrap();
+    assert_eq!(
+        search.caches.traces.hits, 0,
+        "repeated plans fetch no trace"
+    );
+    assert_eq!(mix(search.telemetry), (56, 104, 160));
+    // All three collapses at once.
+    assert_eq!(sweep(&staggered_seeds_spec()), (4, 32, 36));
+    // ALOHA draws every seed and collides, so a lane grid copies nothing.
+    let aloha = &SweepSpec::parse_spec(include_str!("specs/aloha_20_batches.json")).unwrap()[0];
+    assert_eq!(sweep(aloha), (0, 0, 800));
+}
+
 /// Runs one spec in both modes and asserts the streaming group folds are
 /// exactly the folds of the full report's per-run list by the same axes.
 fn assert_streaming_matches_full(spec: &SweepSpec, group_spec: &GroupSpec) {
@@ -391,9 +437,12 @@ fn profiled_sweep_reports_the_pinned_dispatch_mix() {
     telemetry().set_enabled(true);
     let report = run_sweep(&spec, &SweepCaches::new()).unwrap();
     let snapshot = report.telemetry.expect("profiled sweeps attach a snapshot");
-    // Tiling grids over compiled Bernoulli traces replay analytically: every
-    // one of the 16 runs lands on the analytic path, none anywhere else.
-    assert_eq!(snapshot.counter(Counter::DispatchAnalytic), 16);
+    // Tiling grids over compiled Bernoulli traces replay analytically, and
+    // on a conflict-free plan the retry budget cannot change a run: the 8
+    // runs at retries 0 land on the analytic path, the 8 at retries 2 copy
+    // them, and nothing lands anywhere else.
+    assert_eq!(snapshot.counter(Counter::DispatchAnalytic), 8);
+    assert_eq!(snapshot.counter(Counter::DispatchCopy), 8);
     for counter in [
         Counter::DispatchPartialAnalytic,
         Counter::DispatchLaneScalar,
@@ -574,10 +623,11 @@ fn concurrent_profiled_search_and_sweep_each_report_only_their_own_work() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized grids across traffic families, MACs and axis sizes: the six
-    /// dispatch-path counters of a profiled sweep must sum to exactly the
-    /// grid size (every simulated run bumps exactly one path), and the lane
-    /// accounting must cover exactly the lane-dispatched share.
+    /// Randomized grids across traffic families, MACs and axis sizes: the
+    /// seven dispatch counters of a profiled sweep must sum to exactly the
+    /// grid size (every simulated run bumps exactly one kernel path, every
+    /// copied run the copy counter), and the lane accounting must cover
+    /// exactly the lane-dispatched share.
     #[test]
     fn dispatch_counters_sum_to_grid_size_on_random_specs(
         windows_pick in 0usize..3,
