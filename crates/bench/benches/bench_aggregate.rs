@@ -39,7 +39,7 @@ fn bench_aggregate_memory_check(c: &mut Criterion) {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let baseline = measure_aggregate(1_250, 2).unwrap();
+    let baseline = measure_aggregate(1_250, 160, 2).unwrap();
     println!("aggregate_memory_check: {baseline}");
     let reduction = baseline.num("speedup");
     assert!(

@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use latsched_bench::measure_telemetry;
 use latsched_bench::sweep::sweep_spec;
-use latsched_engine::telemetry::{count, request, span, telemetry, Counter, Stage};
+use latsched_engine::telemetry::{count, profile, request, span, Counter, Stage};
 use latsched_engine::{run_sweep, SweepCaches};
 
 fn bench_sweep_off_vs_on(c: &mut Criterion) {
@@ -17,15 +17,12 @@ fn bench_sweep_off_vs_on(c: &mut Criterion) {
     let caches = SweepCaches::new();
     run_sweep(&spec, &caches).unwrap();
     let mut group = c.benchmark_group("telemetry_sweep_16x16_64runs");
-    telemetry().set_enabled(false);
     group.bench_function("warm_sweep_telemetry_off", |b| {
         b.iter(|| run_sweep(black_box(&spec), &caches).unwrap())
     });
-    telemetry().set_enabled(true);
     group.bench_function("warm_sweep_telemetry_on", |b| {
-        b.iter(|| run_sweep(black_box(&spec), &caches).unwrap())
+        b.iter(|| profile(|| run_sweep(black_box(&spec), &caches).unwrap()))
     });
-    telemetry().set_enabled(false);
     group.finish();
 }
 
@@ -36,19 +33,24 @@ fn bench_primitives(c: &mut Criterion) {
         b.iter(|| count(black_box(Counter::DispatchAnalytic), 1))
     });
     // Inside a request counters always record; spans read the clock only
-    // when the request is profiled.
+    // when the request runs inside a profile.
     for (profiled, label) in [(false, "unprofiled"), (true, "profiled")] {
-        telemetry().set_enabled(profiled);
-        request(|| {
-            group.bench_function(format!("count_{label}_request"), |b| {
-                b.iter(|| count(black_box(Counter::DispatchAnalytic), 1))
-            });
-            group.bench_function(format!("span_{label}_request"), |b| {
-                b.iter(|| span(black_box(Stage::SweepBand)))
-            });
-        });
+        let mut bench = || {
+            request(|| {
+                group.bench_function(format!("count_{label}_request"), |b| {
+                    b.iter(|| count(black_box(Counter::DispatchAnalytic), 1))
+                });
+                group.bench_function(format!("span_{label}_request"), |b| {
+                    b.iter(|| span(black_box(Stage::SweepBand)))
+                });
+            })
+        };
+        if profiled {
+            profile(bench);
+        } else {
+            bench();
+        }
     }
-    telemetry().set_enabled(false);
     group.finish();
 }
 

@@ -22,7 +22,10 @@
 //!   seeds) and *extrapolated* by an analytic per-run-report size model —
 //!   full-mode memory is O(runs) by construction, so paying a tens-of-MiB
 //!   whole-grid measurement just to confirm a linear model would make the
-//!   baseline itself the memory hog it benchmarks against.
+//!   baseline itself the memory hog it benchmarks against. A second streaming
+//!   grid, tiling × Bernoulli with more seeds than the trace tier holds
+//!   ([`trace_stream_spec`]), must stay under the same cap: one compiled
+//!   trace per seed, all resident at once, would not.
 //! * **Liveness.** The streaming report's `per_run` is empty: the grid ran
 //!   without ever materializing per-run detail.
 
@@ -67,6 +70,30 @@ pub fn aggregate_spec(seeds: u64, mode: SweepMode) -> SweepSpec {
         seeds: (1..=seeds).collect(),
         retries: vec![0, 1, 2, 4, 8],
         mode,
+    }
+}
+
+/// The trace-streaming workload: a streaming (`"group_by": []`) grid of the
+/// Moore tiling under Bernoulli traffic on a 64×64 window, 256 slots, one
+/// load, one retry budget and `seeds` seeds. Each seed has its own traffic
+/// trace (4096 nodes × 256 slots, 128 KiB) that exactly one run replays, so
+/// past 64 seeds the grid needs more traces than the trace tier holds, and
+/// at 160 seeds holding them all would take 20 MiB.
+pub fn trace_stream_spec(seeds: u64) -> SweepSpec {
+    SweepSpec {
+        name: format!("moore-tiling-bernoulli-{seeds}seeds"),
+        shape: ShapeSpec::Ball {
+            dim: 2,
+            radius: 1,
+            metric: latsched_lattice::Metric::Chebyshev,
+        },
+        windows: vec![64],
+        slots: 256,
+        mac: SweepMac::Tiling,
+        traffic: SweepTraffic::Bernoulli(vec![0.05]),
+        seeds: (1..=seeds).collect(),
+        retries: vec![0],
+        mode: SweepMode::Streaming(GroupSpec::default()),
     }
 }
 
@@ -140,13 +167,19 @@ fn reference_fold_parity(sub_seeds: u64, caches: &SweepCaches) -> latsched_senso
 /// `SweepRunReport` plus the sub-grid's mean traffic-label bytes;
 /// `peak_stream_bytes` is the streaming peak allocation delta (max across
 /// samples), `peak_full_bytes` the sub-grid's peak plus the model for every
-/// omitted run; `speedup` is their ratio, and `parity` whether every parity
-/// and memory-bound check passed (see the module docs).
+/// omitted run; `speedup` is their ratio. `peak_trace_stream_bytes` is the
+/// peak allocation delta of the [`trace_stream_spec`] grid at `trace_seeds`
+/// seeds, over warm schedule, adjacency and plan tiers. `parity` is whether
+/// every parity and memory-bound check passed (see the module docs).
 ///
 /// # Errors
 ///
 /// Propagates sweep compilation, kernel and reference-simulation errors.
-pub fn measure_aggregate(seeds: u64, samples: usize) -> latsched_sensornet::Result<Measurement> {
+pub fn measure_aggregate(
+    seeds: u64,
+    trace_seeds: u64,
+    samples: usize,
+) -> latsched_sensornet::Result<Measurement> {
     let caches = SweepCaches::new();
     let group_spec = aggregate_group_spec();
     let stream_spec = aggregate_spec(seeds, SweepMode::Streaming(group_spec.clone()));
@@ -212,6 +245,14 @@ pub fn measure_aggregate(seeds: u64, samples: usize) -> latsched_sensornet::Resu
         + mean_label_bytes) as u64;
     let peak_full = peak_full_sub + bytes_per_run * runs_full.saturating_sub(runs_sub) as u64;
 
+    // Trace streaming: a one-seed slice warms every tier but the traces, so
+    // the measured peak is the grid's own.
+    let trace_spec = trace_stream_spec(trace_seeds);
+    run_sweep(&trace_stream_spec(1), &caches).map_err(SimError::Engine)?;
+    let (trace_report, peak_trace_stream) = measure_peak(|| run_sweep(&trace_spec, &caches));
+    let trace_report = trace_report.map_err(SimError::Engine)?;
+    let peak_trace_stream = peak_trace_stream as u64;
+
     // Parity: group folds on an overlapping sub-grid (which also pins the
     // streaming aggregate against the full mode's) and reference-simulator
     // folds on a smaller one.
@@ -223,7 +264,10 @@ pub fn measure_aggregate(seeds: u64, samples: usize) -> latsched_sensornet::Resu
         && stream_report.per_run.is_empty()
         && stream_report.groups.len() == 4 * 5
         && peak_stream <= STREAM_PEAK_CAP_BYTES
-        && mem_reduction >= MIN_MEM_REDUCTION;
+        && mem_reduction >= MIN_MEM_REDUCTION
+        && trace_report.per_run.is_empty()
+        && trace_report.runs as u64 == trace_seeds
+        && peak_trace_stream <= STREAM_PEAK_CAP_BYTES;
 
     Ok(Measurement::new(format!(
         "{}-run streaming sweep: moore 3x3, {side}x{side} window, aloha(p=0.25), \
@@ -249,6 +293,8 @@ pub fn measure_aggregate(seeds: u64, samples: usize) -> latsched_sensornet::Resu
     .with("peak_stream_bytes", peak_stream)
     .with("peak_full_bytes", peak_full)
     .with("peak_cap_bytes", STREAM_PEAK_CAP_BYTES)
+    .with("trace_stream_seeds", trace_seeds)
+    .with("peak_trace_stream_bytes", peak_trace_stream)
     .with("speedup", mem_reduction)
     .with("parity", parity))
 }
@@ -262,7 +308,7 @@ mod tests {
         // Tiny grid: this test checks plumbing and parity, not scale (the
         // memory-reduction and cap thresholds only bind on the real
         // workload, so parity here is the sub-grid + reference checks).
-        let baseline = measure_aggregate(6, 1).unwrap();
+        let baseline = measure_aggregate(6, 1, 1).unwrap();
         assert_eq!(baseline.num("runs"), (4 * 5 * 6) as f64);
         assert!(baseline.num("bytes_per_run_model") > 0.0);
         let json = baseline.to_json_value();
@@ -271,6 +317,7 @@ mod tests {
         assert_eq!(json.get("full_side_runs").unwrap().as_u64(), Some(4 * 5));
         assert!(json.get("peak_stream_bytes").unwrap().as_u64().unwrap() > 0);
         assert!(json.get("peak_full_bytes").unwrap().as_u64().unwrap() > 0);
+        assert_eq!(json.get("trace_stream_seeds").unwrap().as_u64(), Some(1));
         assert_eq!(
             json.get("peak_cap_bytes").unwrap().as_u64(),
             Some(STREAM_PEAK_CAP_BYTES)

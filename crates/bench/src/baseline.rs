@@ -103,14 +103,15 @@ pub const ENTRIES: [(&str, Measure); 7] = [
     ("sweep", || Ok(measure_sweep(64, 512, 3)?)),
     // The same grid cold against warm, median of 3 per side.
     ("tracecache", || Ok(measure_tracecache(64, 512, 3)?)),
-    // 100 000 runs: 4 periods × 5 retry budgets × 5 000 seeds, 2 samples.
-    ("aggregate", || Ok(measure_aggregate(5_000, 2)?)),
+    // 100 000 runs: 4 periods × 5 retry budgets × 5 000 seeds, 2 samples;
+    // then 160 seeds of the tiling × Bernoulli trace-streaming grid.
+    ("aggregate", || Ok(measure_aggregate(5_000, 160, 2)?)),
     // The builtin Figure-2 search cold against warm, median of 3 per side.
     ("search", || Ok(measure_search(3)?)),
     // Moore 64×64, 1 024 slots per run, median of 3 per side.
     ("replay", || Ok(measure_replay(64, 1024, 3)?)),
-    // The warm acceptance sweep, median of 5 per side. Last, because it
-    // toggles the process-wide telemetry flag.
+    // The warm acceptance sweep unprofiled and profiled, median of 5 per
+    // side.
     ("telemetry", || Ok(measure_telemetry(64, 512, 5)?)),
 ];
 

@@ -2,43 +2,39 @@
 //! (`benches/bench_telemetry.rs`) and the `telemetry` entry of
 //! `harness --bench` so both always measure exactly the same thing: the warm
 //! 64-run acceptance sweep (`sweep_spec`) executed through
-//! `latsched_engine::run_sweep` with telemetry **disabled** (the sweep's
-//! recorder counts dispatches and cache lookups, spans read no clock) and
-//! again with telemetry **enabled** (stage spans timed too), reporting the
-//! off/on wall-clock ratio.
+//! `latsched_engine::run_sweep` **unprofiled** (the sweep's recorder counts
+//! dispatches and cache lookups, spans read no clock) and again inside a
+//! `telemetry::profile` scope (stage spans timed too), reporting the off/on
+//! wall-clock ratio.
 //!
 //! The committed gate is `overhead_ratio = off_ms / on_ms`: ~1.0 when the
 //! instrumentation is cheap, dropping below 1.0 as the enabled-path cost
-//! grows, so the perf gate can treat it as a plain higher-is-better metric. The disabled path is additionally sanity-checked
-//! in-measure: with telemetry off the sweep must cost no more than a small
-//! multiple of the enabled run (the unprofiled span checks must not have
-//! turned into real work), the enabled run must attach a snapshot whose
-//! dispatch counters sum to exactly the grid size, and both runs must produce
-//! bit-identical per-run metrics. All of that folds into the measurement's
-//! `parity` flag, which the perf gate refuses to pass when false.
+//! grows, so the perf gate can treat it as a plain higher-is-better metric.
+//! The unprofiled path is additionally sanity-checked in-measure: it must
+//! cost no more than a small multiple of the profiled run (the unprofiled
+//! span checks must not have turned into real work), the profiled run must
+//! attach a snapshot whose dispatch counters sum to exactly the grid size,
+//! and both runs must produce bit-identical per-run metrics. All of that
+//! folds into the measurement's `parity` flag, which the perf gate refuses
+//! to pass when false.
 
 use crate::baseline::{median_ms, Measurement};
 use crate::sweep::sweep_spec;
-use latsched_engine::telemetry::telemetry;
+use latsched_engine::telemetry::profile;
 use latsched_engine::{run_sweep, SweepCaches};
 
-/// Measures the warm acceptance sweep with telemetry disabled and enabled.
+/// Measures the warm acceptance sweep unprofiled and profiled.
 ///
 /// The shared caches are warmed once up front so both sides time the
 /// steady-state grid execution (the compile/setup tier would otherwise
-/// dominate and mask any counting overhead). The process-wide flag is restored
-/// to its prior enabled state before returning. `dispatch_total` is the
-/// enabled run's dispatch-counter sum (it must equal `runs`).
+/// dominate and mask any counting overhead). `dispatch_total` is the
+/// profiled run's dispatch-counter sum (it must equal `runs`).
 pub fn measure_telemetry(
     window: i64,
     slots: u64,
     samples: usize,
 ) -> latsched_engine::Result<Measurement> {
     let spec = sweep_spec(window, slots);
-    let registry = telemetry();
-    let was_enabled = registry.enabled();
-    registry.set_enabled(false);
-
     let caches = SweepCaches::new();
     let reference = run_sweep(&spec, &caches)?;
 
@@ -47,12 +43,11 @@ pub fn measure_telemetry(
         off_report = Some(run_sweep(&spec, &caches).expect("warm sweep (telemetry off)"));
     });
 
-    registry.set_enabled(true);
     let mut on_report = None;
     let on_ms = median_ms(samples, || {
-        on_report = Some(run_sweep(&spec, &caches).expect("warm sweep (telemetry on)"));
+        let (report, _) = profile(|| run_sweep(&spec, &caches));
+        on_report = Some(report.expect("warm sweep (telemetry on)"));
     });
-    registry.set_enabled(was_enabled);
 
     let off_report = off_report.expect("at least one disabled sample");
     let on_report = on_report.expect("at least one enabled sample");
@@ -84,4 +79,24 @@ pub fn measure_telemetry(
     .with("overhead_ratio", overhead_ratio)
     .with("dispatch_total", dispatch_total)
     .with("parity", results_match && counters_ok && overhead_ok))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn baseline_measures_and_serializes() {
+        // Medians of five sweeps per side, each several milliseconds long: on
+        // a loaded host one scheduler stall in a single 1 ms sample can
+        // decide the overhead bound on its own.
+        let baseline = measure_telemetry(16, 128, 5).unwrap();
+        assert!(baseline.num("off_ms") > 0.0 && baseline.num("on_ms") > 0.0);
+        assert!(baseline.parity(), "off/on sweeps must agree: {baseline:?}");
+        let json = baseline.to_json_value();
+        assert_eq!(json.get("runs").unwrap().as_u64(), Some(64));
+        assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));
+        assert!(json.get("overhead_ratio").unwrap().as_f64().unwrap() > 0.0);
+        assert_eq!(json.get("dispatch_total").unwrap().as_u64(), Some(64));
+    }
 }

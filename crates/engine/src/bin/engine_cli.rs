@@ -18,21 +18,25 @@
 //! so benches and CI determinism checks reproduce a fixed parallelism; it is
 //! accepted anywhere on the command line, in every mode.
 //!
-//! `--metrics-out FILE` (also accepted anywhere, in every mode) turns
-//! telemetry profiling on and, after the run, writes the process totals —
-//! every profiled request's counters and stage histograms, merged — as
-//! Prometheus-style text exposition to `FILE`. `sweep --profile` and
-//! `search --profile` turn the same flag on and pretty-print each report's
-//! own [`latsched_engine::TelemetrySnapshot`]: the fast-path dispatch mix,
-//! per-tier cache counters and the nested stage-time tree.
+//! `--metrics-out FILE` (also accepted anywhere, in every mode) runs the
+//! whole command inside one [`telemetry::profile`] scope and, after the run,
+//! writes its recording — every request's counters and stage histograms,
+//! each merged once — as Prometheus-style text exposition to `FILE`.
+//! `sweep --profile` and `search --profile` profile each spec's request and
+//! pretty-print its report's own [`latsched_engine::TelemetrySnapshot`]: the
+//! fast-path dispatch mix, per-tier cache counters and the nested stage-time
+//! tree. The summary line each mode ends with sums the cache lookups of
+//! every request it ran, read from one enclosing request's recording.
 //!
 //! See `latsched_engine::Scenario` for the scenario spec format,
 //! `latsched_engine::SweepSpec` for the sweep spec format and
 //! `latsched_engine::SearchSpec` for the search spec format.
 
+use latsched_engine::telemetry::{self, CacheTier};
 use latsched_engine::{
     builtin_scenarios, builtin_search, builtin_sweep, run_scenario, run_search, run_sweep,
-    GroupReport, GroupSpec, Scenario, ScheduleCache, SearchSpec, SweepCaches, SweepMode, SweepSpec,
+    GroupReport, GroupSpec, Scenario, ScheduleCache, SearchSpec, SweepCacheStats, SweepCaches,
+    SweepMode, SweepSpec, TelemetrySnapshot,
 };
 use std::process::ExitCode;
 
@@ -156,39 +160,39 @@ fn sweep_main(args: Vec<String>) -> ExitCode {
             spec.mode = SweepMode::Streaming(group_by.clone().unwrap_or_default());
         }
     }
-    if profile {
-        latsched_engine::telemetry().set_enabled(true);
-    }
-
     let caches = SweepCaches::new();
-    let mut reports = Vec::with_capacity(sweeps.len());
-    for spec in &sweeps {
-        match run_sweep(spec, &caches) {
-            Ok(report) => {
-                println!("{report}");
-                if matches!(report.mode, SweepMode::Streaming(_)) {
-                    print_group_table(&report.groups, top);
-                }
-                if stats {
-                    println!("  caches: {}", report.caches);
-                }
-                if profile {
-                    if let Some(telemetry) = &report.telemetry {
-                        print!("{telemetry}");
+    let (reports, recording, _) = telemetry::request(|| {
+        let mut reports = Vec::with_capacity(sweeps.len());
+        for spec in &sweeps {
+            match profiled(profile, || run_sweep(spec, &caches)) {
+                Ok(report) => {
+                    println!("{report}");
+                    if matches!(report.mode, SweepMode::Streaming(_)) {
+                        print_group_table(&report.groups, top);
                     }
+                    if stats {
+                        println!("  caches: {}", report.caches);
+                    }
+                    if let Some(recording) = report.telemetry.as_ref().filter(|_| profile) {
+                        print!("{recording}");
+                    }
+                    reports.push(report);
                 }
-                reports.push(report);
-            }
-            Err(err) => {
-                eprintln!("sweep '{}' failed: {err}", spec.name);
-                return ExitCode::FAILURE;
+                Err(err) => {
+                    eprintln!("sweep '{}' failed: {err}", spec.name);
+                    return None;
+                }
             }
         }
-    }
+        Some(reports)
+    });
+    let Some(reports) = reports else {
+        return ExitCode::FAILURE;
+    };
     println!(
         "{} sweep(s), artifact pipeline: {}",
         reports.len(),
-        caches.stats()
+        SweepCacheStats::recorded(&recording, &caches)
     );
 
     if let Some(path) = json_path {
@@ -266,49 +270,49 @@ fn search_main(args: Vec<String>) -> ExitCode {
             spec.top = top;
         }
     }
-    if profile {
-        latsched_engine::telemetry().set_enabled(true);
-    }
-
     let caches = SweepCaches::new();
-    let mut reports = Vec::with_capacity(searches.len());
-    for spec in &searches {
-        match run_search(spec, &caches) {
-            Ok(report) => {
-                print!("{report}");
-                if let Some(winner) = report.winner() {
-                    println!(
-                        "winner: {} ({}, period {}, {})",
-                        winner.generator,
-                        winner.family,
-                        winner.period,
-                        if winner.optimal {
-                            "provably optimal"
-                        } else {
-                            "above the clique bound"
-                        }
-                    );
-                }
-                if stats {
-                    println!("  caches: {}", report.caches);
-                }
-                if profile {
-                    if let Some(telemetry) = &report.telemetry {
-                        print!("{telemetry}");
+    let (reports, recording, _) = telemetry::request(|| {
+        let mut reports = Vec::with_capacity(searches.len());
+        for spec in &searches {
+            match profiled(profile, || run_search(spec, &caches)) {
+                Ok(report) => {
+                    print!("{report}");
+                    if let Some(winner) = report.winner() {
+                        println!(
+                            "winner: {} ({}, period {}, {})",
+                            winner.generator,
+                            winner.family,
+                            winner.period,
+                            if winner.optimal {
+                                "provably optimal"
+                            } else {
+                                "above the clique bound"
+                            }
+                        );
                     }
+                    if stats {
+                        println!("  caches: {}", report.caches);
+                    }
+                    if let Some(recording) = report.telemetry.as_ref().filter(|_| profile) {
+                        print!("{recording}");
+                    }
+                    reports.push(report);
                 }
-                reports.push(report);
-            }
-            Err(err) => {
-                eprintln!("search '{}' failed: {err}", spec.name);
-                return ExitCode::FAILURE;
+                Err(err) => {
+                    eprintln!("search '{}' failed: {err}", spec.name);
+                    return None;
+                }
             }
         }
-    }
+        Some(reports)
+    });
+    let Some(reports) = reports else {
+        return ExitCode::FAILURE;
+    };
     println!(
         "{} search(es), artifact pipeline: {}",
         reports.len(),
-        caches.stats()
+        SweepCacheStats::recorded(&recording, &caches)
     );
 
     if let Some(path) = json_path {
@@ -320,12 +324,21 @@ fn search_main(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Runs one spec's request, inside its own [`telemetry::profile`] scope when
+/// `profile` is set (`--profile`), so its report carries its recording.
+fn profiled<T>(profile: bool, run: impl FnOnce() -> T) -> T {
+    if profile {
+        telemetry::profile(run).0
+    } else {
+        run()
+    }
+}
+
 /// Strips the global flags accepted anywhere on the command line, in every
 /// mode: `--threads N` pins the worker pool by setting `LATSCHED_THREADS`
 /// before the first `worker_threads()` query caches it, and
-/// `--metrics-out FILE` turns telemetry profiling on and selects the
-/// Prometheus exposition file written after the run. Returns the remaining
-/// args and the metrics path.
+/// `--metrics-out FILE` selects the Prometheus exposition file the run's
+/// recording is written to. Returns the remaining args and the metrics path.
 fn apply_global_flags(args: Vec<String>) -> Result<(Vec<String>, Option<String>), String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut metrics_out = None;
@@ -339,9 +352,7 @@ fn apply_global_flags(args: Vec<String>) -> Result<(Vec<String>, Option<String>)
                 .ok_or("--threads requires a positive thread count")?;
             std::env::set_var("LATSCHED_THREADS", threads.to_string());
         } else if arg == "--metrics-out" {
-            let path = iter.next().ok_or("--metrics-out requires a file path")?;
-            latsched_engine::telemetry().set_enabled(true);
-            metrics_out = Some(path);
+            metrics_out = Some(iter.next().ok_or("--metrics-out requires a file path")?);
         } else {
             rest.push(arg);
         }
@@ -393,11 +404,10 @@ fn write_json(path: &str, reports: Vec<serde_json::Value>, what: &str) -> bool {
     true
 }
 
-/// Writes the telemetry process totals (every counter and stage histogram) as
-/// Prometheus-style text exposition. Returns whether the write succeeded.
-fn write_metrics(path: &str) -> bool {
-    let text = latsched_engine::telemetry().snapshot().to_prometheus();
-    if let Err(err) = std::fs::write(path, text) {
+/// Writes a recording (every counter and stage histogram) as Prometheus-style
+/// text exposition. Returns whether the write succeeded.
+fn write_metrics(path: &str, recording: &TelemetrySnapshot) -> bool {
+    if let Err(err) = std::fs::write(path, recording.to_prometheus()) {
         eprintln!("failed to write {path}: {err}");
         return false;
     }
@@ -413,15 +423,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let code = match args.first().map(String::as_str) {
+    let run = move || match args.first().map(String::as_str) {
         Some("sweep") => sweep_main(args.into_iter().skip(1).collect()),
         Some("search") => search_main(args.into_iter().skip(1).collect()),
         _ => scenario_main(args),
     };
-    if let Some(path) = metrics_out {
-        if !write_metrics(&path) {
-            return ExitCode::FAILURE;
-        }
+    let Some(path) = metrics_out else {
+        return run();
+    };
+    let (code, recording) = telemetry::profile(run);
+    if !write_metrics(&path, &recording) {
+        return ExitCode::FAILURE;
     }
     code
 }
@@ -461,34 +473,38 @@ fn scenario_main(args: Vec<String>) -> ExitCode {
     };
 
     let cache = ScheduleCache::new();
-    let mut reports = Vec::with_capacity(scenarios.len());
-    for scenario in &scenarios {
-        match run_scenario(scenario, &cache) {
-            Ok(report) => {
+    let (reports, recording, _) = telemetry::request(|| {
+        let mut reports = Vec::with_capacity(scenarios.len());
+        for scenario in &scenarios {
+            let ran = run_scenario(scenario, &cache).and_then(|report| {
                 // Stream each result as it completes.
                 println!("{report}");
                 reports.push(report);
-            }
-            Err(err) => {
+                // Dump after the timed run so the report's compile time
+                // reflects the real (cache-miss) compilation, not a
+                // dump-warmed hit.
+                if dump {
+                    dump_scenario(scenario, &cache)?;
+                }
+                Ok(())
+            });
+            if let Err(err) = ran {
                 eprintln!("scenario '{}' failed: {err}", scenario.name);
-                return ExitCode::FAILURE;
+                return None;
             }
         }
-        // Dump after the timed run so the report's compile time reflects the
-        // real (cache-miss) compilation, not a dump-warmed hit.
-        if dump {
-            if let Err(err) = dump_scenario(scenario, &cache) {
-                eprintln!("scenario '{}' failed: {err}", scenario.name);
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+        Some(reports)
+    });
+    let Some(reports) = reports else {
+        return ExitCode::FAILURE;
+    };
+    let lookups = |hit| recording.counter(CacheTier::Schedules.counter(hit));
     println!(
         "{} scenario(s), {} compiled schedule(s) cached ({} hits / {} misses)",
         reports.len(),
         cache.len(),
-        cache.hits(),
-        cache.misses()
+        lookups(true),
+        lookups(false)
     );
 
     if let Some(path) = json_path {

@@ -7,8 +7,9 @@
 //! expensive than a query, so the tiers make repeated scenarios pay it once.
 //! Every tier is one generic [`Tier`]: an [`ArtifactStore`] (sharded,
 //! single-flight, bounded — see [`crate::store`]) whose one [`Tier::lookup`]
-//! also counts the lookup's hit or miss into the recorder of the request
-//! that made it ([`crate::telemetry`]). The five tiers are aliases that add
+//! counts the lookup's hit or miss into the recorder of the request that
+//! made it ([`crate::telemetry`]); that count is the only one kept, and a
+//! tier itself holds only its entries. The five tiers are aliases that add
 //! only their key derivation:
 //!
 //! * [`ScheduleCache`] — neighbourhood shape → compiled Theorem 1 schedule;
@@ -37,7 +38,7 @@ use crate::error::{EngineError, Result};
 use crate::frames::{fingerprint_words, FramePlan, FrameSchedule, InterferenceCsr};
 use crate::search::SearchOutcome;
 use crate::simkernel::TrafficTrace;
-use crate::store::{ArtifactStore, StoreStats};
+use crate::store::ArtifactStore;
 use crate::telemetry::{self, span, CacheTier, Stage};
 use latsched_core::theorem1;
 use latsched_lattice::{BoxRegion, Point};
@@ -58,7 +59,8 @@ pub trait TierKey: Clone + Eq + Hash {
 
 /// One content-addressed cache tier: a sharded, thread-safe, single-flight
 /// [`ArtifactStore`] from `K` keys to compiled `V` artifacts, bounded by the
-/// key type's [`TierKey::MAX_ENTRIES`].
+/// key type's [`TierKey::MAX_ENTRIES`]. A tier keeps no hit or miss counts:
+/// each lookup counts in the request that made it (see [`crate::telemetry`]).
 pub struct Tier<K, V> {
     store: ArtifactStore<K, V>,
 }
@@ -99,23 +101,7 @@ impl<K: TierKey, V> Tier<K, V> {
         self.store.is_empty()
     }
 
-    /// Number of lookups answered from the tier, over its lifetime.
-    pub fn hits(&self) -> u64 {
-        self.store.hits()
-    }
-
-    /// Number of lookups that had to build, over the tier's lifetime.
-    pub fn misses(&self) -> u64 {
-        self.store.misses()
-    }
-
-    /// A point-in-time hit/miss/entry snapshot of the tier's lifetime
-    /// counters.
-    pub fn stats(&self) -> StoreStats {
-        self.store.stats()
-    }
-
-    /// Drops every cached artifact (counters are kept).
+    /// Drops every cached artifact.
     pub fn clear(&self) {
         self.store.clear();
     }
@@ -132,8 +118,6 @@ impl<K: TierKey, V> std::fmt::Debug for Tier<K, V> {
         f.debug_struct("Tier")
             .field("tier", &K::TIER.name())
             .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
             .finish()
     }
 }
@@ -144,15 +128,22 @@ impl<K: TierKey, V> std::fmt::Debug for Tier<K, V> {
 /// # Examples
 ///
 /// ```
+/// use latsched_engine::telemetry::{request, Counter};
 /// use latsched_engine::ScheduleCache;
 /// use latsched_tiling::shapes;
 ///
 /// let cache = ScheduleCache::new();
-/// let first = cache.get_or_compile(&shapes::moore())?;
-/// let again = cache.get_or_compile(&shapes::moore())?;
+/// // Each lookup counts in the request that made it.
+/// let (tables, lookups, _) = request(|| {
+///     let first = cache.get_or_compile(&shapes::moore())?;
+///     let again = cache.get_or_compile(&shapes::moore())?;
+///     Ok::<_, latsched_engine::EngineError>((first, again))
+/// });
+/// let (first, again) = tables?;
 /// assert_eq!(first.num_slots(), 9);
-/// assert_eq!(cache.hits(), 1);
-/// assert_eq!(cache.misses(), 1);
+/// assert!(std::sync::Arc::ptr_eq(&first, &again));
+/// assert_eq!(lookups.counter(Counter::ScheduleHits), 1);
+/// assert_eq!(lookups.counter(Counter::ScheduleMisses), 1);
 /// # Ok::<(), latsched_engine::EngineError>(())
 /// ```
 pub type ScheduleCache = Tier<Vec<Point>, CompiledSchedule>;
@@ -225,7 +216,6 @@ impl TierKey for PlanKey {
 /// let first = cache.get_or_build(&[0, 1, 2], 3, &adjacency)?;
 /// let again = cache.get_or_build(&[0, 1, 2], 3, &adjacency)?;
 /// assert!(std::sync::Arc::ptr_eq(&first, &again));
-/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// # Ok::<(), latsched_engine::EngineError>(())
 /// ```
 pub type PlanCache = Tier<PlanKey, FramePlan>;
@@ -332,7 +322,6 @@ impl TierKey for TraceKey {
 /// let first = cache.get_or_build(&plan, 7, 0.1, 128)?;
 /// let again = cache.get_or_build(&plan, 7, 0.1, 128)?;
 /// assert!(std::sync::Arc::ptr_eq(&first, &again));
-/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// # Ok::<(), latsched_engine::EngineError>(())
 /// ```
 pub type TraceCache = Tier<TraceKey, TrafficTrace>;
@@ -435,7 +424,6 @@ impl TierKey for AdjacencyKey {
 /// let first = cache.get_or_build(&window, &shapes::moore())?;
 /// let again = cache.get_or_build(&window, &shapes::moore())?;
 /// assert!(std::sync::Arc::ptr_eq(&first, &again));
-/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub type AdjacencyCache = Tier<AdjacencyKey, InterferenceCsr>;
@@ -579,15 +567,26 @@ mod tests {
     use crate::frames::FrameSchedule;
     use latsched_tiling::{shapes, tetromino};
 
+    /// Runs `f` as one request: its result, and the (hits, misses) it
+    /// recorded on `K`'s tier.
+    fn lookups<K: TierKey, T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+        let (out, recording, _) = telemetry::request(f);
+        let count = |hit| recording.counter(K::TIER.counter(hit));
+        (out, (count(true), count(false)))
+    }
+
     #[test]
     fn hits_share_one_table() {
         let cache = ScheduleCache::new();
-        let a = cache.get_or_compile(&shapes::moore()).unwrap();
-        let b = cache.get_or_compile(&shapes::moore()).unwrap();
+        let ((a, b), counts) = lookups::<Vec<Point>, _>(|| {
+            (
+                cache.get_or_compile(&shapes::moore()).unwrap(),
+                cache.get_or_compile(&shapes::moore()).unwrap(),
+            )
+        });
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(counts, (1, 1));
     }
 
     #[test]
@@ -622,19 +621,26 @@ mod tests {
     #[test]
     fn concurrent_lookups_agree() {
         let cache = ScheduleCache::new();
-        let tables: Vec<Arc<CompiledSchedule>> = std::thread::scope(|scope| {
+        // Each thread's lookup counts in its own request.
+        let tables: Vec<(Arc<CompiledSchedule>, (u64, u64))> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| cache.get_or_compile(&shapes::moore()).unwrap()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        lookups::<Vec<Point>, _>(|| cache.get_or_compile(&shapes::moore()).unwrap())
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(cache.len(), 1);
-        for t in &tables {
+        for (t, _) in &tables {
             assert_eq!(t.num_slots(), 9);
         }
-        assert_eq!(cache.hits() + cache.misses(), 8);
         // Single-flight: exactly one lookup may have compiled.
-        assert_eq!(cache.misses(), 1);
+        let (hits, misses) = tables
+            .iter()
+            .fold((0, 0), |(h, m), (_, (hit, miss))| (h + hit, m + miss));
+        assert_eq!((hits, misses), (7, 1));
     }
 
     #[test]
@@ -655,17 +661,23 @@ mod tests {
         let adjacency =
             InterferenceCsr::from_lists(&[vec![1], vec![0, 2], vec![1, 3], vec![2]]).unwrap();
         let cache = PlanCache::new();
-        let plans: Vec<Arc<FramePlan>> = std::thread::scope(|scope| {
+        let plans: Vec<(Arc<FramePlan>, (u64, u64))> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..12)
-                .map(|_| scope.spawn(|| cache.get_or_build(&[0, 1, 2, 0], 3, &adjacency).unwrap()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        lookups::<PlanKey, _>(|| {
+                            cache.get_or_build(&[0, 1, 2, 0], 3, &adjacency).unwrap()
+                        })
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.misses(), 1, "single-build semantics");
-        assert_eq!(cache.hits(), 11);
-        for p in &plans {
-            assert!(Arc::ptr_eq(p, &plans[0]), "hits share one plan");
+        let misses: u64 = plans.iter().map(|(_, (_, miss))| miss).sum();
+        assert_eq!(misses, 1, "single-build semantics");
+        for (p, _) in &plans {
+            assert!(Arc::ptr_eq(p, &plans[0].0), "hits share one plan");
         }
     }
 
@@ -674,12 +686,16 @@ mod tests {
         let line = InterferenceCsr::from_lists(&[vec![1], vec![0, 2], vec![1]]).unwrap();
         let ring = InterferenceCsr::from_lists(&[vec![1, 2], vec![0, 2], vec![0, 1]]).unwrap();
         let cache = PlanCache::new();
-        let a = cache.get_or_build(&[0, 1, 2], 3, &line).unwrap();
-        let b = cache.get_or_build(&[0, 1, 0], 3, &line).unwrap();
-        let c = cache.get_or_build(&[0, 1, 2], 4, &line).unwrap();
-        let d = cache.get_or_build(&[0, 1, 2], 3, &ring).unwrap();
+        let ((a, b, c, d), counts) = lookups::<PlanKey, _>(|| {
+            (
+                cache.get_or_build(&[0, 1, 2], 3, &line).unwrap(),
+                cache.get_or_build(&[0, 1, 0], 3, &line).unwrap(),
+                cache.get_or_build(&[0, 1, 2], 4, &line).unwrap(),
+                cache.get_or_build(&[0, 1, 2], 3, &ring).unwrap(),
+            )
+        });
         assert_eq!(cache.len(), 4);
-        assert_eq!(cache.misses(), 4);
+        assert_eq!(counts, (0, 4));
         assert!(!Arc::ptr_eq(&a, &b) && !Arc::ptr_eq(&a, &c) && !Arc::ptr_eq(&a, &d));
         // And an equal-content adjacency (separate allocation) still hits.
         let line_again = InterferenceCsr::from_lists(&[vec![1], vec![0, 2], vec![1]]).unwrap();
@@ -697,9 +713,10 @@ mod tests {
         }
         assert_eq!(cache.len(), PlanKey::MAX_ENTRIES);
         // A known key at capacity still hits without clearing.
-        cache.get_or_build(&[0, 1, 2], 3, &adjacency).unwrap();
+        let (_, counts) =
+            lookups::<PlanKey, _>(|| cache.get_or_build(&[0, 1, 2], 3, &adjacency).unwrap());
+        assert_eq!(counts, (1, 0));
         assert_eq!(cache.len(), PlanKey::MAX_ENTRIES);
-        assert_eq!(cache.hits(), 1);
         // A new key at capacity resets the cache, then inserts.
         cache.get_or_build(&[2, 1, 0], 3, &adjacency).unwrap();
         assert_eq!(cache.len(), 1);
@@ -740,16 +757,22 @@ mod tests {
     fn trace_cache_hits_on_equal_coordinates_and_misses_otherwise() {
         let plan = line_plan(&[0, 1, 2], 3);
         let cache = TraceCache::new();
-        let a = cache.get_or_build(&plan, 1, 0.2, 64).unwrap();
-        let b = cache.get_or_build(&plan, 1, 0.2, 64).unwrap();
+        let ((a, b), counts) = lookups::<TraceKey, _>(|| {
+            (
+                cache.get_or_build(&plan, 1, 0.2, 64).unwrap(),
+                cache.get_or_build(&plan, 1, 0.2, 64).unwrap(),
+            )
+        });
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(counts, (1, 1));
         // Every coordinate of the key separates entries.
-        cache.get_or_build(&plan, 2, 0.2, 64).unwrap();
-        cache.get_or_build(&plan, 1, 0.3, 64).unwrap();
-        cache.get_or_build(&plan, 1, 0.2, 65).unwrap();
+        let ((), counts) = lookups::<TraceKey, _>(|| {
+            cache.get_or_build(&plan, 2, 0.2, 64).unwrap();
+            cache.get_or_build(&plan, 1, 0.3, 64).unwrap();
+            cache.get_or_build(&plan, 1, 0.2, 65).unwrap();
+        });
         assert_eq!(cache.len(), 4);
-        assert_eq!(cache.misses(), 4);
+        assert_eq!(counts, (0, 3));
     }
 
     #[test]
@@ -762,10 +785,14 @@ mod tests {
         let plan_b = line_plan(&[2, 1, 0], 3);
         assert_ne!(plan_a.fingerprint(), plan_b.fingerprint());
         let cache = TraceCache::new();
-        let a = cache.get_or_build(&plan_a, 1, 0.5, 256).unwrap();
-        let b = cache.get_or_build(&plan_b, 1, 0.5, 256).unwrap();
+        let ((a, b), counts) = lookups::<TraceKey, _>(|| {
+            (
+                cache.get_or_build(&plan_a, 1, 0.5, 256).unwrap(),
+                cache.get_or_build(&plan_b, 1, 0.5, 256).unwrap(),
+            )
+        });
         assert_eq!(cache.len(), 2, "distinct fingerprints, distinct entries");
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(counts, (0, 2));
         assert!(!Arc::ptr_eq(&a, &b));
         // The traces cover the same original node set, so totals agree even
         // though the relabelled bit layouts differ.
@@ -795,19 +822,26 @@ mod tests {
     fn adjacency_cache_hits_on_equal_content_and_separates_otherwise() {
         let cache = AdjacencyCache::new();
         let window = BoxRegion::square_window(2, 5).unwrap();
-        let a = cache.get_or_build(&window, &shapes::moore()).unwrap();
-        // An equal-content region built separately still hits.
-        let window_again = BoxRegion::square_window(2, 5).unwrap();
-        let b = cache.get_or_build(&window_again, &shapes::moore()).unwrap();
+        let ((a, b), counts) = lookups::<AdjacencyKey, _>(|| {
+            let a = cache.get_or_build(&window, &shapes::moore()).unwrap();
+            // An equal-content region built separately still hits.
+            let window_again = BoxRegion::square_window(2, 5).unwrap();
+            (
+                a,
+                cache.get_or_build(&window_again, &shapes::moore()).unwrap(),
+            )
+        });
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(counts, (1, 1));
         // Every key coordinate separates entries: region and shape.
-        cache
-            .get_or_build(&BoxRegion::square_window(2, 6).unwrap(), &shapes::moore())
-            .unwrap();
-        cache.get_or_build(&window, &shapes::von_neumann()).unwrap();
+        let ((), counts) = lookups::<AdjacencyKey, _>(|| {
+            cache
+                .get_or_build(&BoxRegion::square_window(2, 6).unwrap(), &shapes::moore())
+                .unwrap();
+            cache.get_or_build(&window, &shapes::von_neumann()).unwrap();
+        });
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.misses(), 3);
+        assert_eq!(counts, (0, 2));
         // The cached CSR is the same structure grid_adjacency builds.
         let direct = crate::sweep::grid_adjacency(&window, &shapes::moore()).unwrap();
         assert_eq!(a.fingerprint(), direct.fingerprint());

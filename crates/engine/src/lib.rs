@@ -76,11 +76,12 @@
 //!    bands in band order: every kernel fast-path dispatch and cache-tier
 //!    lookup counts once, in the request that made it, and profiled requests
 //!    also trace every pipeline stage (RAII spans into exact-maximum, log₂
-//!    duration statistics and a nested stage-time tree). A profiled request
-//!    embeds its [`TelemetrySnapshot`] in its report, prints as a human
-//!    profile (`engine-cli sweep --profile`) and merges into the process
-//!    totals behind Prometheus text exposition (`engine-cli --metrics-out
-//!    FILE`).
+//!    duration statistics and a nested stage-time tree). Requests are
+//!    profiled inside a [`telemetry::profile`] scope, and each merges its
+//!    recording once into the recorder it ran in. A profiled request embeds
+//!    its [`TelemetrySnapshot`] in its report and prints as a human profile
+//!    (`engine-cli sweep --profile`); a profile scope's recording exports as
+//!    Prometheus text exposition (`engine-cli --metrics-out FILE`).
 //!
 //! Underneath the table queries, 2-D and 3-D schedules use the
 //! dimension-specialized `latsched_lattice::FixedReducer`, which
@@ -153,4 +154,4 @@ pub use sweep::{
     builtin_sweep, grid_adjacency, run_sweep, SeedAxis, SweepCacheStats, SweepCaches, SweepMac,
     SweepMode, SweepReport, SweepRunReport, SweepSpec, SweepTraffic,
 };
-pub use telemetry::{telemetry, TelemetryRegistry, TelemetrySnapshot};
+pub use telemetry::TelemetrySnapshot;

@@ -512,8 +512,8 @@ pub struct SearchReport {
     pub caches: SweepCacheStats,
     /// The (possibly cached) ranked outcome.
     pub outcome: Arc<SearchOutcome>,
-    /// This invocation's telemetry recording when telemetry was enabled as
-    /// it started; `None` otherwise.
+    /// This invocation's telemetry recording when it ran inside a
+    /// [`crate::telemetry::profile`] scope; `None` otherwise.
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -1107,13 +1107,12 @@ mod tests {
         let caches = SweepCaches::new();
         let spec = tiny_spec();
         let cold = run_search(&spec, &caches).unwrap();
-        let stats_cold = caches.stats();
         let warm = run_search(&spec, &caches).unwrap();
         assert!(warm.from_cache);
         assert_eq!(*cold.outcome, *warm.outcome);
         assert!(Arc::ptr_eq(&cold.outcome, &warm.outcome));
         // The warm run touched no tier but tier 5.
-        let delta = caches.stats().since(&stats_cold);
+        let delta = warm.caches;
         assert_eq!((delta.searches.hits, delta.searches.misses), (1, 0));
         for tier in [
             delta.schedules,

@@ -18,18 +18,18 @@
 //!   when a new key arrives at capacity — entries are content-addressed and
 //!   rebuildable, so wholesale reset beats recency bookkeeping for the
 //!   engine's workloads (sweeps touch far fewer artifacts than any bound).
-//! * **Observability.** Lifetime hit/miss/entry counters are exposed as a
-//!   [`StoreStats`] snapshot (`engine-cli --stats` prints them per tier).
+//! * **Per-lookup outcomes.** The store keeps no counters of its own:
+//!   [`ArtifactStore::get_or_build_tracked`] reports whether each lookup hit,
+//!   and the caller counts it where it belongs.
 //!
 //! Every tier is a [`Tier`](crate::Tier) over one store (see
-//! [`crate::cache`]): its one lookup also counts the hit or miss into the
+//! [`crate::cache`]): its one lookup counts the hit or miss into the
 //! recorder of the request that made it, which is where sweep and search
-//! reports read their per-request cache counters.
+//! reports (and `engine-cli --stats`) read their cache counters.
 
 use crate::error::Result;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The default shard count; a small power of two comfortably above the number
@@ -43,8 +43,8 @@ type Slot<V> = Mutex<Option<Arc<V>>>;
 /// One mutex-protected shard of the key → build-slot map.
 type Shard<K, V> = Mutex<HashMap<K, Arc<Slot<V>>>>;
 
-/// A point-in-time snapshot of one store's counters (or, in a sweep or
-/// search report, one request's lookups on a tier beside its entry count).
+/// One request's lookups on a cache tier, beside the tier's entry count (a
+/// tier's part of a sweep or search report).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StoreStats {
     /// Lookups answered from the store.
@@ -53,19 +53,6 @@ pub struct StoreStats {
     pub misses: u64,
     /// Entries currently cached.
     pub entries: usize,
-}
-
-impl StoreStats {
-    /// The counter movement since an earlier snapshot of the same store
-    /// (`entries` stays absolute — it is a level, not a flow).
-    #[must_use]
-    pub fn since(&self, earlier: &StoreStats) -> StoreStats {
-        StoreStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            entries: self.entries,
-        }
-    }
 }
 
 impl std::fmt::Display for StoreStats {
@@ -83,16 +70,14 @@ impl std::fmt::Display for StoreStats {
 /// use latsched_engine::ArtifactStore;
 ///
 /// let store: ArtifactStore<u32, String> = ArtifactStore::new();
-/// let a = store.get_or_build(7, || Ok("seven".to_string()))?;
-/// let b = store.get_or_build(7, || unreachable!("cached"))?;
+/// let (a, hit) = store.get_or_build_tracked(7, || Ok("seven".to_string()))?;
+/// let (b, hit_again) = store.get_or_build_tracked(7, || unreachable!("cached"))?;
 /// assert!(std::sync::Arc::ptr_eq(&a, &b));
-/// assert_eq!((store.hits(), store.misses()), (1, 1));
+/// assert_eq!((hit, hit_again), (false, true));
 /// # Ok::<(), latsched_engine::EngineError>(())
 /// ```
 pub struct ArtifactStore<K, V> {
     shards: Box<[Shard<K, V>]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     /// Entry bound; `usize::MAX` means unbounded.
     max_entries: usize,
 }
@@ -108,8 +93,6 @@ impl<K: Clone + Eq + Hash, V> ArtifactStore<K, V> {
         let shards = shards.max(1);
         ArtifactStore {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             max_entries: usize::MAX,
         }
     }
@@ -143,8 +126,7 @@ impl<K: Clone + Eq + Hash, V> ArtifactStore<K, V> {
     /// [`ArtifactStore::get_or_build`], also reporting whether *this* lookup
     /// was a hit — the per-lookup truth a [`Tier`](crate::Tier) counts into
     /// the requesting request's recorder, which stays exact even when
-    /// concurrent requests share the store (lifetime counter deltas would
-    /// attribute the other request's traffic to both).
+    /// concurrent requests share the store.
     ///
     /// # Errors
     ///
@@ -166,12 +148,8 @@ impl<K: Clone + Eq + Hash, V> ArtifactStore<K, V> {
         let (slot, claimed) = {
             let mut guard = shard.lock().expect("store shard poisoned");
             match guard.get(&key) {
-                Some(slot) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    (Arc::clone(slot), false)
-                }
+                Some(slot) => (Arc::clone(slot), false),
                 None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
                     let slot = Arc::new(Mutex::new(None));
                     guard.insert(key.clone(), Arc::clone(&slot));
                     (slot, true)
@@ -190,9 +168,9 @@ impl<K: Clone + Eq + Hash, V> ArtifactStore<K, V> {
         }
         // Either we claimed the slot, or the claimant's build failed and was
         // evicted while we waited; build here (shard lock not held, so other
-        // keys proceed). Note that a waiter rebuilding after a failed claimant
-        // was counted as a hit; the counters are exact except under build
-        // failures, where they may classify one rebuild per waiter as a hit.
+        // keys proceed). A waiter rebuilding after a failed claimant reports
+        // a hit: outcomes are exact except under build failures, where one
+        // rebuild per waiter may be classified as a hit.
         match build() {
             Ok(built) => {
                 let built = Arc::new(built);
@@ -240,29 +218,10 @@ impl<K: Clone + Eq + Hash, V> ArtifactStore<K, V> {
         self.len() == 0
     }
 
-    /// Drops every cached entry (counters are kept).
+    /// Drops every cached entry.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             shard.lock().expect("store shard poisoned").clear();
-        }
-    }
-
-    /// Number of lookups answered from the store.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that had to build.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time snapshot of the hit/miss/entry counters.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            entries: self.len(),
         }
     }
 }
@@ -277,8 +236,7 @@ impl<K, V> std::fmt::Debug for ArtifactStore<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArtifactStore")
             .field("shards", &self.shards.len())
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
+            .field("max_entries", &self.max_entries)
             .finish()
     }
 }
@@ -287,43 +245,40 @@ impl<K, V> std::fmt::Debug for ArtifactStore<K, V> {
 mod tests {
     use super::*;
     use crate::error::EngineError;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn builds_each_key_exactly_once_under_contention() {
         // Hammer one key from many scoped threads: the single-flight slot must
-        // admit exactly one build, and hit/miss counters must account for every
-        // lookup.
+        // admit exactly one build, and the per-lookup outcomes must account
+        // for every lookup.
         let store: ArtifactStore<u32, u32> = ArtifactStore::with_shards(4);
         let builds = AtomicUsize::new(0);
         let threads = 16;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let v = store
-                        .get_or_build(7, || {
-                            builds.fetch_add(1, Ordering::SeqCst);
-                            // Widen the race window so stragglers arrive
-                            // mid-build and must wait instead of rebuilding.
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            Ok(42)
-                        })
-                        .unwrap();
-                    assert_eq!(*v, 42);
-                });
-            }
+        let hits: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let (v, hit) = store
+                            .get_or_build_tracked(7, || {
+                                builds.fetch_add(1, Ordering::SeqCst);
+                                // Widen the race window so stragglers arrive
+                                // mid-build and must wait instead of
+                                // rebuilding.
+                                std::thread::sleep(std::time::Duration::from_millis(20));
+                                Ok(42)
+                            })
+                            .unwrap();
+                        assert_eq!(*v, 42);
+                        usize::from(hit)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(builds.load(Ordering::SeqCst), 1, "single-build semantics");
-        assert_eq!(store.misses(), 1);
-        assert_eq!(store.hits(), threads - 1);
-        assert_eq!(
-            store.stats(),
-            StoreStats {
-                hits: threads - 1,
-                misses: 1,
-                entries: 1
-            }
-        );
+        assert_eq!(hits, threads - 1, "every lookup but the build hits");
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -402,9 +357,9 @@ mod tests {
         store.get_or_build(2, || Ok(2)).unwrap();
         assert_eq!(store.len(), 2);
         // A known key at capacity still hits without clearing.
-        store.get_or_build(1, || panic!("cached")).unwrap();
+        let (_, hit) = store.get_or_build_tracked(1, || panic!("cached")).unwrap();
+        assert!(hit);
         assert_eq!(store.len(), 2);
-        assert_eq!(store.hits(), 1);
         // A new key at capacity resets the store, then inserts.
         store.get_or_build(3, || Ok(3)).unwrap();
         assert_eq!(store.len(), 1);
@@ -414,24 +369,5 @@ mod tests {
         tiny.get_or_build(1, || Ok(1)).unwrap();
         tiny.get_or_build(2, || Ok(2)).unwrap();
         assert_eq!(tiny.len(), 1);
-    }
-
-    #[test]
-    fn stats_deltas_track_a_window_of_activity() {
-        let store: ArtifactStore<u32, u32> = ArtifactStore::new();
-        store.get_or_build(1, || Ok(1)).unwrap();
-        let before = store.stats();
-        store.get_or_build(1, || Ok(1)).unwrap();
-        store.get_or_build(2, || Ok(2)).unwrap();
-        let delta = store.stats().since(&before);
-        assert_eq!(
-            delta,
-            StoreStats {
-                hits: 1,
-                misses: 1,
-                entries: 2
-            }
-        );
-        assert_eq!(delta.to_string(), "1h/1m/2e");
     }
 }

@@ -86,7 +86,9 @@
 //! configuration — property-tested across the crates in `tests/sweep_parity.rs`.
 
 use crate::aggregate::{GroupBy, GroupFolds, GroupReport, GroupSpec, OnlineFold};
-use crate::cache::{AdjacencyCache, PlanCache, ScheduleCache, SearchCache, TraceCache};
+use crate::cache::{
+    AdjacencyCache, PlanCache, ScheduleCache, SearchCache, TierKey, TraceCache, TraceKey,
+};
 use crate::error::{EngineError, Result};
 use crate::frames::InterferenceCsr;
 use crate::parallel::{steal_chunks, worker_threads};
@@ -580,17 +582,6 @@ impl SweepCaches {
     pub fn new() -> Self {
         SweepCaches::default()
     }
-
-    /// A point-in-time snapshot of all five tiers' counters.
-    pub fn stats(&self) -> SweepCacheStats {
-        SweepCacheStats {
-            schedules: self.schedules.stats(),
-            adjacencies: self.adjacencies.stats(),
-            plans: self.plans.stats(),
-            traces: self.traces.stats(),
-            searches: self.searches.stats(),
-        }
-    }
 }
 
 /// Per-tier cache counters of the artifact pipeline, as reported by
@@ -611,35 +602,21 @@ pub struct SweepCacheStats {
 }
 
 impl SweepCacheStats {
-    /// The counter movement since an earlier snapshot (entry counts stay
-    /// absolute).
-    #[must_use]
-    pub fn since(&self, earlier: &SweepCacheStats) -> SweepCacheStats {
-        SweepCacheStats {
-            schedules: self.schedules.since(&earlier.schedules),
-            adjacencies: self.adjacencies.since(&earlier.adjacencies),
-            plans: self.plans.since(&earlier.plans),
-            traces: self.traces.since(&earlier.traces),
-            searches: self.searches.since(&earlier.searches),
-        }
-    }
-
-    /// The per-tier lookups a request recorded, beside the caches' current
+    /// The per-tier lookups a recording holds, beside the caches' current
     /// entry counts (entries are levels, not flows, so they come from the
     /// shared caches).
-    pub(crate) fn recorded(recording: &TelemetrySnapshot, caches: &SweepCaches) -> Self {
-        let levels = caches.stats();
-        let tier = |tier: CacheTier, level: StoreStats| StoreStats {
+    pub fn recorded(recording: &TelemetrySnapshot, caches: &SweepCaches) -> Self {
+        let tier = |tier: CacheTier, entries: usize| StoreStats {
             hits: recording.counter(tier.counter(true)),
             misses: recording.counter(tier.counter(false)),
-            entries: level.entries,
+            entries,
         };
         SweepCacheStats {
-            schedules: tier(CacheTier::Schedules, levels.schedules),
-            adjacencies: tier(CacheTier::Adjacencies, levels.adjacencies),
-            plans: tier(CacheTier::Plans, levels.plans),
-            traces: tier(CacheTier::Traces, levels.traces),
-            searches: tier(CacheTier::Searches, levels.searches),
+            schedules: tier(CacheTier::Schedules, caches.schedules.len()),
+            adjacencies: tier(CacheTier::Adjacencies, caches.adjacencies.len()),
+            plans: tier(CacheTier::Plans, caches.plans.len()),
+            traces: tier(CacheTier::Traces, caches.traces.len()),
+            searches: tier(CacheTier::Searches, caches.searches.len()),
         }
     }
 
@@ -709,9 +686,7 @@ pub struct SweepReport {
     pub runs_per_second: f64,
     /// Per-tier cache counters: hits/misses over this sweep, entries at its
     /// end. Hit/miss counts come from this sweep's own recording, so they are
-    /// exact even when concurrent sweeps (or searches) share the caches —
-    /// a delta of the caches' lifetime counters would attribute the other
-    /// sweeps' lookups here.
+    /// exact even when concurrent sweeps (or searches) share the caches.
     pub caches: SweepCacheStats,
     /// Element-wise sum of every run's counters.
     pub aggregate: KernelCounts,
@@ -723,8 +698,8 @@ pub struct SweepReport {
     /// empty in streaming mode, which never materializes them.
     pub per_run: Vec<SweepRunReport>,
     /// This sweep's telemetry recording (counters, stage timings and the
-    /// stage tree) when telemetry was enabled as it started; `None`
-    /// otherwise.
+    /// stage tree) when it ran inside a [`crate::telemetry::profile`] scope;
+    /// `None` otherwise.
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -928,6 +903,13 @@ impl<'a> GridContext<'a> {
     /// value's plan fetch nothing, since their runs are never simulated. Lane
     /// grids fetch nothing either: the lane kernel's inline draws are
     /// bit-identical to replaying traces.
+    ///
+    /// Nor does a grid whose every trace would be replayed by exactly one
+    /// simulated run (the retry axis collapses on every plan) and that needs
+    /// more traces than the tier holds: the tier could only thrash, while
+    /// the fetched traces, one per seed, would all stay resident for the
+    /// whole run phase. Those runs draw inline, and [`run_frames`] compiles
+    /// the same trace, uncached, so memory stays bounded by the worker count.
     pub(crate) fn fetch_traces(&mut self, cache: &TraceCache) -> Result<()> {
         let SweepTraffic::Bernoulli(loads) = self.traffic else {
             return Ok(());
@@ -936,7 +918,13 @@ impl<'a> GridContext<'a> {
             return Ok(());
         }
         let canonical = |&(o, _): &(usize, &Arc<FramePlan>)| self.first_outer[o] == o;
-        for (o, plan) in self.plans.iter().enumerate().filter(canonical) {
+        let plans = || self.plans.iter().enumerate().filter(canonical);
+        let single_replay = plans().all(|(o, _)| self.retries_collapse(o));
+        let traces = plans().count() * loads.len() * self.seeds.len();
+        if single_replay && traces > TraceKey::MAX_ENTRIES {
+            return Ok(());
+        }
+        for (o, plan) in plans() {
             for &p in loads {
                 for seed in self.seeds.iter() {
                     let trace = cache.get_or_build(plan, seed, p, self.slots)?;
@@ -945,7 +933,7 @@ impl<'a> GridContext<'a> {
             }
         }
         if let KernelMac::Aloha { p } = self.mac {
-            for (o, plan) in self.plans.iter().enumerate().filter(canonical) {
+            for (o, plan) in plans() {
                 if plan.num_nodes().div_ceil(64) as u64 * self.slots > TRACE_WORD_LIMIT {
                     continue;
                 }
@@ -974,12 +962,18 @@ impl<'a> GridContext<'a> {
         ((o * self.traffic.len() + ti) * self.retries.len() + ri) * self.seeds.len() + si
     }
 
+    /// Whether the retry budget cannot change a run on outer value `o`:
+    /// under scheduled access on a conflict-free plan nothing collides.
+    fn retries_collapse(&self, o: usize) -> bool {
+        matches!(self.mac, KernelMac::Scheduled) && self.plans[o].conflict_free()
+    }
+
     /// The retry and seed index ranges of the runs that share the counts of
     /// the run at `(o, _, ri, si)`: a whole axis where it cannot change a
     /// run (see [`GridContext`]), else the run's own index.
     fn shared_axes(&self, o: usize, ri: usize, si: usize) -> (Range<usize>, Range<usize>) {
         let scheduled = matches!(self.mac, KernelMac::Scheduled);
-        let retries_shared = scheduled && self.plans[o].conflict_free();
+        let retries_shared = self.retries_collapse(o);
         let seeds_shared = scheduled && !matches!(self.traffic, SweepTraffic::Bernoulli(_));
         let axis = |shared: bool, len: usize, i: usize| if shared { 0..len } else { i..i + 1 };
         (

@@ -27,33 +27,36 @@
 //! every counter, cache lookup and span on its thread. The band executor
 //! gives each band a fresh recorder starting from the span path open at the
 //! fan-out, and merges the band recordings into the request's in band order,
-//! the way group folds merge. So a request's numbers are its own even when
-//! requests run concurrently, and they do not depend on which worker ran
-//! which band. Outside a request nothing records.
+//! the way group folds merge. A request that runs inside another recorder
+//! merges its recording into that one when it ends, the same way, nested
+//! under the span path open there. So a request's numbers are its own even
+//! when requests run concurrently, they do not depend on which worker ran
+//! which band, and an enclosing recording is the sum of the requests in it,
+//! each counted once. Outside any recorder nothing records.
 //!
 //! **Profiling.** Counters record in every request; reports read their
 //! per-tier cache hits and misses from the recording. Spans read the clock
-//! only in *profiled* requests, those that start while the process-wide flag
-//! is on ([`TelemetryRegistry::set_enabled`]; `engine-cli --profile` and
-//! `--metrics-out` set it). A profiled request embeds its recording in its
-//! report and merges it once into the process totals
-//! ([`TelemetryRegistry::snapshot`]), all the registry holds besides the
-//! flag. Unprofiled, a span is one thread-local check (the `telemetry` entry
-//! of `BENCH.json` gates the off/on overhead in CI).
+//! only in *profiled* recorders: the root recorder of a [`profile`] scope and
+//! every request and band nested in it, since a request takes its setting
+//! from the recorder it runs in. There is no process-wide state: two threads
+//! profile independently, and a request outside any [`profile`] is never
+//! profiled. A profiled request embeds its recording in its report;
+//! `engine-cli --profile` profiles each spec's request, and `--metrics-out`
+//! runs the whole command in one [`profile`] and writes its recording.
+//! Unprofiled, a span is one thread-local check (the `telemetry` entry of
+//! `BENCH.json` gates the off/on overhead in CI).
 //!
 //! A [`TelemetrySnapshot`] exports as report JSON
 //! ([`TelemetrySnapshot::to_json_value`]), as the human profile (`Display`:
 //! dispatch mix, cache tiers, stage table and stage tree) and as Prometheus
-//! text exposition ([`TelemetrySnapshot::to_prometheus`], for the process
-//! totals behind `engine-cli --metrics-out FILE`).
+//! text exposition ([`TelemetrySnapshot::to_prometheus`], for the recording
+//! `engine-cli --metrics-out FILE` writes).
 
 use crate::aggregate::{Log2Histogram, LOG2_BUCKETS};
 use serde_json::Value;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// One event counter of a recording.
@@ -397,8 +400,8 @@ impl StageStats {
 
 /// One recording: counters, per-stage duration statistics and the span tree.
 /// A request's recording is embedded in its [`crate::SweepReport`] or
-/// [`crate::SearchReport`] when the request is profiled, and the registry's
-/// process totals are the merge of every profiled request's recording.
+/// [`crate::SearchReport`] when the request is profiled, and a [`profile`]
+/// scope's recording is the merge of every request run inside it.
 #[derive(Clone, Default, PartialEq, Debug)]
 pub struct TelemetrySnapshot {
     counters: [u64; COUNTERS.len()],
@@ -427,13 +430,22 @@ impl TelemetrySnapshot {
     /// Adds another recording: counters and stage statistics add (maxima
     /// take the larger), span trees merge node by node.
     pub(crate) fn merge(&mut self, other: &TelemetrySnapshot) {
+        self.merge_under(&[], other);
+    }
+
+    /// [`TelemetrySnapshot::merge`], with `other`'s span tree nested under
+    /// the tree node at `path`.
+    fn merge_under(&mut self, path: &[Stage], other: &TelemetrySnapshot) {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }
         for (a, b) in self.stages.iter_mut().zip(&other.stages) {
             a.merge(b);
         }
-        self.tree.merge(&other.tree);
+        let node = path.iter().fold(&mut self.tree, |node, stage| {
+            node.children.entry(*stage).or_default()
+        });
+        node.merge(&other.tree);
     }
 
     fn count(&mut self, counter: Counter, n: u64) {
@@ -642,28 +654,42 @@ pub(crate) fn merge(band: &TelemetrySnapshot) {
     });
 }
 
-/// Runs `f` as one request under its own recorder: reads the enable flag
-/// once, records every count, lookup and span `f` makes on this thread (and
-/// in the bands it fans out), and, if the request is profiled, merges the
-/// recording into the process totals once. Returns `f`'s result, the
-/// recording and whether the request was profiled (only then do its spans
-/// carry timings).
-pub fn request<T>(f: impl FnOnce() -> T) -> (T, TelemetrySnapshot, bool) {
-    let registry = telemetry();
-    let profiled = registry.enabled();
+/// Runs `f` under a fresh recorder rooted at an empty span path, then merges
+/// what it recorded into this thread's enclosing recorder, if any, nested
+/// under the span path open there. Returns `f`'s result and its recording.
+fn nest<T>(timed: bool, f: impl FnOnce() -> T) -> (T, TelemetrySnapshot) {
     let origin = Origin {
-        timed: profiled,
+        timed,
         path: Vec::new(),
     };
     let (out, recorded) = record(&origin, f);
-    if profiled {
-        registry
-            .totals
-            .lock()
-            .expect("telemetry totals poisoned")
-            .merge(&recorded);
-    }
+    RECORDER.with(|slot| {
+        if let Some(r) = slot.borrow_mut().as_mut() {
+            r.snapshot.merge_under(&r.path, &recorded);
+        }
+    });
+    (out, recorded)
+}
+
+/// Runs `f` as one request under its own recorder, which records every count,
+/// lookup and span `f` makes on this thread (and in the bands it fans out).
+/// The request is profiled — its spans carry timings — exactly when the
+/// recorder it runs in is (a [`profile`] scope, or a request or band inside
+/// one); outside any recorder it is unprofiled. When `f` returns, the
+/// recording merges once into that enclosing recorder. Returns `f`'s result,
+/// the recording and whether the request was profiled.
+pub fn request<T>(f: impl FnOnce() -> T) -> (T, TelemetrySnapshot, bool) {
+    let profiled = RECORDER.with(|slot| slot.borrow().as_ref().is_some_and(|r| r.timed));
+    let (out, recorded) = nest(profiled, f);
     (out, recorded, profiled)
+}
+
+/// Runs `f` under a profiled root recorder and returns `f`'s result with its
+/// recording: every request inside `f` is profiled and merges into it once,
+/// so its counters are the sum of theirs. Nested in another recorder, the
+/// recording merges into that one too when `f` returns.
+pub fn profile<T>(f: impl FnOnce() -> T) -> (T, TelemetrySnapshot) {
+    nest(true, f)
 }
 
 /// Adds `n` to a counter of this thread's recorder (a no-op outside any
@@ -677,49 +703,9 @@ pub fn count(counter: Counter, n: u64) {
     });
 }
 
-/// The process-wide half of the instrumentation: the profiling flag requests
-/// read when they start, and the process totals every profiled request
-/// merges into. Obtain it with [`telemetry`].
-pub struct TelemetryRegistry {
-    enabled: AtomicBool,
-    totals: Mutex<TelemetrySnapshot>,
-}
-
-impl TelemetryRegistry {
-    /// Whether requests starting now are profiled.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns profiling on or off for requests that start afterwards. The flag
-    /// is process-wide: a request already running keeps the setting it read
-    /// when it started.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// The process totals: every profiled request's recording, merged.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.totals
-            .lock()
-            .expect("telemetry totals poisoned")
-            .clone()
-    }
-}
-
-/// The process-wide registry: the profiling flag and the process totals.
-pub fn telemetry() -> &'static TelemetryRegistry {
-    static REGISTRY: OnceLock<TelemetryRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| TelemetryRegistry {
-        enabled: AtomicBool::new(false),
-        totals: Mutex::new(TelemetrySnapshot::default()),
-    })
-}
-
 /// An RAII stage span: created by [`span`], records its duration (and its
 /// position in the span tree) into this thread's recorder when dropped. A
-/// span opened outside a profiled request is inert — it reads no clock and
+/// span opened outside a profiled recorder is inert — it reads no clock and
 /// records nothing.
 #[must_use = "a span records on drop; binding it to _ drops it immediately"]
 pub struct StageSpan {
@@ -742,7 +728,7 @@ impl Drop for StageSpan {
 }
 
 /// Opens a stage span nested under whatever spans are already open in this
-/// thread's recorder (inert outside a profiled request).
+/// thread's recorder (inert outside a profiled recorder).
 #[inline]
 pub fn span(stage: Stage) -> StageSpan {
     let timed = RECORDER.with(|slot| match slot.borrow_mut().as_mut() {
@@ -875,10 +861,8 @@ mod tests {
         count(Counter::DispatchAnalytic, 5);
         let ((), inner) = record(&Origin::default(), || count(Counter::DispatchAnalytic, 2));
         assert_eq!(inner.counter(Counter::DispatchAnalytic), 2);
-        // Telemetry is disabled in this test binary: a request still counts
-        // (its report reads cache hits and misses from the recording), but
-        // its spans read no clock and the process totals never move.
-        assert!(!telemetry().enabled());
+        // A request outside any profile still counts (its report reads cache
+        // hits and misses from the recording), but its spans read no clock.
         let ((), recorded, profiled) = request(|| {
             let _run = span(Stage::SweepRun);
             count(Counter::DispatchGeneralLoop, 3);
@@ -887,7 +871,82 @@ mod tests {
         assert_eq!(recorded.counter(Counter::DispatchGeneralLoop), 3);
         assert_eq!(recorded.stage(Stage::SweepRun).count, 0);
         assert!(recorded.tree.children.is_empty());
-        assert_eq!(telemetry().snapshot(), TelemetrySnapshot::default());
+        // And it leaves no recorder behind to collect later counts.
+        assert!(RECORDER.with(|slot| slot.borrow().is_none()));
+    }
+
+    #[test]
+    fn nested_requests_merge_into_the_enclosing_recording_once() {
+        let (requests, profiled) = profile(|| {
+            let _run = span(Stage::SweepRun);
+            let first = request(|| {
+                let _band = span(Stage::SweepBand);
+                count(Counter::DispatchAnalytic, 4);
+                count(Counter::TraceMisses, 1);
+            });
+            let second = request(|| {
+                // A request inside a request merges into it, and from there
+                // into the profile: still once.
+                let ((), inner, _) = request(|| count(Counter::DispatchAnalytic, 2));
+                assert_eq!(inner.counter(Counter::DispatchAnalytic), 2);
+                count(Counter::TraceHits, 3);
+            });
+            [first, second]
+        });
+        let [((), a, a_profiled), ((), b, b_profiled)] = requests;
+        assert!(a_profiled && b_profiled, "requests inherit the profile");
+        // A request's own recording is rooted at itself.
+        assert_eq!(
+            a.tree.children.keys().collect::<Vec<_>>(),
+            [&Stage::SweepBand]
+        );
+        assert_eq!(b.counter(Counter::DispatchAnalytic), 2);
+        // The profile's counters are the sum of its requests' recordings.
+        for c in COUNTERS {
+            assert_eq!(
+                profiled.counter(c),
+                a.counter(c) + b.counter(c),
+                "{}",
+                c.name()
+            );
+        }
+        // The requests' spans nest under the span open where they ran.
+        let run = profiled.tree.children.get(&Stage::SweepRun).expect("root");
+        assert_eq!(run.count, 1);
+        assert_eq!(run.children.get(&Stage::SweepBand).expect("band").count, 1);
+        assert_eq!(profiled.stage(Stage::SweepBand).count, 1);
+        // Nothing is left installed once the profile returns.
+        assert!(RECORDER.with(|slot| slot.borrow().is_none()));
+    }
+
+    #[test]
+    fn profiling_is_scoped_to_the_thread_that_profiles() {
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let profiler = scope.spawn(|| {
+                profile(|| {
+                    barrier.wait();
+                    barrier.wait();
+                    request(|| ()).2
+                })
+            });
+            let bystander = scope.spawn(|| {
+                barrier.wait();
+                // The other thread is inside its profile right now.
+                let ((), recorded, profiled) = request(|| {
+                    let _run = span(Stage::SweepRun);
+                    count(Counter::DispatchCopy, 1);
+                });
+                barrier.wait();
+                (recorded, profiled)
+            });
+            let (inner_profiled, recording) = profiler.join().unwrap();
+            let (recorded, profiled) = bystander.join().unwrap();
+            assert!(inner_profiled);
+            assert!(!profiled, "a request outside any profile is unprofiled");
+            assert_eq!(recorded.stage(Stage::SweepRun).count, 0);
+            assert_eq!(recording.counter(Counter::DispatchCopy), 0);
+        });
     }
 
     #[test]

@@ -496,33 +496,31 @@ fn enumerate_diagonals(
 }
 
 /// Enumerates all Hermite normal forms with the given diagonal: every entry above the
-/// pivot of column `c` ranges over `[0, diag[c])`.
+/// pivot of column `c` ranges over `[0, diag[c])`. The free entries, in row-major
+/// order, advance as an odometer whose last entry varies fastest, so the loop
+/// holds no stack frame per entry (a `d`-dimensional form has `d(d−1)/2` of them).
 fn enumerate_upper_entries(diag: &[i64], emit: &mut impl FnMut(&IntMatrix)) {
     let n = diag.len();
     let mut matrix = IntMatrix::diagonal(diag);
-    // Collect the free positions (r, c) with r < c.
+    // Only entries with more than one value ever move.
     let free: Vec<(usize, usize)> = (0..n)
         .flat_map(|r| (r + 1..n).map(move |c| (r, c)))
+        .filter(|&(_, c)| diag[c] > 1)
         .collect();
-    fn rec(
-        matrix: &mut IntMatrix,
-        free: &[(usize, usize)],
-        diag: &[i64],
-        k: usize,
-        emit: &mut impl FnMut(&IntMatrix),
-    ) {
-        if k == free.len() {
-            emit(matrix);
-            return;
+    'emit: loop {
+        emit(&matrix);
+        // Advance: step the fastest entry that has a next value, resetting
+        // the ones after it; when none has, every form was emitted.
+        for &(r, c) in free.iter().rev() {
+            let v = matrix.get(r, c) + 1;
+            if v < diag[c] {
+                matrix.set(r, c, v);
+                continue 'emit;
+            }
+            matrix.set(r, c, 0);
         }
-        let (r, c) = free[k];
-        for v in 0..diag[c] {
-            matrix.set(r, c, v);
-            rec(matrix, free, diag, k + 1, emit);
-        }
-        matrix.set(r, c, 0);
+        return;
     }
-    rec(&mut matrix, &free, diag, 0, emit);
 }
 
 impl fmt::Debug for Sublattice {
@@ -715,6 +713,97 @@ mod tests {
         assert_eq!(Sublattice::count_with_index(1 << 20, 1).unwrap(), Some(1));
         assert!(Sublattice::count_with_index(0, 4).is_err());
         assert!(Sublattice::count_with_index(2, 0).is_err());
+    }
+
+    /// An FNV-1a fingerprint of an enumeration: every HNF entry, row-major,
+    /// in emission order.
+    fn order_fingerprint(subs: &[Sublattice]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for s in subs {
+            for r in 0..s.dim() {
+                for &entry in s.hnf().row(r) {
+                    hash = (hash ^ entry as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn enumeration_order_is_pinned() {
+        // Search rankings break ties by candidate order, so the emission
+        // order is part of the contract: diagonals in lexicographic order of
+        // their factorization, then entries above the pivots with the last
+        // free entry (row-major) varying fastest.
+        let rows = |s: &Sublattice| (0..2).map(|r| s.hnf().row(r).to_vec()).collect::<Vec<_>>();
+        let four: Vec<Vec<Vec<i64>>> = Sublattice::enumerate_with_index(2, 4)
+            .unwrap()
+            .iter()
+            .map(rows)
+            .collect();
+        assert_eq!(
+            four,
+            [
+                [[1, 0], [0, 4]],
+                [[1, 1], [0, 4]],
+                [[1, 2], [0, 4]],
+                [[1, 3], [0, 4]],
+                [[2, 0], [0, 2]],
+                [[2, 1], [0, 2]],
+                [[4, 0], [0, 1]],
+            ]
+        );
+        // Fingerprints of the full order for every dim 1..=4 and index 1..=8.
+        const PINNED: [[u64; 8]; 4] = [
+            [
+                0xaf63bc4c8601b62c,
+                0xaf63bf4c8601bb45,
+                0xaf63be4c8601b992,
+                0xaf63b94c8601b113,
+                0xaf63b84c8601af60,
+                0xaf63bb4c8601b479,
+                0xaf63ba4c8601b2c6,
+                0xaf63c54c8601c577,
+            ],
+            [
+                0xad2acb7747985917,
+                0xb90992b7f2c6eca7,
+                0x1b5964ccc76a2e88,
+                0xeecdf66d19e840e5,
+                0x041254f605127a89,
+                0xc930eb90a0992b0e,
+                0xb1033eef83ba9030,
+                0x71d70b0d1d20baed,
+            ],
+            [
+                0x5f490f070d449c5c,
+                0x5aa662e75f7298c0,
+                0x0fe0a9c62759892b,
+                0xb02ba1b8d243b8ac,
+                0xf4a77e00306b2b56,
+                0xe974a9cd407588b5,
+                0xd3f25e3026ed80f7,
+                0xa35b997dc4731cd8,
+            ],
+            [
+                0x8d4508b68122c9a9,
+                0x38751427ffa737f9,
+                0x9e0ad124de40d069,
+                0xad4ee2d7ec014a97,
+                0x17eb8ad4ab30f18d,
+                0x0e75880bf80152a7,
+                0x3ae9824adcdfa5a1,
+                0x306ca4331074d673,
+            ],
+        ];
+        let mut got = [[0u64; 8]; 4];
+        for dim in 1..=4 {
+            for index in 1..=8u64 {
+                let subs = Sublattice::enumerate_with_index(dim, index).unwrap();
+                got[dim - 1][index as usize - 1] = order_fingerprint(&subs);
+            }
+        }
+        assert_eq!(got, PINNED, "{got:#x?}");
     }
 
     #[test]

@@ -75,8 +75,9 @@ impl FrameKernel {
     }
 
     /// A kernel memoizing plans in the given cache (and traces in the shared
-    /// process-wide trace cache); useful for sweeps that want their own
-    /// lifetime and hit/miss accounting.
+    /// process-wide trace cache); useful for sweeps that want plans of their
+    /// own lifetime. Hit and miss counts live in each run's telemetry
+    /// request either way.
     pub fn with_cache(cache: Arc<PlanCache>) -> Self {
         FrameKernel {
             cache: Some(cache),
@@ -119,8 +120,8 @@ impl SimBackend for FrameKernel {
     }
 
     fn run(&self, network: &Network, config: &SimConfig) -> Result<SimMetrics> {
-        // Each run is one engine telemetry request, so a profiled run reaches
-        // the process totals: its span, dispatch path and tier lookups.
+        // Each run is one engine telemetry request: its span, dispatch path
+        // and tier lookups count in the recorder the run is made in.
         latsched_engine::telemetry::request(|| self.simulate(network, config)).0
     }
 }
@@ -201,7 +202,17 @@ mod tests {
     use crate::mac::MacPolicy;
     use crate::scenario::{grid_network, tiling_mac};
     use crate::sim::{run_simulation_with, ReferenceKernel};
+    use latsched_engine::telemetry::{request, CacheTier};
     use latsched_tiling::shapes;
+
+    /// Runs `f` as one request: its result, and the (hits, misses) it
+    /// recorded on `tier` (each kernel run inside is a request of its own,
+    /// merged into this one).
+    fn lookups<T>(tier: CacheTier, f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+        let (out, recording, _) = request(f);
+        let count = |hit| recording.counter(tier.counter(hit));
+        (out, (count(true), count(false)))
+    }
 
     fn deterministic_config() -> SimConfig {
         SimConfig {
@@ -272,16 +283,18 @@ mod tests {
         let cache = Arc::new(PlanCache::new());
         let kernel = FrameKernel::with_cache(Arc::clone(&cache));
         let config = deterministic_config();
-        let a = kernel.run(&network, &config).unwrap();
-        let b = kernel.run(&network, &config).unwrap();
+        let run = |config: &SimConfig| kernel.run(&network, config).unwrap();
+        let (a, (hits, misses)) = lookups(CacheTier::Plans, || run(&config));
+        assert_eq!((hits, misses), (0, 1), "plan built once");
+        let (b, (hits, misses)) = lookups(CacheTier::Plans, || run(&config));
+        assert_eq!((hits, misses), (1, 0), "second run replays the cached plan");
         assert_eq!(a, b);
-        assert_eq!(cache.misses(), 1, "plan built once");
-        assert_eq!(cache.hits(), 1, "second run replays the cached plan");
         // A different MAC compiles a different plan under the same network.
         let mut aloha = config.clone();
         aloha.mac = MacPolicy::SlottedAloha { p: 0.2 };
-        kernel.run(&network, &aloha).unwrap();
-        assert_eq!(cache.misses(), 2);
+        let (_, (_, misses)) = lookups(CacheTier::Plans, || run(&aloha));
+        assert_eq!(misses, 1);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -293,18 +306,21 @@ mod tests {
         let mut config = deterministic_config();
         config.traffic = TrafficModel::Bernoulli { p: 0.2 };
         config.slots = 200;
-        let a = kernel.run(&network, &config).unwrap();
-        // A different retry budget reuses the same trace (generation draws do
-        // not depend on MAC-side knobs).
-        config.max_retries = 7;
-        let b = kernel.run(&network, &config).unwrap();
-        assert_eq!(traces.misses(), 1, "one trace per (plan, seed, p, slots)");
-        assert_eq!(traces.hits(), 1);
+        let ((a, b), (hits, misses)) = lookups(CacheTier::Traces, || {
+            let a = kernel.run(&network, &config).unwrap();
+            // A different retry budget reuses the same trace (generation
+            // draws do not depend on MAC-side knobs).
+            config.max_retries = 7;
+            (a, kernel.run(&network, &config).unwrap())
+        });
+        assert_eq!(misses, 1, "one trace per (plan, seed, p, slots)");
+        assert_eq!(hits, 1);
         assert_eq!(a.packets_generated, b.packets_generated);
         // A different seed compiles a different trace.
         config.seed = config.seed.wrapping_add(1);
-        kernel.run(&network, &config).unwrap();
-        assert_eq!(traces.misses(), 2);
+        let (_, (_, misses)) = lookups(CacheTier::Traces, || kernel.run(&network, &config));
+        assert_eq!(misses, 1);
+        assert_eq!(traces.len(), 2);
         // And the traced path stays bit-identical to the reference simulator.
         let reference = run_simulation_with(&ReferenceKernel, &network, &config).unwrap();
         let frame = kernel.run(&network, &config).unwrap();

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example engine_quickstart`
 
+use latsched::engine::telemetry::{request, Counter};
 use latsched::prelude::*;
 use std::time::Instant;
 
@@ -43,13 +44,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Re-running a scenario hits the cache: no tiling search, no table build.
+    // The lookup counts in the telemetry request it runs in.
     let again = Instant::now();
-    cache.get_or_compile(&shapes::moore())?;
+    let (lookup, recording, _) = request(|| cache.get_or_compile(&shapes::moore()));
+    lookup?;
     println!(
-        "cache hit for moore9 in {:?} ({} hits / {} misses so far)",
+        "cache hit for moore9 in {:?} ({} hit / {} miss in this request)",
         again.elapsed(),
-        cache.hits(),
-        cache.misses()
+        recording.counter(Counter::ScheduleHits),
+        recording.counter(Counter::ScheduleMisses)
     );
 
     // The same engine powers ad-hoc point sets (deployed sensor positions).

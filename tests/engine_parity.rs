@@ -2,6 +2,7 @@
 //! `PeriodicSchedule`, over the paper's Figure 2 scenarios and randomized
 //! sublattices.
 
+use latsched::engine::telemetry::{request, Counter};
 use latsched::prelude::*;
 use proptest::prelude::*;
 
@@ -19,10 +20,12 @@ fn figure_scenarios() -> Vec<(&'static str, Prototile, usize)> {
 #[test]
 fn compiled_matches_reference_on_figure2_and_hexagonal_scenarios() {
     let cache = ScheduleCache::new();
+    let mut compilations = 0;
     for (name, shape, expected_slots) in figure_scenarios() {
         let tiling = find_tiling(&shape).unwrap().unwrap();
         let schedule = theorem1::schedule_from_tiling(&tiling);
-        let compiled = cache.get_or_compile(&shape).unwrap();
+        let (compiled, lookups, _) = request(|| cache.get_or_compile(&shape).unwrap());
+        compilations += lookups.counter(Counter::ScheduleMisses);
         assert_eq!(compiled.num_slots(), expected_slots, "{name}");
         assert_eq!(schedule.num_slots(), expected_slots, "{name}");
 
@@ -48,7 +51,7 @@ fn compiled_matches_reference_on_figure2_and_hexagonal_scenarios() {
         );
     }
     // Every shape was compiled exactly once.
-    assert_eq!(cache.misses(), 4);
+    assert_eq!(compilations, 4);
     assert_eq!(cache.len(), 4);
 }
 
@@ -76,20 +79,33 @@ fn compiled_histogram_is_balanced_over_aligned_windows() {
 fn cache_is_shared_across_threads() {
     let cache = ScheduleCache::new();
     let shapes: Vec<Prototile> = figure_scenarios().into_iter().map(|(_, s, _)| s).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let cache = &cache;
-            let shapes = &shapes;
-            scope.spawn(move || {
-                for shape in shapes {
-                    let compiled = cache.get_or_compile(shape).unwrap();
-                    assert_eq!(compiled.num_slots(), shape.len());
-                }
-            });
-        }
+    // Each thread's lookups count in its own request.
+    let lookups: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    let ((), recording, _) = request(|| {
+                        for shape in &shapes {
+                            let compiled = cache.get_or_compile(shape).unwrap();
+                            assert_eq!(compiled.num_slots(), shape.len());
+                        }
+                    });
+                    (
+                        recording.counter(Counter::ScheduleHits),
+                        recording.counter(Counter::ScheduleMisses),
+                    )
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     assert_eq!(cache.len(), 4);
-    assert_eq!(cache.hits() + cache.misses(), 16);
+    let (hits, misses) = lookups
+        .iter()
+        .fold((0, 0), |(h, m), (hit, miss)| (h + hit, m + miss));
+    assert_eq!(hits + misses, 16);
+    // Single-flight: each shape compiled once, whichever thread got there.
+    assert_eq!(misses, 4);
 }
 
 proptest! {

@@ -162,13 +162,13 @@ proptest! {
         let caches = SweepCaches::new();
         let cold = run_search(&spec, &caches).unwrap();
         prop_assert!(!cold.from_cache);
-        let stats_after_cold = caches.stats();
 
         let warm = run_search(&spec, &caches).unwrap();
         prop_assert!(warm.from_cache);
         prop_assert_eq!(&*cold.outcome, &*warm.outcome);
 
-        let delta = caches.stats().since(&stats_after_cold);
+        // The warm search's own lookups, from its recording.
+        let delta = warm.caches;
         prop_assert_eq!((delta.searches.hits, delta.searches.misses), (1, 0));
         for tier in [delta.schedules, delta.adjacencies, delta.plans, delta.traces] {
             prop_assert_eq!((tier.hits, tier.misses), (0, 0));

@@ -5,7 +5,8 @@
 //! accepted spec must hold exactly the retry budgets it was given, loads in
 //! `[0, 1]` and an ALOHA `p` in `[0, 1]`. Windows and ball shapes too large
 //! to build are errors naming their field in every request mode — scenario,
-//! sweep and search — rather than allocation aborts.
+//! sweep and search — rather than allocation aborts, and a one-point shape in
+//! 256 dimensions, which the tiling search admits, completes in every mode.
 
 use latsched_engine::{
     run_scenario, run_search, run_sweep, Scenario, SearchSpec, SweepCaches, SweepMac, SweepSpec,
@@ -263,4 +264,28 @@ fn oversized_windows_and_balls_are_named_errors_in_every_mode() {
             );
         }
     }
+}
+
+#[test]
+fn a_one_point_shape_in_256_dimensions_completes_in_every_mode() {
+    // One candidate sublattice (Z^256 itself), whose Hermite normal form has
+    // 256·255/2 entries above the diagonal: the enumeration must not hold a
+    // stack frame per entry.
+    let shape = format!(r#"{{"kind": "points", "points": [{:?}]}}"#, [0; 256]);
+    let grid = r#""slots": 8, "traffic": {"kind": "bernoulli", "loads": [0.5]},
+        "seeds": [1], "retries": [0]"#;
+    let caches = SweepCaches::new();
+    let scenario = format!(r#"{{"shape": {shape}, "window": 1}}"#);
+    let report = run_scenario(
+        &Scenario::parse_spec(&scenario).unwrap()[0],
+        &caches.schedules,
+    );
+    assert_eq!(report.unwrap().num_slots, 1);
+    let sweep = format!(r#"{{"shape": {shape}, "windows": [1], {grid}}}"#);
+    let report = run_sweep(&SweepSpec::parse_spec(&sweep).unwrap()[0], &caches).unwrap();
+    assert_eq!(report.runs, 1);
+    let search = format!(r#"{{"shape": {shape}, "window": 1, {grid}}}"#);
+    let report = run_search(&SearchSpec::parse_spec(&search).unwrap()[0], &caches).unwrap();
+    let winner = report.winner().expect("a one-node window has a schedule");
+    assert_eq!(winner.period, 1);
 }

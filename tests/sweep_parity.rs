@@ -9,7 +9,7 @@
 
 use latsched::prelude::*;
 use latsched::sensornet::{EnergyAccount, SimMetrics};
-use latsched_engine::telemetry::{telemetry, Counter, COUNTERS, DISPATCH_COUNTERS};
+use latsched_engine::telemetry::{profile, Counter, COUNTERS, DISPATCH_COUNTERS, STAGES};
 use latsched_engine::{
     fold_full_report, run_search, run_sweep, GroupAxis, GroupSpec, KernelCounts, SearchSpec,
     SweepCacheStats, SweepCaches, SweepMac, SweepMode, SweepSpec, SweepTraffic, TelemetrySnapshot,
@@ -151,7 +151,6 @@ fn sweep_runs_match_reference_simulator_on_collapsed_staggered_grids() {
 
 #[test]
 fn profiled_grids_copy_exactly_their_redundant_runs() {
-    telemetry().set_enabled(true);
     // (analytic runs, copies, all dispatches) of one profiled request.
     let mix = |snapshot: Option<TelemetrySnapshot>| {
         let snapshot = snapshot.expect("profiled requests attach a snapshot");
@@ -161,13 +160,17 @@ fn profiled_grids_copy_exactly_their_redundant_runs() {
             snapshot.dispatch_total(),
         )
     };
-    let sweep = |spec: &SweepSpec| mix(run_sweep(spec, &SweepCaches::new()).unwrap().telemetry);
+    let sweep = |spec: &SweepSpec| {
+        let (report, _) = profile(|| run_sweep(spec, &SweepCaches::new()).unwrap());
+        mix(report.telemetry)
+    };
     // The builtin sweep: retries collapse on its conflict-free tiling, so
     // its 2 loads x 8 seeds are simulated and the other 3 budgets copied.
     assert_eq!(sweep(&latsched_engine::builtin_sweep()), (16, 48, 64));
     // The builtin search: 10 candidates share 7 distinct plans, and retries
     // collapse: 7 plans x 2 loads x 4 seeds simulated, 104 of 160 copied.
-    let search = run_search(&latsched_engine::builtin_search(), &SweepCaches::new()).unwrap();
+    let (search, _) =
+        profile(|| run_search(&latsched_engine::builtin_search(), &SweepCaches::new()).unwrap());
     assert_eq!(
         search.caches.traces.hits, 0,
         "repeated plans fetch no trace"
@@ -432,10 +435,7 @@ fn pinned_mix_spec() -> SweepSpec {
 #[test]
 fn profiled_sweep_reports_the_pinned_dispatch_mix() {
     let spec = pinned_mix_spec();
-    // The flag is process-wide: profiled tests turn it on and never off,
-    // since turning it off would unprofile a concurrent test's request.
-    telemetry().set_enabled(true);
-    let report = run_sweep(&spec, &SweepCaches::new()).unwrap();
+    let (report, _) = profile(|| run_sweep(&spec, &SweepCaches::new()).unwrap());
     let snapshot = report.telemetry.expect("profiled sweeps attach a snapshot");
     // Tiling grids over compiled Bernoulli traces replay analytically, and
     // on a conflict-free plan the retry budget cannot change a run: the 8
@@ -564,12 +564,12 @@ fn profile_of(snapshot: Option<TelemetrySnapshot>, caches: SweepCacheStats) -> P
 }
 
 fn sweep_profile(spec: &SweepSpec) -> Profile {
-    let report = run_sweep(spec, &SweepCaches::new()).unwrap();
+    let (report, _) = profile(|| run_sweep(spec, &SweepCaches::new()).unwrap());
     profile_of(report.telemetry, report.caches)
 }
 
 fn search_profile(spec: &SearchSpec) -> Profile {
-    let report = run_search(spec, &SweepCaches::new()).unwrap();
+    let (report, _) = profile(|| run_search(spec, &SweepCaches::new()).unwrap());
     profile_of(report.telemetry, report.caches)
 }
 
@@ -580,7 +580,6 @@ fn assert_concurrent_profiles_match_solo(
     first: impl Fn() -> Profile + Sync,
     second: impl Fn() -> Profile + Sync,
 ) {
-    telemetry().set_enabled(true);
     let (solo_first, solo_second) = (first(), second());
     let barrier = Barrier::new(2);
     for round in 0..4 {
@@ -620,6 +619,67 @@ fn concurrent_profiled_search_and_sweep_each_report_only_their_own_work() {
     assert_concurrent_profiles_match_solo(|| search_profile(&search), || sweep_profile(&aloha));
 }
 
+#[test]
+fn a_profile_records_each_of_its_requests_exactly_once() {
+    // Three requests over shared caches, the last one warm: the profile's
+    // recording is the sum of the three reports' own recordings, counter by
+    // counter and stage by stage.
+    let (sweep, search) = (pinned_mix_spec(), small_search_spec());
+    let caches = SweepCaches::new();
+    let (recordings, profiled) = profile(|| {
+        [
+            run_sweep(&sweep, &caches).unwrap().telemetry,
+            run_search(&search, &caches).unwrap().telemetry,
+            run_sweep(&sweep, &caches).unwrap().telemetry,
+        ]
+    });
+    let recordings: Vec<TelemetrySnapshot> = recordings
+        .into_iter()
+        .map(|r| r.expect("requests inside a profile are profiled"))
+        .collect();
+    for c in COUNTERS {
+        let sum: u64 = recordings.iter().map(|r| r.counter(c)).sum();
+        assert_eq!(profiled.counter(c), sum, "{}", c.name());
+    }
+    for s in STAGES {
+        let sum: u64 = recordings.iter().map(|r| r.stage(s).count).sum();
+        assert_eq!(profiled.stage(s).count, sum, "{}", s.name());
+    }
+    // The last sweep ran warm: it built no trace.
+    assert_eq!(recordings[2].counter(Counter::TraceMisses), 0);
+}
+
+#[test]
+fn requests_outside_a_profile_stay_unprofiled_while_another_thread_profiles() {
+    // One thread profiles, and a sweep on another thread, outside any
+    // profile, runs meanwhile: profiling belongs to the thread's recorder.
+    let spec = pinned_mix_spec();
+    let barrier = Barrier::new(2);
+    let (profiled, bystander) = std::thread::scope(|scope| {
+        let profiler = scope.spawn(|| {
+            profile(|| {
+                barrier.wait();
+                let report = run_sweep(&spec, &SweepCaches::new()).unwrap();
+                barrier.wait();
+                report
+            })
+            .0
+        });
+        let bystander = scope.spawn(|| {
+            barrier.wait();
+            let report = run_sweep(&spec, &SweepCaches::new()).unwrap();
+            barrier.wait();
+            report
+        });
+        (profiler.join().unwrap(), bystander.join().unwrap())
+    });
+    assert!(profiled.telemetry.is_some());
+    assert!(bystander.telemetry.is_none(), "no profile, no telemetry");
+    // Both still count their own lookups.
+    assert_eq!(bystander.caches, profiled.caches);
+    assert_eq!(bystander.per_run, profiled.per_run);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -655,8 +715,7 @@ proptest! {
             retries: (0..retry_count as u32).collect(),
             ..latsched_engine::builtin_sweep()
         };
-        telemetry().set_enabled(true);
-        let report = run_sweep(&spec, &SweepCaches::new()).unwrap();
+        let (report, _) = profile(|| run_sweep(&spec, &SweepCaches::new()).unwrap());
         let snapshot = report.telemetry.expect("profiled sweeps attach a snapshot");
         let total: u64 = DISPATCH_COUNTERS
             .iter()

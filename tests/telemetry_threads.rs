@@ -10,7 +10,7 @@
 //! This lives in its own integration-test binary because `LATSCHED_THREADS`
 //! is read once per process, before any sweep queries the worker pool.
 
-use latsched_engine::telemetry::{telemetry, Counter};
+use latsched_engine::telemetry::{profile, Counter};
 use latsched_engine::{run_sweep, SweepCaches, SweepMac, SweepSpec, SweepTraffic};
 
 #[test]
@@ -30,8 +30,7 @@ fn forced_single_thread_sweeps_report_the_pinned_counters() {
         mac: SweepMac::Tiling,
         ..latsched_engine::builtin_sweep()
     };
-    telemetry().set_enabled(true);
-    let report = run_sweep(&spec, &SweepCaches::new()).unwrap();
+    let (report, _) = profile(|| run_sweep(&spec, &SweepCaches::new()).unwrap());
     let snapshot = report.telemetry.expect("profiled sweeps attach a snapshot");
 
     // Identical to the default-pool profile pinned in sweep_parity.rs: the
