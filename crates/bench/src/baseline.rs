@@ -106,8 +106,9 @@ pub const ENTRIES: [(&str, Measure); 7] = [
     // 100 000 runs: 4 periods × 5 retry budgets × 5 000 seeds, 2 samples;
     // then 160 seeds of the tiling × Bernoulli trace-streaming grid.
     ("aggregate", || Ok(measure_aggregate(5_000, 160, 2)?)),
-    // The builtin Figure-2 search cold against warm, median of 3 per side.
-    ("search", || Ok(measure_search(3)?)),
+    // The builtin Figure-2 search cold against warm, median of 3 per side;
+    // then a 2-run search cold at windows 16 and 64, median of 3 each.
+    ("search", || Ok(measure_search(3, 16, 64)?)),
     // Moore 64×64, 1 024 slots per run, median of 3 per side.
     ("replay", || Ok(measure_replay(64, 1024, 3)?)),
     // The warm acceptance sweep unprofiled and profiled, median of 5 per
@@ -143,7 +144,7 @@ const fn metric(field: &'static str, max_regression: f64) -> Check {
 
 /// The gate table. Besides these rows, every [`ENTRIES`] entry must record
 /// `parity: true` in both files.
-pub const GATES: [(&str, Check); 12] = [
+pub const GATES: [(&str, Check); 13] = [
     ("simkernel", metric("speedup", 0.25)),
     ("sweep", metric("speedup", 0.25)),
     // One worker measures stealing ≈ the static split by design, so the
@@ -162,6 +163,10 @@ pub const GATES: [(&str, Check); 12] = [
     // is huge but noisy. Outcome parity, zero warm misses and the optimal
     // winner are in the entry's `parity`.
     ("search", metric("speedup", 0.9)),
+    // Cold search time per node, large window over small: a search whose
+    // cost grows faster than its window (a dense conflict graph, an O(n³)
+    // colouring) falls far below half.
+    ("search", metric("scaling_efficiency", 0.5)),
     ("replay", metric("analytic_speedup", 0.25)),
     ("replay", metric("lane_speedup", 0.25)),
     ("replay", metric("bernoulli_lane_speedup", 0.25)),
@@ -343,8 +348,8 @@ mod tests {
     fn identical_files_pass_every_row() {
         let file = synthetic();
         let rows = check(&file, &file);
-        // 7 parity rows, 11 metric rows, 2 peak rows.
-        assert_eq!(rows.len(), 20);
+        // 7 parity rows, 12 metric rows, 2 peak rows.
+        assert_eq!(rows.len(), 21);
         assert!(rows.iter().all(|row| row.passed), "{rows:?}");
     }
 
@@ -378,7 +383,11 @@ mod tests {
         remove(&mut fresh, "search", None);
         assert_eq!(
             failures(&committed, &fresh),
-            ["search.parity", "search.speedup"]
+            [
+                "search.parity",
+                "search.speedup",
+                "search.scaling_efficiency"
+            ]
         );
         let mut fresh = synthetic();
         remove(&mut fresh, "telemetry", Some("overhead_ratio"));

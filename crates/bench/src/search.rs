@@ -10,9 +10,35 @@
 //! kernel run — its only cache movement is one hit in the search tier
 //! (asserted as part of parity, together with bit-identical ranked outcomes
 //! and a provably optimal lattice winner).
+//!
+//! The entry also times how cold search cost grows with the window: the same
+//! small search at a small and a large window, as `scaling_efficiency` (1.0
+//! is linear in nodes).
 
 use crate::baseline::{median_ms, Measurement};
-use latsched_engine::{builtin_search, run_search, SearchReport, SweepCaches};
+use latsched_engine::{builtin_search, run_search, SearchReport, SearchSpec, SweepCaches};
+use serde_json::Value;
+
+/// The committed `tests/specs/search_moore_64.json` (the builtin Moore
+/// search cut to 2 seeds, one load, no retries and 128 slots) at the given
+/// window.
+fn scaling_spec(window: i64) -> latsched_engine::Result<SearchSpec> {
+    let text = include_str!("../../../tests/specs/search_moore_64.json");
+    let mut spec = SearchSpec::parse_spec(text)?.remove(0);
+    spec.window = window;
+    Ok(spec)
+}
+
+/// Median cold wall clock of [`scaling_spec`] at `window` over `samples`
+/// searches on fresh caches, and the window's node count.
+fn cold_scaling_ms(samples: usize, window: i64) -> latsched_engine::Result<(f64, usize)> {
+    let spec = scaling_spec(window)?;
+    let mut nodes = Ok(0);
+    let ms = median_ms(samples, || {
+        nodes = run_search(&spec, &SweepCaches::new()).map(|report| report.outcome.nodes);
+    });
+    Ok((ms, nodes?))
+}
 
 /// Times the builtin Figure-2 search cold (fresh [`SweepCaches`] every
 /// sample) against warm (one shared cache set, pre-warmed), checking that the
@@ -22,10 +48,19 @@ use latsched_engine::{builtin_search, run_search, SearchReport, SweepCaches};
 /// `cold_ms / warm_ms`, `warm_caches` the warm search's per-tier counters,
 /// and `parity` whether all three checks held.
 ///
+/// Then times cold searches of `tests/specs/search_moore_64.json` at
+/// `small_window` and `large_window`, each the median of `samples`:
+/// `scaling_efficiency` is
+/// `(large nodes / small nodes) × small ms / large ms`.
+///
 /// # Errors
 ///
 /// Propagates search enumeration, compilation and kernel errors.
-pub fn measure_search(samples: usize) -> latsched_engine::Result<Measurement> {
+pub fn measure_search(
+    samples: usize,
+    small_window: i64,
+    large_window: i64,
+) -> latsched_engine::Result<Measurement> {
     let spec = builtin_search();
 
     // Cold side: every sample pays candidate enumeration, compilation through
@@ -80,6 +115,11 @@ pub fn measure_search(samples: usize) -> latsched_engine::Result<Measurement> {
     });
     let parity = *warm_report.outcome == *cold_report.outcome && zero_miss && optimal_winner;
 
+    let (small_ms, small_nodes) = cold_scaling_ms(samples, small_window)?;
+    let (large_ms, large_nodes) = cold_scaling_ms(samples, large_window)?;
+    let scaling_efficiency =
+        large_nodes as f64 / small_nodes as f64 * small_ms / large_ms.max(1e-9);
+
     Ok(Measurement::new(format!(
         "cold vs warm schedule search: builtin Figure-2 Moore search, \
          {} candidates x {} runs, 16x16 window, objective {}",
@@ -95,6 +135,13 @@ pub fn measure_search(samples: usize) -> latsched_engine::Result<Measurement> {
     .with("warm_ms", warm_ms)
     .with("speedup", cold_ms / warm_ms.max(1e-9))
     .with("warm_caches", warm_caches.to_json_value())
+    .with(
+        "scaling_windows",
+        vec![Value::from(small_window), Value::from(large_window)],
+    )
+    .with("scaling_small_ms", small_ms)
+    .with("scaling_large_ms", large_ms)
+    .with("scaling_efficiency", scaling_efficiency)
     .with("parity", parity))
 }
 
@@ -104,8 +151,9 @@ mod tests {
 
     #[test]
     fn baseline_measures_and_serializes() {
-        // One sample: this test checks plumbing and parity, not performance.
-        let baseline = measure_search(1).unwrap();
+        // One sample and small windows: this test checks plumbing and
+        // parity, not performance.
+        let baseline = measure_search(1, 4, 8).unwrap();
         assert!(baseline.num("candidates") > 0.0);
         assert_eq!(baseline.num("nodes"), 256.0);
         assert!(
@@ -116,6 +164,7 @@ mod tests {
         let json = baseline.to_json_value();
         assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));
         assert!(json.get("speedup").unwrap().as_f64().unwrap() > 0.0);
+        assert!(baseline.num("scaling_efficiency") > 0.0);
         let tier = |name: &str, count: &str| {
             let caches = json.get("warm_caches").unwrap();
             caches

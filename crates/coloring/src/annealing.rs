@@ -73,7 +73,7 @@ pub fn anneal_with_colors(
             }
             // Change in the number of conflicting edges incident to v.
             let mut delta: i64 = 0;
-            for u in graph.neighbours(v) {
+            for &u in graph.neighbours(v) {
                 if assignment[u] == old {
                     delta -= 1;
                 }

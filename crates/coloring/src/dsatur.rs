@@ -53,7 +53,7 @@ pub fn dsatur_coloring(graph: &ConflictGraph) -> Result<Coloring> {
             .find(|c| !neighbour_colors[v].contains(c))
             .expect("n colours always suffice");
         colors[v] = c;
-        for u in graph.neighbours(v) {
+        for &u in graph.neighbours(v) {
             neighbour_colors[u].insert(c);
         }
     }

@@ -100,7 +100,7 @@ fn colour_with(graph: &ConflictGraph, k: usize) -> Option<Vec<usize>> {
             .map(|&c| c + 1)
             .unwrap_or(0);
         for c in 0..k.min(used_so_far + 1) {
-            let clash = graph.neighbours(v).into_iter().any(|u| colors[u] == c);
+            let clash = graph.neighbours(v).iter().any(|&u| colors[u] == c);
             if clash {
                 continue;
             }

@@ -12,7 +12,6 @@ use crate::error::{ColoringError, Result};
 use latsched_core::{Deployment, FiniteDeployment};
 use latsched_lattice::Point;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A directed interference graph over a finite set of sensors.
@@ -124,35 +123,8 @@ impl InterferenceGraph {
     /// (equivalently: one affects the other, or they affect a common sensor, or a
     /// common sensor is affected by both — the hidden-terminal situation).
     pub fn conflict_graph(&self) -> ConflictGraph {
-        let n = self.positions.len();
-        // Symmetrized adjacency (distance-1 relation).
-        let mut near: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        for (v, outs) in self.out.iter().enumerate() {
-            for &u in outs {
-                near[v].insert(u);
-                near[u].insert(v);
-            }
-        }
-        let mut adjacency = vec![vec![false; n]; n];
-        for v in 0..n {
-            // Distance 1.
-            for &u in &near[v] {
-                if u != v {
-                    adjacency[v][u] = true;
-                    adjacency[u][v] = true;
-                }
-            }
-            // Distance 2 through any intermediate w.
-            for &w in &near[v] {
-                for &u in &near[w] {
-                    if u != v {
-                        adjacency[v][u] = true;
-                        adjacency[u][v] = true;
-                    }
-                }
-            }
-        }
-        ConflictGraph { adjacency }
+        ConflictGraph::from_interference(self.out.iter().map(|outs| outs.iter().copied()))
+            .expect("a constructed interference graph is non-empty and indexes its own vertices")
     }
 }
 
@@ -168,10 +140,13 @@ impl fmt::Display for InterferenceGraph {
 }
 
 /// An undirected conflict graph: vertices that are adjacent must receive different
-/// time slots. This is the graph that all colouring baselines operate on.
+/// time slots. This is the graph that all colouring baselines operate on, stored as
+/// one ascending neighbour list per vertex (on a lattice window, at most a number of
+/// entries fixed by the shape, however large the window).
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct ConflictGraph {
-    adjacency: Vec<Vec<bool>>,
+    /// `neighbours[v]` lists the vertices adjacent to `v`, ascending, without `v`.
+    neighbours: Vec<Vec<usize>>,
 }
 
 impl ConflictGraph {
@@ -186,83 +161,108 @@ impl ConflictGraph {
             return Err(ColoringError::EmptyGraph);
         }
         let n = adjacency.len();
-        let mut sym = vec![vec![false; n]; n];
-        for (i, row) in adjacency.iter().enumerate() {
-            for (j, &edge) in row.iter().enumerate().take(n) {
-                if edge && i != j {
-                    sym[i][j] = true;
-                    sym[j][i] = true;
+        let edge = |i: usize, j: usize| adjacency[i].get(j) == Some(&true);
+        let neighbours = (0..n)
+            .map(|i| {
+                (0..n)
+                    .filter(|&j| j != i && (edge(i, j) || edge(j, i)))
+                    .collect()
+            })
+            .collect();
+        Ok(ConflictGraph { neighbours })
+    }
+
+    /// The distance-2 conflict graph of a directed interference graph given by its
+    /// out-neighbour lists (`v`'s list names the vertices `v` affects): two vertices
+    /// conflict iff they are within distance 2 once every edge is made undirected.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ColoringError::EmptyGraph`] for no lists and
+    /// [`ColoringError::VertexOutOfRange`] for a neighbour id that is not a vertex.
+    pub fn from_interference<I, L>(out_lists: I) -> Result<Self>
+    where
+        I: IntoIterator<Item = L>,
+        I::IntoIter: ExactSizeIterator,
+        L: IntoIterator<Item = usize>,
+    {
+        let out_lists = out_lists.into_iter();
+        let vertices = out_lists.len();
+        if vertices == 0 {
+            return Err(ColoringError::EmptyGraph);
+        }
+        // The undirected (distance-1) relation, then every row's 2-hop closure.
+        let mut near = vec![Vec::new(); vertices];
+        for (v, outs) in out_lists.enumerate() {
+            for u in outs {
+                if u >= vertices {
+                    return Err(ColoringError::VertexOutOfRange {
+                        vertex: u,
+                        vertices,
+                    });
                 }
+                near[v].push(u);
+                near[u].push(v);
             }
         }
-        Ok(ConflictGraph { adjacency: sym })
+        for list in &mut near {
+            list.sort_unstable();
+            list.dedup();
+        }
+        let two_hop = |v: usize| near[v].iter().chain(near[v].iter().flat_map(|&w| &near[w]));
+        let neighbours = (0..vertices)
+            .map(|v| {
+                let mut row: Vec<usize> = two_hop(v).copied().filter(|&u| u != v).collect();
+                row.sort_unstable();
+                row.dedup();
+                row
+            })
+            .collect();
+        Ok(ConflictGraph { neighbours })
     }
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.adjacency.len()
+        self.neighbours.len()
     }
 
     /// Whether the graph has no vertices (never true for a validly constructed graph).
     pub fn is_empty(&self) -> bool {
-        self.adjacency.is_empty()
+        self.neighbours.is_empty()
     }
 
     /// Whether two vertices conflict.
     pub fn conflicts(&self, a: usize, b: usize) -> bool {
-        self.adjacency[a][b]
+        self.neighbours[a].binary_search(&b).is_ok()
     }
 
     /// The degree of a vertex.
     pub fn degree(&self, v: usize) -> usize {
-        self.adjacency[v].iter().filter(|&&b| b).count()
+        self.neighbours[v].len()
     }
 
-    /// The neighbours of a vertex.
-    pub fn neighbours(&self, v: usize) -> Vec<usize> {
-        self.adjacency[v]
-            .iter()
-            .enumerate()
-            .filter_map(|(u, &b)| if b { Some(u) } else { None })
-            .collect()
+    /// The neighbours of a vertex, ascending.
+    pub fn neighbours(&self, v: usize) -> &[usize] {
+        &self.neighbours[v]
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.adjacency
-            .iter()
-            .enumerate()
-            .map(|(i, row)| row.iter().skip(i + 1).filter(|&&b| b).count())
-            .sum()
+        self.neighbours.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Checks whether a colouring (one colour per vertex) is proper.
     pub fn is_proper(&self, colors: &[usize]) -> bool {
-        if colors.len() != self.len() {
-            return false;
-        }
-        for i in 0..self.len() {
-            for j in i + 1..self.len() {
-                if self.adjacency[i][j] && colors[i] == colors[j] {
-                    return false;
-                }
-            }
-        }
-        true
+        colors.len() == self.len() && self.conflict_count(colors) == 0
     }
 
     /// The number of conflicting (monochromatic) edges of a colouring; zero iff
     /// proper.
     pub fn conflict_count(&self, colors: &[usize]) -> usize {
-        let mut count = 0;
-        for i in 0..self.len() {
-            for j in i + 1..self.len() {
-                if self.adjacency[i][j] && colors.get(i) == colors.get(j) {
-                    count += 1;
-                }
-            }
-        }
-        count
+        (0..self.len())
+            .flat_map(|v| self.neighbours[v].iter().map(move |&u| (v, u)))
+            .filter(|&(v, u)| u > v && colors.get(u) == colors.get(v))
+            .count()
     }
 
     /// Size of a maximal clique found greedily (largest-degree-first): a lower bound
@@ -273,7 +273,7 @@ impl ConflictGraph {
         order.sort_by_key(|&v| std::cmp::Reverse(self.degree(v)));
         let mut clique: Vec<usize> = Vec::new();
         for v in order {
-            if clique.iter().all(|&u| self.adjacency[v][u]) {
+            if clique.iter().all(|&u| self.conflicts(v, u)) {
                 clique.push(v);
             }
         }
@@ -408,6 +408,23 @@ mod tests {
         assert!(g.conflicts(0, 2));
         assert!(!g.conflicts(2, 2), "diagonal must be ignored");
         assert!(ConflictGraph::from_adjacency(vec![]).is_err());
+    }
+
+    #[test]
+    fn from_interference_closes_directed_paths_at_distance_two() {
+        // 0 → 1 → 2 and a self-loop: 0 and 2 share the receiver 1, so all three
+        // conflict; the self-loop is dropped.
+        let g = ConflictGraph::from_interference([vec![1], vec![2, 1], vec![]]).unwrap();
+        assert_eq!(g.neighbours(0), &[1, 2]);
+        assert_eq!(g.neighbours(1), &[0, 2]);
+        assert_eq!(g.edge_count(), 3);
+        let isolated = ConflictGraph::from_interference([vec![], vec![]]).unwrap();
+        assert_eq!(isolated.edge_count(), 0);
+        assert_eq!(
+            ConflictGraph::from_interference(Vec::<Vec<usize>>::new()).unwrap_err(),
+            ColoringError::EmptyGraph
+        );
+        assert!(ConflictGraph::from_interference([vec![2]]).is_err());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn greedy_coloring(graph: &ConflictGraph, order: GreedyOrder) -> Result<Colo
     let mut colors = vec![usize::MAX; n];
     for &v in &vertices {
         let mut used = vec![false; n];
-        for u in graph.neighbours(v) {
+        for &u in graph.neighbours(v) {
             if colors[u] != usize::MAX {
                 used[colors[u]] = true;
             }

@@ -11,6 +11,11 @@
 //! this crate provide (a) the classical comparison points for experiment E6 and (b)
 //! independent optimality cross-checks on small instances.
 //!
+//! Every algorithm colours a [`ConflictGraph`], stored as sorted neighbour lists: the
+//! distance-2 closure that [`ConflictGraph::from_interference`] computes from any
+//! directed adjacency's out-neighbour lists (as [`InterferenceGraph::conflict_graph`]
+//! does from its own).
+//!
 //! ## Example
 //!
 //! ```

@@ -170,13 +170,16 @@ pub struct Log2Histogram {
 
 impl Default for Log2Histogram {
     fn default() -> Self {
-        Log2Histogram {
-            buckets: [0; LOG2_BUCKETS],
-        }
+        Log2Histogram::EMPTY
     }
 }
 
 impl Log2Histogram {
+    /// The histogram of no observations.
+    pub(crate) const EMPTY: Log2Histogram = Log2Histogram {
+        buckets: [0; LOG2_BUCKETS],
+    };
+
     /// The bucket index of a value.
     #[inline]
     pub fn bucket_of(v: u64) -> usize {

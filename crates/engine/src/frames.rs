@@ -10,12 +10,11 @@
 //! slot instead of scanning every node.
 //!
 //! The companion [`InterferenceCsr`] flattens the per-node neighbour lists of an
-//! interference graph into one contiguous CSR adjacency (with a word-grouped
-//! bitset view), so the kernel's interference passes stream over dense index
-//! arrays instead of chasing one heap-allocated `Vec` per node. [`FramePlan`]
-//! fuses the two: it relabels nodes slot-major so each slot's candidates — and
-//! their adjacency data — occupy one contiguous block, which is the layout
-//! [`crate::run_frames`] executes.
+//! interference graph into one contiguous CSR adjacency, so the kernel's
+//! interference passes stream over dense index arrays instead of chasing one
+//! heap-allocated `Vec` per node. [`FramePlan`] fuses the two: it relabels nodes
+//! slot-major so each slot's candidates — and their adjacency data — occupy one
+//! contiguous block, which is the layout [`crate::run_frames`] executes.
 
 use crate::error::{EngineError, Result};
 use latsched_core::SlotSource;
@@ -70,16 +69,6 @@ pub struct InterferenceCsr {
     offsets: Vec<u32>,
     /// Concatenated neighbour lists.
     targets: Vec<u32>,
-    /// `mask_offsets[v]..mask_offsets[v + 1]` indexes the word-grouped view of
-    /// `v`'s neighbours: `mask_words[k]` is a `u64`-bitset word index and
-    /// `mask_bits[k]` the neighbour bits of `v` within that word. Consecutive
-    /// same-word neighbours share one entry, so the simulation kernel touches
-    /// one word per entry instead of one word per edge.
-    mask_offsets: Vec<u32>,
-    /// Bitset word index of each mask entry.
-    mask_words: Vec<u32>,
-    /// Neighbour bits within the word of each mask entry.
-    mask_bits: Vec<u64>,
     /// Content fingerprint of the adjacency (nodes + edge lists), used by the
     /// engine's plan cache to content-address plans without cloning the CSR.
     fingerprint: u64,
@@ -103,22 +92,15 @@ impl InterferenceCsr {
         }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(edges);
-        let mut mask_offsets = Vec::with_capacity(n + 1);
-        let mut mask_words = Vec::new();
-        let mut mask_bits = Vec::new();
         offsets.push(0u32);
-        mask_offsets.push(0u32);
         for list in lists {
-            let node_start = mask_words.len();
             for &u in list.as_ref() {
                 if u >= n {
                     return Err(EngineError::NodeOutOfRange { node: u, nodes: n });
                 }
                 targets.push(u as u32);
-                push_grouped(&mut mask_words, &mut mask_bits, node_start, u as u32);
             }
             offsets.push(targets.len() as u32);
-            mask_offsets.push(mask_words.len() as u32);
         }
         let fingerprint = fingerprint_words(
             n as u64,
@@ -130,9 +112,6 @@ impl InterferenceCsr {
         Ok(InterferenceCsr {
             offsets,
             targets,
-            mask_offsets,
-            mask_words,
-            mask_bits,
             fingerprint,
         })
     }
@@ -163,15 +142,6 @@ impl InterferenceCsr {
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
         (self.offsets[v + 1] - self.offsets[v]) as usize
-    }
-
-    /// The word-grouped view of node `v`'s neighbours: parallel slices of
-    /// bitset word indices and the neighbour bits within each word. The bits
-    /// across all entries partition `v`'s neighbour list (one bit per edge).
-    #[inline]
-    pub fn mask_entries(&self, v: usize) -> (&[u32], &[u64]) {
-        let range = self.mask_offsets[v] as usize..self.mask_offsets[v + 1] as usize;
-        (&self.mask_words[range.clone()], &self.mask_bits[range])
     }
 }
 
@@ -475,15 +445,10 @@ impl FramePlan {
         self.degrees[v]
     }
 
-    /// The pre-relabelling id of relabelled node `v` (the id the network and
-    /// the reference simulator use). Counter-based RNG draws are keyed by
-    /// these ids, making the relabelling invisible to stochastic workloads.
-    #[inline]
-    pub fn original_id(&self, v: usize) -> u32 {
-        self.old_of_new[v]
-    }
-
-    /// All pre-relabelling ids, indexed by relabelled node id.
+    /// All pre-relabelling ids (the ids the network and the reference
+    /// simulator use), indexed by relabelled node id. Counter-based RNG draws
+    /// are keyed by these ids, making the relabelling invisible to stochastic
+    /// workloads.
     #[inline]
     pub fn original_ids(&self) -> &[u32] {
         &self.old_of_new

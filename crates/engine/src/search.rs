@@ -24,8 +24,8 @@
 //!   `latsched_coloring` on the window's distance-2 conflict graph: plain
 //!   TDMA, greedy (natural and largest-degree-first orders), DSATUR,
 //!   simulated annealing, and exact branch-and-bound on small windows. The
-//!   conflict-graph vertex order is the lexicographic window order, exactly
-//!   the engine's grid node order, so a coloring *is* a slot assignment.
+//!   conflict graph is the distance-2 closure of tier 2's window adjacency,
+//!   so its vertices are the grid's nodes and a coloring *is* a slot assignment.
 //!
 //! Every candidate compiles through the shared [`SweepCaches`] tiers
 //! (schedule → adjacency → plan → trace). The evaluation grid (`candidates ×
@@ -62,7 +62,7 @@ use crate::telemetry::{self, span, Counter, Stage, TelemetrySnapshot};
 use crate::FramePlan;
 use latsched_coloring::{
     annealing_coloring, dsatur_coloring, exact_coloring, greedy_coloring, tdma_coloring,
-    AnnealingParams, Coloring, ConflictGraph, InterferenceGraph,
+    AnnealingParams, Coloring, ConflictGraph,
 };
 use latsched_core::{optimality, theorem1, Deployment};
 use latsched_lattice::BoxRegion;
@@ -637,6 +637,10 @@ fn coloring_candidates(
     ];
     let mut produced: Vec<(&'static str, Coloring)> = Vec::new();
     for name in GENERATORS.into_iter().take(budget) {
+        if name == "exact" && conflicts.len() > EXACT_MAX_VERTICES {
+            continue;
+        }
+        let _span = span(Stage::ColoringGenerator);
         let coloring = match name {
             "tdma" => tdma_coloring(conflicts),
             "greedy-natural" => greedy_coloring(conflicts, latsched_coloring::GreedyOrder::Natural),
@@ -647,9 +651,6 @@ fn coloring_candidates(
             "dsatur" => dsatur_coloring(conflicts),
             "annealing" => annealing_coloring(conflicts, &AnnealingParams::default()),
             "exact" => {
-                if conflicts.len() > EXACT_MAX_VERTICES {
-                    continue;
-                }
                 // DSATUR precedes exact in the generator order, so its color
                 // count is available as the branch-and-bound budget.
                 let bound = produced
@@ -685,6 +686,7 @@ fn execute_search(
 
     // Enumerate the candidates, lattice family first (so candidate ids give
     // the paper's construction the tie-break under period-equal scores).
+    let enumerate = span(Stage::CandidateEnumerate);
     let mut candidates: Vec<Candidate> = Vec::new();
     if spec.families.contains(&SearchFamily::Lattice) {
         let witnesses = sublattice_search::tiling_sublattices(shape)?;
@@ -718,12 +720,14 @@ fn execute_search(
         }
     }
     if spec.families.contains(&SearchFamily::Coloring) {
-        // The interference graph's vertex order is the lexicographic window
-        // order — identical to `grid_adjacency`'s node ids — so a coloring is
-        // directly a per-node slot assignment over the shared adjacency.
-        let graph =
-            InterferenceGraph::from_window(&region, deployment.clone()).map_err(coloring_err)?;
-        let conflicts = graph.conflict_graph();
+        // The conflict graph closes the plans' own adjacency, so a coloring
+        // is directly a per-node slot assignment over it.
+        let conflicts = {
+            let _span = span(Stage::ConflictGraph);
+            let out_lists =
+                (0..nodes).map(|v| adjacency.neighbours_of(v).iter().map(|&u| u as usize));
+            ConflictGraph::from_interference(out_lists).map_err(coloring_err)?
+        };
         for (name, coloring) in coloring_candidates(&conflicts, budget)? {
             let period = coloring.colors_used.max(1);
             let plan = caches
@@ -741,6 +745,7 @@ fn execute_search(
             });
         }
     }
+    drop(enumerate);
     if candidates.is_empty() {
         return Err(invalid("search enumerated no candidates"));
     }

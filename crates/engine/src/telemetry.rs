@@ -267,6 +267,12 @@ pub enum Stage {
     TraceCompile,
     /// One cold schedule search (candidate enumeration + evaluation).
     SearchCompile,
+    /// A search's candidate enumeration, both families up to their plans.
+    CandidateEnumerate,
+    /// The distance-2 conflict graph the colouring family colours.
+    ConflictGraph,
+    /// One colouring generator's run over the conflict graph.
+    ColoringGenerator,
     /// The single-threaded setup phase of a sweep (artifact resolution).
     SweepSetup,
     /// The parallel execution phase of a sweep.
@@ -280,14 +286,17 @@ pub enum Stage {
     FrameSimRun,
 }
 
-/// Every stage, in declaration order (the dense index order of a snapshot's
-/// stage array).
-pub const STAGES: [Stage; 10] = [
+/// Every stage, in declaration order (the order a snapshot lists its stages
+/// in).
+pub const STAGES: [Stage; 13] = [
     Stage::ScheduleCompile,
     Stage::AdjacencyBuild,
     Stage::PlanFuse,
     Stage::TraceCompile,
     Stage::SearchCompile,
+    Stage::CandidateEnumerate,
+    Stage::ConflictGraph,
+    Stage::ColoringGenerator,
     Stage::SweepSetup,
     Stage::SweepRun,
     Stage::SweepBand,
@@ -304,16 +313,15 @@ impl Stage {
             Stage::PlanFuse => "plan_fuse",
             Stage::TraceCompile => "trace_compile",
             Stage::SearchCompile => "search_compile",
+            Stage::CandidateEnumerate => "candidate_enumerate",
+            Stage::ConflictGraph => "conflict_graph",
+            Stage::ColoringGenerator => "coloring_generator",
             Stage::SweepSetup => "sweep_setup",
             Stage::SweepRun => "sweep_run",
             Stage::SweepBand => "sweep_band",
             Stage::FoldMerge => "fold_merge",
             Stage::FrameSimRun => "framesim_run",
         }
-    }
-
-    fn index(self) -> usize {
-        self as usize
     }
 }
 
@@ -405,7 +413,9 @@ impl StageStats {
 #[derive(Clone, Default, PartialEq, Debug)]
 pub struct TelemetrySnapshot {
     counters: [u64; COUNTERS.len()],
-    stages: [StageStats; STAGES.len()],
+    /// Statistics of the stages that recorded a span: an unprofiled
+    /// recording holds none.
+    stages: BTreeMap<Stage, StageStats>,
     /// The nested stage-time tree (root children are top-level stages).
     pub tree: StageTreeNode,
 }
@@ -416,9 +426,15 @@ impl TelemetrySnapshot {
         self.counters[counter.index()]
     }
 
-    /// The duration statistics of one stage.
+    /// The duration statistics of one stage (empty if it recorded no span).
     pub fn stage(&self, stage: Stage) -> &StageStats {
-        &self.stages[stage.index()]
+        const NO_SPANS: &StageStats = &StageStats {
+            count: 0,
+            total_ns: 0,
+            max_ns: 0,
+            histogram: Log2Histogram::EMPTY,
+        };
+        self.stages.get(&stage).unwrap_or(NO_SPANS)
     }
 
     /// The sum of the seven dispatch counters — over a sweep or search
@@ -439,8 +455,8 @@ impl TelemetrySnapshot {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }
-        for (a, b) in self.stages.iter_mut().zip(&other.stages) {
-            a.merge(b);
+        for (stage, stats) in &other.stages {
+            self.stages.entry(*stage).or_default().merge(stats);
         }
         let node = path.iter().fold(&mut self.tree, |node, stage| {
             node.children.entry(*stage).or_default()
@@ -456,7 +472,7 @@ impl TelemetrySnapshot {
     /// stage last), `ns` its duration.
     fn record_span(&mut self, path: &[Stage], ns: u64) {
         let stage = *path.last().expect("span path is never empty");
-        self.stages[stage.index()].record(ns);
+        self.stages.entry(stage).or_default().record(ns);
         self.tree.record(path, ns);
     }
 
@@ -469,11 +485,7 @@ impl TelemetrySnapshot {
             counters.insert(c.name().to_string(), Value::from(self.counter(c)));
         }
         let mut stages = BTreeMap::new();
-        for s in STAGES {
-            let stats = self.stage(s);
-            if stats.count == 0 {
-                continue;
-            }
+        for (s, stats) in &self.stages {
             let mut map = BTreeMap::new();
             map.insert("count".to_string(), Value::from(stats.count));
             map.insert("total_ns".to_string(), Value::from(stats.total_ns));
@@ -533,11 +545,7 @@ impl TelemetrySnapshot {
             }
         }
         out.push_str("# TYPE latsched_stage_duration_ns histogram\n");
-        for stage in STAGES {
-            let stats = self.stage(stage);
-            if stats.count == 0 {
-                continue;
-            }
+        for (stage, stats) in &self.stages {
             let mut cumulative = 0u64;
             for bucket in 0..LOG2_BUCKETS {
                 let n = stats.histogram.count(bucket);
@@ -808,11 +816,7 @@ impl fmt::Display for TelemetrySnapshot {
             )?;
         }
         writeln!(f, "stages (count · total · mean · p99≥ · max)")?;
-        for stage in STAGES {
-            let stats = self.stage(stage);
-            if stats.count == 0 {
-                continue;
-            }
+        for (stage, stats) in &self.stages {
             let p99 = stats.histogram.percentile_lower_bound(0.99).unwrap_or(0);
             writeln!(
                 f,
@@ -1185,7 +1189,7 @@ mod tests {
             assert_eq!(c.index(), i);
         }
         for (i, s) in STAGES.iter().enumerate() {
-            assert_eq!(s.index(), i);
+            assert_eq!(*s as usize, i);
         }
     }
 }

@@ -105,13 +105,6 @@ impl FrameKernel {
             .as_deref()
             .unwrap_or_else(|| global_trace_cache())
     }
-
-    /// Whether this backend supports the configuration. Since the counter-based
-    /// RNG made stochastic draws order-independent, every valid configuration
-    /// is supported; the method is kept for dispatch symmetry.
-    pub fn supports(_config: &SimConfig) -> bool {
-        true
-    }
 }
 
 impl SimBackend for FrameKernel {
@@ -201,7 +194,7 @@ mod tests {
     use super::*;
     use crate::mac::MacPolicy;
     use crate::scenario::{grid_network, tiling_mac};
-    use crate::sim::{run_simulation_with, ReferenceKernel};
+    use crate::sim::{run_simulation, run_simulation_with, ReferenceKernel};
     use latsched_engine::telemetry::{request, CacheTier};
     use latsched_tiling::shapes;
 
@@ -226,12 +219,20 @@ mod tests {
 
     #[test]
     fn supports_every_configuration() {
+        // `run_simulation` runs this kernel on every configuration: each run
+        // records one kernel dispatch, which the reference kernel never does.
+        let network = grid_network(5, &shapes::moore()).unwrap();
         let mut config = deterministic_config();
-        assert!(FrameKernel::supports(&config));
+        let dispatches = |config: &SimConfig| {
+            let (metrics, recording, _) = request(|| run_simulation(&network, config));
+            assert!(metrics.is_ok());
+            recording.dispatch_total()
+        };
+        assert_eq!(dispatches(&config), 1);
         config.traffic = TrafficModel::Bernoulli { p: 0.1 };
-        assert!(FrameKernel::supports(&config));
+        assert_eq!(dispatches(&config), 1);
         config.mac = MacPolicy::SlottedAloha { p: 0.5 };
-        assert!(FrameKernel::supports(&config));
+        assert_eq!(dispatches(&config), 1);
         assert_eq!(FrameKernel::new().name(), "frame-kernel");
     }
 

@@ -206,20 +206,15 @@ pub trait SimBackend {
     fn run(&self, network: &Network, config: &SimConfig) -> Result<SimMetrics>;
 }
 
-/// Runs one simulation of the given network under the given configuration,
-/// dispatching to the fastest backend that supports it (currently the
-/// frame-compiled kernel for every configuration).
+/// Runs one simulation of the given network under the given configuration on
+/// the frame-compiled kernel, which runs every configuration.
 ///
 /// # Errors
 ///
 /// Propagates configuration validation errors (bad probabilities, mismatched slot
 /// assignments) and lattice errors.
 pub fn run_simulation(network: &Network, config: &SimConfig) -> Result<SimMetrics> {
-    if FrameKernel::supports(config) {
-        run_simulation_with(&FrameKernel::default(), network, config)
-    } else {
-        run_simulation_with(&ReferenceKernel, network, config)
-    }
+    run_simulation_with(&FrameKernel::default(), network, config)
 }
 
 /// Runs one simulation on an explicitly chosen backend (see [`SimBackend`]).

@@ -9,7 +9,7 @@
 
 use latsched::prelude::*;
 use latsched::sensornet::{EnergyAccount, SimMetrics};
-use latsched_engine::telemetry::{profile, Counter, COUNTERS, DISPATCH_COUNTERS, STAGES};
+use latsched_engine::telemetry::{profile, Counter, Stage, COUNTERS, DISPATCH_COUNTERS, STAGES};
 use latsched_engine::{
     fold_full_report, run_search, run_sweep, GroupAxis, GroupSpec, KernelCounts, SearchSpec,
     SweepCacheStats, SweepCaches, SweepMac, SweepMode, SweepSpec, SweepTraffic, TelemetrySnapshot,
@@ -617,6 +617,22 @@ fn concurrent_profiled_sweeps_each_report_only_their_own_work() {
 fn concurrent_profiled_search_and_sweep_each_report_only_their_own_work() {
     let (search, aloha) = (small_search_spec(), aloha_lane_spec());
     assert_concurrent_profiles_match_solo(|| search_profile(&search), || sweep_profile(&aloha));
+}
+
+#[test]
+fn a_profiled_search_places_its_enumeration_time() {
+    // Both families enumerate under `candidate_enumerate`; the colouring
+    // family builds one conflict graph and runs one generator per budget
+    // slot (tdma, greedy-natural, greedy-degree).
+    let (report, _) = profile(|| run_search(&small_search_spec(), &SweepCaches::new()).unwrap());
+    let recording = report
+        .telemetry
+        .expect("profiled requests attach a snapshot");
+    let enumerate =
+        &recording.tree.children[&Stage::SearchCompile].children[&Stage::CandidateEnumerate];
+    assert_eq!(enumerate.count, 1);
+    assert_eq!(enumerate.children[&Stage::ConflictGraph].count, 1);
+    assert_eq!(enumerate.children[&Stage::ColoringGenerator].count, 3);
 }
 
 #[test]
