@@ -59,17 +59,23 @@ pub fn greedy_coloring(graph: &ConflictGraph, order: GreedyOrder) -> Result<Colo
         }
     }
     let mut colors = vec![usize::MAX; n];
+    let mut used = Vec::new();
     for &v in &vertices {
-        let mut used = vec![false; n];
+        // First fit never needs a colour above `degree(v)`: the neighbours
+        // block at most that many of the colours 0..=degree(v). Uncoloured
+        // neighbours (usize::MAX) and higher colours cannot block one.
+        let degree = graph.degree(v);
+        used.clear();
+        used.resize(degree + 1, false);
         for &u in graph.neighbours(v) {
-            if colors[u] != usize::MAX {
+            if colors[u] <= degree {
                 used[colors[u]] = true;
             }
         }
-        let c = (0..n)
-            .find(|&c| !used[c])
-            .expect("n colours always suffice");
-        colors[v] = c;
+        colors[v] = used
+            .iter()
+            .position(|&taken| !taken)
+            .expect("degree + 1 colours always suffice");
     }
     Ok(Coloring::from_assignment(colors))
 }

@@ -40,7 +40,8 @@
 //!    ((window region, shape) → interference adjacency), [`PlanCache`]
 //!    ((assignment, adjacency) → fused plan), [`TraceCache`]
 //!    ((plan fingerprint, seed, load, slots) → compiled [`TrafficTrace`],
-//!    built block-wise from batched [`CounterRng::bernoulli_block`] draws)
+//!    each slot-major word drawn as 64 node lanes by
+//!    [`CounterRng::bernoulli_word`], AVX-512 where the CPU has it)
 //!    and [`SearchCache`] ((scenario, objective) fingerprints → ranked
 //!    [`SearchOutcome`]). Downstream keys embed upstream content
 //!    fingerprints, so any engine — sweeps, the sensornet frame kernel,

@@ -32,10 +32,14 @@
 //!   Draws are keyed by *original* (pre-relabelling) node ids.
 //! * **Compiled traffic traces.** A [`TrafficTrace`] bakes all Bernoulli
 //!   generation draws of a `(seed, p)` pair into per-slot bitmaps once.
-//!   Builds are block-wise batched: each node's draws come from
-//!   [`CounterRng::bernoulli_block`] (one hoisted key and one integer
-//!   threshold per 64 draws), fanned across worker threads node by node, and
-//!   a 64×64 bit transpose turns the node-major draw matrix slot-major.
+//!   A build hoists each node's counter-RNG key once, then draws every
+//!   slot-major bitmap word directly as 64 node lanes
+//!   ([`CounterRng::bernoulli_word`]: one `mix64` and one integer compare
+//!   per draw), in bands of 64 slots fanned across worker threads. The
+//!   lane-word loop exists in two compiled copies, picked once per build by
+//!   CPU detection: on x86_64 with AVX-512F/DQ one copy draws eight lanes
+//!   per instruction, and every other CPU runs the portable copy. Both are
+//!   bit-identical to per-draw [`CounterRng::bernoulli`].
 //!   Traces are shared through the engine's content-addressed
 //!   [`TraceCache`](crate::TraceCache), so sweeps, the retry axis of a grid
 //!   and repeated benchmark samples never rebuild one — and [`run_frames`]
@@ -215,14 +219,14 @@ impl KernelCounts {
 /// prefetching MAC decision bitmaps.
 pub(crate) const TRACE_WORD_LIMIT: u64 = 1 << 28;
 
-/// Draw-matrix words below which a trace build stays on the calling thread;
-/// one word is 64 hoisted-key draws, so this is ~64k draws of work.
+/// Trace words below which a trace build stays on the calling thread; one
+/// word is 64 hoisted-key draws, so this is ~64k draws of work.
 const TRACE_PARALLEL_MIN_WORDS: usize = 1 << 10;
 
 /// Inline-Bernoulli runs with at least this many `node × slot` draws
 /// auto-compile an internal [`TrafficTrace`] instead of drawing per node per
-/// slot: the block build pays one `mix64` per draw (the inline path pays two
-/// plus a float compare) and the replay touches only generating nodes.
+/// slot: the lane-word build pays one `mix64` per draw (the inline path pays
+/// two plus a float compare) and the replay touches only generating nodes.
 const AUTO_TRACE_MIN_DRAWS: u64 = 1 << 12;
 
 /// Upper bound on `period × words` of the per-residue generation bitmaps the
@@ -332,6 +336,94 @@ fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
+/// The trace build's lane-word loop and its two compiled copies. The module
+/// keeps [`TraceCopy`]'s variant private, so the AVX-512 copy runs only
+/// where [`TraceCopy::detect`] chose it.
+mod trace_copy {
+    use latsched_lattice::CounterRng;
+
+    /// Which compiled copy of [`draw_rows`] a trace build runs. Each build
+    /// picks one with [`TraceCopy::detect`]; both write the same bits.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub(crate) struct TraceCopy(Kind);
+
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Kind {
+        /// The loop as written, for every target.
+        Portable,
+        /// The same loop compiled for AVX-512F/DQ: eight 64-bit lanes per
+        /// register, with DQ's `vpmullq` doing the multiplies.
+        #[cfg(target_arch = "x86_64")]
+        Avx512,
+    }
+
+    impl TraceCopy {
+        /// The portable copy, which every CPU runs.
+        pub(crate) const PORTABLE: TraceCopy = TraceCopy(Kind::Portable);
+
+        /// The fastest copy this CPU runs: AVX-512 on an x86_64 CPU that
+        /// reports both `avx512f` and `avx512dq`, the portable copy otherwise.
+        pub(crate) fn detect() -> TraceCopy {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+                return TraceCopy(Kind::Avx512);
+            }
+            TraceCopy::PORTABLE
+        }
+
+        /// Runs this copy of [`draw_rows`].
+        pub(crate) fn draw_rows(
+            self,
+            keys: &[[u64; 64]],
+            threshold: u64,
+            tail: u64,
+            slot0: u64,
+            rows: &mut [u64],
+        ) {
+            match self.0 {
+                Kind::Portable => draw_rows(keys, threshold, tail, slot0, rows),
+                // SAFETY: `Kind::Avx512` is private to this module and built
+                // only by `TraceCopy::detect`, after `is_x86_feature_detected!`
+                // reported both `avx512f` and `avx512dq`, the two features
+                // `draw_rows_avx512` enables.
+                #[cfg(target_arch = "x86_64")]
+                Kind::Avx512 => unsafe { draw_rows_avx512(keys, threshold, tail, slot0, rows) },
+            }
+        }
+    }
+
+    /// Writes the slot-major trace rows of consecutive slots from `slot0`:
+    /// row `k` of `rows` (`keys.len()` words) holds slot `slot0 + k`, and
+    /// its word `w` is [`CounterRng::bernoulli_word`] over the 64 hoisted
+    /// node keys `keys[w]`. The last word of each row is masked with `tail`,
+    /// clearing the lanes of the zero keys that pad the node set to a
+    /// multiple of 64. Always inlined, so each copy compiles its own body.
+    #[inline(always)]
+    fn draw_rows(keys: &[[u64; 64]], threshold: u64, tail: u64, slot0: u64, rows: &mut [u64]) {
+        for (slot, row) in (slot0..).zip(rows.chunks_exact_mut(keys.len())) {
+            for (word, lanes) in row.iter_mut().zip(keys) {
+                *word = CounterRng::bernoulli_word(lanes, threshold, slot);
+            }
+            row[keys.len() - 1] &= tail;
+        }
+    }
+
+    /// [`draw_rows`] compiled for AVX-512F/DQ.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn draw_rows_avx512(
+        keys: &[[u64; 64]],
+        threshold: u64,
+        tail: u64,
+        slot0: u64,
+        rows: &mut [u64],
+    ) {
+        draw_rows(keys, threshold, tail, slot0, rows);
+    }
+}
+
+use trace_copy::TraceCopy;
+
 /// All Bernoulli generation draws of one `(seed, p)` pair over a plan's node
 /// set, compiled into per-slot bitmaps in the plan's relabelled id space.
 ///
@@ -356,20 +448,27 @@ impl TrafficTrace {
     /// Compiles the Bernoulli(`p`) generation draws of `seed`'s traffic stream
     /// over `slots` slots of the plan's node set.
     ///
-    /// The build is block-wise batched: each node's draws along the slot axis
-    /// come from [`CounterRng::bernoulli_block`] — one hoisted node key and
-    /// one precomputed integer threshold per 64 draws — assembled as 64×64
-    /// bit-transposed tiles streamed straight into the slot-major bitmap,
-    /// with the slot bands fanned across worker threads above a size
-    /// threshold. The result is bit-identical to per-`(node, slot)`
-    /// [`CounterRng::bernoulli`] draws.
+    /// The build hoists each node's counter-RNG key once, then draws every
+    /// slot-major bitmap word directly as 64 node lanes
+    /// ([`CounterRng::bernoulli_word`] against one integer threshold), with
+    /// bands of 64 slots fanned across worker threads above a size
+    /// threshold. On x86_64 CPUs that report AVX-512F and AVX-512DQ the
+    /// lane-word loop runs a copy compiled for them, eight draws per
+    /// instruction; elsewhere it runs the portable copy. Both are
+    /// bit-identical to per-`(node, slot)` [`CounterRng::bernoulli`] draws.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidKernelConfig`] for a probability outside
     /// `[0, 1]` or a trace exceeding the size cap.
     pub fn bernoulli(plan: &FramePlan, seed: u64, p: f64, slots: u64) -> Result<TrafficTrace> {
-        TrafficTrace::build(plan, CounterRng::traffic(seed), p, slots)
+        TrafficTrace::build(
+            plan,
+            CounterRng::traffic(seed),
+            p,
+            slots,
+            TraceCopy::detect(),
+        )
     }
 
     /// Compiles the slotted-ALOHA transmission decisions of `seed`'s MAC
@@ -379,8 +478,8 @@ impl TrafficTrace {
     /// [`KernelMac::Aloha`] runs bit for bit — MAC draws are pure functions of
     /// `(seed, node, slot)`, so baking *all* of them (a superset of what a run
     /// consumes, since only backlogged candidates draw inline) changes
-    /// nothing. Shares the batched block build of [`TrafficTrace::bernoulli`],
-    /// on the MAC stream instead of the traffic stream.
+    /// nothing. Shares the lane-word build of [`TrafficTrace::bernoulli`], on
+    /// the MAC stream instead of the traffic stream.
     ///
     /// # Errors
     ///
@@ -392,13 +491,20 @@ impl TrafficTrace {
         p: f64,
         slots: u64,
     ) -> Result<TrafficTrace> {
-        TrafficTrace::build(plan, CounterRng::mac(seed), p, slots)
+        TrafficTrace::build(plan, CounterRng::mac(seed), p, slots, TraceCopy::detect())
     }
 
-    /// The shared block build behind [`TrafficTrace::bernoulli`] and
+    /// The one build behind [`TrafficTrace::bernoulli`] and
     /// [`TrafficTrace::aloha_decisions`]: all Bernoulli(`p`) draws of `rng`
-    /// over the plan's node set, compiled into slot-major bitmaps.
-    fn build(plan: &FramePlan, rng: CounterRng, p: f64, slots: u64) -> Result<TrafficTrace> {
+    /// over the plan's node set, compiled into slot-major bitmaps by the
+    /// given copy of the lane-word loop.
+    pub(crate) fn build(
+        plan: &FramePlan,
+        rng: CounterRng,
+        p: f64,
+        slots: u64,
+        copy: TraceCopy,
+    ) -> Result<TrafficTrace> {
         let _span = crate::telemetry::span(crate::telemetry::Stage::TraceCompile);
         crate::telemetry::count(crate::telemetry::Counter::TraceCompilations, 1);
         if !(0.0..=1.0).contains(&p) {
@@ -413,52 +519,28 @@ impl TrafficTrace {
                 "traffic trace of {n} nodes x {slots} slots exceeds the size cap"
             )));
         }
-        if slots == 0 || n == 0 {
-            return Ok(TrafficTrace {
-                nodes: n,
-                slots,
-                words,
-                bits: vec![0u64; words * slots as usize],
-                counts: vec![0u32; slots as usize],
+        let mut bits = vec![0u64; words * slots as usize];
+        if n > 0 {
+            // One hoisted key per node, 64 to a bitmap word, keyed by
+            // original id; the zero keys past the last node draw too, and the
+            // tail mask clears their lanes.
+            let mut keys = vec![[0u64; 64]; words];
+            for (v, &orig) in plan.original_ids().iter().enumerate() {
+                keys[v / 64][v % 64] = rng.hoist_node(u64::from(orig));
+            }
+            let tail = u64::MAX >> ((64 - n % 64) % 64);
+            let threshold = CounterRng::bernoulli_threshold(p);
+            // Bands of 64 slots (contiguous row bands of the slot-major
+            // bitmap) chunk across worker threads, sharing the keys.
+            let band_words = 64 * words;
+            let mut bands: Vec<&mut [u64]> = bits.chunks_mut(band_words).collect();
+            let min_parallel_bands = TRACE_PARALLEL_MIN_WORDS.div_ceil(band_words).max(2);
+            fill_chunks_min(&mut bands, min_parallel_bands, |offset, chunk| {
+                for (j, band) in chunk.iter_mut().enumerate() {
+                    copy.draw_rows(&keys, threshold, tail, (offset + j) as u64 * 64, band);
+                }
             });
         }
-        let orig = plan.original_ids();
-
-        // Streamed tile build, parallel over slot blocks: one slot block is
-        // 64 consecutive slots — a contiguous row band of the slot-major
-        // bitmap — so the bands chunk across worker threads directly. Within
-        // a band, each 64-node tile is drawn node by node with
-        // `bernoulli_block` (one hoisted key + one integer threshold per 64
-        // draws) and bit-transposed into place; peak memory is the output
-        // bitmap plus one 512-byte tile per thread.
-        let col_words = (slots as usize).div_ceil(64);
-        let block_words = 64 * words;
-        let mut bits = vec![0u64; words * slots as usize];
-        let mut bands: Vec<&mut [u64]> = bits.chunks_mut(block_words).collect();
-        let min_parallel_bands = TRACE_PARALLEL_MIN_WORDS.div_ceil(block_words).max(2);
-        fill_chunks_min(&mut bands, min_parallel_bands, |offset, chunk| {
-            let mut tile = [0u64; 64];
-            for (j, band) in chunk.iter_mut().enumerate() {
-                let slot0 = (offset + j) as u64 * 64;
-                let band_slots = (slots - slot0).min(64) as usize;
-                for bi in 0..words {
-                    for (i, cell) in tile.iter_mut().enumerate() {
-                        let v = bi * 64 + i;
-                        *cell = if v < n {
-                            rng.bernoulli_block(p, u64::from(orig[v]), slot0, band_slots)
-                        } else {
-                            0
-                        };
-                    }
-                    transpose64(&mut tile);
-                    for (k, &cell) in tile.iter().enumerate().take(band_slots) {
-                        band[k * words + bi] = cell;
-                    }
-                }
-            }
-        });
-        debug_assert_eq!(bands.len(), col_words);
-        drop(bands);
         let counts: Vec<u32> = (0..slots as usize)
             .map(|t| {
                 bits[t * words..(t + 1) * words]
@@ -1115,6 +1197,8 @@ fn settle_clean_chain(
 /// `next_free` service cursors instead of queues — each arrival settles in
 /// O(1) via the same `d = max(first_service_ge(a), next_free)` recurrence as
 /// [`settle_clean_chain`], and slots with no arrivals cost one counter read.
+/// The frame position `t mod m` is taken once per slot, so an arrival's wait
+/// for its class `s` is one compare and one subtraction, not two divisions.
 /// (The trace may cover more slots than the run; extra slots are ignored,
 /// exactly as in the general loop.)
 fn run_analytic_trace(
@@ -1133,6 +1217,7 @@ fn run_analytic_trace(
             continue;
         }
         counts.packets_generated += u64::from(trace.count_at(t));
+        let t_mod = t % m;
         for (w, &word) in trace.words_at(t).iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
@@ -1142,7 +1227,10 @@ fn run_analytic_trace(
                 if s == u32::MAX {
                     continue; // silent node: the arrival only adds pending
                 }
-                let d = first_service_ge(t, u64::from(s), m).max(next_free[v]);
+                // first_service_ge(t, s, m), with s < m.
+                let s = u64::from(s);
+                let wait = if s >= t_mod { s - t_mod } else { s + m - t_mod };
+                let d = (t + wait).max(next_free[v]);
                 if d >= slots {
                     continue; // served past the horizon: stays pending
                 }
@@ -2170,10 +2258,19 @@ mod tests {
 
     #[test]
     fn batched_trace_build_matches_per_draw_construction() {
-        // The block-wise build (hoisted keys, integer thresholds, bit
-        // transpose) must reproduce naive per-(node, slot) draws bit for bit,
-        // including at ragged node/slot counts that exercise the padding.
-        for (nodes, slots) in [(1usize, 1u64), (3, 70), (64, 64), (65, 130), (130, 65)] {
+        // Both copies of the lane-word build — the portable one called
+        // directly (so a CPU with AVX-512 still checks it) and the one each
+        // build dispatches to — must reproduce per-(node, slot) draws bit for
+        // bit on both streams, with the padding lanes of the last word clear.
+        // Plans are relabelled slot-major (three slot classes), at node
+        // counts around one word and one above 4096 that is not a multiple
+        // of 64, where slot bands fan out across workers.
+        let dispatched = TraceCopy::detect();
+        println!(
+            "trace copies checked: {:?} (direct), {dispatched:?} (dispatched)",
+            TraceCopy::PORTABLE
+        );
+        for nodes in [1usize, 63, 64, 65, 4161] {
             let assignment: Vec<usize> = (0..nodes).map(|v| v % 3).collect();
             let lists: Vec<Vec<usize>> = (0..nodes)
                 .map(|v| if v + 1 < nodes { vec![v + 1] } else { vec![] })
@@ -2181,27 +2278,44 @@ mod tests {
             let adjacency = InterferenceCsr::from_lists(&lists).unwrap();
             let frames = FrameSchedule::from_assignment(&assignment, 3).unwrap();
             let plan = FramePlan::new(&frames, &adjacency).unwrap();
-            for p in [0.0, 0.037, 0.5, 1.0] {
-                let trace = TrafficTrace::bernoulli(&plan, 99, p, slots).unwrap();
-                let rng = CounterRng::traffic(99);
-                let orig = plan.original_ids();
-                let mut total = 0u64;
-                for t in 0..slots {
-                    let words = trace.words_at(t);
-                    let mut count = 0u32;
-                    for (v, &ov) in orig.iter().enumerate() {
-                        let expected = rng.bernoulli(p, u64::from(ov), t);
-                        let got = words[v / 64] >> (v % 64) & 1 == 1;
-                        assert_eq!(got, expected, "n={nodes} slots={slots} p={p} v={v} t={t}");
-                        count += u32::from(expected);
+            let orig = plan.original_ids();
+            for slots in [1u64, 63, 64, 65, 200] {
+                for p in [0.0, 1e-12, 0.02, 0.5, 1.0] {
+                    for (stream, rng) in [
+                        ("traffic", CounterRng::traffic(99)),
+                        ("mac", CounterRng::mac(99)),
+                    ] {
+                        let portable =
+                            TrafficTrace::build(&plan, rng, p, slots, TraceCopy::PORTABLE).unwrap();
+                        let built = if stream == "traffic" {
+                            TrafficTrace::bernoulli(&plan, 99, p, slots)
+                        } else {
+                            TrafficTrace::aloha_decisions(&plan, 99, p, slots)
+                        }
+                        .unwrap();
+                        for (copy, trace) in
+                            [(TraceCopy::PORTABLE, &portable), (dispatched, &built)]
+                        {
+                            let what = format!("{copy:?} {stream} n={nodes} slots={slots} p={p}");
+                            let mut total = 0u64;
+                            for t in 0..slots {
+                                let words = trace.words_at(t);
+                                let mut count = 0u32;
+                                for (v, &ov) in orig.iter().enumerate() {
+                                    let expected = rng.bernoulli(p, u64::from(ov), t);
+                                    let got = words[v / 64] >> (v % 64) & 1 == 1;
+                                    assert_eq!(got, expected, "{what} v={v} t={t}");
+                                    count += u32::from(expected);
+                                }
+                                assert_eq!(trace.count_at(t), count, "{what} t={t}");
+                                let set: u32 = words.iter().map(|w| w.count_ones()).sum();
+                                assert_eq!(set, count, "{what}: padding lanes set at t={t}");
+                                total += u64::from(count);
+                            }
+                            assert_eq!(trace.total_generated(), total, "{what}");
+                        }
                     }
-                    assert_eq!(trace.count_at(t), count);
-                    // Padding bits beyond `nodes` stay clear.
-                    let tail_bits: u32 = words.iter().map(|w| w.count_ones()).sum();
-                    assert_eq!(tail_bits, count, "padding bits leaked at t={t}");
-                    total += u64::from(count);
                 }
-                assert_eq!(trace.total_generated(), total);
             }
         }
     }

@@ -114,8 +114,8 @@ impl CounterRng {
     }
 
     /// The node-hoisted half of [`CounterRng::draw`]: `draw(node, slot)` equals
-    /// `mix64(hoisted ^ slot·SLOT_C)` for `hoisted = hoist_node(node)`, so a
-    /// block of draws along the slot axis pays the node mixing once instead of
+    /// `mix64(hoisted ^ slot·SLOT_C)` for `hoisted = hoist_node(node)`, so
+    /// draws along the slot axis pay the node mixing once per node instead of
     /// once per draw.
     #[inline]
     #[must_use]
@@ -127,7 +127,7 @@ impl CounterRng {
     /// view `draw >> 11` is below the threshold exactly when
     /// [`CounterRng::uniform`] is below `p`. `p · 2⁵³` is a power-of-two
     /// scaling of an `f64`, hence exact, so the integer comparison reproduces
-    /// the floating-point one bit for bit — which is what lets block draws
+    /// the floating-point one bit for bit — which is what lets lane draws
     /// replace one multiply-compare per draw with one integer compare.
     #[inline]
     #[must_use]
@@ -137,45 +137,14 @@ impl CounterRng {
         (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
     }
 
-    /// Raw draws of one node over a contiguous block of slots:
-    /// `out[i] = draw(node, slot0 + i)`. The node key is hoisted out of the
-    /// loop, so a block costs one `mix64` per draw instead of two.
-    #[inline]
-    pub fn draw_block(&self, node: u64, slot0: u64, out: &mut [u64]) {
-        let hoisted = self.hoist_node(node);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = mix64(hoisted ^ (slot0 + i as u64).wrapping_mul(SLOT_C));
-        }
-    }
-
-    /// Bernoulli(`p`) indicators of one node over a block of up to 64
-    /// consecutive slots, packed into a bitmask: bit `i` of the result is
-    /// `bernoulli(p, node, slot0 + i)` for `i < len`. Draws share one hoisted
-    /// node key and one precomputed integer threshold, making this the batched
-    /// building block of compiled traffic traces.
-    #[inline]
-    #[must_use]
-    pub fn bernoulli_block(&self, p: f64, node: u64, slot0: u64, len: usize) -> u64 {
-        debug_assert!(len <= 64);
-        let hoisted = self.hoist_node(node);
-        let threshold = CounterRng::bernoulli_threshold(p);
-        let mut bits = 0u64;
-        for i in 0..len.min(64) {
-            let draw = mix64(hoisted ^ (slot0 + i as u64).wrapping_mul(SLOT_C));
-            bits |= u64::from(draw >> 11 < threshold) << i;
-        }
-        bits
-    }
-
     /// Bernoulli indicators of up to 64 *keys* at one `(node, slot)`, packed
     /// into a lane word: bit `l` of the result is the Bernoulli draw of the
-    /// `l`-th hoisted key against `threshold` at `slot`. This is the lane-axis
-    /// dual of [`CounterRng::bernoulli_block`]: where a block batches one seed
-    /// over 64 slots, a lane word batches 64 seeds (each contributing one
-    /// pre-hoisted node key from [`CounterRng::hoist_node`]) at one slot —
-    /// the building block of the bit-sliced seed-lane kernel. The threshold
-    /// comes from [`CounterRng::bernoulli_threshold`], so each lane reproduces
-    /// the corresponding scalar [`CounterRng::bernoulli`] bit for bit.
+    /// `l`-th hoisted key against `threshold` at `slot`. A lane word batches
+    /// up to 64 seeds (each contributing one pre-hoisted node key from
+    /// [`CounterRng::hoist_node`]) at one slot — the building block of the
+    /// bit-sliced seed-lane kernel. The threshold comes from
+    /// [`CounterRng::bernoulli_threshold`], so each lane reproduces the
+    /// corresponding scalar [`CounterRng::bernoulli`] bit for bit.
     #[inline]
     #[must_use]
     pub fn bernoulli_lanes(hoisted: &[u64], threshold: u64, slot: u64) -> u64 {
@@ -197,6 +166,36 @@ impl CounterRng {
         let mut bits = acc[0] | acc[1] | acc[2] | acc[3];
         for (l, &h) in chunks.remainder().iter().enumerate() {
             bits |= u64::from(mix64(h ^ slot_mixed) >> 11 < threshold) << (tail + l);
+        }
+        bits
+    }
+
+    /// Bernoulli indicators of exactly 64 hoisted keys at one slot, packed
+    /// into a word: bit `l` of the result is
+    /// `mix64(hoisted[l] ^ slot·SLOT_C) >> 11 < threshold`. For keys from
+    /// [`CounterRng::hoist_node`] and a threshold from
+    /// [`CounterRng::bernoulli_threshold`], that is [`CounterRng::bernoulli`]
+    /// of each key's node at `slot`, bit for bit.
+    ///
+    /// This is the fixed-width body of one slot-major trace word (64 node
+    /// lanes). Unlike [`CounterRng::bernoulli_lanes`] it has no length to
+    /// branch on, so it compiles to straight vector code: eight draws per
+    /// 512-bit register where the caller enables AVX-512F/DQ, which is why
+    /// it is always inlined. Keys past a caller's last node draw too; the
+    /// caller masks their bits.
+    #[inline(always)]
+    #[must_use]
+    pub fn bernoulli_word(hoisted: &[u64; 64], threshold: u64, slot: u64) -> u64 {
+        debug_assert!(threshold <= 1 << 53);
+        let slot_mixed = slot.wrapping_mul(SLOT_C);
+        let mut bits = 0u64;
+        for (l, &h) in hoisted.iter().enumerate() {
+            // `draw < threshold` as the sign of their difference: both are at
+            // most 2⁵³, so the wrapped difference has its top bit set exactly
+            // when the draw is below the threshold. A subtract and a shift
+            // vectorize on every x86_64 level; SSE2 has no 64-bit compare.
+            let below = (mix64(h ^ slot_mixed) >> 11).wrapping_sub(threshold) >> 63;
+            bits |= below << l;
         }
         bits
     }
@@ -254,42 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn draw_block_matches_single_draws() {
-        let rng = CounterRng::traffic(2024);
-        let mut block = [0u64; 100];
-        rng.draw_block(5, 37, &mut block);
-        for (i, &v) in block.iter().enumerate() {
-            assert_eq!(v, rng.draw(5, 37 + i as u64), "offset {i}");
-        }
-    }
-
-    #[test]
-    fn bernoulli_block_matches_single_indicators_bit_for_bit() {
-        let rng = CounterRng::mac(77);
-        for p in [0.0, 1e-12, 0.02, 0.3, 0.5, 0.999, 1.0] {
-            for slot0 in [0u64, 63, 64, 1_000_000] {
-                for len in [1usize, 7, 63, 64] {
-                    let bits = rng.bernoulli_block(p, 9, slot0, len);
-                    for i in 0..len {
-                        assert_eq!(
-                            bits >> i & 1 == 1,
-                            rng.bernoulli(p, 9, slot0 + i as u64),
-                            "p={p} slot0={slot0} i={i}"
-                        );
-                    }
-                    // Bits beyond `len` stay clear.
-                    if len < 64 {
-                        assert_eq!(bits >> len, 0, "p={p} len={len}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn bernoulli_lanes_match_single_indicators_bit_for_bit() {
         // Each lane of a packed multi-seed draw must reproduce the scalar
-        // Bernoulli indicator of its seed's RNG at the same (node, slot).
+        // Bernoulli indicator of its seed's RNG at the same (node, slot), and
+        // the fixed-width `bernoulli_word` must pack a full 64 keys the same.
         let seeds: Vec<u64> = (0..67).map(|i| i * 31 + 5).collect();
         for p in [0.0, 0.02, 0.3, 0.5, 0.999, 1.0] {
             let threshold = CounterRng::bernoulli_threshold(p);
@@ -309,6 +276,13 @@ mod tests {
                         }
                         if lanes < 64 {
                             assert_eq!(bits >> lanes, 0, "p={p} lanes={lanes}");
+                        } else {
+                            let word: &[u64; 64] = hoisted.as_slice().try_into().unwrap();
+                            assert_eq!(
+                                CounterRng::bernoulli_word(word, threshold, slot),
+                                bits,
+                                "p={p} node={node} slot={slot}"
+                            );
                         }
                     }
                 }
