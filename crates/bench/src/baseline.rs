@@ -127,6 +127,20 @@ pub enum Check {
         /// The allowed fractional drop.
         max_regression: f64,
     },
+    /// A higher-is-better ratio of two recorded timings, named `name` and
+    /// gated like [`Check::Metric`]: the `numerator` field of another entry
+    /// (`(entry, field)`) over this entry's `denominator` field. Both files
+    /// already hold both fields, so the row needs no field of its own.
+    Ratio {
+        /// The row's name after the entry's.
+        name: &'static str,
+        /// The reference timing: an entry and one of its fields.
+        numerator: (&'static str, &'static str),
+        /// This entry's timed field.
+        denominator: &'static str,
+        /// The allowed fractional drop.
+        max_regression: f64,
+    },
     /// Every `peak_*_bytes` field of the committed entry, lower-is-better:
     /// the fresh value may not exceed `committed × (1 + max_growth)`.
     PeakBytes {
@@ -152,7 +166,19 @@ pub const GATES: [(&str, Check); 13] = [
     // timing. A multi-core runner measures > 1.0; `cargo bench` asserts the
     // thread-count-dependent floor.
     ("sweep", metric("steal_speedup", 0.4)),
-    ("tracecache", metric("speedup", 0.25)),
+    // The warm sweep against the reference simulator on the same 64-run
+    // grid, both timed in the same process. Cold ÷ warm (the entry's
+    // `speedup`, still recorded) fell whenever trace builds, the cold side,
+    // got faster; this ratio moves only with the warm path.
+    (
+        "tracecache",
+        Check::Ratio {
+            name: "warm_speedup",
+            numerator: ("sweep", "reference_ms"),
+            denominator: "warm_ms",
+            max_regression: 0.25,
+        },
+    ),
     // The aggregate `speedup` is the full-over-streaming peak-allocation
     // ratio, and the streaming peak scales with the worker count (per-band
     // folds, kernel scratch): both bounds are wide. The tight bounds (16 MiB
@@ -199,6 +225,37 @@ impl GateRow {
     }
 }
 
+/// One gate row: the value `read` takes from the committed and the fresh
+/// file, checked by `bound(committed, fresh)`; a value missing from either
+/// file fails the row.
+fn compare(
+    name: String,
+    read: impl Fn(&Value) -> Option<f64>,
+    (committed, fresh): (&Value, &Value),
+    bound: impl Fn(f64, f64) -> (bool, String),
+) -> GateRow {
+    match (read(committed), read(fresh)) {
+        (None, _) => GateRow::new(name, false, "missing from the committed file".into()),
+        (_, None) => GateRow::new(name, false, "missing from the fresh file".into()),
+        (Some(was), Some(now)) => {
+            let (passed, detail) = bound(was, now);
+            GateRow::new(name, passed, detail)
+        }
+    }
+}
+
+/// Whether a higher-is-better value stays above `committed × (1 −
+/// max_regression)`, and the row detail saying so.
+fn floor_check(was: f64, now: f64, max_regression: f64) -> (bool, String) {
+    let change = (now / was - 1.0) * 100.0;
+    let floor = was * (1.0 - max_regression);
+    let detail = format!(
+        "{was:.4} -> {now:.4} ({change:+.1}%), floor {floor:.4} (max regression {:.0}%)",
+        max_regression * 100.0
+    );
+    (now >= floor, detail)
+}
+
 /// Checks a fresh baseline file against the committed one, returning one row
 /// per gated value: the parity of every [`ENTRIES`] entry, then every row of
 /// [`GATES`]. An entry or field missing from either file fails its row.
@@ -220,48 +277,67 @@ pub fn check(committed: &Value, fresh: &Value) -> Vec<GateRow> {
             )
         })
         .collect();
+    let number = |file: &Value, entry: &str, field: &str| {
+        file.get(entry)
+            .and_then(|e| e.get(field))
+            .and_then(Value::as_f64)
+    };
     for (entry, check) in GATES {
-        let fields: Vec<&str> = match check {
-            Check::Metric { field, .. } => vec![field],
-            Check::PeakBytes { .. } => committed
-                .get(entry)
-                .and_then(Value::as_object)
-                .into_iter()
-                .flat_map(|fields| fields.keys())
-                .filter(|field| field.starts_with("peak_") && field.ends_with("_bytes"))
-                .map(String::as_str)
-                .collect(),
-        };
-        if fields.is_empty() {
-            rows.push(GateRow::new(
-                format!("{entry}.peak_*_bytes"),
-                false,
-                "the committed entry has no peak_*_bytes fields".into(),
-            ));
-        }
-        for field in fields {
-            let name = format!("{entry}.{field}");
-            let value = |file: &Value| {
-                file.get(entry)
-                    .and_then(|e| e.get(field))
-                    .and_then(Value::as_f64)
-            };
-            let row = match (value(committed), value(fresh)) {
-                (None, _) => GateRow::new(name, false, "missing from the committed file".into()),
-                (_, None) => GateRow::new(name, false, "missing from the fresh file".into()),
-                (Some(was), Some(now)) => {
-                    let change = (now / was - 1.0) * 100.0;
-                    let (passed, detail) = match check {
-                        Check::Metric { max_regression, .. } => {
-                            let floor = was * (1.0 - max_regression);
-                            let detail = format!(
-                                "{was:.4} -> {now:.4} ({change:+.1}%), floor {floor:.4} \
-                                 (max regression {:.0}%)",
-                                max_regression * 100.0
-                            );
-                            (now >= floor, detail)
-                        }
-                        Check::PeakBytes { max_growth } => {
+        match check {
+            Check::Metric {
+                field,
+                max_regression,
+            } => rows.push(compare(
+                format!("{entry}.{field}"),
+                |file| number(file, entry, field),
+                (committed, fresh),
+                |was, now| floor_check(was, now, max_regression),
+            )),
+            Check::Ratio {
+                name,
+                numerator: (num_entry, num_field),
+                denominator,
+                max_regression,
+            } => {
+                let mut row = compare(
+                    format!("{entry}.{name}"),
+                    |file| {
+                        Some(
+                            number(file, num_entry, num_field)? / number(file, entry, denominator)?,
+                        )
+                    },
+                    (committed, fresh),
+                    |was, now| floor_check(was, now, max_regression),
+                );
+                row.detail = format!(
+                    "{num_entry}.{num_field} / {entry}.{denominator}: {}",
+                    row.detail
+                );
+                rows.push(row);
+            }
+            Check::PeakBytes { max_growth } => {
+                let fields: Vec<&str> = committed
+                    .get(entry)
+                    .and_then(Value::as_object)
+                    .into_iter()
+                    .flat_map(|fields| fields.keys())
+                    .filter(|field| field.starts_with("peak_") && field.ends_with("_bytes"))
+                    .map(String::as_str)
+                    .collect();
+                if fields.is_empty() {
+                    rows.push(GateRow::new(
+                        format!("{entry}.peak_*_bytes"),
+                        false,
+                        "the committed entry has no peak_*_bytes fields".into(),
+                    ));
+                }
+                for field in fields {
+                    rows.push(compare(
+                        format!("{entry}.{field}"),
+                        |file| number(file, entry, field),
+                        (committed, fresh),
+                        |was, now| {
+                            let change = (now / was - 1.0) * 100.0;
                             let ceiling = was * (1.0 + max_growth);
                             let detail = format!(
                                 "{was:.0} -> {now:.0} bytes ({change:+.1}%), ceiling \
@@ -269,12 +345,10 @@ pub fn check(committed: &Value, fresh: &Value) -> Vec<GateRow> {
                                 max_growth * 100.0
                             );
                             (now <= ceiling, detail)
-                        }
-                    };
-                    GateRow::new(name, passed, detail)
+                        },
+                    ));
                 }
-            };
-            rows.push(row);
+            }
         }
     }
     rows
@@ -284,13 +358,22 @@ pub fn check(committed: &Value, fresh: &Value) -> Vec<GateRow> {
 mod tests {
     use super::*;
 
-    /// A file holding every gated entry: each metric 10, two peak fields.
+    /// A file holding every gated entry: each metric and each field a ratio
+    /// reads 10, two peak fields.
     fn synthetic() -> Value {
         let mut file = Value::Object(BTreeMap::new());
         for (entry, check) in GATES {
             set(&mut file, entry, "parity", true.into());
             match check {
                 Check::Metric { field, .. } => set(&mut file, entry, field, 10.0.into()),
+                Check::Ratio {
+                    numerator: (num_entry, num_field),
+                    denominator,
+                    ..
+                } => {
+                    set(&mut file, num_entry, num_field, 10.0.into());
+                    set(&mut file, entry, denominator, 10.0.into());
+                }
                 Check::PeakBytes { .. } => {
                     set(&mut file, entry, "peak_stream_bytes", 1000.0.into());
                     set(&mut file, entry, "peak_full_bytes", 5000.0.into());
@@ -348,7 +431,7 @@ mod tests {
     fn identical_files_pass_every_row() {
         let file = synthetic();
         let rows = check(&file, &file);
-        // 7 parity rows, 12 metric rows, 2 peak rows.
+        // 7 parity rows, 11 metric rows, 1 ratio row, 2 peak rows.
         assert_eq!(rows.len(), 21);
         assert!(rows.iter().all(|row| row.passed), "{rows:?}");
     }
@@ -374,6 +457,19 @@ mod tests {
         set(&mut fresh, "replay", "lane_speedup", 10.0.into());
         set(&mut fresh, "search", "speedup", 7.49.into());
         assert!(failures(&committed, &fresh).is_empty());
+        // The warm ratio may drop 25% too: a warm sweep 1.333× as slow passes,
+        // a slower one fails, and so does a faster reference simulator.
+        set(&mut fresh, "tracecache", "warm_ms", 13.33.into());
+        assert!(failures(&committed, &fresh).is_empty());
+        set(&mut fresh, "tracecache", "warm_ms", 13.34.into());
+        assert_eq!(failures(&committed, &fresh), ["tracecache.warm_speedup"]);
+        set(&mut fresh, "tracecache", "warm_ms", 10.0.into());
+        set(&mut fresh, "sweep", "reference_ms", 7.49.into());
+        assert_eq!(failures(&committed, &fresh), ["tracecache.warm_speedup"]);
+        // Cold over warm is recorded, not gated.
+        set(&mut fresh, "sweep", "reference_ms", 10.0.into());
+        set(&mut fresh, "tracecache", "speedup", 1.0.into());
+        assert!(failures(&committed, &fresh).is_empty());
     }
 
     #[test]
@@ -394,6 +490,14 @@ mod tests {
         assert_eq!(failures(&committed, &fresh), ["telemetry.overhead_ratio"]);
         // A committed file missing a gated metric fails too.
         assert_eq!(failures(&fresh, &committed), ["telemetry.overhead_ratio"]);
+        // A ratio row fails when either of its entries misses its field.
+        let mut fresh = synthetic();
+        remove(&mut fresh, "sweep", Some("reference_ms"));
+        assert_eq!(failures(&committed, &fresh), ["tracecache.warm_speedup"]);
+        assert_eq!(failures(&fresh, &committed), ["tracecache.warm_speedup"]);
+        let mut fresh = synthetic();
+        remove(&mut fresh, "tracecache", Some("warm_ms"));
+        assert_eq!(failures(&committed, &fresh), ["tracecache.warm_speedup"]);
     }
 
     #[test]

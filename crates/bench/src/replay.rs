@@ -10,15 +10,17 @@
 //! * **Seed lanes.** One slotted-ALOHA grid point is run for 64 seeds through
 //!   the bit-sliced lane kernel ([`latsched_engine::run_frames_lanes`], one
 //!   pass over the slot structure, lane `l` of every `u64` word tracking seed
-//!   `l`) against 64 scalar per-seed [`latsched_engine::run_frames`] calls.
+//!   `l`, MAC draws made by the trace build's lane-word loop) against 64
+//!   scalar per-seed [`latsched_engine::run_frames`] calls.
 //! * **Bernoulli seed lanes.** A saturated ALOHA grid point under Bernoulli
-//!   traffic — the lane kernel's bit-planed backlog counters and batched
-//!   `bernoulli_lanes` generation draws — against 64 scalar per-seed runs.
-//!   This comparison runs on a quarter-side window (16×16 for the committed
-//!   64×64 baseline): sweep grid points live at exactly this scale, and it
-//!   keeps the per-`(node, lane)` state cache-resident, where the bit-planed
-//!   counters amortize the per-slot MAC and collision machinery instead of
-//!   being bound by the (equal on both sides) arrival draw cost.
+//!   traffic — the lane kernel's bit-planed backlog counters, per-`(node,
+//!   lane)` arrival bitmaps and one drawn row of generation lane words per
+//!   slot — against 64 scalar per-seed runs, each of which compiles its own
+//!   traffic trace with the same lane-word loop. This comparison runs on a
+//!   quarter-side window (16×16 for the committed 64×64 baseline): sweep
+//!   grid points live at exactly this scale, and it keeps the per-`(node,
+//!   lane)` state cache-resident, where the bit-planed counters amortize the
+//!   per-slot MAC and collision machinery.
 //! * **Partial-conflict analytic replay.** The clean tiling assignment with
 //!   one node moved onto a neighbour's slot (one conflicted slot of nine):
 //!   the hybrid replay (closed-form clean classes, narrowed loop over the

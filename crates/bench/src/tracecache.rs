@@ -4,12 +4,15 @@
 //! (`benches/bench_sweep.rs`) and the `tracecache` entry of `harness --bench`
 //! so both always measure exactly the same thing.
 //!
-//! The measured ratio is the payoff of the tiered artifact pipeline: a warm
-//! sweep skips schedule compilation, plan fusion and — dominating the setup
-//! phase — the `n × slots` counter draws of every `(seed, load)` traffic
-//! trace, so its setup degenerates to adjacency construction plus cache
-//! lookups. Parity is checked per run between the cold and warm reports, and
-//! the warm pass must record zero misses in every tier.
+//! The cold-over-warm ratio is the payoff of the tiered artifact pipeline: a
+//! warm sweep skips schedule compilation, plan fusion and — dominating the
+//! setup phase — the `n × slots` counter draws of every `(seed, load)`
+//! traffic trace, so its setup degenerates to adjacency construction plus
+//! cache lookups. Parity is checked per run between the cold and warm
+//! reports, and the warm pass must record zero misses in every tier. The
+//! ratio is recorded but not gated: it falls whenever trace builds get
+//! faster. The gate divides the `sweep` entry's reference-simulator time on
+//! the same grid by `warm_ms` instead, which only the warm path moves.
 
 use crate::baseline::{median_ms, Measurement};
 use crate::sweep::sweep_spec;

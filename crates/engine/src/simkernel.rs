@@ -78,12 +78,17 @@
 //!   traffic on a conflict-free plan replays in one pass over its arrival
 //!   bitmaps. [`run_frames_loop`] is the measured escape hatch.
 //! * **Bit-sliced seed lanes.** [`run_frames_lanes`] packs up to 64 seeds of
-//!   one configuration into `u64` lane words: one candidate scan, one
-//!   adjacency walk and one batched counter-RNG lane draw per slot serve all
-//!   seeds, interference saturating-counts resolve lane-parallel, and
-//!   per-lane tallies fall out of 64×64 bit transposes — turning the seed
-//!   axis of a sweep into near-free word width while staying bit-identical
-//!   to scalar per-seed runs.
+//!   one configuration into `u64` lane words: one candidate scan and one
+//!   adjacency walk per slot serve all seeds, interference saturating-counts
+//!   resolve lane-parallel, and per-lane tallies fall out of 64×64 bit
+//!   transposes — turning the seed axis of a sweep into near-free word width
+//!   while staying bit-identical to scalar per-seed runs. The batch's
+//!   counter-RNG keys are hoisted once, packed densely across nodes and
+//!   lanes, so each slot's traffic and MAC draws are rows of the trace
+//!   build's lane-word loop, in its AVX-512 copy where the CPU has one.
+//!   Bernoulli arrivals are one bitmap per `(node, lane)` over the run's
+//!   slots plus a head slot, so generating or popping a packet is a bit
+//!   operation, not a queue push or pop.
 //!
 //! Floating-point energy is deliberately *not* computed here: the kernel
 //! reports integer slot counts (`tx_slots`/`rx_slots`/`idle_slots`) so callers
@@ -215,8 +220,9 @@ impl KernelCounts {
 
 /// Upper bound on `words × slots` of one compiled traffic trace: 2^28 words
 /// = 2 GiB of bitmap; the cap keeps accidental huge specs from crashing the
-/// process. `pub(crate)` so the sweep engine applies the same guard before
-/// prefetching MAC decision bitmaps.
+/// process. A Bernoulli lane batch's arrival bitmaps take the same cap
+/// ([`lane_arrival_words`]). `pub(crate)` so the sweep engine applies the
+/// same guard before prefetching MAC decision bitmaps.
 pub(crate) const TRACE_WORD_LIMIT: u64 = 1 << 28;
 
 /// Trace words below which a trace build stays on the calling thread; one
@@ -1608,6 +1614,42 @@ impl LaneTally {
     }
 }
 
+/// Words of the arrival bitmaps a Bernoulli lane batch keeps, one per
+/// `(node, lane)` with one bit per slot, or `None` past
+/// [`TRACE_WORD_LIMIT`], the cap of one traffic trace.
+pub(crate) fn lane_arrival_words(nodes: usize, lanes: usize, slots: u64) -> Option<usize> {
+    (nodes as u64 * lanes as u64)
+        .checked_mul(slots.div_ceil(64))
+        .filter(|&words| words <= TRACE_WORD_LIMIT)
+        .map(|words| words as usize)
+}
+
+/// The `lanes`-bit lane word at bit offset `bit` of a row of densely packed
+/// lane words. When `lanes` does not divide 64 it can span two row words.
+#[inline]
+fn lane_word(row: &[u64], bit: usize, lanes: usize) -> u64 {
+    let (w, s) = (bit / 64, bit % 64);
+    let mut word = row[w] >> s;
+    if s + lanes > 64 {
+        word |= row[w + 1] << (64 - s);
+    }
+    word & u64::MAX >> (64 - lanes)
+}
+
+/// The first set bit after `head` in an arrival bitmap: the generation slot
+/// of the packet queued behind the head. The caller knows there is one.
+#[inline]
+fn next_arrival(bitmap: &[u64], head: u64) -> u64 {
+    let from = head + 1;
+    let mut w = (from / 64) as usize;
+    let mut word = bitmap[w] & u64::MAX << (from % 64);
+    while word == 0 {
+        w += 1;
+        word = bitmap[w];
+    }
+    w as u64 * 64 + u64::from(word.trailing_zeros())
+}
+
 /// Runs up to 64 seeds of one grid point through a single pass over the slot
 /// structure, bit-sliced: lane `l` of every `u64` lane word tracks seed
 /// `seeds[l]`, and the returned counters are bit-identical to running
@@ -1615,10 +1657,8 @@ impl LaneTally {
 ///
 /// One slot loop serves all lanes: the candidate scan, interference adjacency
 /// walk and generation schedule are shared, per-node backlog and transmit
-/// sets widen to lane words, slotted-ALOHA decisions come from batched
-/// counter-RNG lane draws ([`CounterRng::bernoulli_lanes`] over per-`(node,
-/// lane)` hoisted keys), and interference resolves lane-parallel with the
-/// same saturating once/twice masks as `Resolver::resolve` — one `u64`
+/// sets widen to lane words, and interference resolves lane-parallel with
+/// the same saturating once/twice masks as `Resolver::resolve` — one `u64`
 /// operation where the scalar kernel pays one per seed. Accounting is
 /// bit-planed too: transmissions, deliveries, drops, receptions and rx
 /// exposure accumulate through `LaneTally` transposed popcounts, retry
@@ -1626,35 +1666,55 @@ impl LaneTally {
 /// chain (with the retry-budget comparison folded into the same pass), and
 /// collisions follow by conservation (`deg·tx − receptions`) instead of a
 /// second per-edge tally; per-event scalar work survives only for
-/// lane-specific values (delivery latency, queue pops). Bit-exactness rests
-/// on the counter RNG: draws are pure functions of `(seed, node, slot)`, so
-/// masking a batched draw with the backlog is indistinguishable from the
-/// scalar kernel's conditional draws.
+/// lane-specific values (delivery latency, queue pops).
+///
+/// Draws run the trace build's lane-word loop ([`TrafficTrace::bernoulli`]):
+/// the batch hoists the counter-RNG key of every `(node, lane)` once, packed
+/// densely (node `v`'s lanes at bits `v·lanes..`), so one row of lane words
+/// holds every node's draws of one slot, in the loop's AVX-512F/DQ copy
+/// where the CPU reports both features. Bernoulli generation draws one row
+/// per slot; slotted-ALOHA decisions draw the words covering the slot's
+/// candidates from its first backlogged one. Bit-exactness rests on the
+/// counter RNG: draws are pure functions of `(seed, node, slot)`, so any
+/// grouping gives the same bits, and masking a candidate's drawn word with
+/// its backlog is indistinguishable from the scalar kernel's conditional
+/// draws.
 ///
 /// Lanes support deterministic traffic (periodic or staggered — generation is
 /// lane-uniform, so backlog refills are one mask store) *and* Bernoulli
 /// traffic, under scheduled or slotted-ALOHA access, on clean and conflicted
-/// plans. Bernoulli generation draws are batched exactly like the MAC's
-/// ([`CounterRng::bernoulli_lanes`] over per-`(node, lane)` hoisted
-/// traffic-stream keys), and the per-lane backlog counters it needs —
-/// per-lane queue lengths are no longer uniform — are bit-planed like the
-/// retry clock: plane `k` of a node holds bit `k` of every lane's queue
-/// length, incremented by a masked half-adder chain on generation and
-/// decremented by its borrow-chain mirror on pops, with the backlog word
-/// recovered as the planes' OR. Only arrival timestamps (for delivery
-/// latency) stay per-event scalar, touched on generation and pop events
-/// alone.
+/// plans. Bernoulli per-lane queue lengths are not uniform, so they are
+/// bit-planed like the retry clock: plane `k` of a node holds bit `k` of
+/// every lane's queue length, incremented by a masked half-adder chain on
+/// generation and decremented by its borrow-chain mirror on pops, with the
+/// backlog word recovered as the planes' OR. Delivery latency needs each
+/// head packet's generation slot: every `(node, lane)` keeps an arrival
+/// bitmap over the run's slots (one OR per generated packet) and its head
+/// slot, which a pop moves to the next set bit.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError::InvalidKernelConfig`] for an empty or over-64 seed
 /// batch, a trace traffic model (per-seed traces have no lane batching — use
 /// the Bernoulli model they were compiled from), a trace-replayed MAC, a zero
-/// traffic period or an out-of-range probability.
+/// traffic period, an out-of-range probability, or Bernoulli arrival bitmaps
+/// (`nodes × lanes × ⌈slots / 64⌉` words) past the size cap of one traffic
+/// trace.
 pub fn run_frames_lanes(
     plan: &FramePlan,
     config: &KernelConfig,
     seeds: &[u64],
+) -> Result<Vec<KernelCounts>> {
+    run_lane_batch(plan, config, seeds, TraceCopy::detect())
+}
+
+/// [`run_frames_lanes`], drawing with the given copy of the trace build's
+/// lane-word loop.
+pub(crate) fn run_lane_batch(
+    plan: &FramePlan,
+    config: &KernelConfig,
+    seeds: &[u64],
+    copy: TraceCopy,
 ) -> Result<Vec<KernelCounts>> {
     let lanes = seeds.len();
     if lanes == 0 || lanes > 64 {
@@ -1688,6 +1748,17 @@ pub fn run_frames_lanes(
         }
     };
     validate(plan, config)?;
+    let n = plan.num_nodes();
+    let arrival_words = match bernoulli_p {
+        Some(_) => lane_arrival_words(n, lanes, config.slots).ok_or_else(|| {
+            EngineError::InvalidKernelConfig(format!(
+                "arrival bitmaps of a bernoulli lane batch of {n} nodes x {lanes} lanes x {} \
+                 slots exceed the size cap",
+                config.slots
+            ))
+        })?,
+        None => 0,
+    };
 
     // Validation is done: one lane batch, and each seed is one simulated run
     // on its lane dispatch path.
@@ -1705,30 +1776,34 @@ pub fn run_frames_lanes(
         );
     }
 
-    let n = plan.num_nodes();
     let orig = plan.original_ids();
-    let lane_mask = if lanes == 64 {
-        !0u64
-    } else {
-        (1u64 << lanes) - 1
-    };
+    let lane_mask = u64::MAX >> (64 - lanes);
     let mut counts = vec![KernelCounts::default(); lanes];
 
     // Per-(node, lane) hoisted keys of one RNG stream, for the MAC draws and
-    // the Bernoulli generation draws alike: one batched lane draw per
-    // (node, slot) replaces one full hash per (node, slot, seed).
+    // the Bernoulli generation draws alike, packed densely: the key of
+    // (v, l) at flat index v·lanes + l, 64 to a block. A `draw_rows` row over
+    // the blocks holds every node's lane word of one slot, node v's at bit
+    // offset v·lanes, and a partial batch draws no padding lanes (the bits
+    // past n·lanes in the last block are never read).
+    let blocks = (n * lanes).div_ceil(64);
     let hoisted = |stream: fn(u64) -> CounterRng| {
         let rngs: Vec<CounterRng> = seeds.iter().map(|&s| stream(s)).collect();
-        let mut keys = Vec::with_capacity(n * lanes);
-        for &ov in orig {
-            keys.extend(rngs.iter().map(|rng| rng.hoist_node(u64::from(ov))));
+        let mut keys = vec![[0u64; 64]; blocks];
+        let flat = keys.as_flattened_mut();
+        for (v, &ov) in orig.iter().enumerate() {
+            for (key, rng) in flat[v * lanes..(v + 1) * lanes].iter_mut().zip(&rngs) {
+                *key = rng.hoist_node(u64::from(ov));
+            }
         }
         keys
     };
-    let mac_hoisted = aloha_p.map_or_else(Vec::new, |_| hoisted(CounterRng::mac));
+    let mac_keys = aloha_p.map_or_else(Vec::new, |_| hoisted(CounterRng::mac));
     let mac_threshold = aloha_p.map_or(0, CounterRng::bernoulli_threshold);
-    let traffic_hoisted = bernoulli_p.map_or_else(Vec::new, |_| hoisted(CounterRng::traffic));
+    let mut mac_row = vec![0u64; mac_keys.len()];
+    let traffic_keys = bernoulli_p.map_or_else(Vec::new, |_| hoisted(CounterRng::traffic));
     let traffic_threshold = bernoulli_p.map_or(0, CounterRng::bernoulli_threshold);
+    let mut traffic_row = vec![0u64; traffic_keys.len()];
     let residues = staggered.then(|| StaggerResidues::build(plan, traffic_period));
 
     // Lane-sliced queue state. Deterministic traffic keeps implicit
@@ -1740,10 +1815,12 @@ pub fn run_frames_lanes(
     // every lane's queue length (a length never exceeds the slot count, so
     // the plane width is the slot count's bit length), incremented by a
     // masked half-adder chain on generation draws and decremented by the
-    // borrow-chain mirror on pops; the backlog word is the planes' OR. Only
-    // arrival timestamps stay per-event scalar (delivery latency needs the
-    // head packet's generation slot), in per-(node, lane) FIFOs touched on
-    // generation and pop events alone. Both modes share the per-node lane
+    // borrow-chain mirror on pops; the backlog word is the planes' OR.
+    // Delivery latency needs the head packet's generation slot: each
+    // (node, lane) keeps an arrival bitmap over the run's slots (bit t set
+    // when the lane generated at t) and its head slot. The packets a lane
+    // holds are exactly the set bits from its head on, so a pop moves the
+    // head to the next set bit. Both modes share the per-node lane
     // backlog words and the all-lane queued total for the O(1) skip of slots
     // with nothing queued anywhere. The retry clock is bit-planed: plane `k`
     // of a node holds bit `k` of every lane's attempt count, so the
@@ -1758,11 +1835,9 @@ pub fn run_frames_lanes(
     };
     let mut popped = vec![0u64; if bernoulli_p.is_some() { 0 } else { n * lanes }];
     let mut qlen_planes = vec![0u64; n * qlen_bits];
-    let mut arrival_times: Vec<VecDeque<u64>> = if bernoulli_p.is_some() {
-        vec![VecDeque::new(); n * lanes]
-    } else {
-        Vec::new()
-    };
+    let slot_words = config.slots.div_ceil(64) as usize;
+    let mut arrivals = vec![0u64; arrival_words];
+    let mut heads = vec![0u64; if bernoulli_p.is_some() { n * lanes } else { 0 }];
     let mut attempt_planes = vec![0u64; n * attempt_bits];
     let mut backlog = vec![0u64; n];
     let mut queued_total: u64 = 0;
@@ -1802,26 +1877,28 @@ pub fn run_frames_lanes(
         }
     };
     for t in 0..config.slots {
-        // Traffic generation. Bernoulli: one batched lane draw per node
-        // (pure functions of `(seed, node, slot)`, bit-identical to the
+        // Traffic generation. Bernoulli: one drawn row of every node's lane
+        // words (pure functions of `(seed, node, slot)`, bit-identical to the
         // scalar kernel's draws), folded into the bit-planed queue-length
         // counters by a half-adder increment over the drawn lanes; the
-        // per-lane generated tally and the arrival-time pushes ride the same
+        // per-lane generated tally and the arrival bits ride the same
         // events. Deterministic traffic is lane-uniform: a generating node
         // becomes backlogged in every lane (its per-lane queue lengths
         // differ, but all grow by one).
         if bernoulli_p.is_some() {
+            if n > 0 {
+                copy.draw_rows(&traffic_keys, traffic_threshold, !0, t, &mut traffic_row);
+            }
+            let (arrival_word, arrival_bit) = ((t / 64) as usize, 1u64 << (t % 64));
             for v in 0..n {
-                let gen = CounterRng::bernoulli_lanes(
-                    &traffic_hoisted[v * lanes..(v + 1) * lanes],
-                    traffic_threshold,
-                    t,
-                );
+                let gen = lane_word(&traffic_row, v * lanes, lanes);
                 if gen == 0 {
                     continue;
                 }
                 gen_tally.push(gen);
                 queued_total += u64::from(gen.count_ones());
+                // Lanes that held nothing start their head at this packet.
+                let mut fresh = gen & !backlog[v];
                 backlog[v] |= gen;
                 let planes = &mut qlen_planes[v * qlen_bits..(v + 1) * qlen_bits];
                 let mut carry = gen;
@@ -1833,9 +1910,13 @@ pub fn run_frames_lanes(
                 debug_assert_eq!(carry, 0, "queue length exceeded the plane width");
                 let mut bits = gen;
                 while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
+                    let i = v * lanes + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    arrival_times[v * lanes + l].push_back(t);
+                    arrivals[i * slot_words + arrival_word] |= arrival_bit;
+                }
+                while fresh != 0 {
+                    heads[v * lanes + fresh.trailing_zeros() as usize] = t;
+                    fresh &= fresh - 1;
                 }
             }
         } else if staggered {
@@ -1875,7 +1956,10 @@ pub fn run_frames_lanes(
         let slot = (t % frame_period) as usize;
         let aligned_generated = arrivals_before(t + 1, 0, traffic_period);
         tx_list.clear();
-        for v in plan.slot_candidates(slot) {
+        let candidates = plan.slot_candidates(slot);
+        // Bit offset of `mac_row[0]` in the packed lane space, once drawn.
+        let mut mac_base = None;
+        for v in candidates.clone() {
             let backlogged = backlog[v];
             if backlogged == 0 {
                 continue;
@@ -1883,15 +1967,18 @@ pub fn run_frames_lanes(
             let tx = match aloha_p {
                 None => backlogged,
                 Some(_) => {
-                    // Draws are pure functions of (seed, node, slot), so
-                    // masking the batched draw with the backlog reproduces
-                    // the scalar kernel's backlogged-only draws exactly.
-                    backlogged
-                        & CounterRng::bernoulli_lanes(
-                            &mac_hoisted[v * lanes..(v + 1) * lanes],
-                            mac_threshold,
-                            t,
-                        )
+                    // The first backlogged candidate draws the words from
+                    // its own to the slot's last candidate. Draws are pure
+                    // functions of (seed, node, slot), so masking a drawn
+                    // word with the backlog reproduces the scalar kernel's
+                    // backlogged-only draws exactly.
+                    let base = *mac_base.get_or_insert_with(|| {
+                        let (first, last) = (v * lanes / 64, (candidates.end * lanes).div_ceil(64));
+                        let row = &mut mac_row[..last - first];
+                        copy.draw_rows(&mac_keys[first..last], mac_threshold, !0, t, row);
+                        first * 64
+                    });
+                    backlogged & lane_word(&mac_row, v * lanes - base, lanes)
                 }
             };
             if tx != 0 {
@@ -2003,8 +2090,9 @@ pub fn run_frames_lanes(
                     // Half-adder decrement (borrow-chain mirror of the
                     // generation increment) of the popping lanes' queue
                     // lengths; the backlog word is the planes' OR. Latency
-                    // needs the head arrival slot — the one per-event scalar
-                    // read left in the Bernoulli path.
+                    // is the wait of the lane's head packet; a lane that
+                    // still holds packets moves its head to the next
+                    // arrival, which is at most `t`.
                     let planes = &mut qlen_planes[v * qlen_bits..(v + 1) * qlen_bits];
                     let mut borrow = pop_lanes;
                     let mut nonzero = 0u64;
@@ -2020,11 +2108,14 @@ pub fn run_frames_lanes(
                     while bits != 0 {
                         let l = bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        let generated_at = arrival_times[v * lanes + l]
-                            .pop_front()
-                            .expect("transmitters are backlogged");
+                        let i = v * lanes + l;
                         if delivered_lanes >> l & 1 == 1 {
-                            counts[l].total_latency += t - generated_at;
+                            counts[l].total_latency += t - heads[i];
+                        }
+                        if nonzero >> l & 1 == 1 {
+                            let bitmap = &arrivals[i * slot_words..(i + 1) * slot_words];
+                            heads[i] = next_arrival(bitmap, heads[i]);
+                            debug_assert!(heads[i] <= t, "a queued packet arrives after now");
                         }
                         queued_total -= 1;
                     }
@@ -2657,32 +2748,94 @@ mod tests {
         assert_ne!(mac, traffic, "streams must decorrelate");
     }
 
+    /// The Moore 9x9 window's all-candidate ALOHA plan (period 1) and its
+    /// 9-slot tiling plan.
+    fn moore_plans() -> [FramePlan; 2] {
+        let shape = latsched_tiling::shapes::moore();
+        let region = latsched_lattice::BoxRegion::square_window(2, 9).unwrap();
+        let adjacency = crate::sweep::grid_adjacency(&region, &shape).unwrap();
+        let compiled = crate::cache::compile_shape(&shape).unwrap();
+        let tiling: Vec<usize> = compiled
+            .slots_of_region(&region)
+            .unwrap()
+            .into_iter()
+            .map(usize::from)
+            .collect();
+        [
+            (vec![0; adjacency.num_nodes()], 1),
+            (tiling, compiled.num_slots()),
+        ]
+        .map(|(assignment, period)| {
+            let frames = FrameSchedule::from_assignment(&assignment, period).unwrap();
+            FramePlan::new(&frames, &adjacency).unwrap()
+        })
+    }
+
     #[test]
     fn lane_batches_match_scalar_runs_on_every_lane() {
         // Each lane of a bit-sliced batch must be bit-identical to the scalar
         // run of its seed, on clean and partially conflicted plans, under
-        // scheduled and ALOHA access, including partial (<64) batches.
+        // scheduled and ALOHA access, including partial (<64) batches, with
+        // the draws made by the portable copy of the lane-word loop and by
+        // the copy each batch dispatches to. On the 81-node Moore plans the
+        // packed keys span several blocks, lane counts that do not divide 64
+        // put lane words across two row words, the tiling plan's candidate
+        // ranges start mid-block, and the sparse load moves arrival heads
+        // across zero words of 300-slot bitmaps.
+        let dispatched = TraceCopy::detect();
+        let copies = if dispatched == TraceCopy::PORTABLE {
+            vec![TraceCopy::PORTABLE]
+        } else {
+            vec![TraceCopy::PORTABLE, dispatched]
+        };
+        println!("lane copies checked: {copies:?}");
         let seeds: Vec<u64> = (0..64).map(|i| i * 17 + 3).collect();
-        for plan in [plan(&[0, 1, 2], 3), plan(&[0, 1, 0], 2)] {
-            for mac in [KernelMac::Scheduled, KernelMac::Aloha { p: 0.45 }] {
-                for traffic in [
-                    KernelTraffic::Periodic { period: 3 },
-                    KernelTraffic::Staggered { period: 4 },
-                    KernelTraffic::Bernoulli { p: 0.3 },
-                ] {
-                    for batch in [1usize, 5, 64] {
-                        let mut cfg = config(150, traffic.clone(), 1);
+        let bernoulli = [
+            KernelTraffic::Bernoulli { p: 0.3 },
+            KernelTraffic::Bernoulli { p: 0.003 },
+        ];
+        let mut all = vec![
+            KernelTraffic::Periodic { period: 3 },
+            KernelTraffic::Staggered { period: 4 },
+        ];
+        all.extend(bernoulli.clone());
+        let [aloha, tiled] = moore_plans();
+        for (plan, traffics) in [
+            (plan(&[0, 1, 2], 3), &all[..]),
+            (plan(&[0, 1, 0], 2), &all[..]),
+            (aloha, &bernoulli[..]),
+            (tiled, &bernoulli[..]),
+        ] {
+            for mac in [
+                KernelMac::Scheduled,
+                KernelMac::Aloha { p: 0.45 },
+                KernelMac::Aloha { p: 0.05 },
+            ] {
+                for traffic in traffics {
+                    for slots in [1u64, 63, 64, 65, 300] {
+                        let mut cfg = config(slots, traffic.clone(), 1);
                         cfg.mac = mac.clone();
-                        let lanes = run_frames_lanes(&plan, &cfg, &seeds[..batch]).unwrap();
-                        assert_eq!(lanes.len(), batch);
-                        for (l, &seed) in seeds[..batch].iter().enumerate() {
-                            let mut scalar_cfg = cfg.clone();
-                            scalar_cfg.seed = seed;
-                            let scalar = run_frames(&plan, &scalar_cfg).unwrap();
-                            assert_eq!(
-                                lanes[l], scalar,
-                                "lane {l} seed {seed} mac {mac:?} traffic {traffic:?}"
-                            );
+                        let scalar: Vec<KernelCounts> = seeds
+                            .iter()
+                            .map(|&seed| {
+                                let cfg = KernelConfig {
+                                    seed,
+                                    ..cfg.clone()
+                                };
+                                run_frames(&plan, &cfg).unwrap()
+                            })
+                            .collect();
+                        for batch in [1usize, 5, 40, 63, 64] {
+                            for &copy in &copies {
+                                let lanes = run_lane_batch(&plan, &cfg, &seeds[..batch], copy);
+                                assert_eq!(
+                                    lanes.unwrap(),
+                                    scalar[..batch],
+                                    "{copy:?} n={} lanes={batch} slots={slots} mac {mac:?} \
+                                     traffic {traffic:?}",
+                                    plan.num_nodes()
+                                );
+                            }
                         }
                     }
                 }
@@ -2712,6 +2865,21 @@ mod tests {
         assert!(run_frames_lanes(&p, &traced_mac_cfg, &[1, 2]).is_err());
         let zero_period = config(10, KernelTraffic::Periodic { period: 0 }, 0);
         assert!(run_frames_lanes(&p, &zero_period, &[1]).is_err());
+        // Bernoulli arrival bitmaps past the cap of one trace: 3 nodes x 64
+        // lanes x ⌈slots / 64⌉ words is one block past 2^28 here, and the
+        // word count overflows u64 at the largest slot count. Both are
+        // refused before anything is allocated.
+        let seeds: Vec<u64> = (0..64).collect();
+        for slots in [(TRACE_WORD_LIMIT / 192 + 1) * 64, u64::MAX] {
+            let over_cap = config(slots, KernelTraffic::Bernoulli { p: 0.5 }, 0);
+            assert!(
+                matches!(
+                    run_frames_lanes(&p, &over_cap, &seeds),
+                    Err(EngineError::InvalidKernelConfig(m)) if m.contains("arrival bitmaps")
+                ),
+                "slots {slots}"
+            );
+        }
     }
 
     #[test]

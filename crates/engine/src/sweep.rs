@@ -94,8 +94,8 @@ use crate::frames::InterferenceCsr;
 use crate::parallel::{steal_chunks, worker_threads};
 use crate::scenario::{get_u64, invalid, window_side, ShapeSpec};
 use crate::simkernel::{
-    run_frames, run_frames_lanes, KernelConfig, KernelCounts, KernelMac, KernelTraffic,
-    TrafficTrace, TRACE_WORD_LIMIT,
+    lane_arrival_words, run_frames, run_frames_lanes, KernelConfig, KernelCounts, KernelMac,
+    KernelTraffic, TrafficTrace, TRACE_WORD_LIMIT,
 };
 use crate::store::StoreStats;
 use crate::telemetry::{self, span, CacheTier, Counter, Origin, Stage, TelemetrySnapshot};
@@ -902,7 +902,9 @@ impl<'a> GridContext<'a> {
     /// caches skip every draw compilation. Outer values that copy an earlier
     /// value's plan fetch nothing, since their runs are never simulated. Lane
     /// grids fetch nothing either: the lane kernel's inline draws are
-    /// bit-identical to replaying traces.
+    /// bit-identical to replaying traces. Their Bernoulli lane batches keep
+    /// arrival bitmaps under the size cap of one trace, so a grid whose
+    /// widest batch is over it fails here, before any run.
     ///
     /// Nor does a grid whose every trace would be replayed by exactly one
     /// simulated run (the retry axis collapses on every plan) and that needs
@@ -915,6 +917,16 @@ impl<'a> GridContext<'a> {
             return Ok(());
         };
         if self.lanes {
+            let lanes = self.seeds.len().min(64);
+            for (o, plan) in self.plans.iter().enumerate() {
+                if lane_arrival_words(plan.num_nodes(), lanes, self.slots).is_none() {
+                    return Err(EngineError::InvalidKernelConfig(format!(
+                        "{}: arrival bitmaps of bernoulli lane batches of {lanes} seeds x {} \
+                         slots exceed the size cap",
+                        self.outer[o], self.slots
+                    )));
+                }
+            }
             return Ok(());
         }
         let canonical = |&(o, _): &(usize, &Arc<FramePlan>)| self.first_outer[o] == o;
@@ -1824,6 +1836,39 @@ mod tests {
             run_sweep(&streaming, &caches).unwrap().aggregate,
             laned.aggregate
         );
+    }
+
+    #[test]
+    fn over_cap_lane_grids_fail_before_running() {
+        // 4096 nodes x 64 lanes x ⌈65 600 / 64⌉ arrival words is just past
+        // the cap of one trace; the 8x8 window before it fits. The sweep
+        // names the window, lane count and slots and runs no lane batch.
+        let spec = SweepSpec {
+            windows: vec![8, 64],
+            slots: 65_600,
+            mac: SweepMac::Aloha { p: 0.25 },
+            seeds: SeedAxis::Range { start: 1, end: 64 },
+            retries: vec![0],
+            ..tiny_spec()
+        };
+        let (result, recording, _) = telemetry::request(|| run_sweep(&spec, &SweepCaches::new()));
+        match result {
+            Err(EngineError::InvalidKernelConfig(message)) => {
+                assert!(message.starts_with("window 64:"), "{message}");
+                assert!(message.contains("64 seeds x 65600 slots"), "{message}");
+            }
+            other => panic!("expected the arrival-bitmap cap, got {other:?}"),
+        }
+        assert_eq!(recording.counter(Counter::LaneBatches), 0);
+        // The same grid below the cap runs as lane batches.
+        let small = SweepSpec {
+            windows: vec![8],
+            slots: 64,
+            ..spec
+        };
+        let (result, recording, _) = telemetry::request(|| run_sweep(&small, &SweepCaches::new()));
+        assert_eq!(result.unwrap().runs, 64);
+        assert_eq!(recording.counter(Counter::LaneBatches), 1);
     }
 
     #[test]

@@ -137,39 +137,6 @@ impl CounterRng {
         (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
     }
 
-    /// Bernoulli indicators of up to 64 *keys* at one `(node, slot)`, packed
-    /// into a lane word: bit `l` of the result is the Bernoulli draw of the
-    /// `l`-th hoisted key against `threshold` at `slot`. A lane word batches
-    /// up to 64 seeds (each contributing one pre-hoisted node key from
-    /// [`CounterRng::hoist_node`]) at one slot — the building block of the
-    /// bit-sliced seed-lane kernel. The threshold comes from
-    /// [`CounterRng::bernoulli_threshold`], so each lane reproduces the
-    /// corresponding scalar [`CounterRng::bernoulli`] bit for bit.
-    #[inline]
-    #[must_use]
-    pub fn bernoulli_lanes(hoisted: &[u64], threshold: u64, slot: u64) -> u64 {
-        debug_assert!(hoisted.len() <= 64);
-        let slot_mixed = slot.wrapping_mul(SLOT_C);
-        // Four independent accumulators break the OR dependency chain so the
-        // mix64 pipelines overlap; lanes are independent, so any grouping
-        // produces the same word.
-        let mut acc = [0u64; 4];
-        let mut chunks = hoisted.chunks_exact(4);
-        for (c, chunk) in chunks.by_ref().enumerate() {
-            let base = c * 4;
-            acc[0] |= u64::from(mix64(chunk[0] ^ slot_mixed) >> 11 < threshold) << base;
-            acc[1] |= u64::from(mix64(chunk[1] ^ slot_mixed) >> 11 < threshold) << (base + 1);
-            acc[2] |= u64::from(mix64(chunk[2] ^ slot_mixed) >> 11 < threshold) << (base + 2);
-            acc[3] |= u64::from(mix64(chunk[3] ^ slot_mixed) >> 11 < threshold) << (base + 3);
-        }
-        let tail = hoisted.len() - chunks.remainder().len();
-        let mut bits = acc[0] | acc[1] | acc[2] | acc[3];
-        for (l, &h) in chunks.remainder().iter().enumerate() {
-            bits |= u64::from(mix64(h ^ slot_mixed) >> 11 < threshold) << (tail + l);
-        }
-        bits
-    }
-
     /// Bernoulli indicators of exactly 64 hoisted keys at one slot, packed
     /// into a word: bit `l` of the result is
     /// `mix64(hoisted[l] ^ slot·SLOT_C) >> 11 < threshold`. For keys from
@@ -177,12 +144,12 @@ impl CounterRng {
     /// [`CounterRng::bernoulli_threshold`], that is [`CounterRng::bernoulli`]
     /// of each key's node at `slot`, bit for bit.
     ///
-    /// This is the fixed-width body of one slot-major trace word (64 node
-    /// lanes). Unlike [`CounterRng::bernoulli_lanes`] it has no length to
-    /// branch on, so it compiles to straight vector code: eight draws per
-    /// 512-bit register where the caller enables AVX-512F/DQ, which is why
-    /// it is always inlined. Keys past a caller's last node draw too; the
-    /// caller masks their bits.
+    /// This is the fixed-width body of one lane word: 64 node lanes of a
+    /// slot-major trace word, or 64 packed `(node, seed)` lanes of a seed
+    /// lane batch. It has no length to branch on, so it compiles to straight
+    /// vector code: eight draws per 512-bit register where the caller
+    /// enables AVX-512F/DQ, which is why it is always inlined. Keys past a
+    /// caller's last lane draw too; the caller masks or ignores their bits.
     #[inline(always)]
     #[must_use]
     pub fn bernoulli_word(hoisted: &[u64; 64], threshold: u64, slot: u64) -> u64 {
@@ -255,8 +222,9 @@ mod tests {
     #[test]
     fn bernoulli_lanes_match_single_indicators_bit_for_bit() {
         // Each lane of a packed multi-seed draw must reproduce the scalar
-        // Bernoulli indicator of its seed's RNG at the same (node, slot), and
-        // the fixed-width `bernoulli_word` must pack a full 64 keys the same.
+        // Bernoulli indicator of its seed's RNG at the same (node, slot).
+        // Fewer than 64 lanes draw the way lane batches do: zero keys pad
+        // the word to 64, and the padding lanes are masked off.
         let seeds: Vec<u64> = (0..67).map(|i| i * 31 + 5).collect();
         for p in [0.0, 0.02, 0.3, 0.5, 0.999, 1.0] {
             let threshold = CounterRng::bernoulli_threshold(p);
@@ -264,24 +232,18 @@ mod tests {
                 for lanes in [1usize, 7, 63, 64] {
                     let rngs: Vec<CounterRng> =
                         seeds[..lanes].iter().map(|&s| CounterRng::mac(s)).collect();
-                    let hoisted: Vec<u64> = rngs.iter().map(|r| r.hoist_node(node)).collect();
+                    let mut hoisted = [0u64; 64];
+                    for (key, rng) in hoisted.iter_mut().zip(&rngs) {
+                        *key = rng.hoist_node(node);
+                    }
+                    let mask = u64::MAX >> (64 - lanes);
                     for slot in [0u64, 63, 64, 1_000_000] {
-                        let bits = CounterRng::bernoulli_lanes(&hoisted, threshold, slot);
+                        let bits = CounterRng::bernoulli_word(&hoisted, threshold, slot) & mask;
                         for (l, rng) in rngs.iter().enumerate() {
                             assert_eq!(
                                 bits >> l & 1 == 1,
                                 rng.bernoulli(p, node, slot),
                                 "p={p} node={node} slot={slot} lane={l}"
-                            );
-                        }
-                        if lanes < 64 {
-                            assert_eq!(bits >> lanes, 0, "p={p} lanes={lanes}");
-                        } else {
-                            let word: &[u64; 64] = hoisted.as_slice().try_into().unwrap();
-                            assert_eq!(
-                                CounterRng::bernoulli_word(word, threshold, slot),
-                                bits,
-                                "p={p} node={node} slot={slot}"
                             );
                         }
                     }
