@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the frame kernel's replay fast paths — the closed-form
-//! analytic replay (clean and partial-conflict hybrid) against the explicit
-//! slot loop, and the bit-sliced 64-seed lane kernel (deterministic and
-//! Bernoulli traffic) against scalar per-seed runs — plus an asserted
+//! analytic replay against the explicit slot loop, and the bit-sliced 64-seed
+//! lane kernel (deterministic and Bernoulli traffic) against scalar per-seed
+//! runs — plus an asserted
 //! acceptance check on the workload of `harness --bench`'s `replay` entry:
 //! every fast path must be bit-identical to its slow path and beat it by the
 //! committed factor.
@@ -88,12 +88,11 @@ fn bench_lanes_vs_scalar(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance check of this PR: on the committed baseline workload, the
-/// analytic replay must be ≥5× the slot loop, the 64-seed lane batch ≥4× the
-/// scalar runs, the Bernoulli-traffic lane batch ≥3× its scalar runs, and the
-/// partial-conflict hybrid replay ≥2× the full slot loop — with bit-exact
-/// counter parity asserted inside every timed sample. Skipped in `--test`
-/// mode, where nothing is measured.
+/// The acceptance check: on the committed baseline workload, the analytic
+/// replay must be ≥5× the slot loop, the 64-seed lane batch ≥4× the scalar
+/// runs and the Bernoulli-traffic lane batch ≥3× its scalar runs — with
+/// bit-exact counter parity asserted inside every timed sample. Skipped in
+/// `--test` mode, where nothing is measured.
 fn bench_replay_check(c: &mut Criterion) {
     if std::env::args().any(|a| a == "--test") {
         return;
@@ -111,11 +110,6 @@ fn bench_replay_check(c: &mut Criterion) {
             "bernoulli_lane_speedup",
             3.0,
             "64-seed bernoulli lanes vs scalar runs",
-        ),
-        (
-            "partial_analytic_speedup",
-            2.0,
-            "partial-conflict hybrid vs the slot loop",
         ),
     ] {
         let got = baseline.num(ratio);

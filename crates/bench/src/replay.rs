@@ -1,6 +1,6 @@
 //! The replay-kernel benchmark workload, shared by the criterion bench
 //! (`benches/bench_replay.rs`) and the `replay` entry of `harness --bench` so
-//! both always measure exactly the same thing. Two fast paths of
+//! both always measure exactly the same thing. Three fast paths of
 //! the engine's frame kernel are timed against their general counterparts:
 //!
 //! * **Analytic replay.** A clean 9-slot Moore tiling schedule under periodic
@@ -21,10 +21,6 @@
 //!   grid points live at exactly this scale, and it keeps the per-`(node,
 //!   lane)` state cache-resident, where the bit-planed counters amortize the
 //!   per-slot MAC and collision machinery.
-//! * **Partial-conflict analytic replay.** The clean tiling assignment with
-//!   one node moved onto a neighbour's slot (one conflicted slot of nine):
-//!   the hybrid replay (closed-form clean classes, narrowed loop over the
-//!   conflicted class) against the full explicit slot loop.
 //!
 //! Every comparison asserts *bit-exact* [`KernelCounts`] parity inside the
 //! measurement loop — every timed analytic run is compared against the loop
@@ -60,27 +56,6 @@ pub(crate) fn clean_plan(side: i64) -> Result<(FramePlan, usize)> {
     Ok((FramePlan::new(&frames, &adjacency)?, nodes))
 }
 
-/// The hybrid workload: the clean tiling assignment with node 0 moved onto
-/// its lattice neighbour's slot — exactly one conflicted slot out of the
-/// nine, under the `conflicted × 4 ≤ period` threshold that dispatches the
-/// partial-conflict analytic replay.
-fn partial_plan(side: i64) -> Result<FramePlan> {
-    let shape = shapes::moore();
-    let region = BoxRegion::square_window(2, side)?;
-    let adjacency = grid_adjacency(&region, &shape)?;
-    let compiled = compile_shape(&shape)?;
-    let mut assignment: Vec<usize> = compiled
-        .slots_of_region(&region)?
-        .into_iter()
-        .map(usize::from)
-        .collect();
-    // Nodes 0 and 1 are adjacent in lexicographic window order, so sharing a
-    // slot conflicts exactly that slot (and empties node 0's old one).
-    assignment[0] = assignment[1];
-    let frames = FrameSchedule::from_assignment(&assignment, compiled.num_slots())?;
-    FramePlan::new(&frames, &adjacency)
-}
-
 /// The stochastic workload: every node a candidate of a 1-slot frame (classic
 /// slotted ALOHA) on the same window's interference adjacency.
 fn aloha_plan(side: i64) -> Result<FramePlan> {
@@ -101,9 +76,9 @@ fn aloha_plan(side: i64) -> Result<FramePlan> {
 ///
 /// Propagates schedule compilation, plan fusion and kernel errors.
 pub fn measure_replay(side: i64, slots: u64, samples: usize) -> Result<Measurement> {
-    // The analytic and partial-conflict sides run in microseconds, so their
-    // ratios are dominated by timer and scheduler jitter at the configured
-    // sample count; oversampling them is nearly free and keeps the medians
+    // The analytic side runs in microseconds, so its ratio is dominated by
+    // timer and scheduler jitter at the configured sample count;
+    // oversampling both of its sides is nearly free and keeps the medians
     // stable enough for the 25% CI regression gate.
     let micro_samples = samples.max(1) * 10 + 1;
     // Analytic side: clean tiling schedule, scheduled MAC, periodic traffic.
@@ -214,34 +189,12 @@ pub fn measure_replay(side: i64, slots: u64, samples: usize) -> Result<Measureme
         }
     });
 
-    // Partial-conflict side: one conflicted slot out of nine dispatches the
-    // hybrid replay (clean classes closed-form, one narrowed loop), timed
-    // against the full slot loop on the same plan. Both sides scale linearly
-    // in the slot count (the hybrid still loops over the conflicted slot
-    // class), so running 8x longer preserves the ratio while lifting each
-    // sample out of the sub-0.1 ms regime where scheduler drift dominates.
-    let partial = partial_plan(side)?;
-    let partial_config = KernelConfig {
-        slots: slots * 8,
-        ..clean_config.clone()
-    };
-    let partial_loop_counts = run_frames_loop(&partial, &partial_config)?;
-    let mut partial_parity = true;
-    let partial_analytic_ms = median_ms(micro_samples, || {
-        let counts = run_frames(&partial, &partial_config).expect("partial analytic replay");
-        partial_parity &= counts == partial_loop_counts;
-    });
-    let partial_loop_ms = median_ms(micro_samples, || {
-        run_frames_loop(&partial, &partial_config).expect("partial slot loop");
-    });
-
     Ok(Measurement::new(format!(
         "moore 3x3 neighbourhood, {side}x{side} window, {slots} slots/run: \
          analytic replay of the 9-slot tiling schedule (periodic 1/64) vs the slot \
-         loop (clean, plus a 1-conflicted-slot hybrid variant at 8x slots), one {LANE_SEEDS}-seed \
-         aloha(p=0.25) lane batch (staggered 1/4) vs scalar per-seed runs, and a \
-         saturated {bernoulli_side}x{bernoulli_side} aloha(p=0.5) batch under \
-         bernoulli(p=0.25) traffic"
+         loop, one {LANE_SEEDS}-seed aloha(p=0.25) lane batch (staggered 1/4) vs \
+         scalar per-seed runs, and a saturated {bernoulli_side}x{bernoulli_side} \
+         aloha(p=0.5) batch under bernoulli(p=0.25) traffic"
     ))
     .with("nodes", nodes)
     .with("slots", slots)
@@ -259,16 +212,7 @@ pub fn measure_replay(side: i64, slots: u64, samples: usize) -> Result<Measureme
         "bernoulli_lane_speedup",
         bernoulli_scalar_ms / bernoulli_lane_ms.max(1e-9),
     )
-    .with("partial_analytic_ms", partial_analytic_ms)
-    .with("partial_loop_ms", partial_loop_ms)
-    .with(
-        "partial_analytic_speedup",
-        partial_loop_ms / partial_analytic_ms.max(1e-9),
-    )
-    .with(
-        "parity",
-        analytic_parity && lane_parity && bernoulli_parity && partial_parity,
-    ))
+    .with("parity", analytic_parity && lane_parity && bernoulli_parity))
 }
 
 #[cfg(test)]
@@ -286,12 +230,7 @@ mod tests {
         let json = baseline.to_json_value();
         assert_eq!(json.get("nodes").unwrap().as_u64(), Some(81));
         assert_eq!(json.get("parity").unwrap().as_bool(), Some(true));
-        for ratio in [
-            "analytic_speedup",
-            "lane_speedup",
-            "bernoulli_lane_speedup",
-            "partial_analytic_speedup",
-        ] {
+        for ratio in ["analytic_speedup", "lane_speedup", "bernoulli_lane_speedup"] {
             assert!(baseline.num(ratio) > 0.0, "{ratio}");
         }
     }

@@ -12,11 +12,12 @@
 //!   slot-major relabelling makes that range (and its adjacency data) one
 //!   contiguous streamed block. A network-wide queued-packet counter skips
 //!   entirely empty slots in `O(1)`.
-//! * **Implicit queues.** Under periodic traffic every node's queue is an
-//!   arithmetic progression: the head packet of node `v` was generated at
-//!   `phase(v) + popped[v] · period`, so queues shrink to two counters per
-//!   node and packet objects are never allocated. (Stochastic traffic uses
-//!   explicit per-node queues of generation times instead.)
+//! * **Queues only where a slot loop runs.** The analytic paths below keep no
+//!   queues at all: a clean node's service opportunities are an arithmetic
+//!   progression, so its arrivals settle in closed form. The general loop,
+//!   which every other run takes, keeps explicit per-node queues of
+//!   generation times plus a backlog bitmask over relabelled ids, so a
+//!   slot's backlogged candidates are the set bits of a few words.
 //! * **Bitset interference.** The per-slot transmit set, "heard ≥ 1
 //!   transmitter" and "heard ≥ 2 transmitters" predicates live in `u64` bitset
 //!   words. Saturating the in-range count at two is enough to decide every
@@ -56,27 +57,25 @@
 //!   receivers) take a closed-form outcome path — `decoded = degree`,
 //!   `rx = Σ degree` — and only conflicted slots pay bitset passes. Fully
 //!   conflict-free plans (the paper's tiling schedules) never touch a bitset.
-//!   Every scalar path settles its slots through one resolver, whose
-//!   `settle_slot` holds the clean closed form, the full-burst memo replay
-//!   (a conflicted slot where every candidate transmits repeats its first
-//!   outcome), the bitset resolve and the memo insert.
+//!   The general loop settles every slot through one resolver, whose
+//!   `settle_slot` holds the clean closed form and the bitset resolve.
 //! * **Parallel outcome pass.** Per-transmitter delivery outcomes are
 //!   data-parallel once the bitsets are built; conflicted slots with ≥ 8k
 //!   transmitters chunk their outcome pass across worker threads with the
 //!   engine's scoped-thread executor. (Clean slots need no outcome pass at
 //!   all — their accounting is one fused add-and-settle walk.)
-//! * **Analytic replay.** Under scheduled access the clean-slot closed form
-//!   extends from slots to whole slot classes: a clean class's transmissions
-//!   all deliver, a node's service opportunities form an arithmetic
-//!   progression (one per frame period), and the FIFO service recurrence
-//!   `d = max(first_service ≥ arrival, previous + period)` settles each
-//!   packet in O(1). Classes are dynamically decoupled, so [`run_frames`]
-//!   replays periodic traffic class by class — clean classes in
-//!   `O(deliveries)`, conflicted ones on a narrowed loop over their own
-//!   service slots, allowed while they are at most a quarter of the period;
-//!   a conflict-free plan is the case with no conflicted class. Trace
-//!   traffic on a conflict-free plan replays in one pass over its arrival
-//!   bitmaps. [`run_frames_loop`] is the measured escape hatch.
+//! * **Analytic replay.** Under scheduled access on a conflict-free plan the
+//!   clean-slot closed form extends from slots to whole runs: every
+//!   transmission delivers, a node's service opportunities form an
+//!   arithmetic progression (one per frame period), and the FIFO service
+//!   recurrence `d = max(first_service ≥ arrival, previous + period)`
+//!   settles each packet in O(1). [`run_frames`] replays periodic traffic
+//!   class by class in `O(deliveries)` and trace traffic in one pass over
+//!   its arrival bitmaps. Every engine schedule is a tiling (collision-free
+//!   by Theorem 1) or a proper distance-2 colouring, so every scheduled plan
+//!   a request builds qualifies; a conflicted plan, which only an improper
+//!   explicit slot assignment builds, takes the general loop.
+//!   [`run_frames_loop`] is the measured escape hatch.
 //! * **Bit-sliced seed lanes.** [`run_frames_lanes`] packs up to 64 seeds of
 //!   one configuration into `u64` lane words: one candidate scan and one
 //!   adjacency walk per slot serve all seeds, interference saturating-counts
@@ -239,89 +238,6 @@ const AUTO_TRACE_MIN_DRAWS: u64 = 1 << 12;
 /// general loop compiles for staggered traffic (32 MiB); longer periods fall
 /// back to the per-node walk.
 const STAGGER_RESIDUE_WORD_LIMIT: u64 = 1 << 22;
-
-/// Partial-conflict analytic dispatch threshold, as a denominator: plans with
-/// at most `period / ANALYTIC_CONFLICT_DENOM` conflicted slots replay hybrid
-/// (clean classes closed-form, conflicted classes on a narrowed slot loop).
-/// Beyond that fraction the narrowed loop approaches the full loop's cost and
-/// the closed-form side stops paying for its setup.
-const ANALYTIC_CONFLICT_DENOM: usize = 4;
-
-/// Byte budget of the slot resolver's full-burst memo (1 MiB): a
-/// huge-period schedule (TDMA on a big window) would otherwise pin O(n)
-/// memory per run even when only a few slots ever replay.
-const FULL_BURST_MEMO_BYTE_BUDGET: usize = 1 << 20;
-
-/// Approximate bookkeeping bytes charged per memo entry (hash-map slot, key,
-/// lengths) on top of the recorded outcome array.
-const FULL_BURST_ENTRY_OVERHEAD: usize = 64;
-
-/// The bounded memo of full-burst slot outcomes.
-///
-/// When *every* candidate of a slot transmits, the interference outcome is a
-/// pure function of the slot's content, so the per-transmitter decode counts
-/// and rx tally recorded on the first full burst replay later ones in
-/// O(candidates) instead of O(edges). Entries are keyed by the slot's content
-/// — its candidate range within the plan's relabelled id space, which
-/// determines the transmit set and its adjacency — and the memo stops
-/// admitting entries once a byte budget is reached: replay degrades
-/// gracefully to full interference resolution, results are unchanged, and
-/// huge-period schedules no longer pin O(period + n) memo memory.
-struct FullBurstMemo {
-    entries: std::collections::HashMap<u64, (Box<[u32]>, u64)>,
-    bytes: usize,
-    budget: usize,
-}
-
-impl FullBurstMemo {
-    fn new(budget: usize) -> Self {
-        FullBurstMemo {
-            entries: std::collections::HashMap::new(),
-            bytes: 0,
-            budget,
-        }
-    }
-
-    /// The content key of a slot: its packed candidate range in the plan's
-    /// relabelled id space. Slot-major relabelling makes the range determine
-    /// the candidate set (hence the full-burst outcome), ranges of distinct
-    /// slots are disjoint, and node counts fit in 32 bits (enforced by the
-    /// CSR size limits) — so the packing is injective and lookups are exact,
-    /// no hashing involved.
-    #[inline]
-    fn key(plan: &FramePlan, slot: usize) -> u64 {
-        let range = plan.slot_candidates(slot);
-        (range.start as u64) << 32 | range.end as u64
-    }
-
-    /// The recorded outcome of a slot's full burst, if memoized.
-    #[inline]
-    fn get(&self, plan: &FramePlan, slot: usize) -> Option<&(Box<[u32]>, u64)> {
-        self.entries.get(&Self::key(plan, slot))
-    }
-
-    /// Records a full-burst outcome unless it would exceed the byte budget
-    /// (over-budget outcomes are simply recomputed on later bursts).
-    fn insert(&mut self, plan: &FramePlan, slot: usize, outcomes: &[u32], rx: u64) {
-        let cost = std::mem::size_of_val(outcomes) + FULL_BURST_ENTRY_OVERHEAD;
-        if self.bytes + cost > self.budget {
-            return;
-        }
-        if self
-            .entries
-            .insert(Self::key(plan, slot), (outcomes.into(), rx))
-            .is_none()
-        {
-            self.bytes += cost;
-        }
-    }
-
-    /// Bytes currently charged against the budget (regression-test hook).
-    #[cfg(test)]
-    fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
 
 /// Transposes a 64×64 bit matrix in place: bit `j` of word `i` moves to bit
 /// `i` of word `j`. The classic recursive block swap (Hacker's Delight §7-3)
@@ -599,92 +515,6 @@ impl TrafficTrace {
     }
 }
 
-/// The per-node implicit-queue state of a deterministic periodic run: a queue
-/// is fully described by how many packets the node has removed (the head
-/// packet of `v` was generated at `phase(v) + popped[v] · period`) plus the
-/// current head packet's transmission attempts.
-struct Queues<'a> {
-    popped: Vec<u64>,
-    attempts: Vec<u32>,
-    /// Network-wide queued-packet count, for the O(1) empty-slot skip.
-    queued_total: u64,
-    traffic_period: u64,
-    max_retries: u32,
-    /// Original node ids (phase source) when the traffic is staggered; `None`
-    /// for phase-aligned traffic (every phase is zero).
-    staggered_ids: Option<&'a [u32]>,
-}
-
-impl<'a> Queues<'a> {
-    fn new(
-        n: usize,
-        traffic_period: u64,
-        max_retries: u32,
-        staggered_ids: Option<&'a [u32]>,
-    ) -> Self {
-        Queues {
-            popped: vec![0u64; n],
-            attempts: vec![0u32; n],
-            queued_total: 0,
-            traffic_period,
-            max_retries,
-            staggered_ids,
-        }
-    }
-
-    /// The generation phase of relabelled node `v`.
-    #[inline]
-    fn phase(&self, v: usize) -> u64 {
-        match self.staggered_ids {
-            Some(orig) => u64::from(orig[v]) % self.traffic_period,
-            None => 0,
-        }
-    }
-
-    /// Collects the candidates backlogged at slot `t` into `tx_list`.
-    /// Candidates are a contiguous relabelled-id range, so this is a
-    /// sequential scan of `popped`; phase-aligned traffic shares one
-    /// generation count across the range, staggered phases need the
-    /// per-node count.
-    #[inline]
-    fn backlogged(&self, candidates: std::ops::Range<usize>, t: u64, tx_list: &mut Vec<u32>) {
-        let aligned_generated = arrivals_before(t + 1, 0, self.traffic_period);
-        tx_list.clear();
-        for v in candidates {
-            let generated = if self.staggered_ids.is_some() {
-                arrivals_before(t + 1, self.phase(v), self.traffic_period)
-            } else {
-                aligned_generated
-            };
-            if generated > self.popped[v] {
-                tx_list.push(v as u32);
-            }
-        }
-    }
-
-    /// Applies one transmission outcome — delivery, retry or drop — to node
-    /// `v`'s queue and the run counters ([`ExplicitQueues::settle`] is its
-    /// counterpart for the general loop's explicit queues).
-    #[inline]
-    fn settle(&mut self, counts: &mut KernelCounts, v: usize, decoded: u32, degree: u32, t: u64) {
-        counts.receptions += u64::from(decoded);
-        counts.collisions += u64::from(degree - decoded);
-        self.attempts[v] += 1;
-        if decoded == degree {
-            counts.packets_delivered += 1;
-            counts.total_latency += t - (self.phase(v) + self.popped[v] * self.traffic_period);
-            self.popped[v] += 1;
-            self.attempts[v] = 0;
-            self.queued_total -= 1;
-        } else if self.attempts[v] > self.max_retries {
-            counts.packets_dropped += 1;
-            self.popped[v] += 1;
-            self.attempts[v] = 0;
-            self.queued_total -= 1;
-        }
-    }
-}
-
 /// The per-node state of the general loop: explicit queues of generation
 /// times (any traffic pattern), head-packet attempt counters, the
 /// network-wide backlog count, and a backlog bitmask over relabelled ids so
@@ -738,8 +568,8 @@ impl ExplicitQueues {
     }
 
     /// Applies one transmission outcome — delivery, retry or drop — to node
-    /// `v`'s queue and the run counters (the counterpart of
-    /// [`Queues::settle`] for implicit periodic queues).
+    /// `v`'s queue and the run counters: `decoded` of its `degree`
+    /// neighbours heard it in slot `t`, and only a full decode delivers.
     #[inline]
     fn settle(&mut self, counts: &mut KernelCounts, v: usize, decoded: u32, degree: u32, t: u64) {
         counts.receptions += u64::from(decoded);
@@ -769,11 +599,10 @@ impl ExplicitQueues {
     }
 }
 
-/// The slot resolver of the scalar kernel loops: the reusable per-slot
-/// bitset state of the interference passes plus the full-burst memo.
-/// [`Resolver::settle_slot`] is the one place a slot's transmissions turn
-/// into outcomes, so the deterministic loop, the class replay's narrowed
-/// loop and the general loop cannot drift on collision semantics.
+/// The slot resolver of the general loop: the reusable per-slot bitset state
+/// of the interference passes. [`Resolver::settle_slot`] is the one place a
+/// scalar slot's transmissions turn into outcomes; the lane kernel mirrors
+/// its clean closed form and its saturating once/twice masks word-wise.
 struct Resolver {
     tx_mask: Vec<u64>,
     /// ≥ 1 in-range transmitter.
@@ -787,11 +616,10 @@ struct Resolver {
     /// `outcomes[i]`: how many of transmitter `tx_list[i]`'s neighbours decoded
     /// it, filled by [`Resolver::resolve`].
     outcomes: Vec<u32>,
-    memo: FullBurstMemo,
 }
 
 impl Resolver {
-    fn new(n: usize, memo_budget: usize) -> Self {
+    fn new(n: usize) -> Self {
         let words = n.div_ceil(64);
         Resolver {
             tx_mask: vec![0u64; words],
@@ -800,27 +628,25 @@ impl Resolver {
             lost: vec![0u64; words],
             touched: Vec::with_capacity(words),
             outcomes: vec![0u32; n],
-            memo: FullBurstMemo::new(memo_budget),
         }
     }
 
-    /// Settles one slot's transmitters: tallies transmissions and radio
-    /// slots, and hands each transmitter's outcome to `settle(counts, v,
-    /// decoded, degree)`. A clean slot (no conflicts, per the plan's
+    /// Settles the transmitters of frame slot `slot` at time `t`: tallies
+    /// transmissions and radio slots, and applies each transmitter's outcome
+    /// to its queue in `queues`. A clean slot (no conflicts, per the plan's
     /// bitmask) is closed-form — every transmitter decodes at all of its
     /// neighbours and same-slot receiver sets are disjoint, so `rx` is the
-    /// degree sum and no bitset pass runs. A conflicted full burst (every
-    /// candidate transmits) replays its memoized outcome when it has one;
-    /// anything else pays [`Resolver::resolve`], and a resolved full burst is
-    /// memoized for its next occurrence.
+    /// degree sum and no bitset pass runs; a conflicted slot pays
+    /// [`Resolver::resolve`].
     #[inline]
     fn settle_slot(
         &mut self,
         plan: &FramePlan,
         slot: usize,
+        t: u64,
         tx_list: &[u32],
+        queues: &mut ExplicitQueues,
         counts: &mut KernelCounts,
-        mut settle: impl FnMut(&mut KernelCounts, usize, u32, u32),
     ) {
         let tx_count = tx_list.len();
         counts.transmissions += tx_count as u64;
@@ -831,24 +657,14 @@ impl Resolver {
                 let v = v as usize;
                 let degree = plan.degree(v);
                 rx += u64::from(degree);
-                settle(counts, v, degree, degree);
+                queues.settle(counts, v, degree, degree, t);
             }
             rx
         } else {
-            let full_burst = tx_count == plan.slot_candidates(slot).len();
-            let (decoded, rx) = match full_burst.then(|| self.memo.get(plan, slot)).flatten() {
-                Some((decoded, rx)) => (&decoded[..], *rx),
-                None => {
-                    let rx = self.resolve(plan, tx_list);
-                    if full_burst {
-                        self.memo.insert(plan, slot, &self.outcomes[..tx_count], rx);
-                    }
-                    (&self.outcomes[..tx_count], rx)
-                }
-            };
-            for (&v, &decoded) in tx_list.iter().zip(decoded) {
+            let rx = self.resolve(plan, tx_list);
+            for (&v, &decoded) in tx_list.iter().zip(&self.outcomes[..tx_count]) {
                 let v = v as usize;
-                settle(counts, v, decoded, plan.degree(v));
+                queues.settle(counts, v, decoded, plan.degree(v), t);
             }
             rx
         };
@@ -948,11 +764,11 @@ pub fn run_frames(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCount
 }
 
 /// [`run_frames`] with the closed-form analytic replay disabled: clean
-/// scheduled runs take the slot-loop paths they took before the analytic
-/// dispatch existed. The escape hatch exists for measurement (the
-/// `replay` baseline entry times analytic against loop execution) and for
-/// the parity suites that pin the two bit-identical; results are always
-/// identical to [`run_frames`].
+/// scheduled runs take the general slot loop, like every other run with
+/// traffic. The escape hatch exists for measurement (the `replay` baseline
+/// entry times analytic against loop execution) and for the parity suites
+/// that pin the two bit-identical; results are always identical to
+/// [`run_frames`].
 ///
 /// # Errors
 ///
@@ -963,10 +779,10 @@ pub fn run_frames_loop(plan: &FramePlan, config: &KernelConfig) -> Result<Kernel
 
 /// Bumps the dispatch-path counter of one kernel run — every
 /// [`run_frames_impl`] call and every lane-kernel seed passes through exactly
-/// one of these, so the six kernel-path counters sum to the number of
+/// one of these, so the five kernel-path counters sum to the number of
 /// simulated runs; the run grid counts the runs it copies instead of
-/// simulating under the seventh, `dispatch_copy`, so over a grid the seven
-/// sum to its size (a no-op outside any telemetry request).
+/// simulating under the sixth, `dispatch_copy`, so over a grid the six sum
+/// to its size (a no-op outside any telemetry request).
 #[inline]
 fn note_dispatch(counter: crate::telemetry::Counter, runs: u64) {
     crate::telemetry::count(counter, runs);
@@ -1039,54 +855,40 @@ fn run_frames_impl(
     };
 
     // The one dispatch. Without traffic nothing transmits: every node idles
-    // every slot, in closed form. Under scheduled access, periodic traffic on
-    // a plan whose conflicted slots are a small enough minority replays slot
-    // class by slot class (`run_analytic_classes`: clean classes closed-form,
-    // conflicted ones on a narrowed loop), and trace traffic on a
-    // conflict-free plan replays its arrival bitmaps (`run_analytic_trace`).
-    // Everything else takes a slot loop; conflict-free plans never run an
+    // every slot, in closed form. A clean plan under scheduled access
+    // replays periodic traffic slot class by slot class
+    // (`run_analytic_classes`) and trace traffic over its arrival bitmaps
+    // (`run_analytic_trace`). Everything else, conflicted scheduled runs
+    // included, takes the general loop; conflict-free plans never run an
     // interference pass there either.
     let clean = plan.conflict_free();
-    let scheduled = matches!(config.mac, KernelMac::Scheduled);
-    let analytic = allow_analytic && scheduled;
-    let periodic = match config.traffic {
-        KernelTraffic::Periodic { period } => Some((period, false)),
-        KernelTraffic::Staggered { period } => Some((period, true)),
-        _ => None,
-    };
-    let slot_loop = if clean {
-        Counter::DispatchConflictFree
-    } else {
-        Counter::DispatchGeneralLoop
-    };
-    match (&config.traffic, periodic) {
-        (KernelTraffic::None, _) => {
+    let analytic = allow_analytic && clean && matches!(config.mac, KernelMac::Scheduled);
+    match &config.traffic {
+        KernelTraffic::None => {
             note_dispatch(Counter::DispatchAnalytic, 1);
             Ok(close(KernelCounts::default(), n, config.slots))
         }
-        (_, Some((period, staggered)))
-            if analytic && plan.conflicted_slots() * ANALYTIC_CONFLICT_DENOM <= plan.period() =>
-        {
-            note_dispatch(
-                if clean {
-                    Counter::DispatchAnalytic
-                } else {
-                    Counter::DispatchPartialAnalytic
-                },
-                1,
-            );
-            run_analytic_classes(plan, config, period, staggered)
+        &KernelTraffic::Periodic { period } if analytic => {
+            note_dispatch(Counter::DispatchAnalytic, 1);
+            run_analytic_classes(plan, config, period, false)
         }
-        (KernelTraffic::Trace(trace), _) if analytic && clean => {
+        &KernelTraffic::Staggered { period } if analytic => {
+            note_dispatch(Counter::DispatchAnalytic, 1);
+            run_analytic_classes(plan, config, period, true)
+        }
+        KernelTraffic::Trace(trace) if analytic => {
             note_dispatch(Counter::DispatchAnalytic, 1);
             run_analytic_trace(plan, config, trace)
         }
-        (_, Some((period, staggered))) if scheduled => {
-            note_dispatch(slot_loop, 1);
-            run_deterministic(plan, config, period, staggered, FULL_BURST_MEMO_BYTE_BUDGET)
-        }
         _ => {
-            note_dispatch(slot_loop, 1);
+            note_dispatch(
+                if clean {
+                    Counter::DispatchConflictFree
+                } else {
+                    Counter::DispatchGeneralLoop
+                },
+                1,
+            );
             run_general(plan, config)
         }
     }
@@ -1094,8 +896,8 @@ fn run_frames_impl(
 
 /// Packets one node of generation phase `phase` generates in slots `0..end`
 /// under periodic traffic of period `period` (arrivals at `phase`, `phase +
-/// period`, …): the one generation closed form behind backlog tests, per-slot
-/// arrival counts and run totals.
+/// period`, …): the one generation closed form behind the lane kernel's
+/// backlog tests, per-node arrival counts and run totals.
 #[inline]
 fn arrivals_before(end: u64, phase: u64, period: u64) -> u64 {
     if end > phase {
@@ -1248,27 +1050,20 @@ fn run_analytic_trace(
     Ok(close(counts, n, slots))
 }
 
-/// Analytic replay of periodic (aligned or staggered) traffic under
-/// scheduled access, one slot class at a time.
+/// Analytic replay of periodic (aligned or staggered) traffic on a clean plan
+/// under scheduled access, one slot class at a time.
 ///
 /// Under scheduled access, slot classes are dynamically decoupled: class `s`
-/// transmits only at slots `t ≡ s (mod m)`, its transmitters are exactly its
-/// own backlogged candidates, and interference at those slots resolves among
-/// them — no other class's queue state can influence an outcome. So the run
-/// splits exactly. Clean classes (their slots carry no conflicts, every
-/// transmission delivers) need no slot loop, no queues and no bitsets: their
-/// service chains settle in closed form via [`settle_clean_chain`] — once per
-/// class for aligned traffic (every node of a class shares phase 0, the same
-/// chain and the same delivery schedule, scaled by the class size and degree
-/// sum), once per node for staggered traffic. Each conflicted class replays a
-/// *narrowed* slot loop visiting only its own service slots —
-/// `conflicted_slots / m` of the run instead of all of it — through the same
-/// [`Resolver`] and [`Queues`] as [`run_deterministic`]. A conflict-free plan
-/// (the paper's tiling schedules) has no conflicted class and allocates no
-/// loop state. Generation totals are closed-form and pending and idle close
-/// by conservation, exactly as the loop computes them. Bit-exact parity with
-/// [`run_frames_loop`] is pinned by the `sim_parity` suite and asserted
-/// inside every timed sample of the `replay` baseline entry.
+/// transmits only at slots `t ≡ s (mod m)`, and on a conflict-free plan
+/// every one of its transmissions delivers. So no class needs a slot loop,
+/// queues or bitsets: its service chains settle in closed form via
+/// [`settle_clean_chain`] — once per class for aligned traffic (every node
+/// of a class shares phase 0, the same chain and the same delivery
+/// schedule, scaled by the class size and degree sum), once per node for
+/// staggered traffic. Generation totals are closed-form and pending and idle
+/// close by conservation, exactly as the loop computes them. Bit-exact
+/// parity with [`run_frames_loop`] is pinned by the `sim_parity` suite and
+/// asserted inside every timed sample of the `replay` baseline entry.
 fn run_analytic_classes(
     plan: &FramePlan,
     config: &KernelConfig,
@@ -1284,8 +1079,8 @@ fn run_analytic_classes(
         let slot_of = slot_classes(plan);
         for (v, &ov) in plan.original_ids().iter().enumerate() {
             let s = slot_of[v];
-            if s == u32::MAX || plan.slot_conflicted(s as usize) {
-                continue; // silent (pending only) or handled by the narrowed loop
+            if s == u32::MAX {
+                continue; // silent node: its arrivals only add pending
             }
             let phase = u64::from(ov) % traffic_period;
             let arrivals = (0..arrivals_before(slots, phase, traffic_period))
@@ -1303,7 +1098,7 @@ fn run_analytic_classes(
         let generated = arrivals_before(slots, 0, traffic_period);
         for slot in 0..plan.period() {
             let class = plan.slot_candidates(slot);
-            if class.is_empty() || plan.slot_conflicted(slot) {
+            if class.is_empty() {
                 continue;
             }
             let degree_sum: u64 = class.clone().map(|v| u64::from(plan.degree(v))).sum();
@@ -1319,93 +1114,8 @@ fn run_analytic_classes(
         }
     }
 
-    if !plan.conflict_free() {
-        // Queue state is indexed by relabelled id, but only conflicted-class
-        // entries are ever touched.
-        let mut resolver = Resolver::new(n, FULL_BURST_MEMO_BYTE_BUDGET);
-        let mut tx_list: Vec<u32> = Vec::with_capacity(n);
-        let staggered_ids = staggered.then(|| plan.original_ids());
-        let mut queues = Queues::new(n, traffic_period, config.max_retries, staggered_ids);
-        for slot in (0..plan.period()).filter(|&slot| plan.slot_conflicted(slot)) {
-            let mut t = slot as u64;
-            while t < slots {
-                queues.backlogged(plan.slot_candidates(slot), t, &mut tx_list);
-                if !tx_list.is_empty() {
-                    // `settle` decrements the network backlog on every
-                    // delivery or drop; the narrowed loop never reads it (no
-                    // empty-slot skip), so top it up per burst to keep the
-                    // counter unsigned.
-                    queues.queued_total += tx_list.len() as u64;
-                    resolver.settle_slot(
-                        plan,
-                        slot,
-                        &tx_list,
-                        &mut counts,
-                        |counts, v, decoded, degree| queues.settle(counts, v, decoded, degree, t),
-                    );
-                }
-                t += m;
-            }
-        }
-    }
-
     counts.packets_generated = periodic_generated(n, slots, traffic_period, staggered);
     Ok(close(counts, n, slots))
-}
-
-/// The deterministic fast path: periodic (aligned or staggered) traffic under
-/// scheduled access, with implicit arithmetic-progression queues, the O(1)
-/// empty-slot skip and the full-burst memo (with periodic traffic, full
-/// bursts are the steady state; staggered phases only shift when each node
-/// reaches it). `memo_budget` bounds the memo's bytes.
-fn run_deterministic(
-    plan: &FramePlan,
-    config: &KernelConfig,
-    traffic_period: u64,
-    staggered: bool,
-    memo_budget: usize,
-) -> Result<KernelCounts> {
-    let n = plan.num_nodes();
-    let mut counts = KernelCounts::default();
-    let mut resolver = Resolver::new(n, memo_budget);
-    let mut tx_list: Vec<u32> = Vec::with_capacity(n);
-    let staggered_ids = staggered.then(|| plan.original_ids());
-    let mut queues = Queues::new(n, traffic_period, config.max_retries, staggered_ids);
-
-    let frame_period = plan.period() as u64;
-    for t in 0..config.slots {
-        // Nodes generating a packet in this slot (generation precedes the MAC
-        // decision within a slot). Original ids are a permutation of 0..n, so
-        // the staggered residue class of `t` holds a closed-form count.
-        queues.queued_total += if staggered {
-            arrivals_before(n as u64, t % traffic_period, traffic_period)
-        } else if t.is_multiple_of(traffic_period) {
-            n as u64
-        } else {
-            0
-        };
-        // When the whole network's queues are empty the slot is skipped in
-        // O(1) — with periodic traffic this covers the drained stretch of
-        // every generation cycle.
-        if queues.queued_total == 0 {
-            continue;
-        }
-        let slot = (t % frame_period) as usize;
-        queues.backlogged(plan.slot_candidates(slot), t, &mut tx_list);
-        if tx_list.is_empty() {
-            continue;
-        }
-        resolver.settle_slot(
-            plan,
-            slot,
-            &tx_list,
-            &mut counts,
-            |counts, v, decoded, degree| queues.settle(counts, v, decoded, degree, t),
-        );
-    }
-
-    counts.packets_generated = periodic_generated(n, config.slots, traffic_period, staggered);
-    Ok(close(counts, n, config.slots))
 }
 
 /// The per-residue generation bitmaps of staggered traffic: node `v` (original
@@ -1452,14 +1162,14 @@ impl StaggerResidues {
 
 /// The general loop: explicit per-node queues of generation times, supporting
 /// every traffic model (counter-drawn Bernoulli, compiled traces, periodic)
-/// under scheduled or slotted-ALOHA access.
+/// under scheduled or slotted-ALOHA access, on clean and conflicted plans.
 fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> {
     let n = plan.num_nodes();
     let orig = plan.original_ids();
     let traffic_rng = CounterRng::traffic(config.seed);
     let mac_rng = CounterRng::mac(config.seed);
     let mut counts = KernelCounts::default();
-    let mut resolver = Resolver::new(n, FULL_BURST_MEMO_BYTE_BUDGET);
+    let mut resolver = Resolver::new(n);
     let mut tx_list: Vec<u32> = Vec::with_capacity(n);
     let mut state = ExplicitQueues::new(n, config.max_retries);
     // Staggered runs compile per-residue generation bitmaps, so generation
@@ -1557,13 +1267,7 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
         if tx_list.is_empty() {
             continue;
         }
-        resolver.settle_slot(
-            plan,
-            slot,
-            &tx_list,
-            &mut counts,
-            |counts, v, decoded, degree| state.settle(counts, v, decoded, degree, t),
-        );
+        resolver.settle_slot(plan, slot, t, &tx_list, &mut state, &mut counts);
     }
 
     Ok(close(counts, n, config.slots))
@@ -1807,7 +1511,8 @@ pub(crate) fn run_lane_batch(
     let residues = staggered.then(|| StaggerResidues::build(plan, traffic_period));
 
     // Lane-sliced queue state. Deterministic traffic keeps implicit
-    // arithmetic-progression queues as in the scalar loop: one popped counter
+    // arithmetic-progression queues (the head packet of node `v` in a lane
+    // was generated at `phase(v) + popped · period`): one popped counter
     // per (node, lane) — touched only on pop events — with lane-uniform
     // generation refilling whole backlog words. Bernoulli traffic has
     // non-uniform per-lane queue lengths instead, so those become bit planes
@@ -2533,81 +2238,6 @@ mod tests {
         assert_eq!(silent.transmissions, 0);
     }
 
-    /// A conflicted plan with `pairs` slots, two interfering nodes per slot:
-    /// every slot's full burst collides, so every visited slot wants a memo
-    /// entry.
-    fn paired_plan(pairs: usize) -> FramePlan {
-        let n = 2 * pairs;
-        let assignment: Vec<usize> = (0..n).map(|v| v / 2).collect();
-        let lists: Vec<Vec<usize>> = (0..n)
-            .map(|v| vec![if v % 2 == 0 { v + 1 } else { v - 1 }])
-            .collect();
-        let adjacency = InterferenceCsr::from_lists(&lists).unwrap();
-        let frames = FrameSchedule::from_assignment(&assignment, pairs).unwrap();
-        FramePlan::new(&frames, &adjacency).unwrap()
-    }
-
-    #[test]
-    fn full_burst_memo_stays_under_its_byte_budget_on_large_periods() {
-        // Direct accounting check: inserting one outcome per slot of a
-        // large-period schedule must stop charging once the budget is hit,
-        // never exceed it, and keep answering for the entries it kept.
-        let plan = paired_plan(2048); // 2048-slot period, 4096 nodes
-        let budget = 4096usize;
-        let mut memo = FullBurstMemo::new(budget);
-        let outcomes = [1u32, 1];
-        for slot in 0..plan.period() {
-            memo.insert(&plan, slot, &outcomes, 2);
-            assert!(memo.bytes() <= budget, "budget exceeded at slot {slot}");
-        }
-        assert!(memo.bytes() > 0, "some entries fit");
-        assert!(
-            memo.entries.len() < plan.period(),
-            "the budget must reject most of a large period"
-        );
-        // Kept entries replay; rejected ones report a miss.
-        let kept = memo.entries.len();
-        let hits = (0..plan.period())
-            .filter(|&s| memo.get(&plan, s).is_some())
-            .count();
-        assert_eq!(hits, kept);
-        // Re-inserting a kept slot charges nothing twice.
-        let bytes = memo.bytes();
-        memo.insert(&plan, 0, &outcomes, 2);
-        assert_eq!(memo.bytes(), bytes);
-    }
-
-    #[test]
-    fn capped_memo_never_changes_deterministic_results() {
-        // The memo is a pure replay cache: running with a zero budget (every
-        // burst recomputed), a tiny budget (some replayed) and an unbounded
-        // one must produce identical counters on a conflicted large-period
-        // schedule.
-        let plan = paired_plan(64);
-        for (traffic_period, staggered) in [(1u64, false), (3, false), (5, true)] {
-            let cfg = config(
-                400,
-                if staggered {
-                    KernelTraffic::Staggered {
-                        period: traffic_period,
-                    }
-                } else {
-                    KernelTraffic::Periodic {
-                        period: traffic_period,
-                    }
-                },
-                1,
-            );
-            let unbounded =
-                run_deterministic(&plan, &cfg, traffic_period, staggered, usize::MAX).unwrap();
-            let capped = run_deterministic(&plan, &cfg, traffic_period, staggered, 256).unwrap();
-            let disabled = run_deterministic(&plan, &cfg, traffic_period, staggered, 0).unwrap();
-            assert_eq!(unbounded, capped, "period {traffic_period}");
-            assert_eq!(unbounded, disabled, "period {traffic_period}");
-            assert!(unbounded.collisions > 0, "the paired plan must conflict");
-        }
-    }
-
     #[test]
     fn analytic_replay_matches_the_loop_kernels_bit_for_bit() {
         // Clean (conflict-free) scheduled runs dispatch to the closed-form
@@ -2669,54 +2299,6 @@ mod tests {
             );
             assert!(analytic.packets_pending > 0, "silent node stays backlogged");
         }
-    }
-
-    #[test]
-    fn partial_conflict_analytic_matches_the_loop_bit_for_bit() {
-        // A conflicted minority (slot 0 of 8) below the dispatch threshold:
-        // clean classes replay closed-form, only the conflicted class loops.
-        // Both the direct hybrid kernel and the `run_frames` dispatch must be
-        // bit-identical to the full slot loop, including with a silent node.
-        for assignment in [&[0usize, 4, 0][..], &[0, 9, 0][..]] {
-            let partial = plan(assignment, 8);
-            assert!(!partial.conflict_free());
-            assert!(partial.conflicted_slots() * ANALYTIC_CONFLICT_DENOM <= partial.period());
-            for (traffic_period, staggered) in [(1u64, false), (3, false), (2, true), (5, true)] {
-                for (slots, retries) in [(0u64, 0u32), (1, 0), (7, 2), (333, 1), (400, 0)] {
-                    let traffic = if staggered {
-                        KernelTraffic::Staggered {
-                            period: traffic_period,
-                        }
-                    } else {
-                        KernelTraffic::Periodic {
-                            period: traffic_period,
-                        }
-                    };
-                    let cfg = config(slots, traffic, retries);
-                    let looped = run_frames_loop(&partial, &cfg).unwrap();
-                    let hybrid =
-                        run_analytic_classes(&partial, &cfg, traffic_period, staggered).unwrap();
-                    assert_eq!(
-                        hybrid, looped,
-                        "assignment {assignment:?} period {traffic_period} staggered \
-                         {staggered} slots {slots} retries {retries}"
-                    );
-                    assert_eq!(run_frames(&partial, &cfg).unwrap(), looped);
-                    if slots > 100 {
-                        assert!(looped.collisions > 0, "the shared slot must conflict");
-                    }
-                }
-            }
-        }
-        // Above the threshold (half the period conflicted) the hybrid is not
-        // dispatched, but parity still holds when called directly.
-        let heavy = plan(&[0, 1, 0], 2);
-        assert!(heavy.conflicted_slots() * ANALYTIC_CONFLICT_DENOM > heavy.period());
-        let cfg = config(250, KernelTraffic::Periodic { period: 4 }, 1);
-        assert_eq!(
-            run_analytic_classes(&heavy, &cfg, 4, false).unwrap(),
-            run_frames_loop(&heavy, &cfg).unwrap()
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! fast-path dispatch counters and cache-tier lookups, each counted once, in
 //! the request that made it.
 //!
-//! Timing a sweep from outside says nothing about *which* of the six kernel
+//! Timing a sweep from outside says nothing about *which* of the five kernel
 //! fast paths each run took (or whether it was copied from an identical
 //! run), how the five cache tiers answered, or where the wall-clock went.
 //! This module is the engine's hand-rolled instrumentation layer — no
@@ -12,7 +12,7 @@
 //! * **Counters** ([`Counter`]) — one per kernel dispatch path plus one for
 //!   copied runs (every [`crate::run_frames`] call, every lane-kernel seed
 //!   and every grid run that copies a canonical run's counts bumps exactly
-//!   one, so the seven dispatch counters sum to the grid size), plus
+//!   one, so the six dispatch counters sum to the grid size), plus
 //!   steal-chunk claims, trace compilations, lane-batch/lane-run totals and
 //!   per-tier cache hits/misses.
 //! * **Stage spans** ([`StageSpan`], from [`span`]) — RAII guards that record
@@ -61,30 +61,29 @@ use std::time::Instant;
 
 /// One event counter of a recording.
 ///
-/// The first seven variants are the dispatch counters. Every simulated run —
+/// The first six variants are the dispatch counters. Every simulated run —
 /// a [`crate::run_frames`] call or one seed of a [`crate::run_frames_lanes`]
-/// batch — bumps exactly one of the six kernel paths, and every grid run
+/// batch — bumps exactly one of the five kernel paths, and every grid run
 /// that receives a copy of a canonical run's counts bumps
 /// [`Counter::DispatchCopy`], so over a sweep or search grid their sum equals
 /// the grid size (property-tested in `tests/sweep_parity.rs`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Counter {
-    /// Runs replayed fully closed-form (analytic periodic/staggered/trace
-    /// replay, including the idle no-traffic path).
+    /// Runs replayed fully closed-form: periodic, staggered or trace traffic
+    /// on a conflict-free plan under scheduled access, and the idle
+    /// no-traffic path.
     DispatchAnalytic,
-    /// Runs replayed closed-form on clean slot classes with a loop only over
-    /// the conflicted minority.
-    DispatchPartialAnalytic,
     /// Seeds simulated by the 64-seed bit-sliced lane kernel under
     /// deterministic (periodic/staggered/trace) traffic.
     DispatchLaneScalar,
     /// Seeds simulated by the lane kernel under Bernoulli traffic (batched
     /// in-kernel draws, no trace compilation).
     DispatchLaneBernoulli,
-    /// Runs through the slot loop's conflict-free shortcut (no interference
-    /// passes).
+    /// Runs of a conflict-free plan through the general slot loop, which
+    /// then runs no interference pass.
     DispatchConflictFree,
-    /// Runs through the general slot loop (bitset interference passes).
+    /// Runs of a conflicted plan through the general slot loop (bitset
+    /// interference passes on its conflicted slots), scheduled or not.
     DispatchGeneralLoop,
     /// Grid runs not simulated: they received a copy of a canonical run's
     /// counts, which their retry budget, seed or repeated plan cannot change.
@@ -123,9 +122,8 @@ pub enum Counter {
 
 /// Every counter, in declaration order (the dense index order of a
 /// snapshot's counter array).
-pub const COUNTERS: [Counter; 21] = [
+pub const COUNTERS: [Counter; 20] = [
     Counter::DispatchAnalytic,
-    Counter::DispatchPartialAnalytic,
     Counter::DispatchLaneScalar,
     Counter::DispatchLaneBernoulli,
     Counter::DispatchConflictFree,
@@ -147,11 +145,10 @@ pub const COUNTERS: [Counter; 21] = [
     Counter::SearchMisses,
 ];
 
-/// The seven dispatch counters — six kernel paths and copies — whose sum
+/// The six dispatch counters — five kernel paths and copies — whose sum
 /// over a sweep or search recording equals its grid size.
-pub const DISPATCH_COUNTERS: [Counter; 7] = [
+pub const DISPATCH_COUNTERS: [Counter; 6] = [
     Counter::DispatchAnalytic,
-    Counter::DispatchPartialAnalytic,
     Counter::DispatchLaneScalar,
     Counter::DispatchLaneBernoulli,
     Counter::DispatchConflictFree,
@@ -164,7 +161,6 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::DispatchAnalytic => "dispatch_analytic",
-            Counter::DispatchPartialAnalytic => "dispatch_partial_analytic",
             Counter::DispatchLaneScalar => "dispatch_lane_scalar",
             Counter::DispatchLaneBernoulli => "dispatch_lane_bernoulli",
             Counter::DispatchConflictFree => "dispatch_conflict_free",
@@ -437,7 +433,7 @@ impl TelemetrySnapshot {
         self.stages.get(&stage).unwrap_or(NO_SPANS)
     }
 
-    /// The sum of the seven dispatch counters — over a sweep or search
+    /// The sum of the six dispatch counters — over a sweep or search
     /// recording, the grid size (simulated runs plus copies).
     pub fn dispatch_total(&self) -> u64 {
         DISPATCH_COUNTERS.iter().map(|&c| self.counter(c)).sum()
@@ -1142,7 +1138,7 @@ mod tests {
         let text = snap.to_string();
         assert!(text.contains("fast-path dispatch mix"));
         // One line per dispatch counter, copies included, then the total.
-        for line in ["partial-analytic", "general-loop", "copy"] {
+        for line in ["conflict-free", "general-loop", "copy"] {
             assert!(
                 text.lines().any(|l| l.trim_start().starts_with(line)),
                 "{text}"

@@ -178,6 +178,17 @@ fn profiled_grids_copy_exactly_their_redundant_runs() {
     assert_eq!(mix(search.telemetry), (56, 104, 160));
     // All three collapses at once.
     assert_eq!(sweep(&staggered_seeds_spec()), (4, 32, 36));
+    // The committed tiling and search specs replay or copy every run too:
+    // each schedule is a tiling or a proper colouring, so no scheduled
+    // request builds a conflicted plan or reaches the slot loop.
+    let tiling = include_str!("specs/tiling_stream_80_seeds.json");
+    assert_eq!(
+        sweep(&SweepSpec::parse_spec(tiling).unwrap()[0]),
+        (80, 80, 160)
+    );
+    let moore = SearchSpec::parse_spec(include_str!("specs/search_moore_64.json")).unwrap();
+    let (search, _) = profile(|| run_search(&moore[0], &SweepCaches::new()).unwrap());
+    assert_eq!(mix(search.telemetry), (14, 6, 20));
     // ALOHA draws every seed and collides, so a lane grid copies nothing.
     let aloha = &SweepSpec::parse_spec(include_str!("specs/aloha_20_batches.json")).unwrap()[0];
     assert_eq!(sweep(aloha), (0, 0, 800));
@@ -444,7 +455,6 @@ fn profiled_sweep_reports_the_pinned_dispatch_mix() {
     assert_eq!(snapshot.counter(Counter::DispatchAnalytic), 8);
     assert_eq!(snapshot.counter(Counter::DispatchCopy), 8);
     for counter in [
-        Counter::DispatchPartialAnalytic,
         Counter::DispatchLaneScalar,
         Counter::DispatchLaneBernoulli,
         Counter::DispatchConflictFree,

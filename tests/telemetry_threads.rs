@@ -38,7 +38,6 @@ fn forced_single_thread_sweeps_report_the_pinned_counters() {
     assert_eq!(snapshot.counter(Counter::DispatchAnalytic), 8);
     assert_eq!(snapshot.counter(Counter::DispatchCopy), 8);
     for counter in [
-        Counter::DispatchPartialAnalytic,
         Counter::DispatchLaneScalar,
         Counter::DispatchLaneBernoulli,
         Counter::DispatchConflictFree,
