@@ -76,18 +76,24 @@ impl fmt::Display for Measurement {
     }
 }
 
+/// Wall clock of one run of `run`, in milliseconds.
+pub(crate) fn time_ms(run: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    run();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The median of a nonempty list of timings (the upper middle one of an
+/// even count).
+pub(crate) fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(|a, b| a.total_cmp(b));
+    times[times.len() / 2]
+}
+
 /// Median wall clock of `samples` (at least one) runs of `run`, in
 /// milliseconds.
 pub(crate) fn median_ms(samples: usize, mut run: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            run();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+    median((0..samples.max(1)).map(|_| time_ms(&mut run)).collect())
 }
 
 /// Measures one entry at its committed workload size.
@@ -106,14 +112,15 @@ pub const ENTRIES: [(&str, Measure); 7] = [
     // 100 000 runs: 4 periods × 5 retry budgets × 5 000 seeds, 2 samples;
     // then 160 seeds of the tiling × Bernoulli trace-streaming grid.
     ("aggregate", || Ok(measure_aggregate(5_000, 160, 2)?)),
-    // The builtin Figure-2 search cold against warm, median of 3 per side;
-    // then a 2-run search cold at windows 16 and 64, median of 3 each.
+    // The builtin Figure-2 search cold against warm, median of 3 per side
+    // (a warm sample is the mean of 100 searches); then a 2-run search cold
+    // at windows 16 and 64, median of 3 each.
     ("search", || Ok(measure_search(3, 16, 64)?)),
     // Moore 64×64, 1 024 slots per run, median of 3 per side.
     ("replay", || Ok(measure_replay(64, 1024, 3)?)),
-    // The warm acceptance sweep unprofiled and profiled, median of 5 per
-    // side.
-    ("telemetry", || Ok(measure_telemetry(64, 512, 5)?)),
+    // The warm acceptance sweep unprofiled and profiled, alternating, median
+    // of 15 per side.
+    ("telemetry", || Ok(measure_telemetry(64, 512, 15)?)),
 ];
 
 /// What one gate row checks.
@@ -185,9 +192,9 @@ pub const GATES: [(&str, Check); 12] = [
     // cap, ≥ 2× reduction, fold parity) are in the entry's `parity`.
     ("aggregate", metric("speedup", 0.9)),
     ("aggregate", Check::PeakBytes { max_growth: 7.0 }),
-    // A warm search is one tier-5 hit measured in microseconds, so the ratio
-    // is huge but noisy. Outcome parity, zero warm misses and the optimal
-    // winner are in the entry's `parity`.
+    // A warm search is one tier-5 hit measured in microseconds (a warm
+    // sample is the mean of 100), so the ratio is huge. Outcome parity, zero
+    // warm misses and the optimal winner are in the entry's `parity`.
     ("search", metric("speedup", 0.9)),
     // Cold search time per node, large window over small: a search whose
     // cost grows faster than its window (a dense conflict graph, an O(n³)

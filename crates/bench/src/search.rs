@@ -41,10 +41,12 @@ fn cold_scaling_ms(samples: usize, window: i64) -> latsched_engine::Result<(f64,
 }
 
 /// Times the builtin Figure-2 search cold (fresh [`SweepCaches`] every
-/// sample) against warm (one shared cache set, pre-warmed), checking that the
-/// warm outcome is bit-identical, that the warm side's only cache movement is
-/// search-tier hits (zero misses everywhere, zero lookups below tier 5), and
-/// that the winner is a provably optimal lattice tiling: `speedup` is
+/// sample) against warm (one shared cache set, pre-warmed; one tier-5 hit
+/// takes microseconds, so each warm sample times 100 searches and divides
+/// by 100), checking that the warm outcome is bit-identical, that the warm
+/// side's only cache movement is search-tier hits (zero misses everywhere,
+/// zero lookups below tier 5), and that the winner is a provably optimal
+/// lattice tiling: `speedup` is
 /// `cold_ms / warm_ms`, `warm_caches` the warm search's per-tier counters,
 /// and `parity` whether all three checks held.
 ///
@@ -85,10 +87,15 @@ pub fn measure_search(
     run_search(&spec, &caches)?;
     let mut warm_report: Option<SearchReport> = None;
     let mut warm_err = None;
-    let warm_ms = median_ms(samples, || match run_search(&spec, &caches) {
-        Ok(report) => warm_report = Some(report),
-        Err(err) => warm_err = Some(err),
-    });
+    let warm_repeats = 100;
+    let warm_ms = median_ms(samples, || {
+        for _ in 0..warm_repeats {
+            match run_search(&spec, &caches) {
+                Ok(report) => warm_report = Some(report),
+                Err(err) => warm_err = Some(err),
+            }
+        }
+    }) / f64::from(warm_repeats);
     if let Some(err) = warm_err {
         return Err(err);
     }

@@ -18,7 +18,7 @@
 //! folds into the measurement's `parity` flag, which the perf gate refuses
 //! to pass when false.
 
-use crate::baseline::{median_ms, Measurement};
+use crate::baseline::{median, time_ms, Measurement};
 use crate::sweep::sweep_spec;
 use latsched_engine::telemetry::profile;
 use latsched_engine::{run_sweep, SweepCaches};
@@ -27,7 +27,9 @@ use latsched_engine::{run_sweep, SweepCaches};
 ///
 /// The shared caches are warmed once up front so both sides time the
 /// steady-state grid execution (the compile/setup tier would otherwise
-/// dominate and mask any counting overhead). `dispatch_total` is the
+/// dominate and mask any counting overhead). Unprofiled and profiled samples
+/// alternate, `samples` of each, so drift on a shared host lands on both
+/// sides alike; each side reports its median. `dispatch_total` is the
 /// profiled run's dispatch-counter sum (it must equal `runs`).
 pub fn measure_telemetry(
     window: i64,
@@ -38,16 +40,18 @@ pub fn measure_telemetry(
     let caches = SweepCaches::new();
     let reference = run_sweep(&spec, &caches)?;
 
-    let mut off_report = None;
-    let off_ms = median_ms(samples, || {
-        off_report = Some(run_sweep(&spec, &caches).expect("warm sweep (telemetry off)"));
-    });
-
-    let mut on_report = None;
-    let on_ms = median_ms(samples, || {
-        let (report, _) = profile(|| run_sweep(&spec, &caches));
-        on_report = Some(report.expect("warm sweep (telemetry on)"));
-    });
+    let (mut off_report, mut on_report) = (None, None);
+    let (mut off_times, mut on_times) = (Vec::new(), Vec::new());
+    for _ in 0..samples.max(1) {
+        off_times.push(time_ms(|| {
+            off_report = Some(run_sweep(&spec, &caches).expect("warm sweep (telemetry off)"));
+        }));
+        on_times.push(time_ms(|| {
+            let (report, _) = profile(|| run_sweep(&spec, &caches));
+            on_report = Some(report.expect("warm sweep (telemetry on)"));
+        }));
+    }
+    let (off_ms, on_ms) = (median(off_times), median(on_times));
 
     let off_report = off_report.expect("at least one disabled sample");
     let on_report = on_report.expect("at least one enabled sample");

@@ -257,7 +257,9 @@ impl FrameSchedule {
 /// slot's transmitter ids form a contiguous range and their adjacency data is
 /// one contiguous streamed block instead of a gather across the whole network.
 /// The adjacency is stored word-grouped over the relabelled id space
-/// (bitset-word index + neighbour bits per entry).
+/// (bitset-word index + neighbour bits per entry). Of its conflicts the plan
+/// keeps one bit, [`FramePlan::conflict_free`], which decides whether a
+/// scheduled run replays in closed form.
 ///
 /// All simulation metrics are aggregates, so the relabelling is invisible to
 /// callers.
@@ -281,17 +283,9 @@ pub struct FramePlan {
     /// counter-based RNG draws of the simulation kernel are keyed by these
     /// original ids so relabelling never changes stochastic outcomes.
     old_of_new: Vec<u32>,
-    /// Per-slot conflict bitmask: bit `s` is set iff slot `s` is *conflicted* —
-    /// some candidate's neighbour is a candidate of the same slot, or two
-    /// same-slot candidates share a neighbour. On a *clean* slot any transmit
-    /// subset delivers to every neighbour (each receiver hears exactly one
-    /// in-range transmitter), so the kernel takes the closed-form path
-    /// (`decoded = degree`, `rx = Σ degree`) and pays bitset passes only on
-    /// conflicted slots. All-clean plans — the paper's tiling schedules and
-    /// any valid distance-2 colouring — never touch a bitset at all.
-    conflict_mask: Vec<u64>,
-    /// Number of conflicted slots (popcount of `conflict_mask`).
-    conflicted_slots: usize,
+    /// Whether no slot conflicts: no candidate's neighbour is a candidate of
+    /// the same slot, and no two same-slot candidates share a neighbour.
+    conflict_free: bool,
     /// 64-bit content fingerprint of the plan, used to content-address derived
     /// artifacts (compiled traffic traces) without hashing the whole plan per
     /// lookup.
@@ -373,38 +367,29 @@ impl FramePlan {
             mask_bits,
             degrees,
             old_of_new,
-            conflict_mask: Vec::new(),
-            conflicted_slots: 0,
+            conflict_free: false,
             fingerprint,
         };
-        plan.conflict_mask = plan.compute_conflict_mask();
-        plan.conflicted_slots = plan
-            .conflict_mask
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
+        plan.conflict_free = !plan.has_conflict();
         Ok(plan)
     }
 
-    /// One O(edges) pass computing the per-slot conflict bitmask. `seen[u]`
-    /// stamps the last slot in which `u` was some candidate's neighbour;
-    /// a repeat stamp within one slot (shared neighbour, or a duplicate edge)
-    /// or a neighbour inside the slot's own candidate range marks the slot
-    /// conflicted.
-    fn compute_conflict_mask(&self) -> Vec<u64> {
-        let mut mask = vec![0u64; self.period.div_ceil(64)];
+    /// One O(edges) pass that stops at the first conflict. `seen[u]` stamps
+    /// the last slot in which `u` was some candidate's neighbour; a repeat
+    /// stamp within one slot (shared neighbour, or a duplicate edge) or a
+    /// neighbour inside the slot's own candidate range is a conflict.
+    fn has_conflict(&self) -> bool {
         let mut seen = vec![usize::MAX; self.num_nodes];
         for slot in 0..self.period {
             let candidates = self.slot_candidates(slot);
-            'slot: for v in candidates.clone() {
+            for v in candidates.clone() {
                 let (entry_words, entry_bits) = self.mask_entries(v);
                 for (&w, &m) in entry_words.iter().zip(entry_bits) {
                     let mut bits = m;
                     while bits != 0 {
                         let u = w as usize * 64 + bits.trailing_zeros() as usize;
                         if candidates.contains(&u) || seen[u] == slot {
-                            mask[slot / 64] |= 1u64 << (slot % 64);
-                            break 'slot;
+                            return true;
                         }
                         seen[u] = slot;
                         bits &= bits - 1;
@@ -412,7 +397,7 @@ impl FramePlan {
                 }
             }
         }
-        mask
+        false
     }
 
     /// The temporal period `m`.
@@ -455,26 +440,14 @@ impl FramePlan {
     }
 
     /// Whether every slot's candidates have pairwise disjoint, candidate-free
-    /// neighbour sets (see the `conflict_mask` field docs); the kernel's
-    /// O(transmitters) interference shortcut applies to every slot of such a
-    /// plan.
+    /// neighbour sets. Then each receiver of a slot hears exactly one
+    /// in-range transmitter, so under scheduled access every transmission
+    /// delivers and the kernel replays the plan in closed form. The paper's
+    /// tiling schedules (Theorem 1) and every proper distance-2 colouring
+    /// are conflict-free; only an improper slot assignment is not.
     #[inline]
     pub fn conflict_free(&self) -> bool {
-        self.conflicted_slots == 0
-    }
-
-    /// Whether the given slot is conflicted (see the `conflict_mask` field
-    /// docs). Clean slots take the kernel's closed-form outcome path even when
-    /// other slots of the plan conflict.
-    #[inline]
-    pub fn slot_conflicted(&self, slot: usize) -> bool {
-        self.conflict_mask[slot / 64] >> (slot % 64) & 1 == 1
-    }
-
-    /// Number of conflicted slots in the frame.
-    #[inline]
-    pub fn conflicted_slots(&self) -> usize {
-        self.conflicted_slots
+        self.conflict_free
     }
 
     /// A 64-bit content fingerprint of the plan: equal plans always
@@ -484,22 +457,6 @@ impl FramePlan {
     #[inline]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Marks every slot of the plan conflicted, forcing the kernel through the
-    /// full bitset interference passes; the parity oracle the bitmask-narrowing
-    /// tests compare against.
-    #[cfg(test)]
-    pub(crate) fn pessimize_conflicts(&mut self) {
-        for (s, word) in self.conflict_mask.iter_mut().enumerate() {
-            let slots_in_word = (self.period - s * 64).min(64);
-            *word = if slots_in_word == 64 {
-                u64::MAX
-            } else {
-                (1u64 << slots_in_word) - 1
-            };
-        }
-        self.conflicted_slots = self.period;
     }
 }
 
@@ -604,36 +561,31 @@ mod tests {
     }
 
     #[test]
-    fn conflict_mask_marks_exactly_the_conflicted_slots() {
-        // Line 0 — 1 — 2 — 3: assignment [0, 1, 0, 2] over period 3.
-        // Slot 0 = {0, 2}: 2 is a neighbour of 1 and 0 is a neighbour of 1 —
-        // they share receiver 1, so slot 0 conflicts. Slot 1 = {1}: node 1's
-        // neighbours (0, 2) are not slot-1 candidates — clean. Slot 2 = {3} —
-        // clean.
+    fn shared_receivers_same_slot_neighbours_and_duplicate_edges_conflict() {
+        // Line 0 — 1 — 2 — 3. Assignment [0, 1, 0, 2] over period 3: slot 0
+        // = {0, 2} shares receiver 1, so the plan conflicts although slots 1
+        // and 2 are clean.
         let adjacency =
             InterferenceCsr::from_lists(&[vec![1], vec![0, 2], vec![1, 3], vec![2]]).unwrap();
         let frames = FrameSchedule::from_assignment(&[0, 1, 0, 2], 3).unwrap();
-        let plan = FramePlan::new(&frames, &adjacency).unwrap();
-        assert!(!plan.conflict_free());
-        assert_eq!(plan.conflicted_slots(), 1);
-        assert!(plan.slot_conflicted(0));
-        assert!(!plan.slot_conflicted(1));
-        assert!(!plan.slot_conflicted(2));
+        assert!(!FramePlan::new(&frames, &adjacency).unwrap().conflict_free());
 
         // A neighbour that is a same-slot candidate also conflicts: 0 and 1
         // share slot 0 and are adjacent.
         let frames = FrameSchedule::from_assignment(&[0, 0, 1, 2], 3).unwrap();
-        let plan = FramePlan::new(&frames, &adjacency).unwrap();
-        assert!(plan.slot_conflicted(0));
+        assert!(!FramePlan::new(&frames, &adjacency).unwrap().conflict_free());
 
         // A distance-2-colouring-style assignment is clean on every slot.
         let frames = FrameSchedule::from_assignment(&[0, 1, 2, 0], 3).unwrap();
-        let plan = FramePlan::new(&frames, &adjacency).unwrap();
-        assert!(plan.conflict_free());
-        assert_eq!(plan.conflicted_slots(), 0);
-        for s in 0..3 {
-            assert!(!plan.slot_conflicted(s));
-        }
+        assert!(FramePlan::new(&frames, &adjacency).unwrap().conflict_free());
+
+        // A duplicate edge makes its receiver hear the sender twice, which
+        // the kernel counts as a collision, even with one node per slot.
+        let doubled =
+            InterferenceCsr::from_lists(&[vec![1, 1], vec![0, 2], vec![1, 3], vec![2]]).unwrap();
+        let frames = FrameSchedule::from_assignment(&[0, 1, 2, 3], 4).unwrap();
+        assert!(FramePlan::new(&frames, &adjacency).unwrap().conflict_free());
+        assert!(!FramePlan::new(&frames, &doubled).unwrap().conflict_free());
     }
 
     #[test]

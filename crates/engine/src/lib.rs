@@ -25,11 +25,11 @@
 //! 4. Frame-compiled simulation — [`FrameSchedule`] precomputes one schedule
 //!    period's per-slot transmitter sets, [`InterferenceCsr`] /
 //!    [`FramePlan`] compile the interference graph into a slot-major CSR
-//!    layout (with a per-slot conflict bitmask, so clean slots take a
-//!    closed-form outcome path and only conflicted slots pay bitset passes),
-//!    and [`run_frames`] replays whole simulations as allocation-free bitset
-//!    passes (the fast backend behind `latsched_sensornet::run_simulation`,
-//!    ~85× the reference simulator on a 256×256 window). Stochastic workloads
+//!    layout that records whether the plan is conflict-free, and
+//!    [`run_frames`] replays a conflict-free plan under scheduled access in
+//!    closed form and every other run as allocation-free bitset passes (the
+//!    fast backend behind `latsched_sensornet::run_simulation`, ~85× the
+//!    reference simulator on a 256×256 window). Stochastic workloads
 //!    (Bernoulli traffic, slotted ALOHA) replay bit-identically through the
 //!    counter-based [`CounterRng`] — every draw is `hash(seed, node, slot)`.
 //! 5. The tiered artifact pipeline — five content-addressed tiers, each a

@@ -46,27 +46,22 @@
 //!   and repeated benchmark samples never rebuild one — and [`run_frames`]
 //!   *auto-compiles* an internal trace for inline Bernoulli runs above a size
 //!   threshold before it dispatches, so stochastic runs stop walking every
-//!   node in every slot on whichever path they take (the general loop gives
-//!   staggered periodic runs per-residue generation bitmaps for the same
-//!   reason). Slotted-ALOHA MAC decisions compile the same way
+//!   node in every slot on whichever path they take. (Staggered traffic needs
+//!   no trace: the generators of slot `t` are the original ids `t mod P`,
+//!   `t mod P + P`, …, walked through the inverse relabelling.)
+//!   Slotted-ALOHA MAC decisions compile the same way
 //!   ([`TrafficTrace::aloha_decisions`], replayed via
 //!   [`KernelMac::AlohaTrace`]), so the MAC draws of a `(seed, p)` pair are
 //!   hashed once per sweep instead of once per run.
-//! * **Partial-conflict narrowing.** The plan carries a per-slot conflict
-//!   bitmask: clean slots (no same-slot neighbour candidates, no shared
-//!   receivers) take a closed-form outcome path — `decoded = degree`,
-//!   `rx = Σ degree` — and only conflicted slots pay bitset passes. Fully
-//!   conflict-free plans (the paper's tiling schedules) never touch a bitset.
-//!   The general loop settles every slot through one resolver, whose
-//!   `settle_slot` holds the clean closed form and the bitset resolve.
+//! * **One resolver.** The general loop settles every slot through
+//!   `Resolver::settle_slot`, which always runs the bitset resolve: a
+//!   conflict-free slot is one where the passes find no collision.
 //! * **Parallel outcome pass.** Per-transmitter delivery outcomes are
-//!   data-parallel once the bitsets are built; conflicted slots with ≥ 8k
-//!   transmitters chunk their outcome pass across worker threads with the
-//!   engine's scoped-thread executor. (Clean slots need no outcome pass at
-//!   all — their accounting is one fused add-and-settle walk.)
-//! * **Analytic replay.** Under scheduled access on a conflict-free plan the
-//!   clean-slot closed form extends from slots to whole runs: every
-//!   transmission delivers, a node's service opportunities form an
+//!   data-parallel once the bitsets are built; slots with ≥ 8k transmitters
+//!   chunk their outcome pass across worker threads with the engine's
+//!   scoped-thread executor.
+//! * **Analytic replay.** Under scheduled access on a conflict-free plan
+//!   every transmission delivers, a node's service opportunities form an
 //!   arithmetic progression (one per frame period), and the FIFO service
 //!   recurrence `d = max(first_service ≥ arrival, previous + period)`
 //!   settles each packet in O(1). [`run_frames`] replays periodic traffic
@@ -75,7 +70,9 @@
 //!   by Theorem 1) or a proper distance-2 colouring, so every scheduled plan
 //!   a request builds qualifies; a conflicted plan, which only an improper
 //!   explicit slot assignment builds, takes the general loop.
-//!   [`run_frames_loop`] is the measured escape hatch.
+//!   [`run_frames_loop`], the measured escape hatch, runs clean plans
+//!   through the general loop's bitset passes too, so it checks the closed
+//!   form against real interference.
 //! * **Bit-sliced seed lanes.** [`run_frames_lanes`] packs up to 64 seeds of
 //!   one configuration into `u64` lane words: one candidate scan and one
 //!   adjacency walk per slot serve all seeds, interference saturating-counts
@@ -233,11 +230,6 @@ const TRACE_PARALLEL_MIN_WORDS: usize = 1 << 10;
 /// slot: the lane-word build pays one `mix64` per draw (the inline path pays
 /// two plus a float compare) and the replay touches only generating nodes.
 const AUTO_TRACE_MIN_DRAWS: u64 = 1 << 12;
-
-/// Upper bound on `period × words` of the per-residue generation bitmaps the
-/// general loop compiles for staggered traffic (32 MiB); longer periods fall
-/// back to the per-node walk.
-const STAGGER_RESIDUE_WORD_LIMIT: u64 = 1 << 22;
 
 /// Transposes a 64×64 bit matrix in place: bit `j` of word `i` moves to bit
 /// `i` of word `j`. The classic recursive block swap (Hacker's Delight §7-3)
@@ -602,7 +594,7 @@ impl ExplicitQueues {
 /// The slot resolver of the general loop: the reusable per-slot bitset state
 /// of the interference passes. [`Resolver::settle_slot`] is the one place a
 /// scalar slot's transmissions turn into outcomes; the lane kernel mirrors
-/// its clean closed form and its saturating once/twice masks word-wise.
+/// its saturating once/twice masks word-wise.
 struct Resolver {
     tx_mask: Vec<u64>,
     /// ≥ 1 in-range transmitter.
@@ -631,18 +623,14 @@ impl Resolver {
         }
     }
 
-    /// Settles the transmitters of frame slot `slot` at time `t`: tallies
-    /// transmissions and radio slots, and applies each transmitter's outcome
-    /// to its queue in `queues`. A clean slot (no conflicts, per the plan's
-    /// bitmask) is closed-form — every transmitter decodes at all of its
-    /// neighbours and same-slot receiver sets are disjoint, so `rx` is the
-    /// degree sum and no bitset pass runs; a conflicted slot pays
-    /// [`Resolver::resolve`].
+    /// Settles one slot's transmitters at time `t`: resolves their
+    /// interference ([`Resolver::resolve`]), tallies transmissions and radio
+    /// slots, and applies each transmitter's outcome to its queue in
+    /// `queues`.
     #[inline]
     fn settle_slot(
         &mut self,
         plan: &FramePlan,
-        slot: usize,
         t: u64,
         tx_list: &[u32],
         queues: &mut ExplicitQueues,
@@ -651,24 +639,11 @@ impl Resolver {
         let tx_count = tx_list.len();
         counts.transmissions += tx_count as u64;
         counts.tx_slots += tx_count as u64;
-        let rx = if !plan.slot_conflicted(slot) {
-            let mut rx = 0u64;
-            for &v in tx_list {
-                let v = v as usize;
-                let degree = plan.degree(v);
-                rx += u64::from(degree);
-                queues.settle(counts, v, degree, degree, t);
-            }
-            rx
-        } else {
-            let rx = self.resolve(plan, tx_list);
-            for (&v, &decoded) in tx_list.iter().zip(&self.outcomes[..tx_count]) {
-                let v = v as usize;
-                queues.settle(counts, v, decoded, plan.degree(v), t);
-            }
-            rx
-        };
-        counts.rx_slots += rx;
+        counts.rx_slots += self.resolve(plan, tx_list);
+        for (&v, &decoded) in tx_list.iter().zip(&self.outcomes[..tx_count]) {
+            let v = v as usize;
+            queues.settle(counts, v, decoded, plan.degree(v), t);
+        }
     }
 
     /// Resolves one slot's interference for the given transmitter list: fills
@@ -779,9 +754,9 @@ pub fn run_frames_loop(plan: &FramePlan, config: &KernelConfig) -> Result<Kernel
 
 /// Bumps the dispatch-path counter of one kernel run — every
 /// [`run_frames_impl`] call and every lane-kernel seed passes through exactly
-/// one of these, so the five kernel-path counters sum to the number of
+/// one of these, so the four kernel-path counters sum to the number of
 /// simulated runs; the run grid counts the runs it copies instead of
-/// simulating under the sixth, `dispatch_copy`, so over a grid the six sum
+/// simulating under the fifth, `dispatch_copy`, so over a grid the five sum
 /// to its size (a no-op outside any telemetry request).
 #[inline]
 fn note_dispatch(counter: crate::telemetry::Counter, runs: u64) {
@@ -859,10 +834,9 @@ fn run_frames_impl(
     // replays periodic traffic slot class by slot class
     // (`run_analytic_classes`) and trace traffic over its arrival bitmaps
     // (`run_analytic_trace`). Everything else, conflicted scheduled runs
-    // included, takes the general loop; conflict-free plans never run an
-    // interference pass there either.
-    let clean = plan.conflict_free();
-    let analytic = allow_analytic && clean && matches!(config.mac, KernelMac::Scheduled);
+    // included, takes the general loop.
+    let analytic =
+        allow_analytic && plan.conflict_free() && matches!(config.mac, KernelMac::Scheduled);
     match &config.traffic {
         KernelTraffic::None => {
             note_dispatch(Counter::DispatchAnalytic, 1);
@@ -881,14 +855,7 @@ fn run_frames_impl(
             run_analytic_trace(plan, config, trace)
         }
         _ => {
-            note_dispatch(
-                if clean {
-                    Counter::DispatchConflictFree
-                } else {
-                    Counter::DispatchGeneralLoop
-                },
-                1,
-            );
+            note_dispatch(Counter::DispatchGeneralLoop, 1);
             run_general(plan, config)
         }
     }
@@ -1118,51 +1085,39 @@ fn run_analytic_classes(
     Ok(close(counts, n, slots))
 }
 
-/// The per-residue generation bitmaps of staggered traffic: node `v` (original
-/// id) generates at slots `t ≡ orig(v) (mod period)`, so one bitmap per
-/// residue class lets the general loop enqueue exactly the generating nodes
-/// instead of walking all of them every slot.
-struct StaggerResidues {
-    words: usize,
-    /// Residue-major bitmaps over relabelled ids: bit `v` of residue `r` lives
-    /// in `bits[r * words + v / 64]`.
-    bits: Vec<u64>,
-    /// Per-residue generator counts.
-    counts: Vec<u32>,
+/// The relabelled id of every original id: the inverse of
+/// [`FramePlan::original_ids`], for walking staggered generators.
+fn relabelled_ids(plan: &FramePlan) -> Vec<u32> {
+    let mut new_of_old = vec![0u32; plan.num_nodes()];
+    for (v, &ov) in plan.original_ids().iter().enumerate() {
+        new_of_old[ov as usize] = v as u32;
+    }
+    new_of_old
 }
 
-impl StaggerResidues {
-    /// Builds the residue bitmaps when the period is small enough to be worth
-    /// materializing; longer periods return `None` (per-node walk instead).
-    fn build(plan: &FramePlan, period: u64) -> Option<StaggerResidues> {
-        let n = plan.num_nodes();
-        let words = n.div_ceil(64);
-        if period == 0 || period * words as u64 > STAGGER_RESIDUE_WORD_LIMIT {
-            return None;
-        }
-        let mut bits = vec![0u64; period as usize * words];
-        let mut counts = vec![0u32; period as usize];
-        for (v, &ov) in plan.original_ids().iter().enumerate() {
-            let r = (u64::from(ov) % period) as usize;
-            bits[r * words + v / 64] |= 1u64 << (v % 64);
-            counts[r] += 1;
-        }
-        Some(StaggerResidues {
-            words,
-            bits,
-            counts,
-        })
-    }
-
-    #[inline]
-    fn words_at(&self, r: usize) -> &[u64] {
-        &self.bits[r * self.words..(r + 1) * self.words]
-    }
+/// The relabelled ids of the nodes that generate at slot `t` under
+/// staggered traffic of period `period`, given [`relabelled_ids`]: node `o`
+/// (original id) generates at `t ≡ o (mod period)`, and original ids are a
+/// permutation of `0..n`, so the generators are the original ids `t mod
+/// period`, `t mod period + period`, … below `n`. A slot costs its
+/// generators, whatever the period.
+fn staggered_generators(
+    relabelled: &[u32],
+    t: u64,
+    period: u64,
+) -> impl Iterator<Item = usize> + '_ {
+    let step = usize::try_from(period).unwrap_or(usize::MAX);
+    relabelled
+        .iter()
+        .skip((t % period) as usize)
+        .step_by(step)
+        .map(|&v| v as usize)
 }
 
 /// The general loop: explicit per-node queues of generation times, supporting
 /// every traffic model (counter-drawn Bernoulli, compiled traces, periodic)
-/// under scheduled or slotted-ALOHA access, on clean and conflicted plans.
+/// under scheduled or slotted-ALOHA access, resolving every slot's
+/// interference with the bitset passes.
 fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> {
     let n = plan.num_nodes();
     let orig = plan.original_ids();
@@ -1172,11 +1127,9 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
     let mut resolver = Resolver::new(n);
     let mut tx_list: Vec<u32> = Vec::with_capacity(n);
     let mut state = ExplicitQueues::new(n, config.max_retries);
-    // Staggered runs compile per-residue generation bitmaps, so generation
-    // stops walking every node per slot.
-    let residues = match &config.traffic {
-        KernelTraffic::Staggered { period } => StaggerResidues::build(plan, *period),
-        _ => None,
+    let relabelled = match config.traffic {
+        KernelTraffic::Staggered { .. } => relabelled_ids(plan),
+        _ => Vec::new(),
     };
 
     let frame_period = plan.period() as u64;
@@ -1207,22 +1160,9 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
                 }
             }
             KernelTraffic::Staggered { period } => {
-                let r = t % period;
-                match &residues {
-                    Some(res) if res.counts[r as usize] > 0 => {
-                        let count = res.counts[r as usize];
-                        state.push_bitmap(res.words_at(r as usize), count, t);
-                        counts.packets_generated += u64::from(count);
-                    }
-                    Some(_) => {}
-                    None => {
-                        for (v, &ov) in orig.iter().enumerate() {
-                            if u64::from(ov) % period == r {
-                                state.push(v, t);
-                                counts.packets_generated += 1;
-                            }
-                        }
-                    }
+                for v in staggered_generators(&relabelled, t, *period) {
+                    state.push(v, t);
+                    counts.packets_generated += 1;
                 }
             }
             KernelTraffic::None => {}
@@ -1267,7 +1207,7 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
         if tx_list.is_empty() {
             continue;
         }
-        resolver.settle_slot(plan, slot, t, &tx_list, &mut state, &mut counts);
+        resolver.settle_slot(plan, t, &tx_list, &mut state, &mut counts);
     }
 
     Ok(close(counts, n, config.slots))
@@ -1386,12 +1326,12 @@ fn next_arrival(bitmap: &[u64], head: u64) -> u64 {
 ///
 /// Lanes support deterministic traffic (periodic or staggered — generation is
 /// lane-uniform, so backlog refills are one mask store) *and* Bernoulli
-/// traffic, under scheduled or slotted-ALOHA access, on clean and conflicted
-/// plans. Bernoulli per-lane queue lengths are not uniform, so they are
-/// bit-planed like the retry clock: plane `k` of a node holds bit `k` of
-/// every lane's queue length, incremented by a masked half-adder chain on
-/// generation and decremented by its borrow-chain mirror on pops, with the
-/// backlog word recovered as the planes' OR. Delivery latency needs each
+/// traffic, under scheduled or slotted-ALOHA access, on any plan; every slot
+/// resolves its interference lane-parallel. Bernoulli per-lane queue lengths
+/// are not uniform, so they are bit-planed like the retry clock: plane `k`
+/// of a node holds bit `k` of every lane's queue length, incremented by a
+/// masked half-adder chain on generation and decremented by its borrow-chain
+/// mirror on pops, with the backlog word recovered as the planes' OR. Delivery latency needs each
 /// head packet's generation slot: every `(node, lane)` keeps an arrival
 /// bitmap over the run's slots (one OR per generated packet) and its head
 /// slot, which a pop moves to the next set bit.
@@ -1508,7 +1448,11 @@ pub(crate) fn run_lane_batch(
     let traffic_keys = bernoulli_p.map_or_else(Vec::new, |_| hoisted(CounterRng::traffic));
     let traffic_threshold = bernoulli_p.map_or(0, CounterRng::bernoulli_threshold);
     let mut traffic_row = vec![0u64; traffic_keys.len()];
-    let residues = staggered.then(|| StaggerResidues::build(plan, traffic_period));
+    let relabelled = if staggered {
+        relabelled_ids(plan)
+    } else {
+        Vec::new()
+    };
 
     // Lane-sliced queue state. Deterministic traffic keeps implicit
     // arithmetic-progression queues (the head packet of node `v` in a lane
@@ -1560,16 +1504,13 @@ pub(crate) fn run_lane_batch(
     let mut tx_tally = LaneTally::new();
     let mut deliver_tally = LaneTally::new();
     let mut drop_tally = LaneTally::new();
-    // Degree-weighted tallies: one tally per degree bit turns a `degree ×
-    // popcount(word)` contribution into plain bit counts scaled by 2^k at
-    // flush. Clean slots push delivered lanes (every delivery is heard by
-    // all `degree` neighbours); conflicted slots push transmitting lanes,
-    // from which collisions follow by conservation (every (edge, lane)
-    // attempt is either received or collided, so collisions = deg·tx −
-    // receptions) without a second per-edge tally.
+    // Degree-weighted transmit tallies: one tally per degree bit turns a
+    // `degree × popcount(tx)` contribution into plain bit counts scaled by
+    // 2^k at flush, from which collisions follow by conservation (every
+    // (edge, lane) attempt is either received or collided, so collisions =
+    // deg·tx − receptions) without a second per-edge tally.
     let max_degree = (0..n).map(|v| u64::from(plan.degree(v))).max().unwrap_or(0);
     let degree_bits = (64 - max_degree.leading_zeros()) as usize;
-    let mut degree_tallies: Vec<LaneTally> = (0..degree_bits).map(|_| LaneTally::new()).collect();
     let mut degree_tx_tallies: Vec<LaneTally> =
         (0..degree_bits).map(|_| LaneTally::new()).collect();
 
@@ -1625,29 +1566,9 @@ pub(crate) fn run_lane_batch(
                 }
             }
         } else if staggered {
-            let r = (t % traffic_period) as usize;
-            match &residues {
-                Some(Some(res)) => {
-                    if res.counts[r] > 0 {
-                        for (w, &word) in res.words_at(r).iter().enumerate() {
-                            let mut bits = word;
-                            while bits != 0 {
-                                let v = w * 64 + bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                backlog[v] = lane_mask;
-                            }
-                        }
-                        queued_total += u64::from(res.counts[r]) * lanes as u64;
-                    }
-                }
-                _ => {
-                    for (v, &ov) in orig.iter().enumerate() {
-                        if u64::from(ov) % traffic_period == r as u64 {
-                            backlog[v] = lane_mask;
-                            queued_total += lanes as u64;
-                        }
-                    }
-                }
+            for v in staggered_generators(&relabelled, t, traffic_period) {
+                backlog[v] = lane_mask;
+                queued_total += lanes as u64;
             }
         } else if t.is_multiple_of(traffic_period) {
             backlog[..n].fill(lane_mask);
@@ -1695,66 +1616,56 @@ pub(crate) fn run_lane_batch(
             continue;
         }
 
-        let conflicted = plan.slot_conflicted(slot);
-        if conflicted {
-            // Lane-parallel saturating interference count: `once`/`twice`
-            // mirror Resolver::resolve word-wise, one word per lane set.
-            for &v in &tx_list {
-                let tw = tx_lanes[v as usize];
-                let (entry_words, entry_bits) = plan.mask_entries(v as usize);
-                for (&w, &mask) in entry_words.iter().zip(entry_bits) {
-                    let mut bits = mask;
-                    while bits != 0 {
-                        let u = w as usize * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let cur = once[u];
-                        if cur == 0 {
-                            heard.push(u as u32);
-                        }
-                        twice[u] |= cur & tw;
-                        once[u] = cur | tw;
+        // Lane-parallel saturating interference count: `once`/`twice` mirror
+        // Resolver::resolve word-wise, one word per lane set.
+        for &v in &tx_list {
+            let tw = tx_lanes[v as usize];
+            let (entry_words, entry_bits) = plan.mask_entries(v as usize);
+            for (&w, &mask) in entry_words.iter().zip(entry_bits) {
+                let mut bits = mask;
+                while bits != 0 {
+                    let u = w as usize * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let cur = once[u];
+                    if cur == 0 {
+                        heard.push(u as u32);
                     }
+                    twice[u] |= cur & tw;
+                    once[u] = cur | tw;
                 }
             }
         }
 
-        // Settle transmitters word-parallel. On a clean slot every
-        // transmitting lane delivers (the clean-slot closed form of
-        // `Resolver::settle_slot`); on a conflicted slot lane `l` of `v`
-        // delivers iff no neighbour is lost in lane `l`. Per-lane scalar
-        // work survives only where an event carries a lane-specific value
-        // (delivery latency, queue pops); transmissions, deliveries, drops,
-        // clean-slot receptions and the retry clock all run as bit-plane
-        // arithmetic over whole lane words.
+        // Settle transmitters word-parallel: lane `l` of `v` delivers iff no
+        // neighbour is lost in lane `l`. Per-lane scalar work survives only
+        // where an event carries a lane-specific value (delivery latency,
+        // queue pops); transmissions, deliveries, drops and the retry clock
+        // all run as bit-plane arithmetic over whole lane words.
         for &v in &tx_list {
             let v = v as usize;
             let tx = tx_lanes[v];
-            let delivered_lanes = if conflicted {
-                let (entry_words, entry_bits) = plan.mask_entries(v);
-                let mut lost_any = 0u64;
-                for (&w, &mask) in entry_words.iter().zip(entry_bits) {
-                    let mut bits = mask;
-                    while bits != 0 {
-                        let u = w as usize * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let lost = tx_lanes[u] | twice[u];
-                        recv_tally.push(tx & !lost);
-                        lost_any |= lost;
-                    }
+            let (entry_words, entry_bits) = plan.mask_entries(v);
+            let mut lost_any = 0u64;
+            for (&w, &mask) in entry_words.iter().zip(entry_bits) {
+                let mut bits = mask;
+                while bits != 0 {
+                    let u = w as usize * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let lost = tx_lanes[u] | twice[u];
+                    recv_tally.push(tx & !lost);
+                    lost_any |= lost;
                 }
-                let mut degree = u64::from(plan.degree(v));
-                let mut k = 0;
-                while degree != 0 {
-                    if degree & 1 == 1 {
-                        degree_tx_tallies[k].push(tx);
-                    }
-                    degree >>= 1;
-                    k += 1;
+            }
+            let mut degree = u64::from(plan.degree(v));
+            let mut k = 0;
+            while degree != 0 {
+                if degree & 1 == 1 {
+                    degree_tx_tallies[k].push(tx);
                 }
-                tx & !lost_any
-            } else {
-                tx
-            };
+                degree >>= 1;
+                k += 1;
+            }
+            let delivered_lanes = tx & !lost_any;
             tx_tally.push(tx);
             // Retry clock: attempts += 1 on every transmitting lane via a
             // masked half-adder carry chain, with a simultaneous equality
@@ -1773,19 +1684,6 @@ pub(crate) fn run_lane_batch(
             let drop_lanes = at_limit & tx & !delivered_lanes;
             deliver_tally.push(delivered_lanes);
             drop_tally.push(drop_lanes);
-            if !conflicted && delivered_lanes != 0 {
-                // Every delivered lane is heard by all `degree` neighbours;
-                // count per degree bit, scaled by 2^k at flush.
-                let mut degree = u64::from(plan.degree(v));
-                let mut k = 0;
-                while degree != 0 {
-                    if degree & 1 == 1 {
-                        degree_tallies[k].push(delivered_lanes);
-                    }
-                    degree >>= 1;
-                    k += 1;
-                }
-            }
             let pop_lanes = delivered_lanes | drop_lanes;
             if pop_lanes != 0 {
                 for plane in attempt_planes[v * attempt_bits..(v + 1) * attempt_bits].iter_mut() {
@@ -1849,17 +1747,15 @@ pub(crate) fn run_lane_batch(
             }
         }
 
-        if conflicted {
-            // Per-lane receiver tally (≥ 1 heard, not transmitting), then
-            // clear only what this slot touched.
-            for &u in &heard {
-                let u = u as usize;
-                rx_tally.push(once[u] & !tx_lanes[u]);
-                once[u] = 0;
-                twice[u] = 0;
-            }
-            heard.clear();
+        // Per-lane receiver tally (≥ 1 heard, not transmitting), then clear
+        // only what this slot touched.
+        for &u in &heard {
+            let u = u as usize;
+            rx_tally.push(once[u] & !tx_lanes[u]);
+            once[u] = 0;
+            twice[u] = 0;
         }
+        heard.clear();
         for &v in &tx_list {
             tx_lanes[v as usize] = 0;
         }
@@ -1871,10 +1767,7 @@ pub(crate) fn run_lane_batch(
     deliver_tally.flush();
     drop_tally.flush();
     gen_tally.flush();
-    for tally in degree_tallies
-        .iter_mut()
-        .chain(degree_tx_tallies.iter_mut())
-    {
+    for tally in &mut degree_tx_tallies {
         tally.flush();
     }
     let generated = periodic_generated(n, config.slots, traffic_period, staggered);
@@ -1883,17 +1776,13 @@ pub(crate) fn run_lane_batch(
         lane.tx_slots += tx_tally.totals[l];
         lane.packets_delivered += deliver_tally.totals[l];
         lane.packets_dropped += drop_tally.totals[l];
-        for (k, tally) in degree_tallies.iter().enumerate() {
-            lane.receptions += tally.totals[l] << k;
-            lane.rx_slots += tally.totals[l] << k;
-        }
-        let conflicted_attempts: u64 = degree_tx_tallies
+        let attempts: u64 = degree_tx_tallies
             .iter()
             .enumerate()
             .map(|(k, tally)| tally.totals[l] << k)
             .sum();
         lane.receptions += recv_tally.totals[l];
-        lane.collisions += conflicted_attempts - recv_tally.totals[l];
+        lane.collisions += attempts - recv_tally.totals[l];
         lane.rx_slots += rx_tally.totals[l];
         // Bernoulli generated totals come off the generation tally (the draws
         // are lane-specific); deterministic ones are lane-uniform closed form.
@@ -2117,37 +2006,6 @@ mod tests {
     }
 
     #[test]
-    fn partially_conflicting_plans_narrow_to_clean_slots() {
-        // Assignment [0, 1, 0] on the 3-line: slot 0 (nodes 0 and 2 sharing
-        // neighbour 1) conflicts, slot 1 (node 1 alone) is clean.
-        let partial = plan(&[0, 1, 0], 2);
-        assert!(!partial.conflict_free());
-        assert_eq!(partial.conflicted_slots(), 1);
-        assert!(partial.slot_conflicted(0));
-        assert!(!partial.slot_conflicted(1));
-
-        // The bitmask-narrowed kernel must match the full-bitset oracle
-        // (every slot forced conflicted) bit for bit, across deterministic
-        // and stochastic workloads.
-        let mut oracle = partial.clone();
-        oracle.pessimize_conflicts();
-        assert_eq!(oracle.conflicted_slots(), 2);
-        for traffic in [
-            KernelTraffic::Periodic { period: 3 },
-            KernelTraffic::Staggered { period: 2 },
-            KernelTraffic::Bernoulli { p: 0.3 },
-        ] {
-            for retries in [0u32, 2] {
-                let cfg = config(200, traffic.clone(), retries);
-                let narrowed = run_frames(&partial, &cfg).unwrap();
-                let full = run_frames(&oracle, &cfg).unwrap();
-                assert_eq!(narrowed, full, "traffic {traffic:?} retries {retries}");
-                assert!(narrowed.packets_generated > 0);
-            }
-        }
-    }
-
-    #[test]
     fn auto_compiled_traces_match_explicit_traces_and_thresholds() {
         // Above the auto-trace threshold the inline Bernoulli path compiles an
         // internal trace; its counters must equal an explicit-trace run (and a
@@ -2163,42 +2021,6 @@ mod tests {
         let b = run_frames(&plan, &traced_cfg).unwrap();
         assert_eq!(a, b);
         assert!(a.packets_generated > 0);
-    }
-
-    #[test]
-    fn staggered_residue_bitmaps_match_the_per_node_walk() {
-        // Force the stochastic (general) loop with an ALOHA MAC so staggered
-        // generation runs through the residue bitmaps.
-        let plan = plan(&[0, 1, 2], 3);
-        let mut cfg = config(300, KernelTraffic::Staggered { period: 4 }, 2);
-        cfg.mac = KernelMac::Aloha { p: 0.7 };
-        let counts = run_frames(&plan, &cfg).unwrap();
-        // Generation totals follow the closed form regardless of the MAC.
-        let by_hand: u64 = (0..3u64).map(|id| (300 - 1 - id % 4) / 4 + 1).sum();
-        assert_eq!(counts.packets_generated, by_hand);
-        assert_eq!(
-            counts.packets_generated,
-            counts.packets_delivered + counts.packets_dropped + counts.packets_pending
-        );
-        // A period too long to materialize falls back to the per-node walk:
-        // each node generates exactly once (at t = original id) within 300
-        // slots, and totals stay conserved.
-        let mut long_cfg = config(
-            300,
-            KernelTraffic::Staggered {
-                period: STAGGER_RESIDUE_WORD_LIMIT + 1,
-            },
-            2,
-        );
-        long_cfg.mac = KernelMac::Aloha { p: 0.7 };
-        let long_counts = run_frames(&plan, &long_cfg).unwrap();
-        assert_eq!(long_counts.packets_generated, 3);
-        assert_eq!(
-            long_counts.packets_generated,
-            long_counts.packets_delivered
-                + long_counts.packets_dropped
-                + long_counts.packets_pending
-        );
     }
 
     #[test]
@@ -2356,14 +2178,17 @@ mod tests {
     #[test]
     fn lane_batches_match_scalar_runs_on_every_lane() {
         // Each lane of a bit-sliced batch must be bit-identical to the scalar
-        // run of its seed, on clean and partially conflicted plans, under
-        // scheduled and ALOHA access, including partial (<64) batches, with
-        // the draws made by the portable copy of the lane-word loop and by
-        // the copy each batch dispatches to. On the 81-node Moore plans the
-        // packed keys span several blocks, lane counts that do not divide 64
-        // put lane words across two row words, the tiling plan's candidate
-        // ranges start mid-block, and the sparse load moves arrival heads
-        // across zero words of 300-slot bitmaps.
+        // run of its seed, on clean and conflicted plans, under scheduled and
+        // ALOHA access, including partial (<64) batches, with the draws made
+        // by the portable copy of the lane-word loop and by the copy each
+        // batch dispatches to. On the 81-node Moore plans the packed keys
+        // span several blocks, lane counts that do not divide 64 put lane
+        // words across two row words, the tiling plan's candidate ranges
+        // start mid-block, and the sparse load moves arrival heads across
+        // zero words of 300-slot bitmaps. Staggered periods of 100 and 2^23
+        // slots exceed every plan's node count, so most slots have no
+        // generator; lane generation totals are closed-form, so they check
+        // the scalar walk's generator count.
         let dispatched = TraceCopy::detect();
         let copies = if dispatched == TraceCopy::PORTABLE {
             vec![TraceCopy::PORTABLE]
@@ -2376,17 +2201,24 @@ mod tests {
             KernelTraffic::Bernoulli { p: 0.3 },
             KernelTraffic::Bernoulli { p: 0.003 },
         ];
+        let long_periods = [
+            KernelTraffic::Staggered { period: 100 },
+            KernelTraffic::Staggered { period: 1 << 23 },
+        ];
         let mut all = vec![
             KernelTraffic::Periodic { period: 3 },
             KernelTraffic::Staggered { period: 4 },
         ];
         all.extend(bernoulli.clone());
+        all.extend(long_periods.clone());
+        let mut moore = bernoulli.to_vec();
+        moore.extend(long_periods);
         let [aloha, tiled] = moore_plans();
         for (plan, traffics) in [
             (plan(&[0, 1, 2], 3), &all[..]),
             (plan(&[0, 1, 0], 2), &all[..]),
-            (aloha, &bernoulli[..]),
-            (tiled, &bernoulli[..]),
+            (aloha, &moore[..]),
+            (tiled, &moore[..]),
         ] {
             for mac in [
                 KernelMac::Scheduled,

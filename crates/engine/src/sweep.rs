@@ -85,7 +85,9 @@
 //! counters are bit-identical to a reference-simulator run of the same
 //! configuration — property-tested across the crates in `tests/sweep_parity.rs`.
 
-use crate::aggregate::{GroupBy, GroupFolds, GroupReport, GroupSpec, OnlineFold};
+use crate::aggregate::{
+    count_values, GroupBy, GroupFolds, GroupReport, GroupSpec, OnlineFold, COUNT_FIELDS,
+};
 use crate::cache::{
     AdjacencyCache, PlanCache, ScheduleCache, SearchCache, TierKey, TraceCache, TraceKey,
 };
@@ -707,31 +709,13 @@ impl SweepReport {
     /// The report as a JSON object.
     pub fn to_json_value(&self) -> Value {
         let counts_json = |c: &KernelCounts| {
-            let mut map = BTreeMap::new();
-            map.insert(
-                "packets_generated".to_string(),
-                Value::from(c.packets_generated),
-            );
-            map.insert(
-                "packets_delivered".to_string(),
-                Value::from(c.packets_delivered),
-            );
-            map.insert(
-                "packets_dropped".to_string(),
-                Value::from(c.packets_dropped),
-            );
-            map.insert(
-                "packets_pending".to_string(),
-                Value::from(c.packets_pending),
-            );
-            map.insert("transmissions".to_string(), Value::from(c.transmissions));
-            map.insert("receptions".to_string(), Value::from(c.receptions));
-            map.insert("collisions".to_string(), Value::from(c.collisions));
-            map.insert("total_latency".to_string(), Value::from(c.total_latency));
-            map.insert("tx_slots".to_string(), Value::from(c.tx_slots));
-            map.insert("rx_slots".to_string(), Value::from(c.rx_slots));
-            map.insert("idle_slots".to_string(), Value::from(c.idle_slots));
-            Value::Object(map)
+            Value::Object(
+                COUNT_FIELDS
+                    .iter()
+                    .zip(count_values(c))
+                    .map(|(name, value)| (name.to_string(), Value::from(value)))
+                    .collect(),
+            )
         };
         let mut map = BTreeMap::new();
         map.insert("name".to_string(), Value::from(self.name.clone()));

@@ -2,8 +2,8 @@
 //! fast-path dispatch counters and cache-tier lookups, each counted once, in
 //! the request that made it.
 //!
-//! Timing a sweep from outside says nothing about *which* of the five kernel
-//! fast paths each run took (or whether it was copied from an identical
+//! Timing a sweep from outside says nothing about *which* of the four kernel
+//! paths each run took (or whether it was copied from an identical
 //! run), how the five cache tiers answered, or where the wall-clock went.
 //! This module is the engine's hand-rolled instrumentation layer — no
 //! external tracing crates, just a thread-local recorder and the
@@ -12,7 +12,7 @@
 //! * **Counters** ([`Counter`]) — one per kernel dispatch path plus one for
 //!   copied runs (every [`crate::run_frames`] call, every lane-kernel seed
 //!   and every grid run that copies a canonical run's counts bumps exactly
-//!   one, so the six dispatch counters sum to the grid size), plus
+//!   one, so the five dispatch counters sum to the grid size), plus
 //!   steal-chunk claims, trace compilations, lane-batch/lane-run totals and
 //!   per-tier cache hits/misses.
 //! * **Stage spans** ([`StageSpan`], from [`span`]) — RAII guards that record
@@ -61,9 +61,9 @@ use std::time::Instant;
 
 /// One event counter of a recording.
 ///
-/// The first six variants are the dispatch counters. Every simulated run —
+/// The first five variants are the dispatch counters. Every simulated run —
 /// a [`crate::run_frames`] call or one seed of a [`crate::run_frames_lanes`]
-/// batch — bumps exactly one of the five kernel paths, and every grid run
+/// batch — bumps exactly one of the four kernel paths, and every grid run
 /// that receives a copy of a canonical run's counts bumps
 /// [`Counter::DispatchCopy`], so over a sweep or search grid their sum equals
 /// the grid size (property-tested in `tests/sweep_parity.rs`).
@@ -79,11 +79,9 @@ pub enum Counter {
     /// Seeds simulated by the lane kernel under Bernoulli traffic (batched
     /// in-kernel draws, no trace compilation).
     DispatchLaneBernoulli,
-    /// Runs of a conflict-free plan through the general slot loop, which
-    /// then runs no interference pass.
-    DispatchConflictFree,
-    /// Runs of a conflicted plan through the general slot loop (bitset
-    /// interference passes on its conflicted slots), scheduled or not.
+    /// Runs through the general slot loop, which resolves every slot with
+    /// bitset interference passes: slotted ALOHA on any plan, and scheduled
+    /// access on a conflicted plan.
     DispatchGeneralLoop,
     /// Grid runs not simulated: they received a copy of a canonical run's
     /// counts, which their retry budget, seed or repeated plan cannot change.
@@ -122,11 +120,10 @@ pub enum Counter {
 
 /// Every counter, in declaration order (the dense index order of a
 /// snapshot's counter array).
-pub const COUNTERS: [Counter; 20] = [
+pub const COUNTERS: [Counter; 19] = [
     Counter::DispatchAnalytic,
     Counter::DispatchLaneScalar,
     Counter::DispatchLaneBernoulli,
-    Counter::DispatchConflictFree,
     Counter::DispatchGeneralLoop,
     Counter::DispatchCopy,
     Counter::StealClaims,
@@ -145,13 +142,12 @@ pub const COUNTERS: [Counter; 20] = [
     Counter::SearchMisses,
 ];
 
-/// The six dispatch counters — five kernel paths and copies — whose sum
+/// The five dispatch counters — four kernel paths and copies — whose sum
 /// over a sweep or search recording equals its grid size.
-pub const DISPATCH_COUNTERS: [Counter; 6] = [
+pub const DISPATCH_COUNTERS: [Counter; 5] = [
     Counter::DispatchAnalytic,
     Counter::DispatchLaneScalar,
     Counter::DispatchLaneBernoulli,
-    Counter::DispatchConflictFree,
     Counter::DispatchGeneralLoop,
     Counter::DispatchCopy,
 ];
@@ -163,7 +159,6 @@ impl Counter {
             Counter::DispatchAnalytic => "dispatch_analytic",
             Counter::DispatchLaneScalar => "dispatch_lane_scalar",
             Counter::DispatchLaneBernoulli => "dispatch_lane_bernoulli",
-            Counter::DispatchConflictFree => "dispatch_conflict_free",
             Counter::DispatchGeneralLoop => "dispatch_general_loop",
             Counter::DispatchCopy => "dispatch_copy",
             Counter::StealClaims => "steal_claims",
@@ -257,7 +252,8 @@ pub enum Stage {
     ScheduleCompile,
     /// Window interference-adjacency construction.
     AdjacencyBuild,
-    /// Frame-plan fusion (per-slot CSR + conflict bitmasks).
+    /// Frame-plan fusion (slot-major relabelling, adjacency and conflict
+    /// check).
     PlanFuse,
     /// Traffic-trace compilation (Bernoulli bitmaps / MAC decision bitmaps).
     TraceCompile,
@@ -433,7 +429,7 @@ impl TelemetrySnapshot {
         self.stages.get(&stage).unwrap_or(NO_SPANS)
     }
 
-    /// The sum of the six dispatch counters — over a sweep or search
+    /// The sum of the five dispatch counters — over a sweep or search
     /// recording, the grid size (simulated runs plus copies).
     pub fn dispatch_total(&self) -> u64 {
         DISPATCH_COUNTERS.iter().map(|&c| self.counter(c)).sum()
@@ -1138,7 +1134,13 @@ mod tests {
         let text = snap.to_string();
         assert!(text.contains("fast-path dispatch mix"));
         // One line per dispatch counter, copies included, then the total.
-        for line in ["conflict-free", "general-loop", "copy"] {
+        for line in [
+            "analytic",
+            "lane-scalar",
+            "lane-bernoulli",
+            "general-loop",
+            "copy",
+        ] {
             assert!(
                 text.lines().any(|l| l.trim_start().starts_with(line)),
                 "{text}"

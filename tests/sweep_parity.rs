@@ -457,7 +457,6 @@ fn profiled_sweep_reports_the_pinned_dispatch_mix() {
     for counter in [
         Counter::DispatchLaneScalar,
         Counter::DispatchLaneBernoulli,
-        Counter::DispatchConflictFree,
         Counter::DispatchGeneralLoop,
         Counter::LaneBatches,
         Counter::LaneRuns,

@@ -40,7 +40,6 @@ fn forced_single_thread_sweeps_report_the_pinned_counters() {
     for counter in [
         Counter::DispatchLaneScalar,
         Counter::DispatchLaneBernoulli,
-        Counter::DispatchConflictFree,
         Counter::DispatchGeneralLoop,
         Counter::LaneBatches,
         Counter::LaneRuns,
