@@ -6,9 +6,10 @@
 //! fusion, or `n × slots` counter draws) is many orders of magnitude more
 //! expensive than a query, so the tiers make repeated scenarios pay it once.
 //! Every tier is one generic [`Tier`]: an [`ArtifactStore`] (sharded,
-//! single-flight, bounded — see [`crate::store`]) whose one [`Tier::lookup`]
-//! counts the lookup's hit or miss into the recorder of the request that
-//! made it ([`crate::telemetry`]); that count is the only one kept, and a
+//! single-flight, bounded — see [`crate::store`]) whose lookups
+//! ([`Tier::lookup`], or [`Tier::lookup_all`] for several keys) count each
+//! hit or miss into the recorder of the request that made it
+//! ([`crate::telemetry`]); that count is the only one kept, and a
 //! tier itself holds only its entries. The five tiers are aliases that add
 //! only their key derivation:
 //!
@@ -76,8 +77,8 @@ impl<K: TierKey, V> Tier<K, V> {
     /// The artifact under `key`, building it with `build` on first use, and
     /// whether this lookup hit. Concurrent misses on the same key wait for a
     /// single build; lookups of other keys are never blocked behind it. This
-    /// is the one place a tier lookup is counted: its hit or miss lands in
-    /// the recorder of the request running on this thread.
+    /// and [`Tier::lookup_all`] are where tier lookups are counted: each hit
+    /// or miss lands in the recorder of the request running on this thread.
     ///
     /// # Errors
     ///
@@ -89,6 +90,27 @@ impl<K: TierKey, V> Tier<K, V> {
             telemetry::count(K::TIER.counter(hit), 1);
         }
         looked_up
+    }
+
+    /// [`Tier::lookup`] for several keys at once: the keys this call claims
+    /// are built together by one call of `build`, which receives their
+    /// positions in `keys` (see [`ArtifactStore::get_or_build_all`]), and
+    /// each key's hit or miss is counted as a single lookup's would be.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `build`'s error; failed builds are evicted, so retries
+    /// rebuild.
+    fn lookup_all(
+        &self,
+        keys: &[K],
+        build: impl FnMut(&[usize]) -> Result<Vec<V>>,
+    ) -> Result<Vec<Arc<V>>> {
+        let looked_up = self.store.get_or_build_all(keys, build)?;
+        for &(_, hit) in &looked_up {
+            telemetry::count(K::TIER.counter(hit), 1);
+        }
+        Ok(looked_up.into_iter().map(|(value, _)| value).collect())
     }
 
     /// Number of cached artifacts.
@@ -308,7 +330,10 @@ impl TierKey for TraceKey {
 /// a plan's node set into per-slot bitmaps; compiling it costs `n × slots`
 /// counter draws — the dominant setup cost of a stochastic sweep. The cache
 /// makes repeated sweeps (and the CI perf gate's repeated samples) replay the
-/// compiled bitmaps instead of re-drawing them.
+/// compiled bitmaps instead of re-drawing them. The draws do not depend on
+/// the load, so a sweep asks for every load of one `(plan, seed, slots)` at
+/// once and the missing ones build in one draw pass, while keys, hits and
+/// misses stay per trace.
 ///
 /// # Examples
 ///
@@ -361,6 +386,36 @@ impl TraceCache {
     ) -> Result<(Arc<TrafficTrace>, bool)> {
         let key = TraceKey::new(plan, seed, p, slots, latsched_lattice::TRAFFIC_STREAM);
         self.lookup(key, || TrafficTrace::bernoulli(plan, seed, p, slots))
+    }
+
+    /// The compiled Bernoulli traces of `seed`'s traffic stream at each of
+    /// `loads` over `slots` slots of the plan's node set, in load order.
+    ///
+    /// Each load's key is looked up, and its hit or miss counted, exactly as
+    /// [`TraceCache::get_or_build_tracked`] would, and the keys this lookup
+    /// claims are built together in one draw pass
+    /// ([`TrafficTrace::bernoulli_loads`]). A load listed twice builds once,
+    /// and its second lookup hits; a key another request is building is
+    /// waited for, not drawn again.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TraceCache::get_or_build`].
+    pub(crate) fn get_or_build_loads(
+        &self,
+        plan: &FramePlan,
+        seed: u64,
+        loads: &[f64],
+        slots: u64,
+    ) -> Result<Vec<Arc<TrafficTrace>>> {
+        let keys: Vec<TraceKey> = loads
+            .iter()
+            .map(|&p| TraceKey::new(plan, seed, p, slots, latsched_lattice::TRAFFIC_STREAM))
+            .collect();
+        self.lookup_all(&keys, |claimed| {
+            let claimed: Vec<f64> = claimed.iter().map(|&i| loads[i]).collect();
+            TrafficTrace::bernoulli_loads(plan, seed, &claimed, slots)
+        })
     }
 
     /// The compiled slotted-ALOHA decision bitmap of `seed`'s MAC stream over

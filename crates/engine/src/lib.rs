@@ -41,7 +41,8 @@
 //!    ((assignment, adjacency) → fused plan), [`TraceCache`]
 //!    ((plan fingerprint, seed, load, slots) → compiled [`TrafficTrace`],
 //!    each slot-major word drawn as 64 node lanes by
-//!    [`CounterRng::bernoulli_word`], AVX-512 where the CPU has it)
+//!    [`CounterRng::bernoulli_words`], AVX-512 where the CPU has it, every
+//!    missing load of one `(plan, seed)` from the same draws)
 //!    and [`SearchCache`] ((scenario, objective) fingerprints → ranked
 //!    [`SearchOutcome`]). Downstream keys embed upstream content
 //!    fingerprints, so any engine — sweeps, the sensornet frame kernel,

@@ -33,16 +33,21 @@
 //!   Draws are keyed by *original* (pre-relabelling) node ids.
 //! * **Compiled traffic traces.** A [`TrafficTrace`] bakes all Bernoulli
 //!   generation draws of a `(seed, p)` pair into per-slot bitmaps once.
-//!   A build hoists each node's counter-RNG key once, then draws every
-//!   slot-major bitmap word directly as 64 node lanes
-//!   ([`CounterRng::bernoulli_word`]: one `mix64` and one integer compare
-//!   per draw), in bands of 64 slots fanned across worker threads. The
-//!   lane-word loop exists in two compiled copies, picked once per build by
-//!   CPU detection: on x86_64 with AVX-512F/DQ one copy draws eight lanes
-//!   per instruction, and every other CPU runs the portable copy. Both are
+//!   A draw does not depend on the load, only the threshold it is compared
+//!   with does, so one draw pass builds the traces of every load of a
+//!   `(plan, seed, slots)` ([`TrafficTrace::bernoulli_loads`]). The pass
+//!   hoists each node's counter-RNG key once, then draws every slot-major
+//!   bitmap word directly as 64 node lanes
+//!   ([`CounterRng::bernoulli_words`]: one `mix64` per draw and one integer
+//!   compare per load, up to two loads a draw), in bands of 64 slots
+//!   fanned across worker threads when the pass is large. The lane-word
+//!   loop exists in two compiled copies, picked once per pass by CPU
+//!   detection: on x86_64 with AVX-512F/DQ one copy draws eight lanes per
+//!   instruction, and every other CPU runs the portable copy. Both are
 //!   bit-identical to per-draw [`CounterRng::bernoulli`].
 //!   Traces are shared through the engine's content-addressed
-//!   [`TraceCache`](crate::TraceCache), so sweeps, the retry axis of a grid
+//!   [`TraceCache`](crate::TraceCache), which builds the loads it misses in
+//!   one pass, so sweeps, the retry axis of a grid
 //!   and repeated benchmark samples never rebuild one — and [`run_frames`]
 //!   *auto-compiles* an internal trace for inline Bernoulli runs above a size
 //!   threshold before it dispatches, so stochastic runs stop walking every
@@ -216,20 +221,40 @@ impl KernelCounts {
 
 /// Upper bound on `words × slots` of one compiled traffic trace: 2^28 words
 /// = 2 GiB of bitmap; the cap keeps accidental huge specs from crashing the
-/// process. A Bernoulli lane batch's arrival bitmaps take the same cap
-/// ([`lane_arrival_words`]). `pub(crate)` so the sweep engine applies the
-/// same guard before prefetching MAC decision bitmaps.
-pub(crate) const TRACE_WORD_LIMIT: u64 = 1 << 28;
+/// process. A Bernoulli lane batch's arrival bitmaps take the same cap, and
+/// every check of it goes through [`capped_words`].
+const TRACE_WORD_LIMIT: u64 = 1 << 28;
 
-/// Trace words below which a trace build stays on the calling thread; one
-/// word is 64 hoisted-key draws, so this is ~64k draws of work.
-const TRACE_PARALLEL_MIN_WORDS: usize = 1 << 10;
+/// Bitmap words a draw pass writes, across all its loads, below which the
+/// pass stays on the calling thread; one word is 64 Bernoulli draws, so this
+/// is ~1M draws of work. On a 2-vCPU AVX-512F/DQ host, `engine-cli
+/// --threads 2 search --profile` (56 traces of 4 words × 256 slots, built
+/// as 28 two-load passes of 2,048 words) spent a median 3.4 ms in
+/// `trace_compile` when every pass fanned out at 2^10 words and 1.8 ms at
+/// 2^14, where none does (8 alternating runs): two scoped workers cost more
+/// than ~60 µs of draws save. The builtin sweep's 65,536-word passes fan out
+/// either way; there, fanned and single-threaded builds tie on two vCPUs
+/// (medians 16.2 and 15.5 ms), so the fan-out is kept for hosts with more
+/// cores, where it is unmeasured.
+const TRACE_PARALLEL_MIN_WORDS: usize = 1 << 14;
 
 /// Inline-Bernoulli runs with at least this many `node × slot` draws
 /// auto-compile an internal [`TrafficTrace`] instead of drawing per node per
 /// slot: the lane-word build pays one `mix64` per draw (the inline path pays
 /// two plus a float compare) and the replay touches only generating nodes.
 const AUTO_TRACE_MIN_DRAWS: u64 = 1 << 12;
+
+/// The `rows × row_words` words of a bitmap, or `None` past
+/// [`TRACE_WORD_LIMIT`]. The product is checked, so no slot count wraps it
+/// under the cap. A compiled trace of `n` nodes over `slots` slots is
+/// `capped_words(n.div_ceil(64), slots)`; the arrival bitmaps of a
+/// Bernoulli lane batch, one per `(node, lane)` with one bit per slot, are
+/// `capped_words(n × lanes, slots.div_ceil(64))`.
+pub(crate) fn capped_words(rows: u64, row_words: u64) -> Option<usize> {
+    rows.checked_mul(row_words)
+        .filter(|&words| words <= TRACE_WORD_LIMIT)
+        .map(|words| words as usize)
+}
 
 /// Transposes a 64×64 bit matrix in place: bit `j` of word `i` moves to bit
 /// `i` of word `j`. The classic recursive block swap (Hacker's Delight §7-3)
@@ -255,6 +280,17 @@ fn transpose64(a: &mut [u64; 64]) {
 /// where [`TraceCopy::detect`] chose it.
 mod trace_copy {
     use latsched_lattice::CounterRng;
+
+    /// The widest threshold group one draw serves. Widths 1 and 2 are
+    /// compiled, so a pass of `L` loads draws `⌈L / 2⌉` times and no group
+    /// pays for a padding threshold. Measured on a 2-vCPU AVX-512F/DQ host
+    /// (4096 nodes × 512 slots, best of 25, three runs): against one load,
+    /// a group of 2 costs 1.2× in the AVX-512 copy and 1.3× in the portable
+    /// copy. Groups of 3 and 4 (1.3–1.4× and 1.5–1.7× in the AVX-512 copy)
+    /// would save draws only for passes of three or more loads, which no
+    /// builtin or benchmarked request makes: their sweeps and searches fetch
+    /// traces of one or two loads.
+    const GROUP: usize = 2;
 
     /// Which compiled copy of [`draw_rows`] a trace build runs. Each build
     /// picks one with [`TraceCopy::detect`]; both write the same bits.
@@ -285,54 +321,93 @@ mod trace_copy {
             TraceCopy::PORTABLE
         }
 
-        /// Runs this copy of [`draw_rows`].
+        /// Runs this copy of [`draw_rows`] once per group of up to two
+        /// thresholds: `rows[k]` receives the rows of `thresholds[k]`.
         pub(crate) fn draw_rows(
             self,
             keys: &[[u64; 64]],
-            threshold: u64,
+            thresholds: &[u64],
             tail: u64,
             slot0: u64,
-            rows: &mut [u64],
+            rows: &mut [&mut [u64]],
         ) {
+            debug_assert_eq!(thresholds.len(), rows.len());
+            for (thresholds, rows) in thresholds.chunks(GROUP).zip(rows.chunks_mut(GROUP)) {
+                match thresholds.len() {
+                    1 => self.draw_group::<1>(keys, thresholds, tail, slot0, rows),
+                    _ => self.draw_group::<GROUP>(keys, thresholds, tail, slot0, rows),
+                }
+            }
+        }
+
+        /// Runs this copy of [`draw_rows`] on one group of `K` thresholds.
+        fn draw_group<const K: usize>(
+            self,
+            keys: &[[u64; 64]],
+            thresholds: &[u64],
+            tail: u64,
+            slot0: u64,
+            rows: &mut [&mut [u64]],
+        ) {
+            let thresholds: &[u64; K] = thresholds.try_into().expect("group width");
+            let rows: &mut [&mut [u64]; K] = rows.try_into().expect("group width");
             match self.0 {
-                Kind::Portable => draw_rows(keys, threshold, tail, slot0, rows),
+                Kind::Portable => draw_rows(keys, thresholds, tail, slot0, rows),
                 // SAFETY: `Kind::Avx512` is private to this module and built
                 // only by `TraceCopy::detect`, after `is_x86_feature_detected!`
                 // reported both `avx512f` and `avx512dq`, the two features
                 // `draw_rows_avx512` enables.
                 #[cfg(target_arch = "x86_64")]
-                Kind::Avx512 => unsafe { draw_rows_avx512(keys, threshold, tail, slot0, rows) },
+                Kind::Avx512 => unsafe { draw_rows_avx512(keys, thresholds, tail, slot0, rows) },
             }
         }
     }
 
-    /// Writes the slot-major trace rows of consecutive slots from `slot0`:
-    /// row `k` of `rows` (`keys.len()` words) holds slot `slot0 + k`, and
-    /// its word `w` is [`CounterRng::bernoulli_word`] over the 64 hoisted
-    /// node keys `keys[w]`. The last word of each row is masked with `tail`,
-    /// clearing the lanes of the zero keys that pad the node set to a
-    /// multiple of 64. Always inlined, so each copy compiles its own body.
+    /// Writes the slot-major trace rows of consecutive slots from `slot0`,
+    /// one set of rows per threshold: row `s` of `rows[k]` (`keys.len()`
+    /// words) holds slot `slot0 + s` at `thresholds[k]`, and its word `w` is
+    /// word `k` of [`CounterRng::bernoulli_words`] over the 64 hoisted node
+    /// keys `keys[w]`, so each draw serves every threshold. The last word of
+    /// each row is masked with `tail`, clearing the lanes of the zero keys
+    /// that pad the node set to a multiple of 64. Always inlined, so each
+    /// copy compiles its own body.
     #[inline(always)]
-    fn draw_rows(keys: &[[u64; 64]], threshold: u64, tail: u64, slot0: u64, rows: &mut [u64]) {
-        for (slot, row) in (slot0..).zip(rows.chunks_exact_mut(keys.len())) {
-            for (word, lanes) in row.iter_mut().zip(keys) {
-                *word = CounterRng::bernoulli_word(lanes, threshold, slot);
+    fn draw_rows<const K: usize>(
+        keys: &[[u64; 64]],
+        thresholds: &[u64; K],
+        tail: u64,
+        slot0: u64,
+        rows: &mut [&mut [u64]; K],
+    ) {
+        let words = keys.len();
+        debug_assert!(rows.iter().all(|r| r.len() == rows[0].len()));
+        for (s, slot) in (0..rows[0].len() / words).zip(slot0..) {
+            // Rows of exactly `words` words, so indexing them by a key
+            // block's position needs no bounds check.
+            let mut slot_rows = rows.each_mut().map(|r| &mut r[s * words..][..words]);
+            for (w, lanes) in keys.iter().enumerate() {
+                let drawn = CounterRng::bernoulli_words(lanes, thresholds, slot);
+                for (row, word) in slot_rows.iter_mut().zip(drawn) {
+                    row[w] = word;
+                }
             }
-            row[keys.len() - 1] &= tail;
+            for row in slot_rows.iter_mut() {
+                row[words - 1] &= tail;
+            }
         }
     }
 
     /// [`draw_rows`] compiled for AVX-512F/DQ.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq")]
-    fn draw_rows_avx512(
+    fn draw_rows_avx512<const K: usize>(
         keys: &[[u64; 64]],
-        threshold: u64,
+        thresholds: &[u64; K],
         tail: u64,
         slot0: u64,
-        rows: &mut [u64],
+        rows: &mut [&mut [u64]; K],
     ) {
-        draw_rows(keys, threshold, tail, slot0, rows);
+        draw_rows(keys, thresholds, tail, slot0, rows);
     }
 }
 
@@ -360,26 +435,51 @@ pub struct TrafficTrace {
 
 impl TrafficTrace {
     /// Compiles the Bernoulli(`p`) generation draws of `seed`'s traffic stream
-    /// over `slots` slots of the plan's node set.
-    ///
-    /// The build hoists each node's counter-RNG key once, then draws every
-    /// slot-major bitmap word directly as 64 node lanes
-    /// ([`CounterRng::bernoulli_word`] against one integer threshold), with
-    /// bands of 64 slots fanned across worker threads above a size
-    /// threshold. On x86_64 CPUs that report AVX-512F and AVX-512DQ the
-    /// lane-word loop runs a copy compiled for them, eight draws per
-    /// instruction; elsewhere it runs the portable copy. Both are
-    /// bit-identical to per-`(node, slot)` [`CounterRng::bernoulli`] draws.
+    /// over `slots` slots of the plan's node set: the one-load case of the
+    /// draw pass the trace tier runs for every load of a `(plan, seed,
+    /// slots)` at once, bit-identical to per-`(node, slot)`
+    /// [`CounterRng::bernoulli`] draws.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidKernelConfig`] for a probability outside
     /// `[0, 1]` or a trace exceeding the size cap.
     pub fn bernoulli(plan: &FramePlan, seed: u64, p: f64, slots: u64) -> Result<TrafficTrace> {
+        TrafficTrace::bernoulli_loads(plan, seed, &[p], slots).map(|mut t| t.remove(0))
+    }
+
+    /// Compiles the Bernoulli generation draws of `seed`'s traffic stream at
+    /// each of `loads` over `slots` slots of the plan's node set, in one draw
+    /// pass; the traces come back in load order.
+    ///
+    /// A draw `mix64(hoisted ^ slot·SLOT_C) >> 11` does not depend on the
+    /// load, only the threshold it is compared with does. So the pass hoists
+    /// each node's counter-RNG key once, then draws every slot-major bitmap
+    /// word directly as 64 node lanes and compares each draw with the
+    /// thresholds of up to two loads at once
+    /// ([`CounterRng::bernoulli_words`]), writing one bitmap per load, with
+    /// bands of 64 slots fanned across worker threads above a size
+    /// threshold. On x86_64 CPUs that report AVX-512F and AVX-512DQ the
+    /// lane-word loop runs a copy compiled for them, eight draws per
+    /// instruction; elsewhere it runs the portable copy. Every bitmap is
+    /// bit-identical to per-`(node, slot)` [`CounterRng::bernoulli`] draws
+    /// at its load. The pass is one `trace_compile` stage and counts one
+    /// trace compilation per load.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::InvalidKernelConfig`] for a probability outside
+    /// `[0, 1]` or a trace exceeding the size cap.
+    pub(crate) fn bernoulli_loads(
+        plan: &FramePlan,
+        seed: u64,
+        loads: &[f64],
+        slots: u64,
+    ) -> Result<Vec<TrafficTrace>> {
         TrafficTrace::build(
             plan,
             CounterRng::traffic(seed),
-            p,
+            loads,
             slots,
             TraceCopy::detect(),
         )
@@ -405,36 +505,40 @@ impl TrafficTrace {
         p: f64,
         slots: u64,
     ) -> Result<TrafficTrace> {
-        TrafficTrace::build(plan, CounterRng::mac(seed), p, slots, TraceCopy::detect())
+        let rng = CounterRng::mac(seed);
+        TrafficTrace::build(plan, rng, &[p], slots, TraceCopy::detect()).map(|mut t| t.remove(0))
     }
 
-    /// The one build behind [`TrafficTrace::bernoulli`] and
-    /// [`TrafficTrace::aloha_decisions`]: all Bernoulli(`p`) draws of `rng`
-    /// over the plan's node set, compiled into slot-major bitmaps by the
-    /// given copy of the lane-word loop.
+    /// The one build behind [`TrafficTrace::bernoulli_loads`] and
+    /// [`TrafficTrace::aloha_decisions`]: all Bernoulli draws of `rng` over
+    /// the plan's node set, compiled into one set of slot-major bitmaps per
+    /// load by the given copy of the lane-word loop, in one draw pass.
     pub(crate) fn build(
         plan: &FramePlan,
         rng: CounterRng,
-        p: f64,
+        loads: &[f64],
         slots: u64,
         copy: TraceCopy,
-    ) -> Result<TrafficTrace> {
+    ) -> Result<Vec<TrafficTrace>> {
         let _span = crate::telemetry::span(crate::telemetry::Stage::TraceCompile);
-        crate::telemetry::count(crate::telemetry::Counter::TraceCompilations, 1);
-        if !(0.0..=1.0).contains(&p) {
+        crate::telemetry::count(
+            crate::telemetry::Counter::TraceCompilations,
+            loads.len() as u64,
+        );
+        if !loads.iter().all(|p| (0.0..=1.0).contains(p)) {
             return Err(EngineError::InvalidKernelConfig(
                 "bernoulli probability must be in [0, 1]".into(),
             ));
         }
         let n = plan.num_nodes();
         let words = n.div_ceil(64);
-        if words as u64 * slots > TRACE_WORD_LIMIT {
-            return Err(EngineError::InvalidKernelConfig(format!(
+        let cells = capped_words(words as u64, slots).ok_or_else(|| {
+            EngineError::InvalidKernelConfig(format!(
                 "traffic trace of {n} nodes x {slots} slots exceeds the size cap"
-            )));
-        }
-        let mut bits = vec![0u64; words * slots as usize];
-        if n > 0 {
+            ))
+        })?;
+        let mut bitmaps: Vec<Vec<u64>> = loads.iter().map(|_| vec![0u64; cells]).collect();
+        if n > 0 && !loads.is_empty() {
             // One hoisted key per node, 64 to a bitmap word, keyed by
             // original id; the zero keys past the last node draw too, and the
             // tail mask clears their lanes.
@@ -443,33 +547,51 @@ impl TrafficTrace {
                 keys[v / 64][v % 64] = rng.hoist_node(u64::from(orig));
             }
             let tail = u64::MAX >> ((64 - n % 64) % 64);
-            let threshold = CounterRng::bernoulli_threshold(p);
+            let thresholds: Vec<u64> = loads
+                .iter()
+                .map(|&p| CounterRng::bernoulli_threshold(p))
+                .collect();
             // Bands of 64 slots (contiguous row bands of the slot-major
-            // bitmap) chunk across worker threads, sharing the keys.
+            // bitmaps), band `b` of every load's bitmap together, chunk
+            // across worker threads, sharing the keys.
             let band_words = 64 * words;
-            let mut bands: Vec<&mut [u64]> = bits.chunks_mut(band_words).collect();
-            let min_parallel_bands = TRACE_PARALLEL_MIN_WORDS.div_ceil(band_words).max(2);
+            let mut per_load: Vec<_> = bitmaps
+                .iter_mut()
+                .map(|b| b.chunks_mut(band_words))
+                .collect();
+            let mut bands: Vec<Vec<&mut [u64]>> = (0..cells.div_ceil(band_words))
+                .map(|_| per_load.iter_mut().map_while(Iterator::next).collect())
+                .collect();
+            let min_parallel_bands = TRACE_PARALLEL_MIN_WORDS
+                .div_ceil(band_words * loads.len())
+                .max(2);
             fill_chunks_min(&mut bands, min_parallel_bands, |offset, chunk| {
                 for (j, band) in chunk.iter_mut().enumerate() {
-                    copy.draw_rows(&keys, threshold, tail, (offset + j) as u64 * 64, band);
+                    let slot0 = (offset + j) as u64 * 64;
+                    copy.draw_rows(&keys, &thresholds, tail, slot0, band);
                 }
             });
         }
-        let counts: Vec<u32> = (0..slots as usize)
-            .map(|t| {
-                bits[t * words..(t + 1) * words]
-                    .iter()
-                    .map(|w| w.count_ones())
-                    .sum()
+        Ok(bitmaps
+            .into_iter()
+            .map(|bits| {
+                let counts: Vec<u32> = (0..slots as usize)
+                    .map(|t| {
+                        bits[t * words..(t + 1) * words]
+                            .iter()
+                            .map(|w| w.count_ones())
+                            .sum()
+                    })
+                    .collect();
+                TrafficTrace {
+                    nodes: n,
+                    slots,
+                    words,
+                    bits,
+                    counts,
+                }
             })
-            .collect();
-        Ok(TrafficTrace {
-            nodes: n,
-            slots,
-            words,
-            bits,
-            counts,
-        })
+            .collect())
     }
 
     /// Number of nodes the trace covers.
@@ -815,8 +937,8 @@ fn run_frames_impl(
     let traced;
     let config = match config.traffic {
         KernelTraffic::Bernoulli { p }
-            if n as u64 * config.slots >= AUTO_TRACE_MIN_DRAWS
-                && n.div_ceil(64) as u64 * config.slots <= TRACE_WORD_LIMIT =>
+            if capped_words(n.div_ceil(64) as u64, config.slots).is_some()
+                && n as u64 * config.slots >= AUTO_TRACE_MIN_DRAWS =>
         {
             let trace = TrafficTrace::bernoulli(plan, config.seed, p, config.slots)?;
             traced = KernelConfig {
@@ -1258,16 +1380,6 @@ impl LaneTally {
     }
 }
 
-/// Words of the arrival bitmaps a Bernoulli lane batch keeps, one per
-/// `(node, lane)` with one bit per slot, or `None` past
-/// [`TRACE_WORD_LIMIT`], the cap of one traffic trace.
-pub(crate) fn lane_arrival_words(nodes: usize, lanes: usize, slots: u64) -> Option<usize> {
-    (nodes as u64 * lanes as u64)
-        .checked_mul(slots.div_ceil(64))
-        .filter(|&words| words <= TRACE_WORD_LIMIT)
-        .map(|words| words as usize)
-}
-
 /// The `lanes`-bit lane word at bit offset `bit` of a row of densely packed
 /// lane words. When `lanes` does not divide 64 it can span two row words.
 #[inline]
@@ -1312,17 +1424,17 @@ fn next_arrival(bitmap: &[u64], head: u64) -> u64 {
 /// second per-edge tally; per-event scalar work survives only for
 /// lane-specific values (delivery latency, queue pops).
 ///
-/// Draws run the trace build's lane-word loop ([`TrafficTrace::bernoulli`]):
-/// the batch hoists the counter-RNG key of every `(node, lane)` once, packed
-/// densely (node `v`'s lanes at bits `v·lanes..`), so one row of lane words
-/// holds every node's draws of one slot, in the loop's AVX-512F/DQ copy
-/// where the CPU reports both features. Bernoulli generation draws one row
-/// per slot; slotted-ALOHA decisions draw the words covering the slot's
-/// candidates from its first backlogged one. Bit-exactness rests on the
-/// counter RNG: draws are pure functions of `(seed, node, slot)`, so any
-/// grouping gives the same bits, and masking a candidate's drawn word with
-/// its backlog is indistinguishable from the scalar kernel's conditional
-/// draws.
+/// Draws run the one-threshold case of the trace build's lane-word loop
+/// ([`TrafficTrace::bernoulli`]): the batch hoists the counter-RNG key
+/// of every `(node, lane)` once, packed densely (node `v`'s lanes at bits
+/// `v·lanes..`), so one row of lane words holds every node's draws of one
+/// slot, in the loop's AVX-512F/DQ copy where the CPU reports both features.
+/// Bernoulli generation draws one row per slot; slotted-ALOHA decisions draw
+/// the words covering the slot's candidates from its first backlogged one.
+/// Bit-exactness rests on the counter RNG: draws are pure functions of
+/// `(seed, node, slot)`, so any grouping gives the same bits, and masking a
+/// candidate's drawn word with its backlog is indistinguishable from the
+/// scalar kernel's conditional draws.
 ///
 /// Lanes support deterministic traffic (periodic or staggered — generation is
 /// lane-uniform, so backlog refills are one mask store) *and* Bernoulli
@@ -1393,8 +1505,9 @@ pub(crate) fn run_lane_batch(
     };
     validate(plan, config)?;
     let n = plan.num_nodes();
+    let arrival_rows = (n * lanes) as u64;
     let arrival_words = match bernoulli_p {
-        Some(_) => lane_arrival_words(n, lanes, config.slots).ok_or_else(|| {
+        Some(_) => capped_words(arrival_rows, config.slots.div_ceil(64)).ok_or_else(|| {
             EngineError::InvalidKernelConfig(format!(
                 "arrival bitmaps of a bernoulli lane batch of {n} nodes x {lanes} lanes x {} \
                  slots exceed the size cap",
@@ -1533,7 +1646,8 @@ pub(crate) fn run_lane_batch(
         // differ, but all grow by one).
         if bernoulli_p.is_some() {
             if n > 0 {
-                copy.draw_rows(&traffic_keys, traffic_threshold, !0, t, &mut traffic_row);
+                let row = &mut [&mut traffic_row[..]];
+                copy.draw_rows(&traffic_keys, &[traffic_threshold], !0, t, row);
             }
             let (arrival_word, arrival_bit) = ((t / 64) as usize, 1u64 << (t % 64));
             for v in 0..n {
@@ -1600,8 +1714,8 @@ pub(crate) fn run_lane_batch(
                     // backlogged-only draws exactly.
                     let base = *mac_base.get_or_insert_with(|| {
                         let (first, last) = (v * lanes / 64, (candidates.end * lanes).div_ceil(64));
-                        let row = &mut mac_row[..last - first];
-                        copy.draw_rows(&mac_keys[first..last], mac_threshold, !0, t, row);
+                        let row = &mut [&mut mac_row[..last - first]];
+                        copy.draw_rows(&mac_keys[first..last], &[mac_threshold], !0, t, row);
                         first * 64
                     });
                     backlogged & lane_word(&mac_row, v * lanes - base, lanes)
@@ -1946,15 +2060,25 @@ mod tests {
         // Both copies of the lane-word build — the portable one called
         // directly (so a CPU with AVX-512 still checks it) and the one each
         // build dispatches to — must reproduce per-(node, slot) draws bit for
-        // bit on both streams, with the padding lanes of the last word clear.
-        // Plans are relabelled slot-major (three slot classes), at node
-        // counts around one word and one above 4096 that is not a multiple
-        // of 64, where slot bands fan out across workers.
+        // bit on both streams, for every load of a draw pass, with the
+        // padding lanes of the last word clear in every bitmap. The load
+        // groups reach both threshold-group widths (five loads draw as two,
+        // two and one), a repeated load, and each load alone, the
+        // one-threshold case of `bernoulli`, `aloha_decisions`, the
+        // auto-compiled trace and the lane kernel. Plans are relabelled
+        // slot-major (three slot classes), at node counts around one word and
+        // one above 4096 that is not a multiple of 64, where slot bands fan
+        // out across workers.
         let dispatched = TraceCopy::detect();
         println!(
             "trace copies checked: {:?} (direct), {dispatched:?} (dispatched)",
             TraceCopy::PORTABLE
         );
+        let five = [0.0, 1e-12, 0.02, 0.5, 1.0];
+        let groups: Vec<&[f64]> = [&five[..], &[0.5, 0.02, 0.5], &[1.0, 0.02]]
+            .into_iter()
+            .chain(five.chunks(1))
+            .collect();
         for nodes in [1usize, 63, 64, 65, 4161] {
             let assignment: Vec<usize> = (0..nodes).map(|v| v % 3).collect();
             let lists: Vec<Vec<usize>> = (0..nodes)
@@ -1965,44 +2089,93 @@ mod tests {
             let plan = FramePlan::new(&frames, &adjacency).unwrap();
             let orig = plan.original_ids();
             for slots in [1u64, 63, 64, 65, 200] {
-                for p in [0.0, 1e-12, 0.02, 0.5, 1.0] {
+                for &loads in &groups {
                     for (stream, rng) in [
                         ("traffic", CounterRng::traffic(99)),
                         ("mac", CounterRng::mac(99)),
                     ] {
-                        let portable =
-                            TrafficTrace::build(&plan, rng, p, slots, TraceCopy::PORTABLE).unwrap();
-                        let built = if stream == "traffic" {
-                            TrafficTrace::bernoulli(&plan, 99, p, slots)
-                        } else {
-                            TrafficTrace::aloha_decisions(&plan, 99, p, slots)
+                        let build = |copy| TrafficTrace::build(&plan, rng, loads, slots, copy);
+                        let portable = build(TraceCopy::PORTABLE).unwrap();
+                        let built = build(dispatched).unwrap();
+                        // The entry points run the dispatched copy.
+                        if stream == "traffic" {
+                            let entry = TrafficTrace::bernoulli_loads(&plan, 99, loads, slots);
+                            assert_eq!(entry.unwrap(), built);
+                        } else if let [p] = loads {
+                            let entry = TrafficTrace::aloha_decisions(&plan, 99, *p, slots);
+                            assert_eq!(entry.unwrap(), built[0]);
                         }
-                        .unwrap();
-                        for (copy, trace) in
+                        for (copy, traces) in
                             [(TraceCopy::PORTABLE, &portable), (dispatched, &built)]
                         {
-                            let what = format!("{copy:?} {stream} n={nodes} slots={slots} p={p}");
-                            let mut total = 0u64;
-                            for t in 0..slots {
-                                let words = trace.words_at(t);
-                                let mut count = 0u32;
-                                for (v, &ov) in orig.iter().enumerate() {
-                                    let expected = rng.bernoulli(p, u64::from(ov), t);
-                                    let got = words[v / 64] >> (v % 64) & 1 == 1;
-                                    assert_eq!(got, expected, "{what} v={v} t={t}");
-                                    count += u32::from(expected);
+                            assert_eq!(traces.len(), loads.len());
+                            for (&p, trace) in loads.iter().zip(traces) {
+                                let what =
+                                    format!("{copy:?} {stream} n={nodes} slots={slots} p={p}");
+                                let mut total = 0u64;
+                                for t in 0..slots {
+                                    let words = trace.words_at(t);
+                                    let mut count = 0u32;
+                                    for (v, &ov) in orig.iter().enumerate() {
+                                        let expected = rng.bernoulli(p, u64::from(ov), t);
+                                        let got = words[v / 64] >> (v % 64) & 1 == 1;
+                                        assert_eq!(got, expected, "{what} v={v} t={t}");
+                                        count += u32::from(expected);
+                                    }
+                                    assert_eq!(trace.count_at(t), count, "{what} t={t}");
+                                    let set: u32 = words.iter().map(|w| w.count_ones()).sum();
+                                    assert_eq!(set, count, "{what}: padding lanes set at t={t}");
+                                    total += u64::from(count);
                                 }
-                                assert_eq!(trace.count_at(t), count, "{what} t={t}");
-                                let set: u32 = words.iter().map(|w| w.count_ones()).sum();
-                                assert_eq!(set, count, "{what}: padding lanes set at t={t}");
-                                total += u64::from(count);
+                                assert_eq!(trace.total_generated(), total, "{what}");
                             }
-                            assert_eq!(trace.total_generated(), total, "{what}");
+                            // One draw serves every load, so a node drawn
+                            // below a smaller load's threshold is below every
+                            // larger one's: each word at p1 < p2 is a subset
+                            // of the word at p2.
+                            for (i, low) in traces.iter().enumerate() {
+                                for (j, high) in traces.iter().enumerate() {
+                                    if loads[i] < loads[j] {
+                                        let mut words = low.bits.iter().zip(&high.bits);
+                                        assert!(
+                                            words.all(|(l, h)| l & !h == 0),
+                                            "{copy:?} {stream} n={nodes} slots={slots}: \
+                                             p={} not within p={}",
+                                            loads[i],
+                                            loads[j]
+                                        );
+                                    }
+                                }
+                            }
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn trace_size_cap_is_checked_without_wrapping() {
+        // 129..=192 nodes take three words per slot, and 3 · ⌈2⁶⁴ / 3⌉ wraps
+        // to 2, under the cap: the product must be checked, not wrapped.
+        let nodes = 150;
+        let lists: Vec<Vec<usize>> = (0..nodes).map(|_| Vec::new()).collect();
+        let frames = FrameSchedule::from_assignment(&vec![0; nodes], 1).unwrap();
+        let plan = FramePlan::new(&frames, &InterferenceCsr::from_lists(&lists).unwrap()).unwrap();
+        let (words, slots) = (3, u64::MAX / 3 + 1);
+        assert_eq!(capped_words(words, slots), None);
+        for built in [
+            TrafficTrace::bernoulli(&plan, 1, 0.1, slots),
+            TrafficTrace::aloha_decisions(&plan, 1, 0.1, slots),
+        ] {
+            assert!(
+                matches!(built, Err(EngineError::InvalidKernelConfig(m)) if m.contains("size cap")),
+                "slots {slots}"
+            );
+        }
+        // The cap itself still falls between two slot counts.
+        assert!(capped_words(words, TRACE_WORD_LIMIT / 3).is_some());
+        assert_eq!(capped_words(words, TRACE_WORD_LIMIT / 3 + 1), None);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * **Single-flight builds.** The first thread to miss a key claims a per-key
 //!   slot and builds while holding only that slot's lock; concurrent misses on
 //!   the *same* key wait for the one build instead of duplicating it, and
-//!   lookups of *other* keys are never blocked behind a compilation.
+//!   lookups of *other* keys are never blocked behind a compilation. A lookup
+//!   of several keys claims each key the same way and builds the keys it
+//!   claimed in one batch.
 //! * **Failure and poison recovery.** A failed build evicts its key so later
 //!   lookups retry; a build that *panicked* leaves its slot value `None`, which
 //!   waiters treat as "rebuild here" instead of propagating the poisoning.
@@ -42,6 +44,15 @@ type Slot<V> = Mutex<Option<Arc<V>>>;
 
 /// One mutex-protected shard of the key → build-slot map.
 type Shard<K, V> = Mutex<HashMap<K, Arc<Slot<V>>>>;
+
+/// Locks a build slot, recovering it if a build panicked while holding it:
+/// the value is then still `None`, a consistent state that lookups treat as
+/// "build here", instead of every later lookup of the key panicking with an
+/// unrelated poisoning error.
+fn lock<V>(slot: &Slot<V>) -> std::sync::MutexGuard<'_, Option<Arc<V>>> {
+    slot.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// One request's lookups on a cache tier, beside the tier's entry count (a
 /// tier's part of a sweep or search report).
@@ -136,73 +147,131 @@ impl<K: Clone + Eq + Hash, V> ArtifactStore<K, V> {
         key: K,
         build: impl FnOnce() -> Result<V>,
     ) -> Result<(Arc<V>, bool)> {
-        // Enforce the entry bound: a new key at capacity resets the store
-        // wholesale rather than tracking recency — entries are
-        // content-addressed and rebuildable, and the engine's workloads touch
-        // far fewer artifacts than any bound.
-        if self.max_entries != usize::MAX && self.len() >= self.max_entries && !self.contains(&key)
+        let mut build = Some(build);
+        let mut looked_up = self.get_or_build_all(std::slice::from_ref(&key), |_| {
+            let build = build.take().expect("one key builds at most once");
+            build().map(|value| vec![value])
+        })?;
+        Ok(looked_up.remove(0))
+    }
+
+    /// [`ArtifactStore::get_or_build_tracked`] for several keys at once: the
+    /// values under `keys`, in order, each with whether its lookup hit. The
+    /// keys this call claims are built together by one call of `build`,
+    /// which receives their positions in `keys` and returns their values in
+    /// that order. Single-flight holds per key: a key another lookup claimed
+    /// is waited for, not rebuilt, and a key listed twice is claimed once,
+    /// its second lookup hitting. `build` runs again, for one position, only
+    /// where a waited-for claimant failed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the builder's error (the keys it was building are evicted
+    /// first).
+    pub(crate) fn get_or_build_all(
+        &self,
+        keys: &[K],
+        mut build: impl FnMut(&[usize]) -> Result<Vec<V>>,
+    ) -> Result<Vec<(Arc<V>, bool)>> {
+        // One fresh slot per key, locked before it is offered to the store:
+        // a slot this call claims is held from the moment other lookups can
+        // find it, so they wait for its build and never find it unbuilt.
+        let fresh: Vec<Arc<Slot<V>>> = keys.iter().map(|_| Arc::default()).collect();
+        let mut slots = Vec::with_capacity(keys.len());
+        let mut looked_up: Vec<Option<(Arc<V>, bool)>> = vec![None; keys.len()];
         {
+            let mut held = Vec::new();
+            for (i, (key, fresh)) in keys.iter().zip(&fresh).enumerate() {
+                let value = lock(fresh);
+                let slot = self.claim(key, fresh);
+                if Arc::ptr_eq(&slot, fresh) {
+                    held.push((i, value));
+                }
+                slots.push(slot);
+            }
+            if !held.is_empty() {
+                let positions: Vec<usize> = held.iter().map(|&(i, _)| i).collect();
+                match build(&positions) {
+                    Ok(values) => {
+                        debug_assert_eq!(values.len(), positions.len());
+                        for ((i, mut value), built) in held.into_iter().zip(values) {
+                            let built = Arc::new(built);
+                            *value = Some(Arc::clone(&built));
+                            looked_up[i] = Some((built, false));
+                        }
+                    }
+                    Err(err) => {
+                        // Evict while the slots are still held, so no waiter
+                        // re-inserts a value this eviction would then drop.
+                        for &i in &positions {
+                            self.shard(&keys[i]).remove(&keys[i]);
+                        }
+                        return Err(err);
+                    }
+                }
+            }
+        }
+        // The keys other lookups claimed (and repeats of this call's own):
+        // wait for their builds.
+        for (i, slot) in slots.iter().enumerate() {
+            if looked_up[i].is_some() {
+                continue;
+            }
+            let mut value = lock(slot);
+            let built = match value.as_ref() {
+                Some(built) => Arc::clone(built),
+                None => {
+                    // The claimant's build failed and evicted the key while
+                    // this lookup waited; build here (shard lock not held, so
+                    // other keys proceed) and re-insert the slot so the value
+                    // is reachable. If a new claimant raced in first, keep
+                    // theirs — it will build once and converge. Outcomes are
+                    // exact except under build failures, where one rebuild
+                    // per waiter is classified as a hit.
+                    let built = Arc::new(build(&[i])?.remove(0));
+                    *value = Some(Arc::clone(&built));
+                    self.shard(&keys[i])
+                        .entry(keys[i].clone())
+                        .or_insert_with(|| Arc::clone(slot));
+                    built
+                }
+            };
+            looked_up[i] = Some((built, true));
+        }
+        Ok(looked_up
+            .into_iter()
+            .map(|l| l.expect("every key looked up"))
+            .collect())
+    }
+
+    /// The build slot the store holds under `key`, or else `fresh`, which
+    /// is inserted: this lookup then claims the key and must build it. A
+    /// new key arriving at the entry bound resets the store wholesale
+    /// first, rather than tracking recency: entries are content-addressed
+    /// and rebuildable, and the engine's workloads touch far fewer
+    /// artifacts than any bound.
+    fn claim(&self, key: &K, fresh: &Arc<Slot<V>>) -> Arc<Slot<V>> {
+        if self.max_entries != usize::MAX && self.len() >= self.max_entries && !self.contains(key) {
             self.clear();
         }
-        let shard = &self.shards[self.shard_of(&key)];
-        let (slot, claimed) = {
-            let mut guard = shard.lock().expect("store shard poisoned");
-            match guard.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    let slot = Arc::new(Mutex::new(None));
-                    guard.insert(key.clone(), Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
-        // Recover a poisoned slot rather than propagating: a build that
-        // panicked left the slot value `None`, which is a consistent state —
-        // this lookup simply rebuilds, instead of every future lookup of the
-        // key panicking with an unrelated poisoning error.
-        let mut value = slot
+        let mut shard = self.shard(key);
+        if let Some(slot) = shard.get(key) {
+            return Arc::clone(slot);
+        }
+        shard.insert(key.clone(), Arc::clone(fresh));
+        Arc::clone(fresh)
+    }
+
+    /// The locked shard holding `key`.
+    fn shard(&self, key: &K) -> std::sync::MutexGuard<'_, HashMap<K, Arc<Slot<V>>>> {
+        self.shards[self.shard_of(key)]
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(built) = value.as_ref() {
-            return Ok((Arc::clone(built), !claimed));
-        }
-        // Either we claimed the slot, or the claimant's build failed and was
-        // evicted while we waited; build here (shard lock not held, so other
-        // keys proceed). A waiter rebuilding after a failed claimant reports
-        // a hit: outcomes are exact except under build failures, where one
-        // rebuild per waiter may be classified as a hit.
-        match build() {
-            Ok(built) => {
-                let built = Arc::new(built);
-                *value = Some(Arc::clone(&built));
-                if !claimed {
-                    // The failed claimant evicted the key; re-insert our slot
-                    // so the rebuilt value is reachable by later lookups. If a
-                    // fresh claimant raced in first, keep theirs — it will
-                    // build once and converge.
-                    shard
-                        .lock()
-                        .expect("store shard poisoned")
-                        .entry(key)
-                        .or_insert_with(|| Arc::clone(&slot));
-                }
-                Ok((built, !claimed))
-            }
-            Err(err) => {
-                if claimed {
-                    shard.lock().expect("store shard poisoned").remove(&key);
-                }
-                Err(err)
-            }
-        }
+            .expect("store shard poisoned")
     }
 
     /// Whether the store holds (or is currently building) the given key.
     pub fn contains(&self, key: &K) -> bool {
-        self.shards[self.shard_of(key)]
-            .lock()
-            .expect("store shard poisoned")
-            .contains_key(key)
+        self.shard(key).contains_key(key)
     }
 
     /// Number of cached entries.
@@ -279,6 +348,72 @@ mod tests {
         assert_eq!(builds.load(Ordering::SeqCst), 1, "single-build semantics");
         assert_eq!(hits, threads - 1, "every lookup but the build hits");
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn several_keys_build_together_once_each_under_contention() {
+        // Overlapping key lists looked up from many threads: every key is
+        // built exactly once across all calls, by the call that claimed it
+        // and in one batch per call (no waiter finds a claimed key unbuilt
+        // and builds it again), a key listed twice in one call is claimed
+        // once, and every lookup reports its own outcome.
+        let store: ArtifactStore<u32, u32> = ArtifactStore::with_shards(4);
+        let builds: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+        let batches = AtomicUsize::new(0);
+        let lists: [&[u32]; 4] = [&[1, 2, 3], &[3, 2, 4, 3], &[5, 1], &[4, 5, 2]];
+        let misses: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = lists
+                .iter()
+                .map(|&keys| {
+                    let (builds, batches, store) = (&builds, &batches, &store);
+                    scope.spawn(move || {
+                        let looked_up = store
+                            .get_or_build_all(keys, |claimed| {
+                                batches.fetch_add(1, Ordering::SeqCst);
+                                std::thread::sleep(std::time::Duration::from_millis(20));
+                                Ok(claimed
+                                    .iter()
+                                    .map(|&i| {
+                                        builds[keys[i] as usize].fetch_add(1, Ordering::SeqCst);
+                                        keys[i] * 10
+                                    })
+                                    .collect())
+                            })
+                            .unwrap();
+                        for (&key, (value, _)) in keys.iter().zip(&looked_up) {
+                            assert_eq!(**value, key * 10);
+                        }
+                        looked_up.iter().filter(|(_, hit)| !hit).count()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        for (key, built) in builds.iter().enumerate().skip(1) {
+            assert_eq!(built.load(Ordering::SeqCst), 1, "key {key}");
+        }
+        assert_eq!(misses, 5, "one miss per distinct key");
+        assert!(batches.load(Ordering::SeqCst) <= lists.len());
+        // A repeated key in one call: one build, then a hit.
+        let (looked_up, claimed) = {
+            let mut claimed = Vec::new();
+            let looked_up = store
+                .get_or_build_all(&[7, 1, 7], |positions| {
+                    claimed.extend_from_slice(positions);
+                    Ok(positions.iter().map(|_| 70).collect())
+                })
+                .unwrap();
+            (looked_up, claimed)
+        };
+        assert_eq!(claimed, [0]);
+        let hits: Vec<bool> = looked_up.iter().map(|&(_, hit)| hit).collect();
+        assert_eq!(hits, [false, true, true]);
+        assert!(Arc::ptr_eq(&looked_up[0].0, &looked_up[2].0));
+        // A failed batch evicts every key it was building, and only those.
+        assert!(store
+            .get_or_build_all(&[8, 1, 9], |_| Err(EngineError::InvalidSpec("nope".into())))
+            .is_err());
+        assert!(!store.contains(&8) && !store.contains(&9) && store.contains(&1));
     }
 
     #[test]

@@ -96,8 +96,8 @@ use crate::frames::InterferenceCsr;
 use crate::parallel::{steal_chunks, worker_threads};
 use crate::scenario::{get_u64, invalid, window_side, ShapeSpec};
 use crate::simkernel::{
-    lane_arrival_words, run_frames, run_frames_lanes, KernelConfig, KernelCounts, KernelMac,
-    KernelTraffic, TrafficTrace, TRACE_WORD_LIMIT,
+    capped_words, run_frames, run_frames_lanes, KernelConfig, KernelCounts, KernelMac,
+    KernelTraffic, TrafficTrace,
 };
 use crate::store::StoreStats;
 use crate::telemetry::{self, span, CacheTier, Counter, Origin, Stage, TelemetrySnapshot};
@@ -879,16 +879,21 @@ impl<'a> GridContext<'a> {
     }
 
     /// Fetches the compiled traces the grid's scalar runs replay through the
-    /// trace tier: one Bernoulli generation trace per (outer, load, seed),
+    /// trace tier: one Bernoulli generation trace per (outer, seed, load),
     /// shared across the retry axis, and under ALOHA one MAC decision bitmap
     /// per (outer, seed), shared across the load and retry axes (plans past
-    /// the trace size cap keep inline MAC draws). Warm repeats over the same
-    /// caches skip every draw compilation. Outer values that copy an earlier
-    /// value's plan fetch nothing, since their runs are never simulated. Lane
-    /// grids fetch nothing either: the lane kernel's inline draws are
-    /// bit-identical to replaying traces. Their Bernoulli lane batches keep
-    /// arrival bitmaps under the size cap of one trace, so a grid whose
-    /// widest batch is over it fails here, before any run.
+    /// the trace size cap keep inline MAC draws). The fetch runs plan by
+    /// plan, then seed by seed, and asks for every load of one (plan, seed)
+    /// at once ([`TraceCache::get_or_build_loads`]), so the missing loads
+    /// share one draw pass; the order matters only past the tier's
+    /// [`TraceKey::MAX_ENTRIES`], where it decides what a wholesale reset
+    /// evicts. Warm repeats over the same caches skip every draw
+    /// compilation. Outer values that copy an earlier value's plan fetch
+    /// nothing, since their runs are never simulated. Lane grids fetch
+    /// nothing either: the lane kernel's inline draws are bit-identical to
+    /// replaying traces. Their Bernoulli lane batches keep arrival bitmaps
+    /// under the size cap of one trace, so a grid whose widest batch is over
+    /// it fails here, before any run.
     ///
     /// Nor does a grid whose every trace would be replayed by exactly one
     /// simulated run (the retry axis collapses on every plan) and that needs
@@ -903,7 +908,8 @@ impl<'a> GridContext<'a> {
         if self.lanes {
             let lanes = self.seeds.len().min(64);
             for (o, plan) in self.plans.iter().enumerate() {
-                if lane_arrival_words(plan.num_nodes(), lanes, self.slots).is_none() {
+                let rows = (plan.num_nodes() * lanes) as u64;
+                if capped_words(rows, self.slots.div_ceil(64)).is_none() {
                     return Err(EngineError::InvalidKernelConfig(format!(
                         "{}: arrival bitmaps of bernoulli lane batches of {lanes} seeds x {} \
                          slots exceed the size cap",
@@ -921,16 +927,16 @@ impl<'a> GridContext<'a> {
             return Ok(());
         }
         for (o, plan) in plans() {
-            for &p in loads {
-                for seed in self.seeds.iter() {
-                    let trace = cache.get_or_build(plan, seed, p, self.slots)?;
+            for seed in self.seeds.iter() {
+                let traces = cache.get_or_build_loads(plan, seed, loads, self.slots)?;
+                for (&p, trace) in loads.iter().zip(traces) {
                     self.traces.insert((o, seed, p.to_bits()), trace);
                 }
             }
         }
         if let KernelMac::Aloha { p } = self.mac {
             for (o, plan) in plans() {
-                if plan.num_nodes().div_ceil(64) as u64 * self.slots > TRACE_WORD_LIMIT {
+                if capped_words(plan.num_nodes().div_ceil(64) as u64, self.slots).is_none() {
                     continue;
                 }
                 for seed in self.seeds.iter() {
@@ -1738,6 +1744,66 @@ mod tests {
         // different drop behaviour.
         assert_eq!(a.counts.packets_generated, b.counts.packets_generated);
         assert!(a.counts.packets_dropped > b.counts.packets_dropped);
+    }
+
+    #[test]
+    fn partly_warm_trace_tiers_build_only_the_missing_loads() {
+        // Loads [0.1] and then [0.1, 0.3] on shared caches: the second
+        // request finds 0.1 of every (plan, seed) and builds 0.3 alone, so it
+        // counts one hit and one miss and one compilation per (plan, seed),
+        // in one draw pass each, and reports what a cold run reports.
+        let spec = |loads: Vec<f64>| SweepSpec {
+            traffic: SweepTraffic::Bernoulli(loads),
+            ..tiny_spec()
+        };
+        let seeds = tiny_spec().seeds.len() as u64;
+        let caches = SweepCaches::new();
+        run_sweep(&spec(vec![0.1]), &caches).unwrap();
+        let (warm, _) = telemetry::profile(|| run_sweep(&spec(vec![0.1, 0.3]), &caches).unwrap());
+        let (cold, _) =
+            telemetry::profile(|| run_sweep(&spec(vec![0.1, 0.3]), &SweepCaches::new()).unwrap());
+        let passes = |report: &SweepReport| {
+            let snapshot = report.telemetry.as_ref().expect("profiled");
+            (
+                report.caches.traces.hits,
+                report.caches.traces.misses,
+                snapshot.counter(Counter::TraceCompilations),
+                snapshot.stage(Stage::TraceCompile).count,
+            )
+        };
+        assert_eq!(passes(&warm), (seeds, seeds, seeds, seeds));
+        assert_eq!(passes(&cold), (0, 2 * seeds, 2 * seeds, seeds));
+        assert_eq!(warm.per_run, cold.per_run);
+        assert_eq!(warm.aggregate, cold.aggregate);
+        // A load listed twice builds once: the second lookup of its key hits.
+        let (doubled, _) =
+            telemetry::profile(|| run_sweep(&spec(vec![0.3, 0.3]), &SweepCaches::new()).unwrap());
+        assert_eq!(passes(&doubled), (seeds, seeds, seeds, seeds));
+        let runs_per_load = doubled.per_run.len() / 2;
+        assert_eq!(
+            doubled.per_run[..runs_per_load],
+            cold.per_run[runs_per_load..]
+        );
+        assert_eq!(
+            doubled.per_run[runs_per_load..],
+            cold.per_run[runs_per_load..]
+        );
+    }
+
+    #[test]
+    fn wrapping_slot_counts_fail_at_the_trace_size_cap() {
+        // A 12×12 window takes three words per slot, and 3 · ⌈2⁶⁴ / 3⌉
+        // wraps to 2: the fetch must refuse the trace, not allocate it.
+        let spec = SweepSpec {
+            windows: vec![12],
+            slots: u64::MAX / 3 + 1,
+            ..tiny_spec()
+        };
+        let err = run_sweep(&spec, &SweepCaches::new()).unwrap_err();
+        assert!(
+            matches!(err, EngineError::InvalidKernelConfig(ref m) if m.contains("size cap")),
+            "{err}"
+        );
     }
 
     #[test]

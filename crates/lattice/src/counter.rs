@@ -137,34 +137,46 @@ impl CounterRng {
         (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
     }
 
-    /// Bernoulli indicators of exactly 64 hoisted keys at one slot, packed
-    /// into a word: bit `l` of the result is
-    /// `mix64(hoisted[l] ^ slot·SLOT_C) >> 11 < threshold`. For keys from
-    /// [`CounterRng::hoist_node`] and a threshold from
-    /// [`CounterRng::bernoulli_threshold`], that is [`CounterRng::bernoulli`]
-    /// of each key's node at `slot`, bit for bit.
+    /// Bernoulli indicators of exactly 64 hoisted keys at one slot against a
+    /// fixed-width group of `K` thresholds, packed into one word per
+    /// threshold: bit `l` of word `k` is
+    /// `mix64(hoisted[l] ^ slot·SLOT_C) >> 11 < thresholds[k]`. For keys from
+    /// [`CounterRng::hoist_node`] and thresholds from
+    /// [`CounterRng::bernoulli_threshold`], word `k` is
+    /// [`CounterRng::bernoulli`] of each key's node at `slot` and load `k`,
+    /// bit for bit.
     ///
     /// This is the fixed-width body of one lane word: 64 node lanes of a
     /// slot-major trace word, or 64 packed `(node, seed)` lanes of a seed
-    /// lane batch. It has no length to branch on, so it compiles to straight
-    /// vector code: eight draws per 512-bit register where the caller
-    /// enables AVX-512F/DQ, which is why it is always inlined. Keys past a
-    /// caller's last lane draw too; the caller masks or ignores their bits.
+    /// lane batch. A draw does not depend on the load, only the threshold it
+    /// is compared with does, so each draw is hashed once and compared `K`
+    /// times; `K = 1` is the single-load case. It has no length to branch
+    /// on, so it compiles to straight vector code: eight draws per 512-bit
+    /// register where the caller enables AVX-512F/DQ, which is why it is
+    /// always inlined. Keys past a caller's last lane draw too; the caller
+    /// masks or ignores their bits.
     #[inline(always)]
     #[must_use]
-    pub fn bernoulli_word(hoisted: &[u64; 64], threshold: u64, slot: u64) -> u64 {
-        debug_assert!(threshold <= 1 << 53);
+    pub fn bernoulli_words<const K: usize>(
+        hoisted: &[u64; 64],
+        thresholds: &[u64; K],
+        slot: u64,
+    ) -> [u64; K] {
+        debug_assert!(thresholds.iter().all(|&t| t <= 1 << 53));
         let slot_mixed = slot.wrapping_mul(SLOT_C);
-        let mut bits = 0u64;
+        let mut words = [0u64; K];
         for (l, &h) in hoisted.iter().enumerate() {
-            // `draw < threshold` as the sign of their difference: both are at
-            // most 2⁵³, so the wrapped difference has its top bit set exactly
-            // when the draw is below the threshold. A subtract and a shift
-            // vectorize on every x86_64 level; SSE2 has no 64-bit compare.
-            let below = (mix64(h ^ slot_mixed) >> 11).wrapping_sub(threshold) >> 63;
-            bits |= below << l;
+            let draw = mix64(h ^ slot_mixed) >> 11;
+            for (word, &threshold) in words.iter_mut().zip(thresholds) {
+                // `draw < threshold` as the sign of their difference: both
+                // are at most 2⁵³, so the wrapped difference has its top bit
+                // set exactly when the draw is below the threshold. A
+                // subtract and a shift vectorize on every x86_64 level; SSE2
+                // has no 64-bit compare.
+                *word |= (draw.wrapping_sub(threshold) >> 63) << l;
+            }
         }
-        bits
+        words
     }
 }
 
@@ -222,23 +234,30 @@ mod tests {
     #[test]
     fn bernoulli_lanes_match_single_indicators_bit_for_bit() {
         // Each lane of a packed multi-seed draw must reproduce the scalar
-        // Bernoulli indicator of its seed's RNG at the same (node, slot).
-        // Fewer than 64 lanes draw the way lane batches do: zero keys pad
-        // the word to 64, and the padding lanes are masked off.
+        // Bernoulli indicator of its seed's RNG at the same (node, slot), in
+        // the word of every threshold of a group: the whole group at once
+        // and each threshold alone (the one-threshold case). Fewer than 64
+        // lanes draw the way lane batches do: zero keys pad the word to 64,
+        // and the padding lanes are masked off.
         let seeds: Vec<u64> = (0..67).map(|i| i * 31 + 5).collect();
-        for p in [0.0, 0.02, 0.3, 0.5, 0.999, 1.0] {
-            let threshold = CounterRng::bernoulli_threshold(p);
-            for node in [0u64, 9] {
-                for lanes in [1usize, 7, 63, 64] {
-                    let rngs: Vec<CounterRng> =
-                        seeds[..lanes].iter().map(|&s| CounterRng::mac(s)).collect();
-                    let mut hoisted = [0u64; 64];
-                    for (key, rng) in hoisted.iter_mut().zip(&rngs) {
-                        *key = rng.hoist_node(node);
-                    }
-                    let mask = u64::MAX >> (64 - lanes);
-                    for slot in [0u64, 63, 64, 1_000_000] {
-                        let bits = CounterRng::bernoulli_word(&hoisted, threshold, slot) & mask;
+        let loads = [0.0, 0.02, 0.3, 0.5, 0.999, 1.0];
+        let thresholds = loads.map(CounterRng::bernoulli_threshold);
+        for node in [0u64, 9] {
+            for lanes in [1usize, 7, 63, 64] {
+                let rngs: Vec<CounterRng> =
+                    seeds[..lanes].iter().map(|&s| CounterRng::mac(s)).collect();
+                let mut hoisted = [0u64; 64];
+                for (key, rng) in hoisted.iter_mut().zip(&rngs) {
+                    *key = rng.hoist_node(node);
+                }
+                let mask = u64::MAX >> (64 - lanes);
+                for slot in [0u64, 63, 64, 1_000_000] {
+                    let group = CounterRng::bernoulli_words(&hoisted, &thresholds, slot);
+                    for (k, &p) in loads.iter().enumerate() {
+                        let [single] =
+                            CounterRng::bernoulli_words(&hoisted, &[thresholds[k]], slot);
+                        assert_eq!(group[k], single, "p={p} node={node} slot={slot}");
+                        let bits = single & mask;
                         for (l, rng) in rngs.iter().enumerate() {
                             assert_eq!(
                                 bits >> l & 1 == 1,

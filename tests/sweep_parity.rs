@@ -186,6 +186,13 @@ fn profiled_grids_copy_exactly_their_redundant_runs() {
         sweep(&SweepSpec::parse_spec(tiling).unwrap()[0]),
         (80, 80, 160)
     );
+    // The load axis: 2 windows x 5 loads x 3 seeds simulated (the repeated
+    // load runs again; only its trace is shared), the other budget copied.
+    let loads = include_str!("specs/tiling_bernoulli_loads.json");
+    assert_eq!(
+        sweep(&SweepSpec::parse_spec(loads).unwrap()[0]),
+        (30, 30, 60)
+    );
     let moore = SearchSpec::parse_spec(include_str!("specs/search_moore_64.json")).unwrap();
     let (search, _) = profile(|| run_search(&moore[0], &SweepCaches::new()).unwrap());
     assert_eq!(mix(search.telemetry), (14, 6, 20));
