@@ -5,12 +5,11 @@
 //! compiling an artifact (tiling search + table construction, frame-plan
 //! fusion, or `n × slots` counter draws) is many orders of magnitude more
 //! expensive than a query, so the tiers make repeated scenarios pay it once.
-//! Every tier is one generic [`Tier`]: an [`ArtifactStore`] (sharded,
-//! single-flight, bounded — see [`crate::store`]) whose lookups
-//! ([`Tier::lookup`], or [`Tier::lookup_all`] for several keys) count each
-//! hit or miss into the recorder of the request that made it
-//! ([`crate::telemetry`]); that count is the only one kept, and a
-//! tier itself holds only its entries. The five tiers are aliases that add
+//! Every tier is one generic [`Tier`]: a single-flight, bounded map behind
+//! one lock, whose lookups ([`Tier::lookup`], or [`Tier::lookup_all`] for
+//! several keys) count each hit or miss into the recorder of the request
+//! that made it ([`crate::telemetry`]); that count is the only one kept, and
+//! a tier itself holds only its entries. The five tiers are aliases that add
 //! only their key derivation:
 //!
 //! * [`ScheduleCache`] — neighbourhood shape → compiled Theorem 1 schedule;
@@ -39,16 +38,16 @@ use crate::error::{EngineError, Result};
 use crate::frames::{fingerprint_words, FramePlan, FrameSchedule, InterferenceCsr};
 use crate::search::SearchOutcome;
 use crate::simkernel::TrafficTrace;
-use crate::store::ArtifactStore;
 use crate::telemetry::{self, span, CacheTier, Stage};
 use latsched_core::theorem1;
 use latsched_lattice::{BoxRegion, Point};
 use latsched_tiling::{find_tiling, Prototile};
+use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The key type of one cache tier: it names the telemetry tier the tier's
-/// lookups count into and the tier's default entry bound.
+/// lookups count into and the tier's entry bound.
 pub trait TierKey: Clone + Eq + Hash {
     /// The tier whose hit and miss counters this key's lookups bump.
     const TIER: CacheTier;
@@ -58,74 +57,194 @@ pub trait TierKey: Clone + Eq + Hash {
     const MAX_ENTRIES: usize;
 }
 
-/// One content-addressed cache tier: a sharded, thread-safe, single-flight
-/// [`ArtifactStore`] from `K` keys to compiled `V` artifacts, bounded by the
-/// key type's [`TierKey::MAX_ENTRIES`]. A tier keeps no hit or miss counts:
-/// each lookup counts in the request that made it (see [`crate::telemetry`]).
+/// A per-key build slot: holds the built value once exactly one builder has
+/// produced it; racers block on the slot's mutex for the duration of the
+/// build.
+type Slot<V> = Mutex<Option<Arc<V>>>;
+
+/// Locks `mutex`, recovering the guard if a thread panicked while holding
+/// it, instead of every later lookup panicking with an unrelated poisoning
+/// error. Both kinds of mutex a tier holds stay valid through a panic: the
+/// map changes only by single `HashMap` calls, and a slot whose build
+/// panicked still holds `None`, which lookups treat as "build here".
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One content-addressed cache tier: a thread-safe map from `K` keys to
+/// compiled `V` artifacts, behind one lock.
+///
+/// * **Single-flight builds.** The first lookup to miss a key claims a
+///   per-key slot and builds while holding only that slot's lock;
+///   concurrent misses on the same key wait for the one build instead of
+///   duplicating it, and lookups of other keys are never blocked behind a
+///   compilation. A lookup of several keys claims each key the same way and
+///   builds the keys it claimed in one batch.
+/// * **Failure and poison recovery.** A failed build evicts its keys, so
+///   later lookups retry; a build that panicked leaves its slot empty, and
+///   the lookup waiting on it builds instead.
+/// * **Bounded entries.** A new key arriving at the key type's
+///   [`TierKey::MAX_ENTRIES`] resets the tier wholesale, in the same
+///   critical section as its insert, rather than tracking recency: entries
+///   are content-addressed and rebuildable, and the engine's workloads touch
+///   far fewer artifacts than any bound.
+/// * **Per-request counts.** A tier keeps no hit or miss counts: each lookup
+///   counts in the request that made it (see [`crate::telemetry`]), which is
+///   where sweep and search reports (and `engine-cli --stats`) read their
+///   cache counters.
 pub struct Tier<K, V> {
-    store: ArtifactStore<K, V>,
+    /// Key → build slot; every claim, eviction and reset takes this lock.
+    entries: Mutex<HashMap<K, Arc<Slot<V>>>>,
 }
 
 impl<K: TierKey, V> Tier<K, V> {
-    /// An empty tier with the default shard count and the key's entry bound.
+    /// An empty tier, bounded by the key type's entry bound.
     pub fn new() -> Self {
         Tier {
-            store: ArtifactStore::new().with_max_entries(K::MAX_ENTRIES),
+            entries: Mutex::new(HashMap::new()),
         }
     }
 
     /// The artifact under `key`, building it with `build` on first use, and
-    /// whether this lookup hit. Concurrent misses on the same key wait for a
-    /// single build; lookups of other keys are never blocked behind it. This
-    /// and [`Tier::lookup_all`] are where tier lookups are counted: each hit
-    /// or miss lands in the recorder of the request running on this thread.
+    /// whether this lookup hit: [`Tier::lookup_all`] for one key.
     ///
     /// # Errors
     ///
     /// Propagates `build`'s error; failed builds are evicted, so retries
     /// rebuild.
     fn lookup(&self, key: K, build: impl FnOnce() -> Result<V>) -> Result<(Arc<V>, bool)> {
-        let looked_up = self.store.get_or_build_tracked(key, build);
-        if let Ok((_, hit)) = looked_up {
-            telemetry::count(K::TIER.counter(hit), 1);
-        }
-        looked_up
+        let mut build = Some(build);
+        let mut looked_up = self.lookup_all(std::slice::from_ref(&key), |_| {
+            let build = build.take().expect("one key builds at most once");
+            build().map(|value| vec![value])
+        })?;
+        Ok(looked_up.remove(0))
     }
 
-    /// [`Tier::lookup`] for several keys at once: the keys this call claims
-    /// are built together by one call of `build`, which receives their
-    /// positions in `keys` (see [`ArtifactStore::get_or_build_all`]), and
-    /// each key's hit or miss is counted as a single lookup's would be.
+    /// The artifacts under `keys`, in order, each with whether its lookup
+    /// hit. The keys this call claims are built together by one call of
+    /// `build`, which receives their positions in `keys` and returns their
+    /// values in that order. A key another lookup claimed is waited for, not
+    /// rebuilt, and a key listed twice is claimed once, its second lookup
+    /// hitting; `build` runs again, for one position, only where a
+    /// waited-for claimant failed or panicked. This is where tier lookups
+    /// are counted: each key's hit or miss lands once in the recorder of the
+    /// request running on this thread.
     ///
     /// # Errors
     ///
-    /// Propagates `build`'s error; failed builds are evicted, so retries
-    /// rebuild.
+    /// Propagates `build`'s error (the keys it was building are evicted
+    /// first).
     fn lookup_all(
         &self,
         keys: &[K],
-        build: impl FnMut(&[usize]) -> Result<Vec<V>>,
-    ) -> Result<Vec<Arc<V>>> {
-        let looked_up = self.store.get_or_build_all(keys, build)?;
-        for &(_, hit) in &looked_up {
-            telemetry::count(K::TIER.counter(hit), 1);
+        mut build: impl FnMut(&[usize]) -> Result<Vec<V>>,
+    ) -> Result<Vec<(Arc<V>, bool)>> {
+        // One fresh slot per key, locked before it is offered to the tier:
+        // a slot this call claims is held from the moment other lookups can
+        // find it, so they wait for its build and never find it unbuilt.
+        let fresh: Vec<Arc<Slot<V>>> = keys.iter().map(|_| Arc::default()).collect();
+        let mut slots = Vec::with_capacity(keys.len());
+        let mut looked_up: Vec<Option<(Arc<V>, bool)>> = vec![None; keys.len()];
+        {
+            let mut held = Vec::new();
+            for (i, (key, fresh)) in keys.iter().zip(&fresh).enumerate() {
+                let value = lock(fresh);
+                let slot = self.claim(key, fresh);
+                if Arc::ptr_eq(&slot, fresh) {
+                    held.push((i, value));
+                }
+                slots.push(slot);
+            }
+            if !held.is_empty() {
+                let positions: Vec<usize> = held.iter().map(|&(i, _)| i).collect();
+                match build(&positions) {
+                    Ok(values) => {
+                        debug_assert_eq!(values.len(), positions.len());
+                        for ((i, mut value), built) in held.into_iter().zip(values) {
+                            let built = Arc::new(built);
+                            *value = Some(Arc::clone(&built));
+                            looked_up[i] = Some((built, false));
+                        }
+                    }
+                    Err(err) => {
+                        // Evict while the slots are still held, so no waiter
+                        // re-inserts a value this eviction would then drop.
+                        let mut entries = lock(&self.entries);
+                        for &i in &positions {
+                            entries.remove(&keys[i]);
+                        }
+                        return Err(err);
+                    }
+                }
+            }
         }
-        Ok(looked_up.into_iter().map(|(value, _)| value).collect())
+        // The keys other lookups claimed (and repeats of this call's own):
+        // wait for their builds.
+        for (i, slot) in slots.iter().enumerate() {
+            if looked_up[i].is_some() {
+                continue;
+            }
+            let mut value = lock(slot);
+            let built = match value.as_ref() {
+                Some(built) => Arc::clone(built),
+                None => {
+                    // The claimant's build failed (evicting the key) or
+                    // panicked while this lookup waited: build here, with
+                    // the tier unlocked so other keys proceed, and claim the
+                    // key again with this slot so the value is reachable. If
+                    // a new claimant raced in first, keep theirs — it builds
+                    // once and converges. Outcomes are exact except under
+                    // build failures, where one rebuild per waiter is
+                    // classified as a hit.
+                    let built = Arc::new(build(&[i])?.remove(0));
+                    *value = Some(Arc::clone(&built));
+                    self.claim(&keys[i], slot);
+                    built
+                }
+            };
+            looked_up[i] = Some((built, true));
+        }
+        Ok(looked_up
+            .into_iter()
+            .map(|l| {
+                let (value, hit) = l.expect("every key looked up");
+                telemetry::count(K::TIER.counter(hit), 1);
+                (value, hit)
+            })
+            .collect())
+    }
+
+    /// The build slot the tier holds under `key`, or else `slot`, which is
+    /// inserted: the caller then claims the key. A new key arriving at
+    /// [`TierKey::MAX_ENTRIES`] first resets the tier wholesale, under the
+    /// same lock as the insert, so concurrent claims never leave the tier
+    /// over its bound.
+    fn claim(&self, key: &K, slot: &Arc<Slot<V>>) -> Arc<Slot<V>> {
+        let mut entries = lock(&self.entries);
+        if let Some(held) = entries.get(key) {
+            return Arc::clone(held);
+        }
+        if entries.len() >= K::MAX_ENTRIES {
+            entries.clear();
+        }
+        entries.insert(key.clone(), Arc::clone(slot));
+        Arc::clone(slot)
     }
 
     /// Number of cached artifacts.
     pub fn len(&self) -> usize {
-        self.store.len()
+        lock(&self.entries).len()
     }
 
     /// Whether the tier is empty.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.len() == 0
     }
 
     /// Drops every cached artifact.
     pub fn clear(&self) {
-        self.store.clear();
+        lock(&self.entries).clear();
     }
 }
 
@@ -144,8 +263,8 @@ impl<K: TierKey, V> std::fmt::Debug for Tier<K, V> {
     }
 }
 
-/// A sharded, thread-safe cache from neighbourhood shapes to their compiled
-/// Theorem 1 schedules, keyed by the shape's point set.
+/// The cache tier from neighbourhood shapes to their compiled Theorem 1
+/// schedules, keyed by the shape's point set.
 ///
 /// # Examples
 ///
@@ -221,8 +340,8 @@ impl TierKey for PlanKey {
     const MAX_ENTRIES: usize = 256;
 }
 
-/// A sharded, thread-safe cache of fused [`FramePlan`]s, keyed by the content
-/// of the (slot assignment, interference adjacency) pair they were built from.
+/// The cache tier of fused [`FramePlan`]s, keyed by the content of the (slot
+/// assignment, interference adjacency) pair they were built from.
 ///
 /// Building a plan costs a few milliseconds on large networks — several times
 /// the frame kernel's own run time — so sweeps that revisit a (schedule,
@@ -323,8 +442,8 @@ impl TierKey for TraceKey {
     const MAX_ENTRIES: usize = 64;
 }
 
-/// A sharded, thread-safe cache of compiled [`TrafficTrace`]s, keyed by
-/// `(plan fingerprint, seed, load, slots)`.
+/// The cache tier of compiled [`TrafficTrace`]s, keyed by `(plan fingerprint,
+/// seed, load, slots)`.
 ///
 /// A trace bakes every Bernoulli generation draw of one `(seed, p)` pair over
 /// a plan's node set into per-slot bitmaps; compiling it costs `n × slots`
@@ -412,10 +531,11 @@ impl TraceCache {
             .iter()
             .map(|&p| TraceKey::new(plan, seed, p, slots, latsched_lattice::TRAFFIC_STREAM))
             .collect();
-        self.lookup_all(&keys, |claimed| {
+        let looked_up = self.lookup_all(&keys, |claimed| {
             let claimed: Vec<f64> = claimed.iter().map(|&i| loads[i]).collect();
             TrafficTrace::bernoulli_loads(plan, seed, &claimed, slots)
-        })
+        })?;
+        Ok(looked_up.into_iter().map(|(trace, _)| trace).collect())
     }
 
     /// The compiled slotted-ALOHA decision bitmap of `seed`'s MAC stream over
@@ -459,8 +579,8 @@ impl TierKey for AdjacencyKey {
     const MAX_ENTRIES: usize = 64;
 }
 
-/// A sharded, thread-safe cache of window interference adjacencies, keyed by
-/// the content of the (box region, neighbourhood shape) pair.
+/// The cache tier of window interference adjacencies, keyed by the content of
+/// the (box region, neighbourhood shape) pair.
 ///
 /// Building an adjacency walks every window point against every shape offset
 /// — about a millisecond on the 64×64 acceptance window, which used to be the
@@ -553,8 +673,8 @@ impl TierKey for SearchKey {
     const MAX_ENTRIES: usize = 64;
 }
 
-/// A sharded, thread-safe cache of ranked [`SearchOutcome`]s, keyed by
-/// `(scenario fingerprint, objective fingerprint)`.
+/// The cache tier of ranked [`SearchOutcome`]s, keyed by `(scenario
+/// fingerprint, objective fingerprint)`.
 ///
 /// A schedule search is the most expensive stage of the pipeline — it
 /// enumerates candidate schedules from the lattice-tiling and graph-coloring
@@ -621,6 +741,7 @@ mod tests {
     use super::*;
     use crate::frames::FrameSchedule;
     use latsched_tiling::{shapes, tetromino};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Runs `f` as one request: its result, and the (hits, misses) it
     /// recorded on `K`'s tier.
@@ -698,17 +819,233 @@ mod tests {
         assert_eq!((hits, misses), (7, 1));
     }
 
+    /// A test key whose tier holds at most `N` entries, counted as schedule
+    /// lookups.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    struct Bounded<const N: usize>(u32);
+
+    impl<const N: usize> TierKey for Bounded<N> {
+        const TIER: CacheTier = CacheTier::Schedules;
+        const MAX_ENTRIES: usize = N;
+    }
+
+    /// A test key of an unbounded tier.
+    type Free = Bounded<{ usize::MAX }>;
+
+    /// Whether the tier holds (or is building) `key`.
+    fn holds<K: TierKey, V>(tier: &Tier<K, V>, key: K) -> bool {
+        lock(&tier.entries).contains_key(&key)
+    }
+
     #[test]
-    fn zero_shard_request_is_clamped() {
-        // Tiers always use the default shard count; the store they wrap
-        // clamps an explicit zero to one shard.
-        let store = ArtifactStore::with_shards(0);
-        let moore = shapes::moore();
-        let compiled = store
-            .get_or_build(moore.to_points(), || compile_shape(&moore))
+    fn builds_each_key_exactly_once_under_contention() {
+        // Hammer one key from many scoped threads: the single-flight slot must
+        // admit exactly one build, and the per-lookup outcomes must account
+        // for every lookup.
+        let tier: Tier<Free, u32> = Tier::new();
+        let builds = AtomicUsize::new(0);
+        let threads = 16;
+        let hits: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let (v, hit) = tier
+                            .lookup(Bounded(7), || {
+                                builds.fetch_add(1, Ordering::SeqCst);
+                                // Widen the race window so stragglers arrive
+                                // mid-build and must wait instead of
+                                // rebuilding.
+                                std::thread::sleep(std::time::Duration::from_millis(20));
+                                Ok(42)
+                            })
+                            .unwrap();
+                        assert_eq!(*v, 42);
+                        usize::from(hit)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "single-build semantics");
+        assert_eq!(hits, threads - 1, "every lookup but the build hits");
+        assert_eq!(tier.len(), 1);
+    }
+
+    #[test]
+    fn several_keys_build_together_once_each_under_contention() {
+        // Overlapping key lists looked up from many threads: every key is
+        // built exactly once across all calls, by the call that claimed it
+        // and in one batch per call (no waiter finds a claimed key unbuilt
+        // and builds it again), a key listed twice in one call is claimed
+        // once, and every lookup reports its own outcome.
+        let tier: Tier<Free, u32> = Tier::new();
+        let builds: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+        let batches = AtomicUsize::new(0);
+        let lists: [&[u32]; 4] = [&[1, 2, 3], &[3, 2, 4, 3], &[5, 1], &[4, 5, 2]];
+        let misses: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = lists
+                .iter()
+                .map(|&list| {
+                    let (builds, batches, tier) = (&builds, &batches, &tier);
+                    scope.spawn(move || {
+                        let keys: Vec<Free> = list.iter().map(|&k| Bounded(k)).collect();
+                        let looked_up = tier
+                            .lookup_all(&keys, |claimed| {
+                                batches.fetch_add(1, Ordering::SeqCst);
+                                std::thread::sleep(std::time::Duration::from_millis(20));
+                                Ok(claimed
+                                    .iter()
+                                    .map(|&i| {
+                                        builds[list[i] as usize].fetch_add(1, Ordering::SeqCst);
+                                        list[i] * 10
+                                    })
+                                    .collect())
+                            })
+                            .unwrap();
+                        for (&key, (value, _)) in list.iter().zip(&looked_up) {
+                            assert_eq!(**value, key * 10);
+                        }
+                        looked_up.iter().filter(|(_, hit)| !hit).count()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        for (key, built) in builds.iter().enumerate().skip(1) {
+            assert_eq!(built.load(Ordering::SeqCst), 1, "key {key}");
+        }
+        assert_eq!(misses, 5, "one miss per distinct key");
+        assert!(batches.load(Ordering::SeqCst) <= lists.len());
+        // A repeated key in one call: one build, then a hit.
+        let mut claimed = Vec::new();
+        let looked_up = tier
+            .lookup_all(&[Bounded(7), Bounded(1), Bounded(7)], |positions| {
+                claimed.extend_from_slice(positions);
+                Ok(positions.iter().map(|_| 70).collect())
+            })
             .unwrap();
-        assert_eq!(compiled.num_slots(), 9);
-        assert_eq!(store.len(), 1);
+        assert_eq!(claimed, [0]);
+        let hits: Vec<bool> = looked_up.iter().map(|&(_, hit)| hit).collect();
+        assert_eq!(hits, [false, true, true]);
+        assert!(Arc::ptr_eq(&looked_up[0].0, &looked_up[2].0));
+        // A failed batch evicts every key it was building, and only those.
+        assert!(tier
+            .lookup_all(&[Bounded(8), Bounded(1), Bounded(9)], |_| {
+                Err(EngineError::InvalidSpec("nope".into()))
+            })
+            .is_err());
+        assert!(!holds(&tier, Bounded(8)) && !holds(&tier, Bounded(9)));
+        assert!(holds(&tier, Bounded(1)));
+    }
+
+    #[test]
+    fn waiter_rebuild_after_failed_claimant_is_reinserted() {
+        // The claimant's build fails (after a delay, so the waiter is already
+        // blocked on the slot); the waiter then rebuilds successfully and must
+        // re-insert the value so later lookups hit instead of rebuilding.
+        let tier: Tier<Free, u32> = Tier::new();
+        let attempts = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let claimant = scope.spawn(|| {
+                tier.lookup(Bounded(5), || {
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    Err(EngineError::InvalidSpec("injected failure".into()))
+                })
+            });
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            let waiter = scope.spawn(|| {
+                tier.lookup(Bounded(5), || {
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                    Ok(77)
+                })
+            });
+            assert!(claimant.join().unwrap().is_err());
+            assert_eq!(*waiter.join().unwrap().unwrap().0, 77);
+        });
+        assert_eq!(attempts.load(Ordering::SeqCst), 2);
+        assert_eq!(tier.len(), 1, "the waiter's rebuild must be reachable");
+        // Later lookups hit the re-inserted value without rebuilding.
+        let (v, hit) = tier
+            .lookup(Bounded(5), || panic!("must not rebuild a cached key"))
+            .unwrap();
+        assert_eq!((*v, hit), (77, true));
+    }
+
+    #[test]
+    fn failed_builds_are_evicted_and_retried() {
+        let tier: Tier<Free, u8> = Tier::new();
+        for _ in 0..2 {
+            assert!(tier
+                .lookup(Bounded(1), || Err(EngineError::InvalidSpec("nope".into())))
+                .is_err());
+        }
+        assert!(tier.is_empty());
+        assert_eq!(*tier.lookup(Bounded(1), || Ok(9)).unwrap().0, 9);
+    }
+
+    #[test]
+    fn panicked_builds_poison_nothing_and_are_rebuilt() {
+        // A build that panics unwinds through the slot lock; the next lookup of
+        // the same key must recover the slot and rebuild instead of propagating
+        // the poisoning. (The panicking thread is joined so the panic does not
+        // abort the test process.)
+        let tier: Tier<Free, u32> = Tier::new();
+        let result = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    tier.lookup(Bounded(3), || -> Result<u32> {
+                        panic!("injected build panic")
+                    })
+                })
+                .join()
+        });
+        assert!(result.is_err(), "the build panicked");
+        let (v, _) = tier.lookup(Bounded(3), || Ok(11)).unwrap();
+        assert_eq!(*v, 11, "poisoned slot recovered and rebuilt");
+        let (again, hit) = tier
+            .lookup(Bounded(3), || panic!("must not rebuild a cached key"))
+            .unwrap();
+        assert!(hit && Arc::ptr_eq(&v, &again));
+    }
+
+    #[test]
+    fn entry_bound_resets_wholesale_for_new_keys_only() {
+        let tier: Tier<Bounded<2>, u32> = Tier::new();
+        tier.lookup(Bounded(1), || Ok(1)).unwrap();
+        tier.lookup(Bounded(2), || Ok(2)).unwrap();
+        assert_eq!(tier.len(), 2);
+        // A known key at capacity still hits without clearing.
+        let (_, hit) = tier.lookup(Bounded(1), || panic!("cached")).unwrap();
+        assert!(hit);
+        assert_eq!(tier.len(), 2);
+        // A new key at capacity resets the tier, then inserts.
+        tier.lookup(Bounded(3), || Ok(3)).unwrap();
+        assert_eq!(tier.len(), 1);
+        assert!(holds(&tier, Bounded(3)) && !holds(&tier, Bounded(1)));
+    }
+
+    #[test]
+    fn entry_bound_holds_under_contention() {
+        // Eight threads look up distinct new keys on a tier bounded at four:
+        // the bound check, the reset and the insert of each claim are one
+        // critical section, so no interleaving leaves the tier over its bound.
+        let tier: Tier<Bounded<4>, u32> = Tier::new();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for thread in 0..8u32 {
+                let (tier, start) = (&tier, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..500 {
+                        tier.lookup(Bounded(thread * 1000 + i), || Ok(i)).unwrap();
+                        let len = tier.len();
+                        assert!(len <= 4, "{len} entries on a tier bounded at 4");
+                    }
+                });
+            }
+        });
+        assert!((1..=4).contains(&tier.len()));
     }
 
     #[test]

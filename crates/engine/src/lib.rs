@@ -17,7 +17,7 @@
 //!    stack buffer plus one table read, with no allocation.
 //! 2. Batch evaluation — [`CompiledSchedule::slots_of_region`] and
 //!    [`CompiledSchedule::slots_of_points`] answer millions of queries per call
-//!    across worker threads, and the sharded [`ScheduleCache`] (keyed by
+//!    across worker threads, and the [`ScheduleCache`] (keyed by
 //!    neighbourhood shape) lets repeated scenarios reuse compiled tables.
 //! 3. Scenario serving — [`Scenario`] specs describe a neighbourhood, window and
 //!    query load in JSON; [`run_scenario`] and the `engine-cli` binary stream
@@ -32,10 +32,10 @@
 //!    reference simulator on a 256×256 window). Stochastic workloads
 //!    (Bernoulli traffic, slotted ALOHA) replay bit-identically through the
 //!    counter-based [`CounterRng`] — every draw is `hash(seed, node, slot)`.
-//! 5. The tiered artifact pipeline — five content-addressed tiers, each a
-//!    generic [`Tier`] over one [`ArtifactStore`] (sharded, single-flight,
-//!    bounded) whose one lookup counts its hit or miss into the requesting
-//!    sweep's or search's telemetry recording: [`ScheduleCache`] (shape →
+//! 5. The tiered artifact pipeline — five content-addressed tiers, each one
+//!    generic [`Tier`] (a single-flight, bounded map behind one lock) whose
+//!    lookups count each hit or miss into the requesting sweep's or
+//!    search's telemetry recording: [`ScheduleCache`] (shape →
 //!    compiled schedule), [`AdjacencyCache`]
 //!    ((window region, shape) → interference adjacency), [`PlanCache`]
 //!    ((assignment, adjacency) → fused plan), [`TraceCache`]
@@ -126,7 +126,6 @@ pub mod parallel;
 mod scenario;
 mod search;
 mod simkernel;
-mod store;
 mod sweep;
 pub mod telemetry;
 
@@ -151,9 +150,8 @@ pub use simkernel::{
     run_frames, run_frames_lanes, run_frames_loop, KernelConfig, KernelCounts, KernelMac,
     KernelTraffic, TrafficTrace,
 };
-pub use store::{ArtifactStore, StoreStats};
 pub use sweep::{
-    builtin_sweep, grid_adjacency, run_sweep, SeedAxis, SweepCacheStats, SweepCaches, SweepMac,
-    SweepMode, SweepReport, SweepRunReport, SweepSpec, SweepTraffic,
+    builtin_sweep, grid_adjacency, run_sweep, SeedAxis, StoreStats, SweepCacheStats, SweepCaches,
+    SweepMac, SweepMode, SweepReport, SweepRunReport, SweepSpec, SweepTraffic,
 };
 pub use telemetry::TelemetrySnapshot;

@@ -49,9 +49,10 @@
 //!   [`TraceCache`](crate::TraceCache), which builds the loads it misses in
 //!   one pass, so sweeps, the retry axis of a grid
 //!   and repeated benchmark samples never rebuild one — and [`run_frames`]
-//!   *auto-compiles* an internal trace for inline Bernoulli runs above a size
-//!   threshold before it dispatches, so stochastic runs stop walking every
-//!   node in every slot on whichever path they take. (Staggered traffic needs
+//!   compiles an uncached trace for every run given
+//!   [`KernelTraffic::Bernoulli`] before it dispatches, so no path draws
+//!   generation node by node and slot by slot; a run whose trace would pass
+//!   the size cap fails with the build's error. (Staggered traffic needs
 //!   no trace: the generators of slot `t` are the original ids `t mod P`,
 //!   `t mod P + P`, …, walked through the inverse relabelling.)
 //!   Slotted-ALOHA MAC decisions compile the same way
@@ -120,7 +121,8 @@ pub enum KernelTraffic {
     },
     /// Every node independently generates a packet in each slot with
     /// probability `p`, drawn from the counter RNG's traffic stream of the
-    /// run's seed.
+    /// run's seed; [`run_frames`] compiles the run's draws into a
+    /// [`TrafficTrace`] before it dispatches.
     Bernoulli {
         /// Per-slot generation probability (must be in `[0, 1]`).
         p: f64,
@@ -237,12 +239,6 @@ const TRACE_WORD_LIMIT: u64 = 1 << 28;
 /// (medians 16.2 and 15.5 ms), so the fan-out is kept for hosts with more
 /// cores, where it is unmeasured.
 const TRACE_PARALLEL_MIN_WORDS: usize = 1 << 14;
-
-/// Inline-Bernoulli runs with at least this many `node × slot` draws
-/// auto-compile an internal [`TrafficTrace`] instead of drawing per node per
-/// slot: the lane-word build pays one `mix64` per draw (the inline path pays
-/// two plus a float compare) and the replay touches only generating nodes.
-const AUTO_TRACE_MIN_DRAWS: u64 = 1 << 12;
 
 /// The `rows × row_words` words of a bitmap, or `None` past
 /// [`TRACE_WORD_LIMIT`]. The product is checked, so no slot count wraps it
@@ -854,8 +850,9 @@ impl Resolver {
 /// # Errors
 ///
 /// Returns [`EngineError::InvalidKernelConfig`] for a zero traffic period, a
-/// probability outside `[0, 1]`, or a traffic trace whose node or slot counts
-/// do not cover the run.
+/// probability outside `[0, 1]`, a traffic trace whose node or slot counts
+/// do not cover the run, or Bernoulli traffic whose trace would exceed the
+/// size cap.
 pub fn run_frames(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> {
     run_frames_impl(plan, config, true)
 }
@@ -930,16 +927,13 @@ fn run_frames_impl(
     validate(plan, config)?;
     let n = plan.num_nodes();
 
-    // Inline Bernoulli runs above the size threshold auto-compile an internal
-    // block trace (bit-identical by construction, and the batched build is
-    // cheaper than the per-slot draws it replaces), so no path below walks
-    // every node in every slot.
+    // Bernoulli traffic compiles its trace first: bit-identical to per-draw
+    // `CounterRng::bernoulli`, and the lane-word build pays one `mix64` per
+    // draw where per-draw calls pay two plus a float compare, so no path
+    // below draws traffic. A trace over the size cap fails here.
     let traced;
     let config = match config.traffic {
-        KernelTraffic::Bernoulli { p }
-            if capped_words(n.div_ceil(64) as u64, config.slots).is_some()
-                && n as u64 * config.slots >= AUTO_TRACE_MIN_DRAWS =>
-        {
+        KernelTraffic::Bernoulli { p } => {
             let trace = TrafficTrace::bernoulli(plan, config.seed, p, config.slots)?;
             traced = KernelConfig {
                 traffic: KernelTraffic::Trace(Arc::new(trace)),
@@ -1098,6 +1092,13 @@ fn settle_clean_chain(
 /// for its class `s` is one compare and one subtraction, not two divisions.
 /// (The trace may cover more slots than the run; extra slots are ignored,
 /// exactly as in the general loop.)
+///
+/// Kept out of line: this is the hot loop of every warm tiling sweep, and
+/// whether the compiler inlines it into [`run_frames_impl`] otherwise turns
+/// on the size of that function's other arms. Inlined, the builtin sweep's
+/// warm run phase measured ~3% slower (20 interleaved rounds on a 2-vCPU
+/// host).
+#[inline(never)]
 fn run_analytic_trace(
     plan: &FramePlan,
     config: &KernelConfig,
@@ -1237,13 +1238,12 @@ fn staggered_generators(
 }
 
 /// The general loop: explicit per-node queues of generation times, supporting
-/// every traffic model (counter-drawn Bernoulli, compiled traces, periodic)
-/// under scheduled or slotted-ALOHA access, resolving every slot's
-/// interference with the bitset passes.
+/// every traffic model [`run_frames_impl`] passes on (compiled traces,
+/// periodic, staggered) under scheduled or slotted-ALOHA access, resolving
+/// every slot's interference with the bitset passes.
 fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> {
     let n = plan.num_nodes();
     let orig = plan.original_ids();
-    let traffic_rng = CounterRng::traffic(config.seed);
     let mac_rng = CounterRng::mac(config.seed);
     let mut counts = KernelCounts::default();
     let mut resolver = Resolver::new(n);
@@ -1258,14 +1258,6 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
     for t in 0..config.slots {
         // Traffic generation.
         match &config.traffic {
-            KernelTraffic::Bernoulli { p } => {
-                for (v, &ov) in orig.iter().enumerate() {
-                    if traffic_rng.bernoulli(*p, u64::from(ov), t) {
-                        state.push(v, t);
-                        counts.packets_generated += 1;
-                    }
-                }
-            }
             KernelTraffic::Trace(trace) => {
                 let count = trace.count_at(t);
                 if count > 0 {
@@ -1287,7 +1279,9 @@ fn run_general(plan: &FramePlan, config: &KernelConfig) -> Result<KernelCounts> 
                     counts.packets_generated += 1;
                 }
             }
-            KernelTraffic::None => {}
+            KernelTraffic::Bernoulli { .. } | KernelTraffic::None => {
+                unreachable!("run_frames_impl traces bernoulli traffic and closes runs without any")
+            }
         }
         if state.queued_total == 0 {
             continue;
@@ -2064,8 +2058,8 @@ mod tests {
         // padding lanes of the last word clear in every bitmap. The load
         // groups reach both threshold-group widths (five loads draw as two,
         // two and one), a repeated load, and each load alone, the
-        // one-threshold case of `bernoulli`, `aloha_decisions`, the
-        // auto-compiled trace and the lane kernel. Plans are relabelled
+        // one-threshold case of `bernoulli`, `aloha_decisions`, the trace
+        // every Bernoulli run compiles and the lane kernel. Plans are relabelled
         // slot-major (three slot classes), at node counts around one word and
         // one above 4096 that is not a multiple of 64, where slot bands fan
         // out across workers.
@@ -2173,6 +2167,15 @@ mod tests {
                 "slots {slots}"
             );
         }
+        // A Bernoulli run over the cap fails with the build's error.
+        let run = run_frames(
+            &plan,
+            &config(slots, KernelTraffic::Bernoulli { p: 0.1 }, 0),
+        );
+        assert!(
+            matches!(run, Err(EngineError::InvalidKernelConfig(m)) if m.contains("size cap")),
+            "slots {slots}"
+        );
         // The cap itself still falls between two slot counts.
         assert!(capped_words(words, TRACE_WORD_LIMIT / 3).is_some());
         assert_eq!(capped_words(words, TRACE_WORD_LIMIT / 3 + 1), None);
@@ -2180,34 +2183,49 @@ mod tests {
 
     #[test]
     fn auto_compiled_traces_match_explicit_traces_and_thresholds() {
-        // Above the auto-trace threshold the inline Bernoulli path compiles an
-        // internal trace; its counters must equal an explicit-trace run (and a
-        // below-threshold inline run of the same seed/p agrees on the shared
-        // prefix workload by construction of the counter RNG).
-        let plan = plan(&[0, 1, 0], 2);
-        let slots = 2_000; // 3 nodes x 2000 slots = 6000 >= AUTO_TRACE_MIN_DRAWS
-        assert!(3 * slots >= AUTO_TRACE_MIN_DRAWS);
-        let inline_cfg = config(slots, KernelTraffic::Bernoulli { p: 0.21 }, 1);
-        let trace = TrafficTrace::bernoulli(&plan, inline_cfg.seed, 0.21, slots).unwrap();
-        let traced_cfg = config(slots, KernelTraffic::Trace(Arc::new(trace)), 1);
-        let a = run_frames(&plan, &inline_cfg).unwrap();
-        let b = run_frames(&plan, &traced_cfg).unwrap();
-        assert_eq!(a, b);
-        assert!(a.packets_generated > 0);
+        // A Bernoulli run compiles its trace before it dispatches, whatever
+        // its size (no draw-count threshold sends a run inline: 3 nodes × 1
+        // or 300 slots lie below 4,096 draws, × 2,000 above), on the general
+        // loop (conflicted plan) as on the analytic replay (clean plan): it
+        // counts one trace compilation, and its counters equal the run over
+        // the same trace built explicitly.
+        for plan in [plan(&[0, 1, 0], 2), plan(&[0, 1, 2], 3)] {
+            for (slots, p) in [(1u64, 0.5), (300, 0.15), (2_000, 0.21)] {
+                let bernoulli = config(slots, KernelTraffic::Bernoulli { p }, 1);
+                let trace = TrafficTrace::bernoulli(&plan, bernoulli.seed, p, slots).unwrap();
+                let traced = config(slots, KernelTraffic::Trace(Arc::new(trace)), 1);
+                let (counts, recording, _) =
+                    crate::telemetry::request(|| run_frames(&plan, &bernoulli).unwrap());
+                let what = format!("conflict-free {} slots {slots}", plan.conflict_free());
+                assert_eq!(counts, run_frames(&plan, &traced).unwrap(), "{what}");
+                let compiled = recording.counter(crate::telemetry::Counter::TraceCompilations);
+                assert_eq!(compiled, 1, "{what}");
+                assert!(slots < 300 || counts.packets_generated > 0, "{what}");
+            }
+        }
     }
 
     #[test]
     fn traces_replay_identically_to_inline_bernoulli_draws() {
+        // The trace a Bernoulli run replays generates exactly the packets that
+        // per-(node, slot) `CounterRng::bernoulli` draws of its seed come up
+        // with. `batched_trace_build_matches_per_draw_construction` pins the
+        // trace bits themselves to those draws.
         let plan = plan(&[0, 1, 0], 2);
-        let inline_cfg = config(300, KernelTraffic::Bernoulli { p: 0.15 }, 1);
-        let trace = TrafficTrace::bernoulli(&plan, inline_cfg.seed, 0.15, 300).unwrap();
-        assert_eq!(trace.num_nodes(), 3);
-        assert_eq!(trace.num_slots(), 300);
-        let traced_cfg = config(300, KernelTraffic::Trace(Arc::new(trace)), 1);
-        let inline_counts = run_frames(&plan, &inline_cfg).unwrap();
-        let traced_counts = run_frames(&plan, &traced_cfg).unwrap();
-        assert_eq!(inline_counts, traced_counts);
-        assert!(inline_counts.packets_generated > 0);
+        let (slots, p) = (300, 0.15);
+        let bernoulli = config(slots, KernelTraffic::Bernoulli { p }, 1);
+        let trace = TrafficTrace::bernoulli(&plan, bernoulli.seed, p, slots).unwrap();
+        assert_eq!((trace.num_nodes(), trace.num_slots()), (3, slots));
+        let rng = CounterRng::traffic(bernoulli.seed);
+        let inline: u64 = (0..slots)
+            .flat_map(|t| plan.original_ids().iter().map(move |&ov| (ov, t)))
+            .map(|(ov, t)| u64::from(rng.bernoulli(p, u64::from(ov), t)))
+            .sum();
+        let counts = run_frames(&plan, &bernoulli).unwrap();
+        assert_eq!(counts.packets_generated, inline);
+        assert!(inline > 0);
+        let traced = config(slots, KernelTraffic::Trace(Arc::new(trace)), 1);
+        assert_eq!(counts, run_frames(&plan, &traced).unwrap());
     }
 
     #[test]
@@ -2237,10 +2255,11 @@ mod tests {
     fn analytic_replay_matches_the_loop_kernels_bit_for_bit() {
         // Clean (conflict-free) scheduled runs dispatch to the closed-form
         // analytic replay; it must reproduce the slot-loop kernels exactly on
-        // every traffic model, including the auto-traced Bernoulli path.
+        // every traffic model, Bernoulli traffic (which compiles its trace
+        // first) included.
         let clean = plan(&[0, 1, 2], 3);
         assert!(clean.conflict_free());
-        let big_slots = 2_000; // over the Bernoulli auto-trace threshold
+        let big_slots = 2_000;
         let trace = Arc::new(TrafficTrace::bernoulli(&clean, 7, 0.3, 500).unwrap());
         for traffic in [
             KernelTraffic::Periodic { period: 1 },

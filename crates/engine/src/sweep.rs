@@ -6,8 +6,8 @@
 //! naive sweep rebuilds every compiled structure (schedule table, frame plan,
 //! stochastic draws) from scratch for every run. [`run_sweep`] instead:
 //!
-//! 1. compiles each window's schedule and fused [`FramePlan`] once, through the
-//!    sharded [`ScheduleCache`] / [`PlanCache`];
+//! 1. compiles each window's adjacency, schedule and fused [`FramePlan`] once,
+//!    through the [`AdjacencyCache`], [`ScheduleCache`] and [`PlanCache`];
 //! 2. compiles each `(seed, load)` pair's Bernoulli generation draws once into
 //!    a [`TrafficTrace`] through the content-addressed [`TraceCache`] — shared
 //!    by every run that varies only MAC-side knobs (retry budgets) *and* by
@@ -44,11 +44,11 @@
 //!    the sweep's own telemetry recording ([`crate::telemetry`]), whose bands
 //!    merge in the same order.
 //!
-//! Because all three tiers are content-addressed, a *warm* repeat of a sweep
-//! (same [`SweepCaches`]) skips schedule compilation, plan fusion and trace
-//! generation entirely — its setup phase degenerates to adjacency
-//! construction and cache lookups, which is what the `tracecache` entry of
-//! the `BENCH.json` baseline measures.
+//! Because every tier a sweep compiles through is content-addressed, a
+//! *warm* repeat of a sweep (same [`SweepCaches`]) skips adjacency
+//! construction, schedule compilation, plan fusion and trace generation
+//! entirely — its setup phase degenerates to cache lookups, which is what
+//! the `tracecache` entry of the `BENCH.json` baseline measures.
 //!
 //! A sweep spec is JSON (one object):
 //!
@@ -99,7 +99,6 @@ use crate::simkernel::{
     capped_words, run_frames, run_frames_lanes, KernelConfig, KernelCounts, KernelMac,
     KernelTraffic, TrafficTrace,
 };
-use crate::store::StoreStats;
 use crate::telemetry::{self, span, CacheTier, Counter, Origin, Stage, TelemetrySnapshot};
 use crate::FramePlan;
 use latsched_lattice::BoxRegion;
@@ -586,6 +585,24 @@ impl SweepCaches {
     }
 }
 
+/// One request's lookups on a cache tier, beside the tier's entry count (a
+/// tier's part of a sweep or search report).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct StoreStats {
+    /// Lookups answered from the tier.
+    pub hits: u64,
+    /// Lookups that had to build.
+    pub misses: u64,
+    /// Entries currently cached.
+    pub entries: usize,
+}
+
+impl fmt::Display for StoreStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}h/{}m/{}e", self.hits, self.misses, self.entries)
+    }
+}
+
 /// Per-tier cache counters of the artifact pipeline, as reported by
 /// [`SweepReport`]: hit/miss counts over one sweep and entry counts at its
 /// end.
@@ -881,42 +898,54 @@ impl<'a> GridContext<'a> {
     /// Fetches the compiled traces the grid's scalar runs replay through the
     /// trace tier: one Bernoulli generation trace per (outer, seed, load),
     /// shared across the retry axis, and under ALOHA one MAC decision bitmap
-    /// per (outer, seed), shared across the load and retry axes (plans past
-    /// the trace size cap keep inline MAC draws). The fetch runs plan by
-    /// plan, then seed by seed, and asks for every load of one (plan, seed)
-    /// at once ([`TraceCache::get_or_build_loads`]), so the missing loads
-    /// share one draw pass; the order matters only past the tier's
-    /// [`TraceKey::MAX_ENTRIES`], where it decides what a wholesale reset
-    /// evicts. Warm repeats over the same caches skip every draw
+    /// per (outer, seed), shared across the load and retry axes. The fetch
+    /// runs plan by plan, then seed by seed, and asks for every load of one
+    /// (plan, seed) at once ([`TraceCache::get_or_build_loads`]), so the
+    /// missing loads share one draw pass; the order matters only past the
+    /// tier's [`TraceKey::MAX_ENTRIES`], where it decides what a wholesale
+    /// reset evicts. Warm repeats over the same caches skip every draw
     /// compilation. Outer values that copy an earlier value's plan fetch
     /// nothing, since their runs are never simulated. Lane grids fetch
     /// nothing either: the lane kernel's inline draws are bit-identical to
-    /// replaying traces. Their Bernoulli lane batches keep arrival bitmaps
-    /// under the size cap of one trace, so a grid whose widest batch is over
-    /// it fails here, before any run.
+    /// replaying traces.
     ///
     /// Nor does a grid whose every trace would be replayed by exactly one
     /// simulated run (the retry axis collapses on every plan) and that needs
     /// more traces than the tier holds: the tier could only thrash, while
     /// the fetched traces, one per seed, would all stay resident for the
-    /// whole run phase. Those runs draw inline, and [`run_frames`] compiles
-    /// the same trace, uncached, so memory stays bounded by the worker count.
+    /// whole run phase. Those runs pass Bernoulli traffic on, and
+    /// [`run_frames`] compiles the same trace, uncached, so memory stays
+    /// bounded by the worker count.
+    ///
+    /// Every Bernoulli run's draws are one bitmap under the size cap of one
+    /// trace: a scalar run's trace, or the arrival bitmaps of a lane batch.
+    /// A grid whose widest bitmap is over it fails here, naming its outer
+    /// value, before any run.
     pub(crate) fn fetch_traces(&mut self, cache: &TraceCache) -> Result<()> {
         let SweepTraffic::Bernoulli(loads) = self.traffic else {
             return Ok(());
         };
-        if self.lanes {
-            let lanes = self.seeds.len().min(64);
-            for (o, plan) in self.plans.iter().enumerate() {
-                let rows = (plan.num_nodes() * lanes) as u64;
-                if capped_words(rows, self.slots.div_ceil(64)).is_none() {
-                    return Err(EngineError::InvalidKernelConfig(format!(
-                        "{}: arrival bitmaps of bernoulli lane batches of {lanes} seeds x {} \
-                         slots exceed the size cap",
-                        self.outer[o], self.slots
-                    )));
-                }
+        let lanes = self.seeds.len().min(64);
+        for (o, plan) in self.plans.iter().enumerate() {
+            let n = plan.num_nodes() as u64;
+            let (words, bitmaps) = if self.lanes {
+                let words = capped_words(n * lanes as u64, self.slots.div_ceil(64));
+                (
+                    words,
+                    format!("arrival bitmaps of bernoulli lane batches of {lanes} seeds"),
+                )
+            } else {
+                let words = capped_words(n.div_ceil(64), self.slots);
+                (words, format!("bernoulli traffic traces of {n} nodes"))
+            };
+            if words.is_none() {
+                return Err(EngineError::InvalidKernelConfig(format!(
+                    "{}: {bitmaps} x {} slots exceed the size cap",
+                    self.outer[o], self.slots
+                )));
             }
+        }
+        if self.lanes {
             return Ok(());
         }
         let canonical = |&(o, _): &(usize, &Arc<FramePlan>)| self.first_outer[o] == o;
@@ -936,9 +965,6 @@ impl<'a> GridContext<'a> {
         }
         if let KernelMac::Aloha { p } = self.mac {
             for (o, plan) in plans() {
-                if capped_words(plan.num_nodes().div_ceil(64) as u64, self.slots).is_none() {
-                    continue;
-                }
                 for seed in self.seeds.iter() {
                     let trace = cache.get_or_build_mac(plan, seed, p, self.slots)?;
                     self.mac_traces.insert((o, seed), trace);
@@ -1919,6 +1945,44 @@ mod tests {
         let (result, recording, _) = telemetry::request(|| run_sweep(&small, &SweepCaches::new()));
         assert_eq!(result.unwrap().runs, 64);
         assert_eq!(recording.counter(Counter::LaneBatches), 1);
+    }
+
+    #[test]
+    fn over_cap_scalar_bernoulli_grids_fail_before_running() {
+        // A 12×12 window's trace takes three words per slot, so 10⁹ slots are
+        // past the cap of one trace, and 3 · ⌈2⁶⁴ / 3⌉ wraps to 2 unless
+        // checked. With one seed the grid would fetch its traces; with 80 it
+        // needs more single-replay traces than the tier holds and would fetch
+        // none, leaving every run to build its own. Either way the sweep
+        // names the window and the slots and dispatches no run.
+        for seeds in [1, 80] {
+            for slots in [1_000_000_000, u64::MAX / 3 + 1] {
+                let spec = SweepSpec {
+                    windows: vec![12],
+                    slots,
+                    seeds: SeedAxis::Range {
+                        start: 1,
+                        end: seeds,
+                    },
+                    ..tiny_spec()
+                };
+                let (result, recording, _) =
+                    telemetry::request(|| run_sweep(&spec, &SweepCaches::new()));
+                match result {
+                    Err(EngineError::InvalidKernelConfig(message)) => {
+                        assert!(message.starts_with("window 12:"), "{message}");
+                        assert!(message.contains(&format!("x {slots} slots")), "{message}");
+                        assert!(message.contains("size cap"), "{message}");
+                    }
+                    other => panic!("{seeds} seeds, {slots} slots: got {other:?}"),
+                }
+                assert_eq!(
+                    recording.dispatch_total(),
+                    0,
+                    "{seeds} seeds, {slots} slots"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   compiled once into a [`latsched_engine::TrafficTrace`] (block-wise
 //!   batched, parallel build) and every later run of the same coordinates —
 //!   across networks, retry budgets and MAC parameters — replays the bitmaps
-//!   instead of re-drawing `n × slots` hashes.
+//!   instead of re-drawing `n × slots` hashes. Larger runs compile an
+//!   uncached trace (see [`FrameKernel`]).
 //! * **Counter-based randomness.** Stochastic configurations (Bernoulli
 //!   traffic, slotted ALOHA) draw from `CounterRng` streams — pure functions of
 //!   `(seed, node, slot)` — so the kernel replays them bit-identically to the
@@ -41,8 +42,9 @@ use std::sync::{Arc, OnceLock};
 
 /// Upper bound on `words × slots` for routing a Bernoulli run through the
 /// shared trace cache (4 MiB of bitmap per trace, so the cache's 64-entry
-/// bound caps aggregate pinned memory at ~256 MiB); larger runs let the
-/// engine's kernel auto-compile an uncached internal trace instead.
+/// bound caps aggregate pinned memory at ~256 MiB); larger runs pass
+/// Bernoulli traffic to the engine's kernel, which compiles an uncached
+/// trace, or refuses the run past its size cap.
 const TRACE_ROUTE_WORD_LIMIT: u64 = 1 << 19;
 
 /// The process-wide default plan cache; keyed by content fingerprints, so it is
@@ -60,6 +62,13 @@ fn global_trace_cache() -> &'static TraceCache {
 }
 
 /// The frame-compiled simulation backend (see the module docs).
+///
+/// Bernoulli runs of up to `TRACE_ROUTE_WORD_LIMIT` (2^19) bitmap words
+/// replay a trace from the trace cache. Larger runs compile an uncached
+/// trace in [`latsched_engine::run_frames`], and runs past the engine's
+/// trace size cap are refused with its
+/// [`InvalidKernelConfig`](latsched_engine::EngineError::InvalidKernelConfig)
+/// error, wrapped in [`SimError::Engine`](crate::SimError::Engine).
 #[derive(Clone, Debug, Default)]
 pub struct FrameKernel {
     /// Explicit plan cache; `None` uses the shared process-wide cache.
@@ -141,8 +150,7 @@ impl FrameKernel {
             // Bernoulli generation draws are content-addressed by
             // (plan, seed, p, slots): route them through the shared trace tier
             // so repeated stochastic runs replay compiled bitmaps. Runs past
-            // the routing cap fall back to the kernel's internal
-            // (uncached) auto-trace.
+            // the routing cap leave the kernel to compile an uncached trace.
             TrafficModel::Bernoulli { p } => {
                 let words = (n as u64).div_ceil(64);
                 if words * config.slots <= TRACE_ROUTE_WORD_LIMIT {

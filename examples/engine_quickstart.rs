@@ -1,5 +1,5 @@
 //! The compiled schedule-query engine in one sitting: compile the Figure 2
-//! neighbourhood schedules through the sharded cache, batch-answer a 512×512
+//! neighbourhood schedules through the schedule cache, batch-answer a 512×512
 //! window of point queries, and cross-check the compiled backend against the
 //! paper's exact whole-lattice verifier.
 //!

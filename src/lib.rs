@@ -14,7 +14,7 @@
 //! | [`core`] | `latsched-core` | Theorems 1 and 2, schedule verification, optimality, finite restrictions, mobile sensors |
 //! | [`coloring`] | `latsched-coloring` | Interference graphs, distance-2 colouring baselines (TDMA, greedy, DSATUR, exact, annealing) |
 //! | [`sensornet`] | `latsched-sensornet` | Slot-synchronous network simulator with the paper's interference model |
-//! | [`engine`] | `latsched-engine` | Compiled, batched, parallel schedule-query engine (dense coset tables, sharded cache, scenario CLI) |
+//! | [`engine`] | `latsched-engine` | Compiled, batched, parallel schedule-query engine (dense coset tables, cache tiers, scenario CLI) |
 //!
 //! ## Quick start
 //!
@@ -57,8 +57,8 @@ pub mod prelude {
         PeriodicSchedule, SlotSource,
     };
     pub use latsched_engine::{
-        builtin_scenarios, run_scenario, ArtifactStore, CompiledSchedule, PlanCache, Scenario,
-        ScheduleCache, TraceCache,
+        builtin_scenarios, run_scenario, CompiledSchedule, PlanCache, Scenario, ScheduleCache,
+        TraceCache,
     };
     pub use latsched_lattice::{
         ball_points, hexagonal_lattice, square_lattice, voronoi_cell, BoxRegion, DynReducer,

@@ -108,16 +108,20 @@ fn sweep_runs_match_reference_simulator_on_bernoulli_tiling_grids() {
 
 #[test]
 fn sweep_runs_match_reference_simulator_on_aloha_grids() {
-    let spec = SweepSpec {
-        windows: vec![7],
-        slots: 150,
-        seeds: vec![3, 5].into(),
-        retries: vec![1],
-        traffic: SweepTraffic::Bernoulli(vec![0.15]),
-        mac: SweepMac::Aloha { p: 0.35 },
-        ..latsched_engine::builtin_sweep()
-    };
-    check_sweep_against_reference(&spec, &MacPolicy::SlottedAloha { p: 0.35 });
+    // Two seeds run as one lane batch; one seed runs scalar, replaying a
+    // traffic trace and a MAC decision trace through the general loop.
+    for seeds in [vec![3, 5], vec![5]] {
+        let spec = SweepSpec {
+            windows: vec![7],
+            slots: 150,
+            seeds: seeds.into(),
+            retries: vec![1],
+            traffic: SweepTraffic::Bernoulli(vec![0.15]),
+            mac: SweepMac::Aloha { p: 0.35 },
+            ..latsched_engine::builtin_sweep()
+        };
+        check_sweep_against_reference(&spec, &MacPolicy::SlottedAloha { p: 0.35 });
+    }
 }
 
 #[test]
@@ -199,6 +203,17 @@ fn profiled_grids_copy_exactly_their_redundant_runs() {
     // ALOHA draws every seed and collides, so a lane grid copies nothing.
     let aloha = &SweepSpec::parse_spec(include_str!("specs/aloha_20_batches.json")).unwrap()[0];
     assert_eq!(sweep(aloha), (0, 0, 800));
+    // One seed runs scalar: 2 loads x 2 budgets on the general loop, over
+    // 2 traffic traces built in one draw pass and 1 MAC decision trace.
+    let one_seed = &SweepSpec::parse_spec(include_str!("specs/aloha_one_seed.json")).unwrap()[0];
+    let (report, _) = profile(|| run_sweep(one_seed, &SweepCaches::new()).unwrap());
+    let snapshot = report
+        .telemetry
+        .expect("profiled requests attach a snapshot");
+    assert_eq!(snapshot.counter(Counter::DispatchGeneralLoop), 4);
+    assert_eq!(snapshot.dispatch_total(), 4);
+    assert_eq!(report.caches.traces.misses, 3);
+    assert_eq!(snapshot.counter(Counter::TraceCompilations), 3);
 }
 
 /// Runs one spec in both modes and asserts the streaming group folds are
