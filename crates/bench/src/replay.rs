@@ -13,14 +13,14 @@
 //!   `l`, MAC draws made by the trace build's lane-word loop) against 64
 //!   scalar per-seed [`latsched_engine::run_frames`] calls.
 //! * **Bernoulli seed lanes.** A saturated ALOHA grid point under Bernoulli
-//!   traffic — the lane kernel's bit-planed backlog counters, per-`(node,
-//!   lane)` arrival bitmaps and one drawn row of generation lane words per
-//!   slot — against 64 scalar per-seed runs, each of which compiles its own
+//!   traffic — the lane kernel's per-`(node, lane)` arrival bitmaps and head
+//!   slots and one drawn row of generation lane words per slot — against 64
+//!   scalar per-seed runs, each of which compiles its own
 //!   traffic trace with the same lane-word loop. This comparison runs on a
 //!   quarter-side window (16×16 for the committed 64×64 baseline): sweep
 //!   grid points live at exactly this scale, and it keeps the per-`(node,
-//!   lane)` state cache-resident, where the bit-planed counters amortize the
-//!   per-slot MAC and collision machinery.
+//!   lane)` state cache-resident, where the lane words amortize the per-slot
+//!   MAC and collision machinery.
 //!
 //! Every comparison asserts *bit-exact* [`KernelCounts`] parity inside the
 //! measurement loop — every timed analytic run is compared against the loop
@@ -143,7 +143,7 @@ pub fn measure_replay(side: i64, slots: u64, samples: usize) -> Result<Measureme
     });
 
     // Bernoulli lane side: a saturated ALOHA grid point under stochastic
-    // generation — the lane kernel's bit-planed backlog counters against 64
+    // generation — the lane kernel's per-lane arrival bitmaps against 64
     // scalar per-seed runs. A quarter-side window at sweep-grid-point scale
     // (see the module docs): arrival draws cost the same per seed on both
     // sides, so the measurement targets the backlogged regime where the

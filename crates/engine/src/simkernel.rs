@@ -979,8 +979,8 @@ fn run_frames_impl(
 
 /// Packets one node of generation phase `phase` generates in slots `0..end`
 /// under periodic traffic of period `period` (arrivals at `phase`, `phase +
-/// period`, …): the one generation closed form behind the lane kernel's
-/// backlog tests, per-node arrival counts and run totals.
+/// period`, …): the one generation closed form behind per-node arrival
+/// counts and run totals.
 #[inline]
 fn arrivals_before(end: u64, phase: u64, period: u64) -> u64 {
     if end > phase {
@@ -1386,18 +1386,24 @@ fn lane_word(row: &[u64], bit: usize, lanes: usize) -> u64 {
     word & u64::MAX >> (64 - lanes)
 }
 
-/// The first set bit after `head` in an arrival bitmap: the generation slot
-/// of the packet queued behind the head. The caller knows there is one.
+/// The first set bit after `head` and at most `t` in an arrival bitmap: the
+/// generation slot of the packet queued behind the head, or `u64::MAX` when
+/// no packet is. Bits past `t` are not set yet, so the scan reads no word
+/// past `t`'s.
 #[inline]
-fn next_arrival(bitmap: &[u64], head: u64) -> u64 {
+fn next_arrival(bitmap: &[u64], head: u64, t: u64) -> u64 {
     let from = head + 1;
-    let mut w = (from / 64) as usize;
-    let mut word = bitmap[w] & u64::MAX << (from % 64);
-    while word == 0 {
-        w += 1;
-        word = bitmap[w];
+    let words = bitmap[..=(t / 64) as usize].iter().enumerate();
+    let mut mask = u64::MAX << (from % 64);
+    for (w, &word) in words.skip((from / 64) as usize) {
+        let word = word & mask;
+        if word != 0 {
+            let next = w as u64 * 64 + u64::from(word.trailing_zeros());
+            return if next <= t { next } else { u64::MAX };
+        }
+        mask = u64::MAX;
     }
-    w as u64 * 64 + u64::from(word.trailing_zeros())
+    u64::MAX
 }
 
 /// Runs up to 64 seeds of one grid point through a single pass over the slot
@@ -1430,17 +1436,16 @@ fn next_arrival(bitmap: &[u64], head: u64) -> u64 {
 /// candidate's drawn word with its backlog is indistinguishable from the
 /// scalar kernel's conditional draws.
 ///
-/// Lanes support deterministic traffic (periodic or staggered — generation is
-/// lane-uniform, so backlog refills are one mask store) *and* Bernoulli
-/// traffic, under scheduled or slotted-ALOHA access, on any plan; every slot
-/// resolves its interference lane-parallel. Bernoulli per-lane queue lengths
-/// are not uniform, so they are bit-planed like the retry clock: plane `k`
-/// of a node holds bit `k` of every lane's queue length, incremented by a
-/// masked half-adder chain on generation and decremented by its borrow-chain
-/// mirror on pops, with the backlog word recovered as the planes' OR. Delivery latency needs each
-/// head packet's generation slot: every `(node, lane)` keeps an arrival
-/// bitmap over the run's slots (one OR per generated packet) and its head
-/// slot, which a pop moves to the next set bit.
+/// Lanes support deterministic traffic (periodic or staggered) *and*
+/// Bernoulli traffic, under scheduled or slotted-ALOHA access, on any plan;
+/// every slot resolves its interference lane-parallel. Every `(node, lane)`
+/// queue is one head slot, the generation slot of its oldest packet, and the
+/// lane is backlogged while its head is at most the current slot. A pop
+/// charges the head's wait as latency and moves the head to the lane's next
+/// packet: one period on under deterministic traffic, whose generation is
+/// lane-uniform, so backlog refills are one mask store; the next set bit of
+/// the lane's arrival bitmap over the run's slots (one OR per generated
+/// packet) under Bernoulli traffic.
 ///
 /// # Errors
 ///
@@ -1473,7 +1478,7 @@ pub(crate) fn run_lane_batch(
         )));
     }
     // Traffic mode: deterministic (lane-uniform generation) or Bernoulli
-    // (lane-sliced generation draws with bit-planed backlog counters). The
+    // (lane-sliced generation draws into per-lane arrival bitmaps). The
     // deterministic arms keep `(traffic_period, staggered)`; the Bernoulli
     // arm never reads them.
     let (traffic_period, staggered, bernoulli_p) = match config.traffic {
@@ -1561,39 +1566,30 @@ pub(crate) fn run_lane_batch(
         Vec::new()
     };
 
-    // Lane-sliced queue state. Deterministic traffic keeps implicit
-    // arithmetic-progression queues (the head packet of node `v` in a lane
-    // was generated at `phase(v) + popped · period`): one popped counter
-    // per (node, lane) — touched only on pop events — with lane-uniform
-    // generation refilling whole backlog words. Bernoulli traffic has
-    // non-uniform per-lane queue lengths instead, so those become bit planes
-    // mirroring the retry clock below: plane `k` of a node holds bit `k` of
-    // every lane's queue length (a length never exceeds the slot count, so
-    // the plane width is the slot count's bit length), incremented by a
-    // masked half-adder chain on generation draws and decremented by the
-    // borrow-chain mirror on pops; the backlog word is the planes' OR.
-    // Delivery latency needs the head packet's generation slot: each
-    // (node, lane) keeps an arrival bitmap over the run's slots (bit t set
-    // when the lane generated at t) and its head slot. The packets a lane
-    // holds are exactly the set bits from its head on, so a pop moves the
-    // head to the next set bit. Both modes share the per-node lane
-    // backlog words and the all-lane queued total for the O(1) skip of slots
-    // with nothing queued anywhere. The retry clock is bit-planed: plane `k`
-    // of a node holds bit `k` of every lane's attempt count, so the
-    // per-transmission increment and the retry-budget comparison are masked
-    // half-adder chains over whole lane words instead of per-lane counter
-    // updates.
+    // Lane-sliced queue state: the queue of (node, lane) is its head slot,
+    // the generation slot of its oldest packet, and the lane is backlogged
+    // while its head is at most `t`. Deterministic heads start at their
+    // node's phase and a pop moves them one period on; generation is
+    // lane-uniform, so it refills whole backlog words. Bernoulli traffic
+    // keeps an arrival bitmap per (node, lane) over the run's slots (bit t
+    // set when the lane generated at t); a lane that held nothing starts its
+    // head at the drawn slot, and a pop moves the head to the next set bit.
+    // Both modes share the per-node lane backlog words and the all-lane
+    // queued total for the O(1) skip of slots with nothing queued anywhere.
+    // The retry clock is bit-planed: plane `k` of a node holds bit `k` of
+    // every lane's attempt count, so the per-transmission increment and the
+    // retry-budget comparison are masked half-adder chains over whole lane
+    // words instead of per-lane counter updates.
     let target = u64::from(config.max_retries) + 1;
     let attempt_bits = (64 - target.leading_zeros()) as usize;
-    let qlen_bits = match bernoulli_p {
-        Some(_) => (64 - config.slots.leading_zeros()) as usize,
-        None => 0,
-    };
-    let mut popped = vec![0u64; if bernoulli_p.is_some() { 0 } else { n * lanes }];
-    let mut qlen_planes = vec![0u64; n * qlen_bits];
     let slot_words = config.slots.div_ceil(64) as usize;
     let mut arrivals = vec![0u64; arrival_words];
-    let mut heads = vec![0u64; if bernoulli_p.is_some() { n * lanes } else { 0 }];
+    let mut heads = vec![0u64; n * lanes];
+    if staggered {
+        for (v, &ov) in orig.iter().enumerate() {
+            heads[v * lanes..][..lanes].fill(u64::from(ov) % traffic_period);
+        }
+    }
     let mut attempt_planes = vec![0u64; n * attempt_bits];
     let mut backlog = vec![0u64; n];
     let mut queued_total: u64 = 0;
@@ -1622,22 +1618,14 @@ pub(crate) fn run_lane_batch(
         (0..degree_bits).map(|_| LaneTally::new()).collect();
 
     let frame_period = plan.period() as u64;
-    let phase_of = |v: usize| -> u64 {
-        if staggered {
-            u64::from(orig[v]) % traffic_period
-        } else {
-            0
-        }
-    };
     for t in 0..config.slots {
         // Traffic generation. Bernoulli: one drawn row of every node's lane
         // words (pure functions of `(seed, node, slot)`, bit-identical to the
-        // scalar kernel's draws), folded into the bit-planed queue-length
-        // counters by a half-adder increment over the drawn lanes; the
-        // per-lane generated tally and the arrival bits ride the same
-        // events. Deterministic traffic is lane-uniform: a generating node
-        // becomes backlogged in every lane (its per-lane queue lengths
-        // differ, but all grow by one).
+        // scalar kernel's draws) sets the drawn lanes' backlog and arrival
+        // bits; the per-lane generated tally rides the same events.
+        // Deterministic traffic is lane-uniform: a generating node becomes
+        // backlogged in every lane (its per-lane queues differ, but every
+        // lane now holds the packet of slot `t`).
         if bernoulli_p.is_some() {
             if n > 0 {
                 let row = &mut [&mut traffic_row[..]];
@@ -1654,14 +1642,6 @@ pub(crate) fn run_lane_batch(
                 // Lanes that held nothing start their head at this packet.
                 let mut fresh = gen & !backlog[v];
                 backlog[v] |= gen;
-                let planes = &mut qlen_planes[v * qlen_bits..(v + 1) * qlen_bits];
-                let mut carry = gen;
-                for plane in planes.iter_mut() {
-                    let sum = *plane ^ carry;
-                    carry &= *plane;
-                    *plane = sum;
-                }
-                debug_assert_eq!(carry, 0, "queue length exceeded the plane width");
                 let mut bits = gen;
                 while bits != 0 {
                     let i = v * lanes + bits.trailing_zeros() as usize;
@@ -1688,7 +1668,6 @@ pub(crate) fn run_lane_batch(
 
         // Shared candidate scan; per-candidate lane transmit words.
         let slot = (t % frame_period) as usize;
-        let aligned_generated = arrivals_before(t + 1, 0, traffic_period);
         tx_list.clear();
         let candidates = plan.slot_candidates(slot);
         // Bit offset of `mac_row[0]` in the packed lane space, once drawn.
@@ -1797,61 +1776,30 @@ pub(crate) fn run_lane_batch(
                 for plane in attempt_planes[v * attempt_bits..(v + 1) * attempt_bits].iter_mut() {
                     *plane &= !pop_lanes;
                 }
-                if bernoulli_p.is_some() {
-                    // Half-adder decrement (borrow-chain mirror of the
-                    // generation increment) of the popping lanes' queue
-                    // lengths; the backlog word is the planes' OR. Latency
-                    // is the wait of the lane's head packet; a lane that
-                    // still holds packets moves its head to the next
-                    // arrival, which is at most `t`.
-                    let planes = &mut qlen_planes[v * qlen_bits..(v + 1) * qlen_bits];
-                    let mut borrow = pop_lanes;
-                    let mut nonzero = 0u64;
-                    for plane in planes.iter_mut() {
-                        let sum = *plane ^ borrow;
-                        borrow &= !*plane;
-                        *plane = sum;
-                        nonzero |= sum;
+                // Latency is the wait of the lane's head packet. The head
+                // then moves to the lane's next packet (saturating: past
+                // every slot when it would pass `u64::MAX`), and a lane
+                // whose new head is past `t` holds nothing. Emptied lanes
+                // clear as one mask, with no branch on a per-lane outcome.
+                let mut bits = pop_lanes;
+                let mut emptied = 0u64;
+                while bits != 0 {
+                    let l = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let i = v * lanes + l;
+                    if delivered_lanes >> l & 1 == 1 {
+                        counts[l].total_latency += t - heads[i];
                     }
-                    debug_assert_eq!(borrow, 0, "popped an empty lane queue");
-                    backlog[v] = nonzero;
-                    let mut bits = pop_lanes;
-                    while bits != 0 {
-                        let l = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let i = v * lanes + l;
-                        if delivered_lanes >> l & 1 == 1 {
-                            counts[l].total_latency += t - heads[i];
+                    heads[i] = match bernoulli_p {
+                        Some(_) => {
+                            next_arrival(&arrivals[i * slot_words..][..slot_words], heads[i], t)
                         }
-                        if nonzero >> l & 1 == 1 {
-                            let bitmap = &arrivals[i * slot_words..(i + 1) * slot_words];
-                            heads[i] = next_arrival(bitmap, heads[i]);
-                            debug_assert!(heads[i] <= t, "a queued packet arrives after now");
-                        }
-                        queued_total -= 1;
-                    }
-                } else {
-                    let phase = phase_of(v);
-                    let gen = if staggered {
-                        arrivals_before(t + 1, phase, traffic_period)
-                    } else {
-                        aligned_generated
+                        None => heads[i].saturating_add(traffic_period),
                     };
-                    let mut bits = pop_lanes;
-                    while bits != 0 {
-                        let l = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let idx = v * lanes + l;
-                        if delivered_lanes >> l & 1 == 1 {
-                            counts[l].total_latency += t - (phase + popped[idx] * traffic_period);
-                        }
-                        popped[idx] += 1;
-                        queued_total -= 1;
-                        if gen <= popped[idx] {
-                            backlog[v] &= !(1u64 << l);
-                        }
-                    }
+                    emptied |= u64::from(heads[i] > t) << l;
+                    queued_total -= 1;
                 }
+                backlog[v] &= !emptied;
             }
         }
 
@@ -2380,7 +2328,8 @@ mod tests {
         // zero words of 300-slot bitmaps. Staggered periods of 100 and 2^23
         // slots exceed every plan's node count, so most slots have no
         // generator; lane generation totals are closed-form, so they check
-        // the scalar walk's generator count.
+        // the scalar walk's generator count. At a staggered period of
+        // `u64::MAX`, a popped head one period on would pass `u64::MAX`.
         let dispatched = TraceCopy::detect();
         let copies = if dispatched == TraceCopy::PORTABLE {
             vec![TraceCopy::PORTABLE]
@@ -2400,6 +2349,7 @@ mod tests {
         let mut all = vec![
             KernelTraffic::Periodic { period: 3 },
             KernelTraffic::Staggered { period: 4 },
+            KernelTraffic::Staggered { period: u64::MAX },
         ];
         all.extend(bernoulli.clone());
         all.extend(long_periods.clone());
@@ -2450,13 +2400,35 @@ mod tests {
     }
 
     #[test]
+    fn next_arrival_scans_no_further_than_the_current_slot() {
+        // A 2-word row (128 slots) with arrivals at slots 3, 10, 70 and 120.
+        let mut row = [0u64; 2];
+        for s in [3u64, 10, 70, 120] {
+            row[(s / 64) as usize] |= 1 << (s % 64);
+        }
+        // The next bit in the same word, and in the next word.
+        assert_eq!(next_arrival(&row, 3, 127), 10);
+        assert_eq!(next_arrival(&row, 10, 127), 70);
+        assert_eq!(next_arrival(&row, 70, 120), 120);
+        // The only later bit lies past `t`, in the same word and in the next.
+        assert_eq!(next_arrival(&row, 70, 119), u64::MAX);
+        assert_eq!(next_arrival(&row, 3, 9), u64::MAX);
+        assert_eq!(next_arrival(&row, 10, 69), u64::MAX);
+        // No later bit at all: the scan ends at `t`'s word, and at
+        // `head = t` it reads no word, so the missing word 2 is never indexed.
+        assert_eq!(next_arrival(&row, 120, 127), u64::MAX);
+        assert_eq!(next_arrival(&row, 127, 127), u64::MAX);
+        assert_eq!(next_arrival(&row, 120, 120), u64::MAX);
+    }
+
+    #[test]
     fn lane_batches_reject_ineligible_configurations() {
         let p = plan(&[0, 1, 2], 3);
         let cfg = config(10, KernelTraffic::Periodic { period: 2 }, 0);
         assert!(run_frames_lanes(&p, &cfg, &[]).is_err());
         assert!(run_frames_lanes(&p, &cfg, &vec![1u64; 65]).is_err());
-        // Bernoulli traffic is lane-eligible now that backlog counters are
-        // bit-planed; pre-compiled traces (both streams) still are not.
+        // Bernoulli traffic is lane-eligible (each lane draws its own
+        // arrivals); pre-compiled traces (both streams) are not.
         let bernoulli_cfg = config(10, KernelTraffic::Bernoulli { p: 0.5 }, 0);
         assert_eq!(
             run_frames_lanes(&p, &bernoulli_cfg, &[1, 2]).unwrap().len(),

@@ -74,7 +74,8 @@ pub enum Counter {
     /// no-traffic path.
     DispatchAnalytic,
     /// Seeds simulated by the 64-seed bit-sliced lane kernel under
-    /// deterministic (periodic/staggered/trace) traffic.
+    /// deterministic (periodic or staggered) traffic; lane batches refuse
+    /// trace traffic.
     DispatchLaneScalar,
     /// Seeds simulated by the lane kernel under Bernoulli traffic (batched
     /// in-kernel draws, no trace compilation).

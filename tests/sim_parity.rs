@@ -707,8 +707,8 @@ proptest! {
     /// Each lane of the bit-sliced multi-seed kernel equals the scalar kernel
     /// run of that lane's seed — on clean and partially conflicting plans,
     /// under scheduled and slotted-ALOHA access, across periodic, staggered
-    /// and Bernoulli traffic (the bit-planed backlog counters), with partial
-    /// (<64) batches.
+    /// and Bernoulli traffic (per-lane head slots, and arrival bitmaps under
+    /// Bernoulli traffic), with partial (<64) batches.
     #[test]
     fn lane_kernel_matches_scalar_runs_on_random_plans(
         side in 3i64..7,

@@ -214,6 +214,22 @@ fn profiled_grids_copy_exactly_their_redundant_runs() {
     assert_eq!(snapshot.dispatch_total(), 4);
     assert_eq!(report.caches.traces.misses, 3);
     assert_eq!(snapshot.counter(Counter::TraceCompilations), 3);
+    // Periodic and staggered traffic under ALOHA run on deterministic lanes:
+    // 70 seeds are one full and one 6-lane batch per grid point (2 periods x
+    // 2 budgets, then 2 periods x 1 budget), and no trace is looked up.
+    let deterministic =
+        SweepSpec::parse_spec(include_str!("specs/aloha_deterministic_lanes.json")).unwrap();
+    for (spec, (runs, batches)) in deterministic.iter().zip([(280, 8), (140, 4)]) {
+        let (report, _) = profile(|| run_sweep(spec, &SweepCaches::new()).unwrap());
+        let snapshot = report
+            .telemetry
+            .expect("profiled requests attach a snapshot");
+        assert_eq!(snapshot.counter(Counter::DispatchLaneScalar), runs);
+        assert_eq!(snapshot.dispatch_total(), runs);
+        assert_eq!(snapshot.counter(Counter::LaneBatches), batches);
+        let traces = report.caches.traces;
+        assert_eq!(traces.hits + traces.misses, 0, "{}", spec.name);
+    }
 }
 
 /// Runs one spec in both modes and asserts the streaming group folds are
