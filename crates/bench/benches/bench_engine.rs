@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the compiled schedule-query engine against the reference
 //! `PeriodicSchedule::slot_of`: single-query latency, batched window throughput
-//! (sequential and parallel), cache hit cost, and an explicit ≥10× speedup check
-//! on the 512×512 window workload of the engine's acceptance criterion.
+//! (one call on the calling thread), cache hit cost, and an explicit ≥10×
+//! speedup check on the 512×512 window workload of the engine's acceptance
+//! criterion.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use latsched_core::{theorem1, PeriodicSchedule};
@@ -65,14 +66,7 @@ fn bench_window_512(c: &mut Criterion) {
             acc
         })
     });
-    group.bench_function("compiled_sequential", |b| {
-        b.iter(|| {
-            compiled
-                .slots_of_region_sequential(black_box(&window))
-                .unwrap()
-        })
-    });
-    group.bench_function("compiled_parallel", |b| {
+    group.bench_function("compiled", |b| {
         b.iter(|| compiled.slots_of_region(black_box(&window)).unwrap())
     });
     group.finish();

@@ -67,8 +67,8 @@ impl fmt::Display for Measurement {
             write!(f, "{workload}")?;
         }
         for (field, value) in self.0.iter().filter(|(field, _)| *field != "workload") {
-            match value {
-                Value::Number(n) if n.fract() != 0.0 => write!(f, "\n  {field} {n:.4}")?,
+            match value.as_f64() {
+                Some(n) if n.fract() != 0.0 => write!(f, "\n  {field} {n:.4}")?,
                 _ => write!(f, "\n  {field} {value}")?,
             }
         }

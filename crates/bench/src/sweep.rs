@@ -8,19 +8,20 @@
 //! with bit-exact parity checked between the two.
 //!
 //! It also measures the sweep executor's **work-stealing dispatch** against
-//! the legacy static chunk split on an adversarial mixed-cost grid: the slow
+//! a static chunk split on an adversarial mixed-cost grid: the slow
 //! (explicit slot-loop) runs are clustered at the front, so a static split
-//! hands one worker all of them while the analytic-path workers idle;
-//! stealing claims items one at a time from an atomic counter and
-//! load-balances. Both dispatches must produce bit-identical result vectors
-//! (element `i` is always filled as element `i`), which is the `parity` the
-//! committed baseline asserts. On a single-core host both fall back to the
-//! sequential fill, so `steal_speedup` honestly measures ~1.0 there; the gain
-//! shows on multi-core runners (the CI gate tracks regressions against the
-//! committed baseline either way).
+//! (`steal_chunks` with one contiguous chunk per worker) hands one worker
+//! all of them while the analytic-path workers idle; stealing claims items
+//! one at a time from an atomic counter and load-balances. Both dispatches
+//! must produce bit-identical result vectors (element `i` is always filled
+//! as element `i`), which is the `parity` the committed baseline asserts.
+//! On a single-core host both fall back to the sequential fill, so
+//! `steal_speedup` honestly measures ~1.0 there; the gain shows on
+//! multi-core runners (the CI gate tracks regressions against the committed
+//! baseline either way).
 
 use crate::baseline::{median_ms, Measurement};
-use latsched_engine::parallel::{fill_chunks_min, steal_chunks, worker_threads};
+use latsched_engine::parallel::{steal_chunks, worker_threads};
 use latsched_engine::{
     run_frames, run_frames_loop, run_sweep, KernelConfig, KernelCounts, KernelMac, KernelTraffic,
     SweepCaches, SweepMac, SweepReport, SweepSpec, SweepTraffic,
@@ -195,10 +196,12 @@ pub fn measure_sweep(
             *out = Some(run.expect("mixed-grid run"));
         }
     };
+    // The static split: one contiguous chunk per worker.
+    let per_worker = steal_items.div_ceil(worker_threads());
     let mut static_out: Vec<Option<KernelCounts>> = vec![None; steal_items];
     let static_ms = median_ms(samples, || {
         static_out.iter_mut().for_each(|v| *v = None);
-        fill_chunks_min(&mut static_out, 2, fill);
+        steal_chunks(&mut static_out, 2, per_worker, fill);
     });
     let mut steal_out: Vec<Option<KernelCounts>> = vec![None; steal_items];
     let steal_ms = median_ms(samples, || {

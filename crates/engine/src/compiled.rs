@@ -7,10 +7,9 @@
 //! `Vec<u16>` indexed with the dense coset rank of
 //! [`Sublattice::coset_rank`] — an `O(d²)` integer-only query with no allocation
 //! and a single cache-friendly table read. Batch entry points evaluate whole
-//! regions and point sets across worker threads.
+//! regions and point sets in one call on the calling thread.
 
 use crate::error::{EngineError, Result};
-use crate::parallel::fill_chunks;
 use latsched_core::{Deployment, PeriodicSchedule, SlotSource, VerificationReport};
 use latsched_lattice::{BoxRegion, DynReducer, FixedReducer, Point, Sublattice};
 use std::fmt;
@@ -206,7 +205,14 @@ impl CompiledSchedule {
     }
 
     /// The slots of every point of a box window, in the window's lexicographic
-    /// iteration order, evaluated across worker threads.
+    /// iteration order.
+    ///
+    /// The reduction is triangular: the quotients of rows `0..d-1` depend only on
+    /// the first `d-1` coordinates, so along a window row (last axis varying) the
+    /// slot sequence is the table segment of the row's coset prefix cycled with
+    /// period `p = h_{d-1,d-1}`. Each row therefore costs one `O(d²)` prefix
+    /// reduction plus a cyclic block copy — amortized memcpy speed per point
+    /// instead of a full reduction per point.
     ///
     /// # Errors
     ///
@@ -217,54 +223,14 @@ impl CompiledSchedule {
             points: window.len(),
         })?;
         let mut out = vec![0u16; total];
-        fill_chunks(&mut out, |offset, chunk| {
-            self.fill_region_chunk(window, offset, chunk);
-        });
-        Ok(out)
-    }
-
-    /// Sequential variant of [`CompiledSchedule::slots_of_region`], exposed so
-    /// benchmarks can separate the table speedup from the thread speedup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DimensionMismatch`] on a wrong-dimensional window.
-    pub fn slots_of_region_sequential(&self, window: &BoxRegion) -> Result<Vec<u16>> {
-        self.check_dim(window.dim())?;
-        let total = usize::try_from(window.len()).map_err(|_| EngineError::WindowTooLarge {
-            points: window.len(),
-        })?;
-        let mut out = vec![0u16; total];
-        self.fill_region_chunk(window, 0, &mut out);
-        Ok(out)
-    }
-
-    /// Fills `chunk` with the slots of the window points whose linear indices are
-    /// `offset .. offset + chunk.len()`.
-    ///
-    /// The reduction is triangular: the quotients of rows `0..d-1` depend only on
-    /// the first `d-1` coordinates, so along a window row (last axis varying) the
-    /// slot sequence is the table segment of the row's coset prefix cycled with
-    /// period `p = h_{d-1,d-1}`. Each row therefore costs one `O(d²)` prefix
-    /// reduction plus a cyclic block copy — amortized memcpy speed per point
-    /// instead of a full reduction per point.
-    fn fill_region_chunk(&self, window: &BoxRegion, offset: usize, chunk: &mut [u16]) {
         let d = self.dim;
         let min = window.min().coords();
         let max = window.max().coords();
         let period = self.diag[d - 1] as usize;
         let row_len = (max[d - 1] - min[d - 1] + 1) as usize;
-        // Decode the linear offset into the starting cursor position.
-        let mut cursor = vec![0i64; d];
-        let mut rest = offset as u64;
-        for i in (0..d).rev() {
-            let size = (max[i] - min[i] + 1) as u64;
-            cursor[i] = min[i] + (rest % size) as i64;
-            rest /= size;
-        }
+        let mut cursor = min.to_vec();
         let mut scratch = vec![0i64; d];
-        let mut filled = 0usize;
-        while filled < chunk.len() {
+        for row_out in out.chunks_exact_mut(row_len) {
             // Reduce the row prefix (rows 0..d-1 of the HNF): afterwards
             // `scratch[..d-1]` is canonical and `scratch[d-1] = y - c` carries the
             // row's phase shift along the last axis.
@@ -285,11 +251,7 @@ impl CompiledSchedule {
             let pattern = &self.table[prefix_rank * period..(prefix_rank + 1) * period];
             let mut phase = scratch[d - 1].rem_euclid(period as i64) as usize;
 
-            // Cyclically copy the pattern over the rest of this window row (the
-            // chunk may start or end mid-row).
-            let row_pos = (cursor[d - 1] - min[d - 1]) as usize;
-            let row_remaining = (row_len - row_pos).min(chunk.len() - filled);
-            let row_out = &mut chunk[filled..filled + row_remaining];
+            // Cyclically copy the pattern over the window row.
             let mut copied = 0usize;
             while copied < row_out.len() {
                 let n = (period - phase).min(row_out.len() - copied);
@@ -300,10 +262,8 @@ impl CompiledSchedule {
                     phase = 0;
                 }
             }
-            filled += row_remaining;
 
             // Advance the cursor to the start of the next window row.
-            cursor[d - 1] = min[d - 1];
             for i in (0..d - 1).rev() {
                 if cursor[i] < max[i] {
                     cursor[i] += 1;
@@ -311,13 +271,11 @@ impl CompiledSchedule {
                 }
                 cursor[i] = min[i];
             }
-            if d == 1 {
-                break;
-            }
         }
+        Ok(out)
     }
 
-    /// The slots of an arbitrary list of points, evaluated across worker threads.
+    /// The slots of an arbitrary list of points, in list order.
     ///
     /// # Errors
     ///
@@ -330,13 +288,10 @@ impl CompiledSchedule {
                 found: bad.dim(),
             });
         }
-        let mut out = vec![0u16; points.len()];
-        fill_chunks(&mut out, |offset, chunk| {
-            for (i, out) in chunk.iter_mut().enumerate() {
-                *out = self.table[self.rank_of_coords(points[offset + i].coords())];
-            }
-        });
-        Ok(out)
+        Ok(points
+            .iter()
+            .map(|p| self.table[self.rank_of_coords(p.coords())])
+            .collect())
     }
 
     /// Counts, per slot, how many points of the window transmit in that slot —
@@ -460,8 +415,6 @@ mod tests {
         let compiled = CompiledSchedule::compile(&schedule).unwrap();
         let window = BoxRegion::new(Point::xy(-9, -5), Point::xy(12, 17)).unwrap();
         let batch = compiled.slots_of_region(&window).unwrap();
-        let sequential = compiled.slots_of_region_sequential(&window).unwrap();
-        assert_eq!(batch, sequential);
         let points = window.points();
         assert_eq!(batch.len(), points.len());
         for (p, &slot) in points.iter().zip(&batch) {
@@ -469,22 +422,10 @@ mod tests {
         }
         let by_points = compiled.slots_of_points(&points).unwrap();
         assert_eq!(by_points, batch);
-    }
-
-    #[test]
-    fn large_windows_take_the_parallel_path() {
-        let schedule = moore_schedule();
-        let compiled = CompiledSchedule::compile(&schedule).unwrap();
-        // 128×128 = 16384 points > PARALLEL_THRESHOLD.
-        let window = BoxRegion::square_window(2, 128).unwrap();
-        let batch = compiled.slots_of_region(&window).unwrap();
-        let sequential = compiled.slots_of_region_sequential(&window).unwrap();
-        assert_eq!(batch, sequential);
-        let histogram = compiled.slot_histogram(&window).unwrap();
-        assert_eq!(histogram.iter().sum::<usize>(), 128 * 128);
-        // The Moore period is 3Z×3Z and 128 is not a multiple of 3, but every slot
-        // must still appear roughly 16384/9 times.
-        assert!(histogram.iter().all(|&c| c > 1500));
+        assert_eq!(
+            compiled.slot_histogram(&window).unwrap(),
+            latsched_core::verify::slot_histogram(&schedule, &window).unwrap()
+        );
     }
 
     #[test]

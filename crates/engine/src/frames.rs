@@ -220,9 +220,8 @@ impl FrameSchedule {
     }
 
     /// Builds the frame of a [`SlotSource`] evaluated at the given sensor
-    /// positions: slots are fetched through the batched (and, for compiled
-    /// tables, parallel) [`SlotSource::slots_at`] entry point and bucketed by
-    /// slot.
+    /// positions: slots are fetched through the batched
+    /// [`SlotSource::slots_at`] entry point and bucketed by slot.
     ///
     /// # Errors
     ///

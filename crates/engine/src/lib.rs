@@ -17,7 +17,7 @@
 //!    stack buffer plus one table read, with no allocation.
 //! 2. Batch evaluation — [`CompiledSchedule::slots_of_region`] and
 //!    [`CompiledSchedule::slots_of_points`] answer millions of queries per call
-//!    across worker threads, and the [`ScheduleCache`] (keyed by
+//!    on the calling thread, and the [`ScheduleCache`] (keyed by
 //!    neighbourhood shape) lets repeated scenarios reuse compiled tables.
 //! 3. Scenario serving — [`Scenario`] specs describe a neighbourhood, window and
 //!    query load in JSON; [`run_scenario`] and the `engine-cli` binary stream

@@ -1,30 +1,28 @@
-//! A small scoped-thread fork-join executor.
+//! A small scoped-thread work-stealing executor, the engine's one way to
+//! spawn threads.
 //!
-//! The build environment is offline, so instead of `rayon` the engine parallelizes
-//! with `std::thread::scope`: an output slice is split into chunks and each
-//! chunk is filled on a worker thread. For the engine's embarrassingly
-//! parallel workloads (independent table lookups, independent simulation
-//! runs) this captures all the available speedup without a runtime.
+//! The build environment is offline, so instead of `rayon` the engine
+//! parallelizes with `std::thread::scope`: [`steal_chunks`] fills an output
+//! slice through worker threads that claim chunks from one atomic counter,
+//! so a worker that drew cheap chunks pulls more work instead of idling
+//! behind the slowest one. Two fan-outs use it: the sweep engine's band
+//! executor behind both [`crate::run_sweep`] and [`crate::run_search`],
+//! whose bands mix analytic-path, loop-path and lane-batch runs, and the
+//! 64-slot bands of a large [`crate::TrafficTrace`] build.
 //!
-//! Fine-grained element fills use a static split ([`fill_chunks`] /
-//! [`fill_chunks_min`]): per-element costs are uniform, so one equal chunk
-//! per worker balances and the zero-coordination split is fastest.
-//! [`steal_chunks`] serves the one coarse-grained fan-out with
-//! *heterogeneous* costs — the sweep engine's band executor behind both
-//! [`crate::run_sweep`] and [`crate::run_search`], whose bands mix
-//! analytic-path, loop-path and lane-batch runs: workers claim elements from
-//! one atomic counter, so a worker that drew cheap bands pulls more work
-//! instead of idling behind the slowest static chunk.
+//! Fan-outs never nest: a [`steal_chunks`] call made on one of its own
+//! workers (a band's uncached trace build) fills on that worker, so a
+//! process never runs more than [`worker_threads`] workers at once.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Batches smaller than this are filled on the calling thread by default; below
-/// this size the cost of spawning threads exceeds per-element lookup work.
-/// Coarse-grained batches (e.g. whole simulation runs) should use
-/// [`fill_chunks_min`] with a much smaller threshold.
-pub const PARALLEL_THRESHOLD: usize = 1 << 13;
+thread_local! {
+    /// Set on a [`steal_chunks`] worker for its whole life.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The number of worker threads used for batch evaluation.
 ///
@@ -32,8 +30,8 @@ pub const PARALLEL_THRESHOLD: usize = 1 << 13;
 /// the detected parallelism — benches and CI determinism checks use it to pin
 /// thread counts reproducibly (`engine-cli --threads N` sets it before the
 /// first query). Cached after the first query: `available_parallelism` is a
-/// syscall (and on Linux a cgroup walk), and the simulation kernel consults
-/// this once per slot on its hot paths.
+/// syscall (and on Linux a cgroup walk), and every fan-out and band plan
+/// consults this.
 pub fn worker_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -50,51 +48,6 @@ pub fn worker_threads() -> usize {
     })
 }
 
-/// Fills `out` by calling `fill(offset, chunk)` for disjoint contiguous chunks, in
-/// parallel when the slice is large enough. `offset` is the index of the chunk's
-/// first element within `out`; each call must fully initialize its chunk.
-pub fn fill_chunks<T, F>(out: &mut [T], fill: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    fill_chunks_min(out, PARALLEL_THRESHOLD, fill);
-}
-
-/// [`fill_chunks`] with an explicit parallelism threshold: slices shorter than
-/// `min_parallel` are filled on the calling thread. Use a small threshold for
-/// coarse-grained elements (e.g. one whole simulation run per element, as in
-/// the sweep engine) where even a handful of elements amortize a thread spawn.
-pub fn fill_chunks_min<T, F>(out: &mut [T], min_parallel: usize, fill: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = out.len();
-    if len < min_parallel.max(2) {
-        fill(0, out);
-        return;
-    }
-    let threads = worker_threads();
-    if threads < 2 {
-        fill(0, out);
-        return;
-    }
-    let chunk_len = len.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut offset = 0usize;
-        while !rest.is_empty() {
-            let take = chunk_len.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            let fill = &fill;
-            scope.spawn(move || fill(offset, chunk));
-            offset += take;
-            rest = tail;
-        }
-    });
-}
-
 /// A raw base pointer into the output slice, shared across workers. Safety
 /// rests on the atomic claim counter: `fetch_add` hands every worker a
 /// distinct index range, so the per-claim sub-slices are disjoint.
@@ -106,20 +59,21 @@ unsafe impl<T: Send> Sync for SlicePtr<T> {}
 
 /// Fills `out` by calling `fill(offset, chunk)` for disjoint contiguous
 /// chunks of (up to) `chunk_len` elements, claimed by worker threads from a
-/// single atomic counter — the work-stealing counterpart of
-/// [`fill_chunks_min`].
+/// single atomic counter. `offset` is the index of the chunk's first element
+/// within `out`; each call must fully initialize its chunk.
 ///
-/// Where the static split hands each worker one `len / threads` chunk up
-/// front, here a worker that finishes a claim immediately claims the next
-/// `chunk_len` range, so heterogeneous element costs (sweep bands mixing
-/// closed-form analytic runs with slot-loop runs) load-balance instead of
-/// letting the slowest static chunk dominate wall-clock. Claim order is
-/// nondeterministic, but chunk *contents* are not: element `i` is always
-/// filled as element `i`, so any output-indexed merge (band-order
-/// concatenation or monoid folds) is bit-exact regardless of interleave.
+/// A worker that finishes a claim immediately claims the next `chunk_len`
+/// range, so heterogeneous element costs (sweep bands mixing closed-form
+/// analytic runs with slot-loop runs) load-balance instead of letting the
+/// slowest chunk dominate wall-clock. Claim order is nondeterministic, but
+/// chunk *contents* are not: element `i` is always filled as element `i`,
+/// so any output-indexed merge (band-order concatenation or monoid folds)
+/// is bit-exact regardless of interleave.
 ///
-/// Slices shorter than `min_parallel` (or single-threaded processes) fill on
-/// the calling thread, exactly like [`fill_chunks_min`].
+/// The calling thread fills the whole slice itself, as one chunk at offset
+/// 0, when the slice is shorter than `min_parallel`, when the process has
+/// one worker, or when the caller is itself a worker of an enclosing
+/// `steal_chunks` call.
 ///
 /// Returns the number of chunk claims workers took: `⌈len / chunk_len⌉` when
 /// workers ran (every chunk is claimed exactly once), 0 when the calling
@@ -132,7 +86,7 @@ where
 {
     let len = out.len();
     let threads = worker_threads();
-    if len < min_parallel.max(2) || threads < 2 {
+    if len < min_parallel.max(2) || threads < 2 || ON_WORKER.get() {
         fill(0, out);
         return 0;
     }
@@ -146,17 +100,20 @@ where
             let next = &next;
             let fill = &fill;
             let base = &base;
-            scope.spawn(move || loop {
-                let start = next.fetch_add(chunk_len, Ordering::Relaxed);
-                if start >= len {
-                    break;
+            scope.spawn(move || {
+                ON_WORKER.set(true);
+                loop {
+                    let start = next.fetch_add(chunk_len, Ordering::Relaxed);
+                    if start >= len {
+                        break;
+                    }
+                    let take = chunk_len.min(len - start);
+                    // SAFETY: `start` came from a unique `fetch_add` claim,
+                    // so `[start, start + take)` ranges never overlap across
+                    // workers and stay within `len`.
+                    let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), take) };
+                    fill(start, chunk);
                 }
-                let take = chunk_len.min(len - start);
-                // SAFETY: `start` came from a unique `fetch_add` claim, so
-                // `[start, start + take)` ranges never overlap across workers
-                // and stay within `len`.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), take) };
-                fill(start, chunk);
             });
         }
     });
@@ -166,38 +123,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fills_every_element_sequentially_and_in_parallel() {
-        // Small: sequential path.
-        let mut small = vec![0usize; 100];
-        fill_chunks(&mut small, |offset, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = offset + i;
-            }
-        });
-        assert!(small.iter().enumerate().all(|(i, &v)| v == i));
-
-        // Large: parallel path.
-        let mut large = vec![0usize; PARALLEL_THRESHOLD * 3 + 17];
-        fill_chunks(&mut large, |offset, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = offset + i;
-            }
-        });
-        assert!(large.iter().enumerate().all(|(i, &v)| v == i));
-    }
-
-    #[test]
-    fn explicit_threshold_parallelizes_small_batches() {
-        let mut batch = vec![0usize; 24];
-        fill_chunks_min(&mut batch, 2, |offset, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (offset + i) * 3;
-            }
-        });
-        assert!(batch.iter().enumerate().all(|(i, &v)| v == i * 3));
-    }
+    use std::thread::ThreadId;
 
     #[test]
     fn worker_threads_is_positive() {
@@ -222,16 +148,44 @@ mod tests {
 
     #[test]
     fn stolen_chunks_match_static_chunks_bit_for_bit() {
-        let mut stolen = vec![0u64; 513];
-        let mut static_split = vec![0u64; 513];
+        // The static side is one chunk: a plain sequential fill.
         let fill = |offset: usize, chunk: &mut [u64]| {
             for (i, v) in chunk.iter_mut().enumerate() {
                 let x = (offset + i) as u64;
                 *v = x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ x;
             }
         };
+        let mut stolen = vec![0u64; 513];
         steal_chunks(&mut stolen, 2, 8, fill);
-        fill_chunks_min(&mut static_split, 2, fill);
-        assert_eq!(stolen, static_split);
+        let mut sequential = vec![0u64; 513];
+        fill(0, &mut sequential);
+        assert_eq!(stolen, sequential);
+    }
+
+    #[test]
+    fn fan_outs_inside_a_worker_run_on_that_worker() {
+        // Each outer element records its own worker's id, then the ids of
+        // the threads that filled an inner fan-out it made: with two or more
+        // workers the outer call fans out, and every inner fill must run on
+        // the outer worker that asked for it.
+        let mut outer: Vec<(Option<ThreadId>, Vec<ThreadId>)> = vec![(None, Vec::new()); 8];
+        steal_chunks(&mut outer, 2, 1, |_, chunk| {
+            for (worker, inner_ids) in chunk.iter_mut() {
+                *worker = Some(std::thread::current().id());
+                let mut inner = vec![None; 64];
+                let claims = steal_chunks(&mut inner, 2, 1, |_, chunk| {
+                    chunk.fill(Some(std::thread::current().id()));
+                });
+                assert_eq!(claims, 0, "a nested call claims nothing");
+                *inner_ids = inner.into_iter().map(Option::unwrap).collect();
+            }
+        });
+        for (worker, inner_ids) in &outer {
+            let worker = worker.expect("every outer element filled");
+            if worker_threads() >= 2 {
+                assert_ne!(worker, std::thread::current().id());
+            }
+            assert!(inner_ids.iter().all(|&id| id == worker));
+        }
     }
 }

@@ -312,6 +312,13 @@ impl SearchSpec {
         if top == 0 {
             return Err(invalid("'top' must be positive"));
         }
+        if [retries.len(), seeds.len()]
+            .into_iter()
+            .try_fold(traffic.len(), usize::checked_mul)
+            .is_none()
+        {
+            return Err(invalid("search grid has more runs than a usize counts"));
+        }
         Ok(SearchSpec {
             name,
             shape,

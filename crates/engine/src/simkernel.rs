@@ -62,10 +62,6 @@
 //! * **One resolver.** The general loop settles every slot through
 //!   `Resolver::settle_slot`, which always runs the bitset resolve: a
 //!   conflict-free slot is one where the passes find no collision.
-//! * **Parallel outcome pass.** Per-transmitter delivery outcomes are
-//!   data-parallel once the bitsets are built; slots with ≥ 8k transmitters
-//!   chunk their outcome pass across worker threads with the engine's
-//!   scoped-thread executor.
 //! * **Analytic replay.** Under scheduled access on a conflict-free plan
 //!   every transmission delivers, a node's service opportunities form an
 //!   arithmetic progression (one per frame period), and the FIFO service
@@ -99,7 +95,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::frames::FramePlan;
-use crate::parallel::{fill_chunks, fill_chunks_min};
+use crate::parallel::steal_chunks;
 use latsched_lattice::CounterRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -235,9 +231,11 @@ const TRACE_WORD_LIMIT: u64 = 1 << 28;
 /// `trace_compile` when every pass fanned out at 2^10 words and 1.8 ms at
 /// 2^14, where none does (8 alternating runs): two scoped workers cost more
 /// than ~60 µs of draws save. The builtin sweep's 65,536-word passes fan out
-/// either way; there, fanned and single-threaded builds tie on two vCPUs
-/// (medians 16.2 and 15.5 ms), so the fan-out is kept for hosts with more
-/// cores, where it is unmeasured.
+/// either way, and there the fan-out pays: its eight passes spent a median
+/// 15.0 ms in `trace_compile` at `--threads 1` and 10.4 ms at `--threads 2`
+/// (cold `setup_seconds` 17.1 and 12.6 ms; 12 alternating runs each). A
+/// pass inside a sweep band runs on the band's worker instead (see
+/// [`steal_chunks`]).
 const TRACE_PARALLEL_MIN_WORDS: usize = 1 << 14;
 
 /// The `rows × row_words` words of a bitmap, or `None` past
@@ -548,8 +546,8 @@ impl TrafficTrace {
                 .map(|&p| CounterRng::bernoulli_threshold(p))
                 .collect();
             // Bands of 64 slots (contiguous row bands of the slot-major
-            // bitmaps), band `b` of every load's bitmap together, chunk
-            // across worker threads, sharing the keys.
+            // bitmaps), band `b` of every load's bitmap together, claimed
+            // one at a time by worker threads sharing the keys.
             let band_words = 64 * words;
             let mut per_load: Vec<_> = bitmaps
                 .iter_mut()
@@ -561,7 +559,7 @@ impl TrafficTrace {
             let min_parallel_bands = TRACE_PARALLEL_MIN_WORDS
                 .div_ceil(band_words * loads.len())
                 .max(2);
-            fill_chunks_min(&mut bands, min_parallel_bands, |offset, chunk| {
+            steal_chunks(&mut bands, min_parallel_bands, 1, |offset, chunk| {
                 for (j, band) in chunk.iter_mut().enumerate() {
                     let slot0 = (offset + j) as u64 * 64;
                     copy.draw_rows(&keys, &thresholds, tail, slot0, band);
@@ -800,22 +798,14 @@ impl Resolver {
             self.lost[w] = self.tx_mask[w] | self.twice[w];
         }
 
-        // Pass 3: per-transmitter outcomes (collision mask reads), in parallel
-        // for large transmitter sets.
-        let tx_count = tx_list.len();
-        {
-            let lost = &self.lost;
-            fill_chunks(&mut self.outcomes[..tx_count], |offset, chunk| {
-                for (i, out) in chunk.iter_mut().enumerate() {
-                    let v = tx_list[offset + i] as usize;
-                    let (entry_words, entry_bits) = plan.mask_entries(v);
-                    let mut decoded = 0u32;
-                    for (&w, &mask) in entry_words.iter().zip(entry_bits) {
-                        decoded += (mask & !lost[w as usize]).count_ones();
-                    }
-                    *out = decoded;
-                }
-            });
+        // Pass 3: per-transmitter outcomes (collision mask reads).
+        for (out, &v) in self.outcomes.iter_mut().zip(tx_list) {
+            let (entry_words, entry_bits) = plan.mask_entries(v as usize);
+            let mut decoded = 0u32;
+            for (&w, &mask) in entry_words.iter().zip(entry_bits) {
+                decoded += (mask & !self.lost[w as usize]).count_ones();
+            }
+            *out = decoded;
         }
 
         // Radio-state tally: receivers as popcounts over the touched words.

@@ -466,10 +466,14 @@ impl SweepSpec {
             retries,
             mode,
         };
-        if spec.num_runs() == 0 {
-            return Err(invalid("sweep grid is empty"));
+        match [spec.traffic.len(), spec.retries.len(), spec.seeds.len()]
+            .into_iter()
+            .try_fold(spec.windows.len(), usize::checked_mul)
+        {
+            Some(0) => Err(invalid("sweep grid is empty")),
+            Some(_) => Ok(spec),
+            None => Err(invalid("sweep grid has more runs than a usize counts")),
         }
-        Ok(spec)
     }
 
     /// Parses a spec document: one sweep object or an array of them.

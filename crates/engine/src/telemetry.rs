@@ -87,8 +87,10 @@ pub enum Counter {
     /// Grid runs not simulated: they received a copy of a canonical run's
     /// counts, which their retry budget, seed or repeated plan cannot change.
     DispatchCopy,
-    /// Chunk claims taken from [`crate::parallel::steal_chunks`]'s atomic
-    /// counter (one per `fetch_add` that yielded work).
+    /// Band claims the sweep engine's band executor took from
+    /// [`crate::parallel::steal_chunks`]'s atomic counter (one per
+    /// `fetch_add` that yielded work); a trace build's claims are not
+    /// counted.
     StealClaims,
     /// Traffic traces compiled ([`crate::TrafficTrace`] Bernoulli bitmaps and
     /// ALOHA MAC decision bitmaps, cached or not).

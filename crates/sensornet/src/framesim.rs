@@ -16,10 +16,11 @@
 //!   of a (schedule, network) pair pay the build once.
 //! * **Trace caching.** Bernoulli traffic routes through the engine's shared
 //!   [`TraceCache`]: the per-`(plan, seed, p, slots)` generation draws are
-//!   compiled once into a [`latsched_engine::TrafficTrace`] (block-wise
-//!   batched, parallel build) and every later run of the same coordinates —
-//!   across networks, retry budgets and MAC parameters — replays the bitmaps
-//!   instead of re-drawing `n × slots` hashes. Larger runs compile an
+//!   compiled once into a [`latsched_engine::TrafficTrace`] (one draw pass,
+//!   in 64-slot bands fanned across worker threads when it is large) and
+//!   every later run of the same coordinates — across networks, retry
+//!   budgets and MAC parameters — replays the bitmaps instead of re-drawing
+//!   `n × slots` hashes. Larger runs compile an
 //!   uncached trace (see [`FrameKernel`]).
 //! * **Counter-based randomness.** Stochastic configurations (Bernoulli
 //!   traffic, slotted ALOHA) draw from `CounterRng` streams — pure functions of

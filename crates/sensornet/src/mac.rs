@@ -67,7 +67,7 @@ impl MacPolicy {
             }
             MacPolicy::TilingSchedule(schedule) => {
                 // Fast path: flatten the schedule into a dense coset-indexed table
-                // and batch-evaluate every node position in parallel through the
+                // and batch-evaluate every node position in one call through the
                 // query engine. Schedules the engine cannot flatten (gigantic
                 // periods or slot counts) fall back to per-point queries.
                 if let Ok(compiled) = latsched_engine::CompiledSchedule::compile(schedule) {

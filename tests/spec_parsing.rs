@@ -7,6 +7,8 @@
 //! to build are errors naming their field in every request mode — scenario,
 //! sweep and search — rather than allocation aborts, and a one-point shape in
 //! 256 dimensions, which the tiling search admits, completes in every mode.
+//! Seeds and periods up to `u64::MAX` parse, run and report exactly, and a
+//! grid of more runs than a `usize` counts is refused.
 
 use latsched_engine::{
     run_scenario, run_search, run_sweep, Scenario, SearchSpec, SweepCaches, SweepMac, SweepSpec,
@@ -95,7 +97,7 @@ const NUMBERS: [f64; 18] = [
 
 /// One of [`NUMBERS`], or `random` for picks past its end.
 fn number(pick: usize, random: f64) -> Value {
-    Value::Number(NUMBERS.get(pick).copied().unwrap_or(random))
+    Value::from(NUMBERS.get(pick).copied().unwrap_or(random))
 }
 
 /// An arbitrary JSON value of one of 12 shapes, built from the numbers `a`
@@ -208,6 +210,54 @@ fn out_of_range_axes_are_named_at_parse_time() {
     );
     let err = SearchSpec::parse_spec(&serde_json::to_string(&spec)).unwrap_err();
     assert!(err.to_string().contains("retries"), "{err}");
+}
+
+#[test]
+fn integers_past_two_to_the_53_parse_and_run_exactly() {
+    // 2^53 + 1 is the first integer an `f64` rounds, 2^63 the first past
+    // `i64`, and `u64::MAX` the last seed and period a spec can name.
+    let caches = SweepCaches::new();
+    for n in [(1u64 << 53) + 1, 1 << 63, u64::MAX] {
+        for (kind, seeds) in [
+            ("periodic", format!("[{n}]")),
+            ("staggered", format!(r#"{{"range": [{n}, {n}]}}"#)),
+        ] {
+            let text = format!(
+                r#"{{"shape": {{"kind": "ball", "dim": 2, "radius": 1}}, "windows": [4],
+                "slots": 16, "mac": {{"kind": "aloha", "p": 0.5}},
+                "traffic": {{"kind": "{kind}", "periods": [{n}]}},
+                "seeds": {seeds}, "retries": [0]}}"#
+            );
+            let spec = SweepSpec::parse_spec(&text).unwrap().remove(0);
+            assert_eq!(spec.seeds.iter().collect::<Vec<_>>(), [n], "{text}");
+            let periods = match &spec.traffic {
+                SweepTraffic::Periodic(periods) | SweepTraffic::Staggered(periods) => periods,
+                SweepTraffic::Bernoulli(_) => unreachable!("{text}"),
+            };
+            assert_eq!(periods, &[n], "{text}");
+            let report = run_sweep(&spec, &caches).unwrap();
+            assert_eq!(report.per_run[0].seed, n, "{text}");
+            let json: Value = serde_json::to_string(&report.to_json_value())
+                .parse()
+                .unwrap();
+            let run = &json.get("per_run").and_then(Value::as_array).unwrap()[0];
+            assert_eq!(run.get("seed").and_then(Value::as_u64), Some(n), "{text}");
+        }
+    }
+}
+
+#[test]
+fn grids_of_more_runs_than_a_usize_counts_are_refused() {
+    // 2^64 − 1 seeds fit the range check but not times 2 loads × 4 retries.
+    let seeds: Value = serde_json::from_str(r#"{"range": [1, 18446744073709551615]}"#).unwrap();
+    let mut sweep: Value = serde_json::from_str(SWEEP).unwrap();
+    replace(&mut sweep, &["seeds"], seeds.clone());
+    let err = SweepSpec::parse_spec(&serde_json::to_string(&sweep)).unwrap_err();
+    assert!(err.to_string().contains("more runs"), "{err}");
+    let mut search: Value = serde_json::from_str(SEARCH).unwrap();
+    replace(&mut search, &["seeds"], seeds);
+    let err = SearchSpec::parse_spec(&serde_json::to_string(&search)).unwrap_err();
+    assert!(err.to_string().contains("more runs"), "{err}");
 }
 
 #[test]
